@@ -1,6 +1,6 @@
 # Developer entry points for the monoclass reproduction.
 #
-#   make check             build + vet + full test suite
+#   make check             build + vet (incl. gofmt gate) + full test suite
 #   make race              race-detector pass over the whole module
 #   make conformance       quick differential/metamorphic engine run (CI gate)
 #   make conformance-long  soak run: more trials, larger instances
@@ -21,6 +21,7 @@
 #   make verify-full       verify + the benchmark regenerations
 
 GO ?= go
+GOFMT ?= gofmt
 
 .PHONY: all build vet test race conformance conformance-long conformance-mutate bench-domkernel bench-maxflow bench-classify bench-serve bench-shard bench-online bench-problem profile-prepare ci-smoke fuzz-online fuzz-problem serve-stress verify verify-full clean
 
@@ -29,8 +30,12 @@ all: check
 build:
 	$(GO) build ./...
 
+# vet also gates formatting: it fails when gofmt would change any Go
+# file (.bench_build/ holds the benchmark's build caches, not sources).
 vet:
 	$(GO) vet ./...
+	@unformatted="$$($(GOFMT) -l $$(find . -name '*.go' -not -path './.bench_build/*'))"; \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l lists unformatted files:"; echo "$$unformatted"; exit 1; fi
 
 test: build
 	$(GO) test ./...

@@ -61,12 +61,12 @@ func benchAntichain(rng *rand.Rand, m, d int) []geom.Point {
 func runClassifyBench(path string, seed int64, quick bool) error {
 	minTime, minIters := 1*time.Second, 3
 	configs := []classifyConfig{
-		{4096, 1, 1},    // threshold fast path
-		{4096, 2, 256},  // staircase fast path
-		{4096, 3, 16},   // tiny flat scan
-		{4096, 3, 256},  // bit matrix, the acceptance cell
-		{4096, 5, 512},  // bit matrix, higher dimension
-		{64, 3, 256},    // serving-sized micro-batch
+		{4096, 1, 1},   // threshold fast path
+		{4096, 2, 256}, // staircase fast path
+		{4096, 3, 16},  // tiny flat scan
+		{4096, 3, 256}, // bit matrix, the acceptance cell
+		{4096, 5, 512}, // bit matrix, higher dimension
+		{64, 3, 256},   // serving-sized micro-batch
 	}
 	if quick {
 		minTime, minIters = 100*time.Millisecond, 2

@@ -145,12 +145,12 @@ func runProblemBench(path string, seed int64, quick bool) error {
 		mode problem.MatrixMode
 	}
 	specs := []spec{
-		{4096, 3, problem.ModeAuto},      // auto → dense
-		{16384, 3, problem.ModeDense},    // dense, 67 MB matrix; warm-start acceptance row
-		{65536, 2, problem.ModeImplicit}, // acceptance row for re-solve speedup
-		{65536, 3, problem.ModeDense},    // dense at the raised exact limit (1 GiB matrix)
-		{65536, 3, problem.ModeBlocked},  // blocked, exact via transient materialization
-		{262144, 3, problem.ModeBlocked}, // past the exact limit: greedy fallback
+		{4096, 3, problem.ModeAuto},        // auto → dense
+		{16384, 3, problem.ModeDense},      // dense, 67 MB matrix; warm-start acceptance row
+		{65536, 2, problem.ModeImplicit},   // acceptance row for re-solve speedup
+		{65536, 3, problem.ModeDense},      // dense at the raised exact limit (1 GiB matrix)
+		{65536, 3, problem.ModeBlocked},    // blocked, exact via transient materialization
+		{262144, 3, problem.ModeBlocked},   // past the exact limit: greedy fallback
 		{1 << 20, 2, problem.ModeImplicit}, // the 10⁶ row the dense wall forbids
 	}
 	if quick {

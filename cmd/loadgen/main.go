@@ -82,8 +82,8 @@ type configRow struct {
 	// Replicas > 0 marks a sharded row: the requests were served by a
 	// replica fleet of this size behind the consistent-hash router, and
 	// the throughput/batch numbers aggregate the whole fleet.
-	Replicas   int `json:"replicas,omitempty"`
-	GOMAXPROCS int `json:"gomaxprocs"`
+	Replicas      int     `json:"replicas,omitempty"`
+	GOMAXPROCS    int     `json:"gomaxprocs"`
 	Requests      int     `json:"requests"`
 	Concurrency   int     `json:"concurrency"`
 	ElapsedMillis float64 `json:"elapsed_ms"`

@@ -1,7 +1,9 @@
 package chains
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"monoclass/internal/geom"
@@ -39,16 +41,25 @@ func Decompose2D(pts []geom.Point) Decomposition {
 	if len(pts[0]) != 2 {
 		panic(fmt.Sprintf("chains: Decompose2D on %d-dimensional points", len(pts[0])))
 	}
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
+	// Sort contiguous (x, y, index) records rather than an index slice
+	// that chases pts on every comparison; exact duplicates fall back
+	// to input order, so the piles do not depend on the sort algorithm.
+	type xyIdx struct {
+		x, y float64
+		i    int
 	}
-	sort.Slice(order, func(a, b int) bool {
-		pa, pb := pts[order[a]], pts[order[b]]
-		if pa[0] != pb[0] {
-			return pa[0] < pb[0]
+	order := make([]xyIdx, n)
+	for i, p := range pts {
+		order[i] = xyIdx{p[0], p[1], i}
+	}
+	slices.SortFunc(order, func(a, b xyIdx) int {
+		if c := cmp.Compare(a.x, b.x); c != 0 {
+			return c
 		}
-		return pa[1] < pb[1]
+		if c := cmp.Compare(a.y, b.y); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.i, b.i)
 	})
 
 	var (
@@ -56,8 +67,8 @@ func Decompose2D(pts []geom.Point) Decomposition {
 		tops  []float64        // v = -y of each pile's top; ascending across piles
 		ptr   = make([]int, n) // back-pointer to a point on the previous pile, or -1
 	)
-	for _, idx := range order {
-		v := -pts[idx][1]
+	for _, r := range order {
+		idx, v := r.i, -r.y
 		// Leftmost pile whose top >= v.
 		lo, hi := 0, len(tops)
 		for lo < hi {

@@ -56,6 +56,23 @@ func TestDecompose2DEdgeCases(t *testing.T) {
 	}
 }
 
+// TestDecompose2DDuplicatesInInputOrder: exact duplicates sit in one
+// pile in input order, whatever order the sort visits them in, so the
+// piles do not depend on the sort algorithm.
+func TestDecompose2DDuplicatesInInputOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(71))
+	pts := randPoints(rng, 500, 2, 4) // ~30 copies of each grid point
+	dec := Decompose2D(pts)
+	checkDecomposition(t, pts, dec)
+	for c, chain := range dec.Chains {
+		for k := 1; k < len(chain); k++ {
+			if pts[chain[k]].Equal(pts[chain[k-1]]) && chain[k] < chain[k-1] {
+				t.Fatalf("chain %d: duplicate %d placed after %d", c, chain[k], chain[k-1])
+			}
+		}
+	}
+}
+
 func TestDecompose2DPanicsOnWrongDim(t *testing.T) {
 	defer func() {
 		if recover() == nil {

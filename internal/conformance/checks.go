@@ -570,9 +570,10 @@ func auditSolution(tag string, ws geom.WeightedSet, sol passive.Solution) error 
 }
 
 // CheckPassiveDifferential solves the instance through every redundant
-// configuration — sparse construction under all four max-flow solvers,
-// the literal dense construction, a caller-supplied chain
-// decomposition — and requires identical optima and contending counts;
+// configuration — sparse construction under every registered max-flow
+// solver, the literal dense construction, a caller-supplied minimum
+// chain decomposition and a caller-supplied greedy (possibly wider)
+// one — and requires identical optima and contending counts;
 // small instances are additionally checked against the exponential
 // NaiveSolve.
 func CheckPassiveDifferential(in Instance) error {
@@ -598,6 +599,9 @@ func CheckPassiveDifferential(in Instance) error {
 	variants := []solveVariant{
 		{"dense", passive.Options{Dense: true}},
 		{"chains", passive.Options{Chains: chains.Decompose(in.Pts()).Chains}},
+		// A valid but possibly wider cover: the greedy-fallback path
+		// problem.Prepare takes past its exact-decomposition limit.
+		{"greedy-chains", passive.Options{Chains: chains.GreedyDecompose(in.Pts())}},
 	}
 	// Every registered max-flow solver drives the sparse construction;
 	// registry additions are covered without touching this file.

@@ -33,7 +33,8 @@ func WriteCSV(w io.Writer, ws geom.WeightedSet) error {
 
 // ReadCSV parses rows written by WriteCSV. Every row must have the
 // same column count (at least 3: one coordinate, label, weight);
-// labels must be 0 or 1 and weights positive.
+// coordinates must not be NaN (±Inf is fine), labels must be 0 or 1
+// and weights positive and finite.
 func ReadCSV(r io.Reader) (geom.WeightedSet, error) {
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = -1 // validated manually for a better message

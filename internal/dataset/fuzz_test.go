@@ -15,6 +15,8 @@ func FuzzReadCSV(f *testing.F) {
 	f.Add("x,y,z\n")
 	f.Add("-1e300,2,1,0.5\n")
 	f.Add("1,2,0,1\n1,2\n")
+	f.Add("1,NaN,0,1\n3,4,1,2\n") // NaN breaks the partial order: rejected
+	f.Add("-Inf,2,0,1\n+Inf,4,1,2\n")
 	var sample bytes.Buffer
 	WriteCSV(&sample, Figure1Weighted())
 	f.Add(sample.String())

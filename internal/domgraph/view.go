@@ -1,9 +1,11 @@
 package domgraph
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
 	"sync"
 
@@ -156,20 +158,26 @@ func NewImplicit(pts []geom.Point) *Implicit {
 	}
 	d := len(pts[0])
 	v.rank = make([][]int32, d)
-	order := make([]int, len(pts))
+	// Contiguous (value, index) records sort without chasing pts on
+	// every comparison; ties may land in any order, since equal values
+	// share a rank.
+	type valIdx struct {
+		v float64
+		i int32
+	}
+	order := make([]valIdx, len(pts))
 	for k := 0; k < d; k++ {
-		for i := range order {
-			order[i] = i
+		for i, p := range pts {
+			order[i] = valIdx{p[k], int32(i)}
 		}
-		kk := k
-		sort.Slice(order, func(a, b int) bool { return pts[order[a]][kk] < pts[order[b]][kk] })
+		slices.SortFunc(order, func(a, b valIdx) int { return cmp.Compare(a.v, b.v) })
 		rk := make([]int32, len(pts))
 		r := int32(0)
-		for pos, i := range order {
-			if pos > 0 && pts[i][k] != pts[order[pos-1]][k] {
+		for pos, e := range order {
+			if pos > 0 && e.v != order[pos-1].v {
 				r++
 			}
-			rk[i] = r
+			rk[e.i] = r
 		}
 		v.rank[k] = rk
 	}

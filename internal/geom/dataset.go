@@ -117,8 +117,9 @@ func (d *LabeledDataset) Weighted() WeightedSet {
 // multiset); their weights simply both count.
 type WeightedSet []WeightedPoint
 
-// Validate checks every member's weight and label, and dimensional
-// consistency across the set.
+// Validate checks every member with WeightedPoint.Validate (no NaN
+// coordinates, binary labels, positive finite weights) and
+// dimensional consistency across the set.
 func (ws WeightedSet) Validate() error {
 	if len(ws) == 0 {
 		return nil

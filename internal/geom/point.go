@@ -116,9 +116,18 @@ type WeightedPoint struct {
 	Weight float64
 }
 
-// Validate reports an error when the weight is not positive and finite
-// or the label is not binary.
+// Validate reports an error when a coordinate is NaN, the weight is
+// not positive and finite, or the label is not binary. A NaN
+// coordinate would make the point dominate and be dominated by every
+// point it meets, so dominance would stop being a partial order —
+// the property chain decompositions and the Section 5.1 network rely
+// on. ±Inf coordinates are ordered and stay legal.
 func (wp WeightedPoint) Validate() error {
+	for k, v := range wp.P {
+		if math.IsNaN(v) {
+			return fmt.Errorf("geom: coordinate %d is NaN", k)
+		}
+	}
 	if !wp.Label.Valid() {
 		return fmt.Errorf("geom: invalid label %d", wp.Label)
 	}

@@ -115,9 +115,9 @@ func TestWarmSeedValidation(t *testing.T) {
 	b.SetEdge(0, 1)
 	b.SetEdge(2, 1)
 	cases := map[string][]int{
-		"wrong length":    {1, -1},
-		"out of range":    {3, -1, -1},
-		"non-edge":        {0, -1, -1},
+		"wrong length":     {1, -1},
+		"out of range":     {3, -1, -1},
+		"non-edge":         {0, -1, -1},
 		"right used twice": {1, -1, 1},
 	}
 	for name, seed := range cases {

@@ -133,8 +133,8 @@ type Updater struct {
 	// total weight of live slots with assign[i] != labels[i].
 	assign []geom.Label
 
-	ws   *maxflow.Workspace // persistent warm-start scratch for exact solves
-	prob *problem.Problem   // prepared at the last exact solve; see Problem
+	ws    *maxflow.Workspace // persistent warm-start scratch for exact solves
+	prob  *problem.Problem   // prepared at the last exact solve; see Problem
 	model *classifier.AnchorSet
 	werr  float64
 	drift float64 // Σ delta weights since last exact solve
@@ -212,27 +212,15 @@ func newUpdater(dim int, initial geom.WeightedSet, seed *problem.Problem, cfg Co
 }
 
 // validateInsert holds the stateless part of delta validation, shared
-// by NewUpdater, Apply, and the pipeline's synchronous intake check.
-// NaN coordinates are rejected outright: geom.Dominates makes a NaN
-// point mutually dominant with everything it meets, which breaks both
-// the Section 5.1 construction and the kernel/naive builder agreement
-// the conformance suite relies on. ±Inf is fine.
+// by NewUpdater, Apply, and the pipeline's synchronous intake check:
+// the dimension, then geom.WeightedPoint.Validate, which rejects NaN
+// coordinates (they break the partial order every solver relies on),
+// non-binary labels, and weights that are not positive and finite.
 func validateInsert(dim int, p geom.Point, l geom.Label, w float64) error {
 	if len(p) != dim {
 		return fmt.Errorf("point has dimension %d, want %d", len(p), dim)
 	}
-	for i, v := range p {
-		if math.IsNaN(v) {
-			return fmt.Errorf("coordinate %d is NaN", i)
-		}
-	}
-	if !l.Valid() {
-		return fmt.Errorf("label %d is not binary", l)
-	}
-	if w <= 0 || math.IsInf(w, 0) || math.IsNaN(w) {
-		return fmt.Errorf("weight %g must be positive and finite", w)
-	}
-	return nil
+	return geom.WeightedPoint{P: p, Label: l, Weight: w}.Validate()
 }
 
 // Validate checks a delta without applying it: everything Apply would

@@ -199,15 +199,15 @@ func TestUpdaterValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad := []Delta{
-		{Op: OpInsert, Point: geom.Point{1}, Label: geom.Positive, Weight: 1},            // wrong dim
+		{Op: OpInsert, Point: geom.Point{1}, Label: geom.Positive, Weight: 1},             // wrong dim
 		{Op: OpInsert, Point: geom.Point{1, math.NaN()}, Label: geom.Positive, Weight: 1}, // NaN coord
-		{Op: OpInsert, Point: geom.Point{1, 2}, Label: 7, Weight: 1},                     // bad label
-		{Op: OpInsert, Point: geom.Point{1, 2}, Label: geom.Positive, Weight: 0},         // zero weight
-		{Op: OpInsert, Point: geom.Point{1, 2}, Label: geom.Positive, Weight: -3},        // negative
+		{Op: OpInsert, Point: geom.Point{1, 2}, Label: 7, Weight: 1},                      // bad label
+		{Op: OpInsert, Point: geom.Point{1, 2}, Label: geom.Positive, Weight: 0},          // zero weight
+		{Op: OpInsert, Point: geom.Point{1, 2}, Label: geom.Positive, Weight: -3},         // negative
 		{Op: OpInsert, Point: geom.Point{1, 2}, Label: geom.Positive, Weight: math.Inf(1)},
 		{Op: OpInsert, Point: geom.Point{1, 2}, Label: geom.Positive, Weight: math.NaN()},
-		{Op: Op(9), Point: geom.Point{1, 2}},       // unknown op
-		{Op: OpDelete, Point: geom.Point{1}},       // wrong dim
+		{Op: Op(9), Point: geom.Point{1, 2}},              // unknown op
+		{Op: OpDelete, Point: geom.Point{1}},              // wrong dim
 		{Op: OpDelete, Point: geom.Point{1, 2}, Label: 5}, // bad label
 	}
 	for i, d := range bad {

@@ -105,11 +105,16 @@ func TestSparseEdgesMatrixMatchesScalar(t *testing.T) {
 				t.Fatalf("trial %d: edge %d: scalar %v != kernel %v", trial, k, scalar[k], kernel[k])
 			}
 		}
-		// The kernel contending scan must agree with the chain-index scan.
+		// The kernel contending scan must agree with the chain-index
+		// scan, over the minimum cover and over a greedy (possibly
+		// wider) one alike.
 		kc := m.ViolationParties(labels)
-		for i := range contending {
-			if kc[i] != contending[i] {
-				t.Fatalf("trial %d: contending[%d] kernel=%v scalar=%v", trial, i, kc[i], contending[i])
+		greedy := buildChainIndex(ws, chains.GreedyDecompose(pts))
+		for cover, got := range map[string][]bool{"minimum": contending, "greedy": contendingPoints(ws, &greedy)} {
+			for i := range got {
+				if kc[i] != got[i] {
+					t.Fatalf("trial %d: %s cover: contending[%d] kernel=%v scalar=%v", trial, cover, i, kc[i], got[i])
+				}
 			}
 		}
 	}

@@ -29,19 +29,24 @@ import (
 // Hence the two networks admit exactly the same source-sink cuts made
 // of finite edges, and the min cut — which never uses ∞ edges
 // (Lemma 18) — is unchanged. Edge count drops to O(n·w).
+//
+// The contending scan that precedes the edge build needs only each
+// chain's extreme members: along an ascending chain every label-1
+// member dominates the lowest one and the highest label-0 member
+// dominates every other, so testing a point against those at most 2w
+// points decides it in O(w·d) (see contendingPoints), O(n·w·d) in
+// all. Both this and the prefix argument above need dominance to be a
+// partial order, which is why geom.WeightedPoint.Validate rejects NaN
+// coordinates.
 
 // chainIndex locates points within a chain decomposition.
 type chainIndex struct {
-	dec      chains.Decomposition
-	chainOf  []int   // chain id per point index
-	posInCh  []int   // position within its chain
-	labelOne [][]int // per chain: prefix counts of label-1 members
-	labelZer [][]int // per chain: prefix counts of label-0 members
+	dec     chains.Decomposition
+	chainOf []int // chain id per point index
 }
 
-// buildChainIndex decomposes the points of ws into chains (or adopts
-// the caller's decomposition) and precomputes per-chain prefix label
-// counts.
+// buildChainIndex decomposes the points of ws into chains, or adopts
+// the caller's decomposition after validating it.
 func buildChainIndex(ws geom.WeightedSet, preset [][]int) chainIndex {
 	pts := make([]geom.Point, len(ws))
 	for i := range ws {
@@ -56,83 +61,86 @@ func buildChainIndex(ws geom.WeightedSet, preset [][]int) chainIndex {
 	} else {
 		dec = chains.Decompose(pts)
 	}
-	ci := chainIndex{
-		dec:      dec,
-		chainOf:  make([]int, len(ws)),
-		posInCh:  make([]int, len(ws)),
-		labelOne: make([][]int, len(dec.Chains)),
-		labelZer: make([][]int, len(dec.Chains)),
-	}
+	ci := chainIndex{dec: dec, chainOf: make([]int, len(ws))}
 	for c, chain := range dec.Chains {
-		ones := make([]int, len(chain)+1)
-		zeros := make([]int, len(chain)+1)
-		for k, idx := range chain {
+		for _, idx := range chain {
 			ci.chainOf[idx] = c
-			ci.posInCh[idx] = k
-			ones[k+1] = ones[k]
-			zeros[k+1] = zeros[k]
-			if ws[idx].Label == geom.Positive {
-				ones[k+1]++
-			} else {
-				zeros[k+1]++
-			}
 		}
-		ci.labelOne[c] = ones
-		ci.labelZer[c] = zeros
 	}
 	return ci
 }
 
-// dominatedPrefix returns the number of members of chain c dominated
-// by point p (they always form a prefix of the ascending chain).
-// Point p itself, when it lies in chain c, is part of that prefix
-// (a point dominates itself); callers that need strictly-other points
-// subtract it out via the label counts.
-func (ci *chainIndex) dominatedPrefix(ws geom.WeightedSet, p geom.Point, c int) int {
-	chain := ci.dec.Chains[c]
-	return sort.Search(len(chain), func(k int) bool {
-		return !geom.Dominates(p, ws[chain[k]].P)
-	})
-}
-
-// dominatingSuffix returns the start position of the members of chain
-// c that dominate point p (they always form a suffix).
-func (ci *chainIndex) dominatingSuffix(ws geom.WeightedSet, p geom.Point, c int) int {
-	chain := ci.dec.Chains[c]
-	return sort.Search(len(chain), func(k int) bool {
-		return geom.Dominates(ws[chain[k]].P, p)
-	})
-}
-
 // contendingPoints computes the contending set of Section 5.1 in
-// O(n·w·(d + log n)) time using the chain index: a label-0 point is
-// contending iff some dominated chain prefix contains a label-1
-// point; a label-1 point iff some dominating chain suffix contains a
-// label-0 point.
+// O(n·w·d) time from the extreme members of each chain. A chain
+// ascends and dominance is transitive, so every label-1 member of a
+// chain dominates the chain's lowest label-1 member, and the chain's
+// highest label-0 member dominates every label-0 member below it.
+// Hence a label-0 point dominates some label-1 point iff it dominates
+// the lowest label-1 member of some chain, and a label-1 point is
+// dominated by some label-0 point iff the highest label-0 member of
+// some chain dominates it. This holds for any valid cover, minimum or
+// not. The at most 2w extremes are copied into two flat coordinate
+// arrays, which stay cache-resident for the whole scan.
 func contendingPoints(ws geom.WeightedSet, ci *chainIndex) []bool {
-	out := make([]bool, len(ws))
-	for i := range ws {
-		p := ws[i].P
-		switch ws[i].Label {
-		case geom.Negative:
-			for c := range ci.dec.Chains {
-				pre := ci.dominatedPrefix(ws, p, c)
-				if ci.labelOne[c][pre] > 0 {
-					out[i] = true
-					break
-				}
+	var lows, highs []float64 // per chain: lowest label-1, highest label-0 member
+	for _, chain := range ci.dec.Chains {
+		for _, idx := range chain {
+			if ws[idx].Label == geom.Positive {
+				lows = append(lows, ws[idx].P...)
+				break
 			}
-		case geom.Positive:
-			for c := range ci.dec.Chains {
-				suf := ci.dominatingSuffix(ws, p, c)
-				if ci.labelZer[c][len(ci.dec.Chains[c])]-ci.labelZer[c][suf] > 0 {
-					out[i] = true
-					break
-				}
+		}
+		for k := len(chain) - 1; k >= 0; k-- {
+			if ws[chain[k]].Label == geom.Negative {
+				highs = append(highs, ws[chain[k]].P...)
+				break
 			}
 		}
 	}
+	out := make([]bool, len(ws))
+	for i := range ws {
+		p := ws[i].P
+		if ws[i].Label == geom.Negative {
+			out[i] = dominatesAny(p, lows)
+		} else {
+			out[i] = dominatedByAny(p, highs)
+		}
+	}
 	return out
+}
+
+// dominatesAny reports whether p dominates one of the len(p)-dimensional
+// points packed back to back in flat.
+func dominatesAny(p geom.Point, flat []float64) bool {
+	d := len(p)
+next:
+	for off := 0; off < len(flat); off += d {
+		q := flat[off : off+d]
+		for k, v := range p {
+			if v < q[k] {
+				continue next
+			}
+		}
+		return true
+	}
+	return false
+}
+
+// dominatedByAny reports whether one of the len(p)-dimensional points
+// packed back to back in flat dominates p.
+func dominatedByAny(p geom.Point, flat []float64) bool {
+	d := len(p)
+next:
+	for off := 0; off < len(flat); off += d {
+		q := flat[off : off+d]
+		for k, v := range p {
+			if q[k] < v {
+				continue next
+			}
+		}
+		return true
+	}
+	return false
 }
 
 // sparseEdge is one ∞ edge of the sparsified reachability network.

@@ -315,10 +315,16 @@ func FuzzProblemRoundTrip(f *testing.F) {
 	}
 	f.Add([]byte(`{"format":"monoclass-problem","version":1}`))
 	f.Add([]byte(`not json`))
+	// A stored NaN coordinate must be rejected: the stored chains are
+	// trusted only under a partial order.
+	f.Add([]byte(`{"format":"monoclass-problem","version":1,"mode":"implicit","dim":2,"points":[["nan",0],[1,1]],"labels":[0,1],"weights":[1,1],"chains":[[0],[1]],"width":2,"exact_width":false}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, err := Read(bytes.NewReader(data))
 		if err != nil {
 			return // rejecting garbage is the contract
+		}
+		if err := p.WeightedSet().Validate(); err != nil {
+			t.Fatalf("accepted problem fails validation: %v", err)
 		}
 		// Anything Read accepts must solve and survive a second trip.
 		want, err := p.Solve()

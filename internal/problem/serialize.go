@@ -50,9 +50,10 @@ type matrixBlob struct {
 // inlined into the file (4096 points ≈ 4 MiB of words before base64).
 const matrixBlobLimit = 4096
 
-// jsonCoor wraps a coordinate so ±Inf and NaN survive the round trip
-// (same scheme as the model format, plus "nan" — problems may carry
-// incomparable points that a classifier's anchors never do).
+// jsonCoor wraps a coordinate so ±Inf survives the round trip (same
+// scheme as the model format). "nan" decodes too, so that Read can
+// reject a NaN coordinate by name: it would break the partial order
+// the stored chains are trusted under.
 type jsonCoor struct {
 	value float64
 }
@@ -64,8 +65,6 @@ func (c jsonCoor) MarshalJSON() ([]byte, error) {
 		return []byte(`"-inf"`), nil
 	case math.IsInf(c.value, 1):
 		return []byte(`"+inf"`), nil
-	case math.IsNaN(c.value):
-		return []byte(`"nan"`), nil
 	default:
 		return json.Marshal(c.value)
 	}
@@ -159,12 +158,13 @@ func Write(w io.Writer, p *Problem) error {
 }
 
 // Read deserializes a Problem written by Write, validating everything
-// it trusts: format, version, mode, shapes, labels, weights, the chain
-// decomposition (must be a valid partition in dominance order), the
-// antichain certificate, and — when matrix words are present — the
-// blob's structural invariants plus a deterministic sample of bits
-// against the scalar dominance oracle. The flow network is rebuilt
-// eagerly; the stored decomposition makes that the cheap part.
+// it trusts: format, version, mode, shapes, labels, weights, NaN-free
+// coordinates, the chain decomposition (must be a valid partition in
+// dominance order), the antichain certificate, and — when matrix
+// words are present — the blob's structural invariants plus a
+// deterministic sample of bits against the scalar dominance oracle.
+// The flow network is rebuilt eagerly; the stored decomposition makes
+// that the cheap part.
 func Read(r io.Reader) (*Problem, error) {
 	var pf problemFile
 	dec := json.NewDecoder(r)

@@ -23,9 +23,9 @@ package shard
 // serving P labels x positive iff x ≥ P.
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
-	"context"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"

@@ -74,8 +74,8 @@ type Syncer struct {
 	// overtaken by a newer one and regress the replica's version.
 	pushMu map[string]*sync.Mutex
 
-	rounds  int64
-	pushes  int64
+	rounds   int64
+	pushes   int64
 	failures int64
 
 	startOnce sync.Once

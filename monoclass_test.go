@@ -2,7 +2,10 @@ package monoclass_test
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"monoclass"
@@ -263,5 +266,87 @@ func TestPublicClassifyBatch(t *testing.T) {
 	}
 	if out := monoclass.ClassifyBatch(h, pts[:1]); len(out) != 1 || out[0] != h.Classify(pts[0]) {
 		t.Error("single-point batch mishandled")
+	}
+}
+
+// TestNaNRejectedAtEveryIngress: a NaN coordinate makes a point
+// dominate and be dominated by everything, so dominance stops being a
+// partial order. Every ingress for training points rejects it with an
+// error naming the NaN; ±Inf coordinates are ordered and pass.
+func TestNaNRejectedAtEveryIngress(t *testing.T) {
+	// withCoord returns a small valid set whose third point carries x
+	// as its second coordinate.
+	withCoord := func(x float64) monoclass.WeightedSet {
+		return monoclass.WeightedSet{
+			{P: monoclass.Point{0, 0}, Label: monoclass.Negative, Weight: 1},
+			{P: monoclass.Point{2, 2}, Label: monoclass.Positive, Weight: 2},
+			{P: monoclass.Point{1, x}, Label: monoclass.Negative, Weight: 3},
+		}
+	}
+	csvCoord := func(x float64) string {
+		return fmt.Sprintf("0,0,0,1\n2,2,1,2\n1,%v,0,3\n", x)
+	}
+	// problemFile is a saved problem over withCoord(x); singleton
+	// chains are a valid cover whatever x is.
+	problemFile := func(x float64) string {
+		coord := `"+inf"`
+		switch {
+		case math.IsNaN(x):
+			coord = `"nan"`
+		case math.IsInf(x, -1):
+			coord = `"-inf"`
+		}
+		return `{"format":"monoclass-problem","version":1,"mode":"implicit","dim":2,` +
+			`"points":[[0,0],[2,2],[1,` + coord + `]],"labels":[0,1,0],"weights":[1,2,3],` +
+			`"chains":[[0],[1],[2]],"width":3,"exact_width":false}`
+	}
+	ingresses := []struct {
+		name string
+		feed func(x float64) error
+	}{
+		{"ReadCSV", func(x float64) error {
+			_, err := monoclass.ReadCSV(strings.NewReader(csvCoord(x)))
+			return err
+		}},
+		{"OptimalPassive", func(x float64) error {
+			_, err := monoclass.OptimalPassive(withCoord(x))
+			return err
+		}},
+		{"PrepareProblem/implicit", func(x float64) error {
+			_, err := monoclass.PrepareProblem(withCoord(x), monoclass.ProblemOptions{Mode: monoclass.ModeImplicit})
+			return err
+		}},
+		{"PrepareProblem/dense", func(x float64) error {
+			_, err := monoclass.PrepareProblem(withCoord(x), monoclass.ProblemOptions{Mode: monoclass.ModeDense})
+			return err
+		}},
+		{"LoadProblem", func(x float64) error {
+			_, err := monoclass.LoadProblem(strings.NewReader(problemFile(x)))
+			return err
+		}},
+		{"NewOnlineUpdater", func(x float64) error {
+			_, err := monoclass.NewOnlineUpdater(2, withCoord(x), monoclass.OnlineConfig{})
+			return err
+		}},
+		{"OnlineUpdater.Apply", func(x float64) error {
+			u, err := monoclass.NewOnlineUpdater(2, withCoord(0), monoclass.OnlineConfig{})
+			if err != nil {
+				return fmt.Errorf("valid initial set: %w", err)
+			}
+			return u.Apply(monoclass.Delta{Op: monoclass.OpInsert, Point: monoclass.Point{1, x}, Label: monoclass.Positive, Weight: 1})
+		}},
+	}
+	for _, in := range ingresses {
+		t.Run(in.name, func(t *testing.T) {
+			err := in.feed(math.NaN())
+			if err == nil || !strings.Contains(err.Error(), "NaN") {
+				t.Errorf("NaN coordinate: err = %v, want an error naming the NaN", err)
+			}
+			for _, inf := range []float64{math.Inf(1), math.Inf(-1)} {
+				if err := in.feed(inf); err != nil {
+					t.Errorf("%v coordinate rejected: %v", inf, err)
+				}
+			}
+		})
 	}
 }
