@@ -14,6 +14,7 @@
 #   make bench-problem     regenerate BENCH_problem.json (prepared-problem lifecycle)
 #   make profile-prepare   CPU+heap profile of the prepare-stage sweep (pprof files)
 #   make ci-smoke          one warm-started exact prepare under the race detector
+#   make loc               count non-test Go lines (the size ROADMAP tracks)
 #   make fuzz-online       short fuzz pass over the online delta intake
 #   make fuzz-problem      short fuzz pass over problem deserialization
 #   make serve-stress      long hot-swap/soak stress of the serving layer
@@ -23,7 +24,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: all build vet test race conformance conformance-long conformance-mutate bench-domkernel bench-maxflow bench-classify bench-serve bench-shard bench-online bench-problem profile-prepare ci-smoke fuzz-online fuzz-problem serve-stress verify verify-full clean
+.PHONY: all build vet test race conformance conformance-long conformance-mutate bench-domkernel bench-maxflow bench-classify bench-serve bench-shard bench-online bench-problem profile-prepare ci-smoke loc fuzz-online fuzz-problem serve-stress verify verify-full clean
 
 all: check
 
@@ -147,10 +148,16 @@ profile-prepare:
 	@echo "wrote prepare.cpu.pprof and prepare.mem.pprof (go tool pprof <file>)"
 
 # CI quick gate: one warm-started exact-decomposition prepare (dense,
-# d=3) under the race detector, asserting the solve matches the legacy
-# passive path.
+# d=3) under the race detector, asserting the solve matches the literal
+# Section 5.1 construction.
 ci-smoke:
 	$(GO) test -race -run TestPrepareWarmStartSmoke -count=1 -v ./internal/problem
+
+# Non-test Go lines outside perfbench/ (its own module) and the
+# benchmark's build caches: the code size tracked beside the benches.
+loc:
+	@files="$$(find . -name '*.go' -not -name '*_test.go' -not -path './perfbench/*' -not -path './.bench_build/*')"; \
+	echo "$$(cat $$files | wc -l) non-test Go lines in $$(echo "$$files" | wc -l) files"
 
 # Coverage-guided fuzz of the online updater's byte-decoded delta
 # traces: no panics, contract-only rejections, retrain equivalence.

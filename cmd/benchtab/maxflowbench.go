@@ -13,15 +13,13 @@ import (
 	"monoclass/internal/dataset"
 	"monoclass/internal/geom"
 	"monoclass/internal/maxflow"
-	"monoclass/internal/passive"
+	"monoclass/internal/problem"
 )
 
-// maxflowReport is the machine-readable output of -maxflow. The
-// speedup fields are what CI gates on: the highest-label push-relabel
-// engine must beat the pre-CSR Dinic baseline (dinic-legacy, the
-// default solver before the CSR arc pool landed) by the factor
-// recorded in DESIGN.md §8 on passive-construction networks, and
-// workspace-backed re-solves must not allocate.
+// maxflowReport is the machine-readable output of -maxflow: per-solver
+// timings, the engine's speedup over the Dinic reference on the
+// largest passive-construction network, and the workspace re-solve
+// allocation count, which must be 0.
 type maxflowReport struct {
 	GeneratedAt string             `json:"generated_at"`
 	GoVersion   string             `json:"go_version"`
@@ -123,11 +121,11 @@ func runMaxflowBench(path string, seed int64, quick bool) error {
 	var instances []instance
 	var largestPassive *maxflow.Network
 	for _, n := range passiveNs {
-		ws := benchWeightedSet(rng, n)
-		g, err := passive.BuildNetwork(ws, passive.Options{})
+		p, err := problem.Prepare(benchWeightedSet(rng, n), problem.Options{})
 		if err != nil {
 			return err
 		}
+		g := p.Network()
 		if g == nil {
 			return fmt.Errorf("maxflow bench: passive instance n=%d has no contending points", n)
 		}
@@ -165,16 +163,11 @@ func runMaxflowBench(path string, seed int64, quick bool) error {
 		}
 	}
 
-	// Headline gate: the new engine vs the pre-CSR Dinic default on the
-	// largest passive-construction instance, plus the CSR Dinic for the
-	// layout-only share of the win.
+	// Headline: the engine vs the Dinic reference on the largest
+	// passive-construction instance.
 	big := fmt.Sprintf("passive/n=%d", passiveNs[len(passiveNs)-1])
-	report.Speedups["pushrelabelhl_vs_dinic_legacy"] =
-		perSolver[big]["dinic-legacy"] / perSolver[big]["pushrelabelhl"]
 	report.Speedups["pushrelabelhl_vs_dinic"] =
 		perSolver[big]["dinic"] / perSolver[big]["pushrelabelhl"]
-	report.Speedups["dinic_vs_dinic_legacy"] =
-		perSolver[big]["dinic-legacy"] / perSolver[big]["dinic"]
 
 	// Steady-state allocation contract: Reset + SolveWith on a warm
 	// workspace must not touch the allocator at all.
@@ -185,9 +178,7 @@ func runMaxflowBench(path string, seed int64, quick bool) error {
 		maxflow.SolveWith(hlws, largestPassive)
 	})
 
-	for _, k := range []string{"pushrelabelhl_vs_dinic_legacy", "pushrelabelhl_vs_dinic", "dinic_vs_dinic_legacy"} {
-		fmt.Printf("speedup %-32s %.2fx\n", k+":", report.Speedups[k])
-	}
+	fmt.Printf("speedup %-32s %.2fx\n", "pushrelabelhl_vs_dinic:", report.Speedups["pushrelabelhl_vs_dinic"])
 	fmt.Printf("workspace re-solve allocs/op:            %g\n", report.WorkspaceResolveAllocs)
 
 	out, err := json.MarshalIndent(report, "", "  ")

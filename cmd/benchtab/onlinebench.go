@@ -11,7 +11,7 @@ import (
 
 	"monoclass/internal/geom"
 	"monoclass/internal/online"
-	"monoclass/internal/passive"
+	"monoclass/internal/problem"
 )
 
 // onlineReport is the machine-readable output of -online: the
@@ -154,7 +154,7 @@ func runOnlineBench(path string, seed int64, quick bool) error {
 		}
 		samples++
 		start := time.Now()
-		if _, err := passive.Solve(mirror, passive.Options{}); err != nil {
+		if _, err := problem.Solve(mirror); err != nil {
 			return fmt.Errorf("online bench retrain at delta %d: %w", i, err)
 		}
 		retrainNs += float64(time.Since(start).Nanoseconds())
@@ -183,7 +183,7 @@ func runOnlineBench(path string, seed int64, quick bool) error {
 		if err := u.Resolve(); err != nil {
 			return 0, err
 		}
-		sol, err := passive.Solve(final, passive.Options{})
+		sol, err := problem.Solve(final)
 		if err != nil {
 			return 0, err
 		}

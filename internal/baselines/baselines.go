@@ -29,7 +29,7 @@ import (
 	"monoclass/internal/classifier"
 	"monoclass/internal/geom"
 	"monoclass/internal/oracle"
-	"monoclass/internal/passive"
+	"monoclass/internal/problem"
 )
 
 // Outcome is the common result shape of every baseline.
@@ -57,7 +57,7 @@ func FullProbe(pts []geom.Point, o oracle.Oracle) (Outcome, error) {
 		}
 		ws[i] = geom.WeightedPoint{P: p, Label: label, Weight: 1}
 	}
-	sol, err := passive.Solve(ws, passive.Options{})
+	sol, err := problem.Solve(ws)
 	if err != nil {
 		return Outcome{}, err
 	}
@@ -91,7 +91,7 @@ func UniformERM(pts []geom.Point, o oracle.Oracle, m int, rng *rand.Rand) (Outco
 		}
 		ws = append(ws, geom.WeightedPoint{P: pts[i], Label: label, Weight: float64(n) / float64(m)})
 	}
-	sol, err := passive.Solve(ws, passive.Options{})
+	sol, err := problem.Solve(ws)
 	if err != nil {
 		return Outcome{}, err
 	}
@@ -139,7 +139,7 @@ func RBS(pts []geom.Point, o oracle.Oracle, rng *rand.Rand) (Outcome, error) {
 			prev = pr.pos
 		}
 	}
-	sol, err := passive.Solve(ws, passive.Options{})
+	sol, err := problem.Solve(ws)
 	if err != nil {
 		return Outcome{}, err
 	}

@@ -9,7 +9,7 @@ import (
 	"monoclass/internal/dataset"
 	"monoclass/internal/geom"
 	"monoclass/internal/oracle"
-	"monoclass/internal/passive"
+	"monoclass/internal/problem"
 )
 
 func split(lab []geom.LabeledPoint) ([]geom.Point, *oracle.Static) {
@@ -106,10 +106,11 @@ func TestRBSNoisyStaysBounded(t *testing.T) {
 		lab := dataset.WidthControlled(rng, dataset.WidthParams{N: 1500, W: 3, Noise: 0.1})
 		pts, o := split(lab)
 		ld := geom.LabeledDataset{Points: lab}
-		kstar, err := passive.OptimalError(ld.Weighted())
+		sol, err := problem.Solve(ld.Weighted())
 		if err != nil {
 			t.Fatal(err)
 		}
+		kstar := sol.WErr
 		if kstar == 0 {
 			continue
 		}

@@ -13,6 +13,7 @@ import (
 	"monoclass/internal/maxflow"
 	"monoclass/internal/oracle"
 	"monoclass/internal/passive"
+	"monoclass/internal/problem"
 )
 
 // CheckFunc is one deterministic conformance check over an instance.
@@ -45,7 +46,7 @@ func Checks() []Check {
 		{"active-exhaustive-exact", CheckActiveExhaustive},
 		{"online-incremental-vs-retrain", CheckOnlineIncremental},
 		{"online-drift-bound", CheckOnlineDriftBound},
-		{"problem-prepared-vs-legacy", CheckProblemPrepared},
+		{"problem-modes-agree", CheckProblemModesAgree},
 		{"shard-routed-vs-direct", CheckShardRouted},
 		{"meta-monotone-transform", CheckMetaMonotoneTransform},
 		{"meta-duality", CheckMetaDuality},
@@ -331,20 +332,33 @@ func CheckDomgraphKernel(in Instance) error {
 		return fmt.Errorf("CountViolations %d != scalar MonotoneViolations %d", got, want)
 	}
 
-	parties := fast.ViolationParties(labels)
+	// The contending set of a prepared problem (minimum cover) and of
+	// the network over a greedy cover, against the scalar definition.
 	n := in.N()
-	for i := 0; i < n; i++ {
-		want := false
-		for j := 0; j < n && !want; j++ {
-			if labels[i] == geom.Negative && labels[j] == geom.Positive && geom.Dominates(pts[i], pts[j]) {
-				want = true
-			}
-			if labels[i] == geom.Positive && labels[j] == geom.Negative && geom.Dominates(pts[j], pts[i]) {
-				want = true
-			}
+	if n > 0 {
+		p, err := problem.Prepare(in.WeightedSet(), problem.Options{})
+		if err != nil {
+			return fmt.Errorf("Prepare: %w", err)
 		}
-		if parties[i] != want {
-			return fmt.Errorf("ViolationParties[%d] = %v, scalar says %v", i, parties[i], want)
+		covers := map[string][]bool{
+			"minimum": p.Contending(),
+			"greedy":  passive.Prepare(p.WeightedSet(), p.View(), chains.GreedyDecompose(pts)).Contending(),
+		}
+		for i := 0; i < n; i++ {
+			want := false
+			for j := 0; j < n && !want; j++ {
+				if labels[i] == geom.Negative && labels[j] == geom.Positive && geom.Dominates(pts[i], pts[j]) {
+					want = true
+				}
+				if labels[i] == geom.Positive && labels[j] == geom.Negative && geom.Dominates(pts[j], pts[i]) {
+					want = true
+				}
+			}
+			for cover, got := range covers {
+				if got[i] != want {
+					return fmt.Errorf("%s cover: Contending[%d] = %v, scalar says %v", cover, i, got[i], want)
+				}
+			}
 		}
 	}
 
@@ -534,10 +548,10 @@ func CheckChainsDecompose(in Instance) error {
 // Passive solver differential
 // ---------------------------------------------------------------------
 
-// solveVariant runs passive.Solve with one configuration.
+// solveVariant is one redundant way to solve an instance.
 type solveVariant struct {
-	name string
-	opts passive.Options
+	name  string
+	solve func() (passive.Solution, error)
 }
 
 // auditSolution checks a solution's internal consistency: the
@@ -570,17 +584,19 @@ func auditSolution(tag string, ws geom.WeightedSet, sol passive.Solution) error 
 }
 
 // CheckPassiveDifferential solves the instance through every redundant
-// configuration — sparse construction under every registered max-flow
-// solver, the literal dense construction, a caller-supplied minimum
-// chain decomposition and a caller-supplied greedy (possibly wider)
-// one — and requires identical optima and contending counts;
-// small instances are additionally checked against the exponential
-// NaiveSolve.
+// configuration — the prepared network under every registered max-flow
+// solver, the literal Section 5.1 construction, and the network over a
+// greedy (possibly wider) chain cover — and requires equal optima and
+// contending counts; small instances are additionally checked against
+// the exponential NaiveSolve.
 func CheckPassiveDifferential(in Instance) error {
 	ws := in.WeightedSet()
 	if len(ws) == 0 {
-		if _, err := passive.Solve(ws, passive.Options{}); err == nil {
+		if _, err := problem.Solve(ws); err == nil {
 			return fmt.Errorf("Solve accepted an empty set")
+		}
+		if _, err := passive.PrepareLiteral(ws); err == nil {
+			return fmt.Errorf("PrepareLiteral accepted an empty set")
 		}
 		if _, err := passive.NaiveSolve(ws); err == nil {
 			return fmt.Errorf("NaiveSolve accepted an empty set")
@@ -588,7 +604,11 @@ func CheckPassiveDifferential(in Instance) error {
 		return nil
 	}
 
-	base, err := passive.Solve(ws, passive.Options{})
+	p, err := problem.Prepare(ws, problem.Options{})
+	if err != nil {
+		return fmt.Errorf("prepare: %w", err)
+	}
+	base, err := p.Solve()
 	if err != nil {
 		return fmt.Errorf("base solve: %w", err)
 	}
@@ -596,20 +616,27 @@ func CheckPassiveDifferential(in Instance) error {
 		return err
 	}
 
+	literal, err := passive.PrepareLiteral(ws)
+	if err != nil {
+		return fmt.Errorf("dense prepare: %w", err)
+	}
 	variants := []solveVariant{
-		{"dense", passive.Options{Dense: true}},
-		{"chains", passive.Options{Chains: chains.Decompose(in.Pts()).Chains}},
+		{"dense", func() (passive.Solution, error) { return literal.Resolve(nil) }},
 		// A valid but possibly wider cover: the greedy-fallback path
 		// problem.Prepare takes past its exact-decomposition limit.
-		{"greedy-chains", passive.Options{Chains: chains.GreedyDecompose(in.Pts())}},
+		{"greedy-chains", func() (passive.Solution, error) {
+			return passive.Prepare(ws, p.View(), chains.GreedyDecompose(in.Pts())).Resolve(nil)
+		}},
 	}
-	// Every registered max-flow solver drives the sparse construction;
+	// Every registered max-flow solver drives the prepared network;
 	// registry additions are covered without touching this file.
 	for name, solver := range maxflow.Solvers() {
-		variants = append(variants, solveVariant{name, passive.Options{Solver: passive.FlowSolver(solver)}})
+		variants = append(variants, solveVariant{name, func() (passive.Solution, error) {
+			return p.SolveWith(problem.SolveOptions{Solver: passive.FlowSolver(solver)})
+		}})
 	}
 	for _, v := range variants {
-		sol, err := passive.Solve(ws, v.opts)
+		sol, err := v.solve()
 		if err != nil {
 			return fmt.Errorf("%s solve: %w", v.name, err)
 		}
@@ -675,7 +702,7 @@ func CheckActiveExhaustive(in Instance) error {
 	for i := range unit {
 		unit[i] = geom.WeightedPoint{P: pts[i], Label: labels[i], Weight: 1}
 	}
-	opt, err := passive.Solve(unit, passive.Options{})
+	opt, err := problem.Solve(unit)
 	if err != nil {
 		return fmt.Errorf("passive optimum: %w", err)
 	}

@@ -5,16 +5,19 @@
 //
 // The redundancy it polices:
 //
-//   - four max-flow solvers (Dinic, push-relabel, Edmonds–Karp,
-//     capacity scaling) on identical networks — equal value, valid cut,
-//     Lemma 18's no-infinite-cut-edge invariant, flow conservation;
+//   - the max-flow engine (highest-label push-relabel) against Dinic on
+//     identical networks — equal value, valid cut, Lemma 18's
+//     no-infinite-cut-edge invariant, flow conservation;
 //   - the bit-packed dominance kernel (domgraph.Build) against its
 //     scalar oracle (domgraph.BuildNaive), bit for bit;
 //   - the kernel chain decomposition (chains.DecomposeGeneric) against
 //     the scalar construction and the 1-D/2-D fast paths — equal width,
 //     valid partitions, valid antichain certificates;
-//   - the passive optimum across sparse/dense network constructions and
-//     all solvers, against the exponential NaiveSolve on small inputs;
+//   - the passive optimum across the sparse network (minimum and greedy
+//     chain covers, every solver) and the literal Section 5.1
+//     construction, against the exponential NaiveSolve on small inputs;
+//   - the prepared problem across its dense, blocked and implicit
+//     dominance views and a serialization round trip, bit for bit;
 //   - the active pipeline in exhaustive mode against the passive
 //     optimum (exact), and with sampling parameters against the (1+ε)
 //     guarantee over repeated trials (statistical audit).

@@ -8,7 +8,7 @@ import (
 	"monoclass/internal/core"
 	"monoclass/internal/geom"
 	"monoclass/internal/oracle"
-	"monoclass/internal/passive"
+	"monoclass/internal/problem"
 )
 
 // Config parameterizes one engine run.
@@ -190,7 +190,7 @@ func auditActiveApprox(a *ActiveAudit, in Instance) {
 	for i := range unit {
 		unit[i] = geom.WeightedPoint{P: pts[i], Label: labels[i], Weight: 1}
 	}
-	opt, err := passive.Solve(unit, passive.Options{})
+	opt, err := problem.Solve(unit)
 	if err != nil {
 		return
 	}

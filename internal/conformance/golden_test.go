@@ -10,7 +10,7 @@ import (
 	"monoclass/internal/classifier"
 	"monoclass/internal/dataset"
 	"monoclass/internal/geom"
-	"monoclass/internal/passive"
+	"monoclass/internal/problem"
 )
 
 // TestGoldenFigure1 pins the paper's Figure 1 worked example end to
@@ -51,7 +51,7 @@ func TestGoldenFigure1(t *testing.T) {
 	for i, lp := range lps {
 		unit[i] = geom.WeightedPoint{P: lp.P, Label: lp.Label, Weight: 1}
 	}
-	usol, err := passive.Solve(unit, passive.Options{})
+	usol, err := problem.Solve(unit)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestGoldenFigure1(t *testing.T) {
 
 	// Weighted (Figure 1(b)): optimum 104, positives exactly
 	// {p10, p12, p16}.
-	wsol, err := passive.Solve(dataset.Figure1Weighted(), passive.Options{})
+	wsol, err := problem.Solve(dataset.Figure1Weighted())
 	if err != nil {
 		t.Fatal(err)
 	}

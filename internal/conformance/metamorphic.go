@@ -6,7 +6,7 @@ import (
 
 	"monoclass/internal/chains"
 	"monoclass/internal/domgraph"
-	"monoclass/internal/passive"
+	"monoclass/internal/problem"
 )
 
 // Metamorphic invariants: transformations of an instance with a known
@@ -38,7 +38,7 @@ func fingerprint(in Instance) (profile, error) {
 	if in.N() > 0 {
 		p.violations = domgraph.Build(pts).CountViolations(in.GeomLabels())
 	}
-	sol, err := passive.Solve(in.WeightedSet(), passive.Options{})
+	sol, err := problem.Solve(in.WeightedSet())
 	if err != nil {
 		if in.N() > 0 {
 			return p, fmt.Errorf("fingerprint solve: %w", err)

@@ -17,11 +17,11 @@ import (
 // deliberately miscompiled solver copy through the engine's detect →
 // shrink → persist → replay path and asserts every stage works.
 
-// mutantMaxflow is a copy of the Edmonds–Karp solver over the
-// conformance edge list with an injected off-by-one: the BFS treats a
-// residual capacity as traversable only when it exceeds 1 instead of
-// 0, so augmenting paths through unit-capacity edges are never found
-// and the reported value undershoots.
+// mutantMaxflow is an Edmonds–Karp solver over the conformance edge
+// list with an injected off-by-one: the BFS treats a residual capacity
+// as traversable only when it exceeds 1 instead of 0, so augmenting
+// paths through unit-capacity edges are never found and the reported
+// value undershoots.
 func mutantMaxflow(tn *testNetwork) float64 {
 	nv := tn.g.NumVertices()
 	type arc struct {

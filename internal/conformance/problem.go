@@ -14,21 +14,20 @@ import (
 	"monoclass/internal/problem"
 )
 
-// Problem-artifact conformance: a shared prepared Problem must be
-// observationally identical to the legacy rebuild-from-points paths —
-// same passive solution bits, same chain decomposition, same audit
-// report — in all three matrix modes, and must survive a serialization
-// round trip without changing any of it. The legacy computations are
-// replicated inline (matrix build, decomposition, chain-routed solve)
-// rather than called through the refactored packages, so this check
-// pins the pre-refactor semantics even as the packages migrate onto
-// the Problem API.
+// Problem-artifact conformance: every matrix mode builds its network
+// with the one passive.Prepare over its own view and the same chain
+// cover, so dense, blocked and implicit Problems of one instance — and
+// each one's serialization round trip — must solve bit-identically,
+// with the same decomposition and audit report. The optimum and the
+// contending set are held to the literal Section 5.1 construction.
+// The audit report is recomputed inline from the points (matrix build,
+// decomposition, network over the fresh matrix) rather than through
+// the problem package.
 
-// legacyAuditReport recomputes audit.Report exactly the way the
-// pre-Problem audit package did: fresh domgraph.Build, popcount
-// violation count, dimension-dispatched decomposition, chain-routed
-// passive solve.
-func legacyAuditReport(ws geom.WeightedSet) (audit.Report, error) {
+// recomputeAuditReport derives audit.Report from scratch: fresh
+// domgraph.Build, popcount violation count, dimension-dispatched
+// decomposition, and a solve of the network over that matrix.
+func recomputeAuditReport(ws geom.WeightedSet) (audit.Report, error) {
 	r := audit.Report{
 		N:         len(ws),
 		Dim:       ws.Dim(),
@@ -93,7 +92,7 @@ func legacyAuditReport(ws geom.WeightedSet) (audit.Report, error) {
 			r.ChainLenMax = len(c)
 		}
 	}
-	sol, err := passive.Solve(ws, passive.Options{Chains: dec.Chains})
+	sol, err := passive.Prepare(ws, m, dec.Chains).Resolve(nil)
 	if err != nil {
 		return audit.Report{}, err
 	}
@@ -105,22 +104,22 @@ func legacyAuditReport(ws geom.WeightedSet) (audit.Report, error) {
 
 func sameSolutions(tag string, got, want passive.Solution) error {
 	if got.WErr != want.WErr {
-		return fmt.Errorf("%s: WErr %v, legacy %v", tag, got.WErr, want.WErr)
+		return fmt.Errorf("%s: WErr %v, want %v", tag, got.WErr, want.WErr)
 	}
 	if !reflect.DeepEqual(got.Assignment, want.Assignment) {
-		return fmt.Errorf("%s: assignment diverges from legacy", tag)
+		return fmt.Errorf("%s: assignment diverges", tag)
 	}
 	if !reflect.DeepEqual(got.Classifier.Anchors(), want.Classifier.Anchors()) {
-		return fmt.Errorf("%s: anchors diverge from legacy", tag)
+		return fmt.Errorf("%s: anchors diverge", tag)
 	}
 	if got.Stats != want.Stats {
-		return fmt.Errorf("%s: stats %+v, legacy %+v", tag, got.Stats, want.Stats)
+		return fmt.Errorf("%s: stats %+v, want %+v", tag, got.Stats, want.Stats)
 	}
 	return nil
 }
 
-// CheckProblemPrepared is the problem-prepared-vs-legacy differential.
-func CheckProblemPrepared(in Instance) error {
+// CheckProblemModesAgree is the problem-modes-agree differential.
+func CheckProblemModesAgree(in Instance) error {
 	ws := in.WeightedSet()
 	if len(ws) == 0 {
 		if _, err := problem.Prepare(ws, problem.Options{}); err == nil {
@@ -128,24 +127,23 @@ func CheckProblemPrepared(in Instance) error {
 		}
 		return nil
 	}
-	if hasNonFinite(in) {
-		// The legacy kernel builder and the scalar view fallback may
-		// legitimately disagree on NaN inputs; the view property tests
-		// own that territory.
-		return nil
+
+	literal, err := passive.PrepareLiteral(ws)
+	if err != nil {
+		return fmt.Errorf("literal prepare: %w", err)
+	}
+	literalSol, err := literal.Resolve(nil)
+	if err != nil {
+		return fmt.Errorf("literal solve: %w", err)
+	}
+	wantDec := chains.Decompose(in.Pts())
+	wantRep, err := recomputeAuditReport(ws)
+	if err != nil {
+		return fmt.Errorf("audit recompute: %w", err)
 	}
 
-	legacySol, err := passive.Solve(ws, passive.Options{})
-	if err != nil {
-		return fmt.Errorf("legacy solve: %w", err)
-	}
-	legacyDec := chains.Decompose(in.Pts())
-	legacyRep, err := legacyAuditReport(ws)
-	if err != nil {
-		return fmt.Errorf("legacy audit: %w", err)
-	}
-
-	for _, mode := range []problem.MatrixMode{problem.ModeDense, problem.ModeBlocked, problem.ModeImplicit} {
+	var first passive.Solution
+	for k, mode := range []problem.MatrixMode{problem.ModeDense, problem.ModeBlocked, problem.ModeImplicit} {
 		p, err := problem.Prepare(ws, problem.Options{Mode: mode})
 		if err != nil {
 			return fmt.Errorf("%v: Prepare: %w", mode, err)
@@ -154,8 +152,17 @@ func CheckProblemPrepared(in Instance) error {
 		if err != nil {
 			return fmt.Errorf("%v: Solve: %w", mode, err)
 		}
-		if err := sameSolutions(mode.String(), sol, legacySol); err != nil {
+		if k == 0 {
+			first = sol
+		}
+		if err := sameSolutions(mode.String()+" vs "+problem.ModeDense.String(), sol, first); err != nil {
 			return err
+		}
+		if !almostEq(sol.WErr, literalSol.WErr) {
+			return fmt.Errorf("%v: optimum %v, literal construction %v", mode, sol.WErr, literalSol.WErr)
+		}
+		if !reflect.DeepEqual(p.Contending(), literal.Contending()) {
+			return fmt.Errorf("%v: contending set diverges from the literal construction", mode)
 		}
 		again, err := p.Solve()
 		if err != nil {
@@ -164,15 +171,15 @@ func CheckProblemPrepared(in Instance) error {
 		if err := sameSolutions(mode.String()+" re-solve", again, sol); err != nil {
 			return err
 		}
-		if got := p.Decomposition(); !reflect.DeepEqual(got, legacyDec) {
+		if got := p.Decomposition(); !reflect.DeepEqual(got, wantDec) {
 			return fmt.Errorf("%v: decomposition diverges from chains.Decompose", mode)
 		}
 		rep, err := audit.AuditProblem(p)
 		if err != nil {
 			return fmt.Errorf("%v: audit: %w", mode, err)
 		}
-		if rep != legacyRep {
-			return fmt.Errorf("%v: audit report %+v, legacy %+v", mode, rep, legacyRep)
+		if rep != wantRep {
+			return fmt.Errorf("%v: audit report %+v, recomputed %+v", mode, rep, wantRep)
 		}
 
 		var buf bytes.Buffer
@@ -187,7 +194,7 @@ func CheckProblemPrepared(in Instance) error {
 		if err != nil {
 			return fmt.Errorf("%v: reread solve: %w", mode, err)
 		}
-		if err := sameSolutions(mode.String()+" round trip", rsol, legacySol); err != nil {
+		if err := sameSolutions(mode.String()+" round trip", rsol, first); err != nil {
 			return err
 		}
 		if q.Violations() != p.Violations() {

@@ -11,7 +11,7 @@ import (
 	"monoclass/internal/classifier"
 	"monoclass/internal/geom"
 	"monoclass/internal/oracle"
-	"monoclass/internal/passive"
+	"monoclass/internal/problem"
 )
 
 // Result is the outcome of the active algorithm.
@@ -115,7 +115,7 @@ func ActiveLearnChains(pts []geom.Point, o oracle.Oracle, par Params, rng *rand.
 	ws = ws.Coalesce()
 
 	start = time.Now()
-	sol, err := passive.Solve(ws, passive.Options{})
+	sol, err := problem.Solve(ws)
 	if err != nil {
 		return Result{}, fmt.Errorf("core: passive solve on Σ: %w", err)
 	}

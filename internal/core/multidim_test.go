@@ -8,7 +8,7 @@ import (
 	"monoclass/internal/dataset"
 	"monoclass/internal/geom"
 	"monoclass/internal/oracle"
-	"monoclass/internal/passive"
+	"monoclass/internal/problem"
 )
 
 func split(lab []geom.LabeledPoint) ([]geom.Point, *oracle.Static) {
@@ -65,10 +65,11 @@ func TestActiveLearnApproximationOnWidthControlled(t *testing.T) {
 		lab := dataset.WidthControlled(rng, dataset.WidthParams{N: 4000, W: 5, Noise: 0.08})
 		pts, o := split(lab)
 		ld := geom.LabeledDataset{Points: lab}
-		kstar, err := passive.OptimalError(ld.Weighted())
+		sol, err := problem.Solve(ld.Weighted())
 		if err != nil {
 			t.Fatal(err)
 		}
+		kstar := sol.WErr
 		if kstar == 0 {
 			continue
 		}

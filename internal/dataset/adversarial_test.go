@@ -6,7 +6,7 @@ import (
 
 	"monoclass/internal/chains"
 	"monoclass/internal/geom"
-	"monoclass/internal/passive"
+	"monoclass/internal/problem"
 )
 
 func rawPoints(lab []geom.LabeledPoint) []geom.Point {
@@ -32,10 +32,11 @@ func TestNoisyChainStructure(t *testing.T) {
 		t.Error("noiseless chain has violations")
 	}
 	ld := geom.LabeledDataset{Points: lab}
-	kstar, err := passive.OptimalError(ld.Weighted())
+	sol, err := problem.Solve(ld.Weighted())
 	if err != nil {
 		t.Fatal(err)
 	}
+	kstar := sol.WErr
 	if kstar <= 0 || kstar > 0.3*500 {
 		t.Errorf("k* = %g implausible for 20%% noise", kstar)
 	}
@@ -49,10 +50,11 @@ func TestAntiDiagonalStructure(t *testing.T) {
 	}
 	// Any labeling of an antichain is monotone-consistent: k* = 0.
 	ld := geom.LabeledDataset{Points: lab}
-	kstar, err := passive.OptimalError(ld.Weighted())
+	sol, err := problem.Solve(ld.Weighted())
 	if err != nil {
 		t.Fatal(err)
 	}
+	kstar := sol.WErr
 	if kstar != 0 {
 		t.Errorf("k* = %g, want 0 on an antichain", kstar)
 	}
@@ -61,10 +63,11 @@ func TestAntiDiagonalStructure(t *testing.T) {
 func TestLabelInversionMaxError(t *testing.T) {
 	lab := LabelInversion(100)
 	ld := geom.LabeledDataset{Points: lab}
-	kstar, err := passive.OptimalError(ld.Weighted())
+	sol, err := problem.Solve(ld.Weighted())
 	if err != nil {
 		t.Fatal(err)
 	}
+	kstar := sol.WErr
 	if kstar != 50 {
 		t.Errorf("k* = %g, want n/2 = 50 on the inverted chain", kstar)
 	}

@@ -6,6 +6,7 @@ import (
 	"monoclass/internal/chains"
 	"monoclass/internal/geom"
 	"monoclass/internal/passive"
+	"monoclass/internal/problem"
 )
 
 // TestFigure1OptimalErrorIsThree reproduces the headline claim of
@@ -13,7 +14,7 @@ import (
 func TestFigure1OptimalErrorIsThree(t *testing.T) {
 	pts := Figure1()
 	ld := geom.LabeledDataset{Points: pts}
-	sol, err := passive.Solve(ld.Weighted(), passive.Options{})
+	sol, err := problem.Solve(ld.Weighted())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +37,7 @@ func TestFigure1OptimalErrorIsThree(t *testing.T) {
 func TestFigure1OptimalClassifierShape(t *testing.T) {
 	pts := Figure1()
 	ld := geom.LabeledDataset{Points: pts}
-	sol, err := passive.Solve(ld.Weighted(), passive.Options{})
+	sol, err := problem.Solve(ld.Weighted())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +122,7 @@ func TestFigure1ContendingSets(t *testing.T) {
 // exactly {p10, p12, p16} to 1.
 func TestFigure1WeightedOptimum(t *testing.T) {
 	ws := Figure1Weighted()
-	sol, err := passive.Solve(ws, passive.Options{})
+	sol, err := problem.Solve(ws)
 	if err != nil {
 		t.Fatal(err)
 	}

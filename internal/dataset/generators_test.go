@@ -8,7 +8,7 @@ import (
 
 	"monoclass/internal/chains"
 	"monoclass/internal/geom"
-	"monoclass/internal/passive"
+	"monoclass/internal/problem"
 )
 
 func TestPlantedNoiseless(t *testing.T) {
@@ -36,10 +36,11 @@ func TestPlantedNoisy(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	pts := Planted(rng, PlantedParams{N: 400, D: 2, Noise: 0.2})
 	ld := geom.LabeledDataset{Points: pts}
-	kstar, err := passive.OptimalError(ld.Weighted())
+	sol, err := problem.Solve(ld.Weighted())
 	if err != nil {
 		t.Fatal(err)
 	}
+	kstar := sol.WErr
 	// With 20% noise the optimum must be positive but below the noise
 	// count itself.
 	if kstar <= 0 {

@@ -29,8 +29,7 @@
 // construction.
 //
 // On top of the packed rows the package offers word-level kernels:
-// popcount-based violation counting and contending-point extraction
-// (the |P^con| of Section 5), and an O(k·n/64) antichain check.
+// popcount-based violation counting and an O(k·n/64) antichain check.
 package domgraph
 
 import (
@@ -337,12 +336,6 @@ func (m *Matrix) Edge(i, j int) bool {
 	return m.dag[i*m.words+j>>6]>>(uint(j)&63)&1 == 1
 }
 
-// Equal reports whether points i and j are coordinate-equal, read off
-// the closure (mutual dominance).
-func (m *Matrix) Equal(i, j int) bool {
-	return m.Dominates(i, j) && m.Dominates(j, i)
-}
-
 // DomRow returns row i of the ⪰ closure. The slice aliases the
 // matrix; callers must not modify it.
 func (m *Matrix) DomRow(i int) []uint64 {
@@ -390,42 +383,6 @@ func (m *Matrix) CountViolations(labels []geom.Label) int {
 		}
 	}
 	return count
-}
-
-// ViolationParties marks every point involved in at least one
-// violating pair: label-0 points dominating some label-1 point and
-// label-1 points dominated by some label-0 point. This is exactly the
-// contending set P^con of Section 5.1, extracted in O(n²/64) word
-// operations.
-func (m *Matrix) ViolationParties(labels []geom.Label) []bool {
-	pos := m.labelMask(labels, geom.Positive)
-	hit := make([]uint64, m.words) // union of dominated label-1 points
-	out := make([]bool, m.n)
-	for i, l := range labels {
-		if l != geom.Negative {
-			continue
-		}
-		row := m.DomRow(i)
-		any := false
-		for w, bitsW := range row {
-			v := bitsW & pos[w]
-			if v != 0 {
-				hit[w] |= v
-				any = true
-			}
-		}
-		if any {
-			out[i] = true
-		}
-	}
-	for w, bitsW := range hit {
-		for bitsW != 0 {
-			j := w<<6 + bits.TrailingZeros64(bitsW)
-			bitsW &= bitsW - 1
-			out[j] = true
-		}
-	}
-	return out
 }
 
 // IsAntichain reports whether the given point indices are pairwise

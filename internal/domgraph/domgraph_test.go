@@ -119,48 +119,6 @@ func TestCountViolationsMatchesGeom(t *testing.T) {
 	}
 }
 
-// violationPartiesNaive is the dense O(n²) contending-set scan of
-// passive.Solve's Dense path, kept here as the oracle.
-func violationPartiesNaive(pts []geom.Point, labels []geom.Label) []bool {
-	out := make([]bool, len(pts))
-	for i := range pts {
-		if labels[i] != geom.Negative {
-			continue
-		}
-		for j := range pts {
-			if labels[j] != geom.Positive {
-				continue
-			}
-			if geom.Dominates(pts[i], pts[j]) {
-				out[i] = true
-				out[j] = true
-			}
-		}
-	}
-	return out
-}
-
-func TestViolationPartiesMatchesNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	for trial := 0; trial < 40; trial++ {
-		d := 1 + rng.Intn(4)
-		n := 1 + rng.Intn(150)
-		pts := randomPoints(rng, n, d, 3)
-		labels := make([]geom.Label, n)
-		for i := range labels {
-			labels[i] = geom.Label(rng.Intn(2))
-		}
-		m := Build(pts)
-		got := m.ViolationParties(labels)
-		want := violationPartiesNaive(pts, labels)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("trial %d: point %d contending=%v, want %v", trial, i, got[i], want[i])
-			}
-		}
-	}
-}
-
 func TestIsAntichain(t *testing.T) {
 	pts := []geom.Point{{0, 3}, {1, 2}, {2, 1}, {3, 0}, {3, 3}, {1, 2}}
 	m := Build(pts)

@@ -56,8 +56,8 @@ func (m *Matrix) Materialize() *Matrix { return m }
 // MatrixFromWords adopts raw packed rows (row-major, ceil(n/64) words
 // per row) as a Matrix, copying both slices. It performs structural
 // validation only — lengths, reflexive closure bits, no DAG
-// self-loops, DAG ⊆ closure; callers adopting untrusted bits (the
-// problem-artifact loader) must additionally spot-check the relation
+// self-loops, DAG ⊆ closure; callers holding untrusted bits (the
+// problem-artifact loader) must additionally check the relation
 // against the points.
 func MatrixFromWords(n int, dom, dag []uint64) (*Matrix, error) {
 	if n < 0 {

@@ -9,7 +9,6 @@ import (
 	"monoclass/internal/dataset"
 	"monoclass/internal/geom"
 	"monoclass/internal/oracle"
-	"monoclass/internal/passive"
 	"monoclass/internal/stats"
 )
 
@@ -181,10 +180,7 @@ func ApproximationQuality(cfg Config) Table {
 		for trial := 0; trial < trials; trial++ {
 			lab := dataset.WidthControlled(rng, dataset.WidthParams{N: n, W: w, Noise: noise})
 			ld := geom.LabeledDataset{Points: lab}
-			kstar, err := passive.OptimalError(ld.Weighted())
-			if err != nil {
-				panic(err)
-			}
+			kstar := mustSolve(ld.Weighted()).WErr
 			if kstar == 0 {
 				continue
 			}
@@ -251,10 +247,7 @@ func BaselineComparison(cfg Config) Table {
 				pts[i] = lp.P
 			}
 			ld := geom.LabeledDataset{Points: lab}
-			kstar, err := passive.OptimalError(ld.Weighted())
-			if err != nil {
-				panic(err)
-			}
+			kstar := mustSolve(ld.Weighted()).WErr
 			if kstar == 0 {
 				continue
 			}

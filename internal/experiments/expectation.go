@@ -8,7 +8,6 @@ import (
 	"monoclass/internal/dataset"
 	"monoclass/internal/geom"
 	"monoclass/internal/oracle"
-	"monoclass/internal/passive"
 	"monoclass/internal/stats"
 )
 
@@ -40,10 +39,7 @@ func RBSExpectation(cfg Config) Table {
 			pts[i] = lp.P
 		}
 		ld := geom.LabeledDataset{Points: lab}
-		kstar, err := passive.OptimalError(ld.Weighted())
-		if err != nil {
-			panic(err)
-		}
+		kstar := mustSolve(ld.Weighted()).WErr
 		if kstar == 0 {
 			continue
 		}

@@ -4,21 +4,18 @@ import (
 	"monoclass/internal/dataset"
 	"monoclass/internal/geom"
 	"monoclass/internal/passive"
+	"monoclass/internal/problem"
 )
 
 // optimalIntError computes k* of a unit-weight set as an integer.
 func optimalIntError(ws geom.WeightedSet) int {
-	k, err := passive.OptimalError(ws)
-	if err != nil {
-		panic(err)
-	}
-	return int(k + 0.5)
+	return int(mustSolve(ws).WErr + 0.5)
 }
 
 // mustSolve runs the passive solver, panicking on error (harness
 // inputs are known-good).
 func mustSolve(ws geom.WeightedSet) passive.Solution {
-	sol, err := passive.Solve(ws, passive.Options{})
+	sol, err := problem.Solve(ws)
 	if err != nil {
 		panic(err)
 	}

@@ -4,12 +4,11 @@ import (
 	"fmt"
 	"math/rand"
 
-	"monoclass/internal/chains"
 	"monoclass/internal/core"
 	"monoclass/internal/em"
 	"monoclass/internal/geom"
 	"monoclass/internal/oracle"
-	"monoclass/internal/passive"
+	"monoclass/internal/problem"
 	"monoclass/internal/quantize"
 )
 
@@ -63,11 +62,16 @@ func QuantizationTradeoff(cfg Config) Table {
 			qlab[i] = geom.LabeledPoint{P: pts[i], Label: lab[i].Label}
 			ws[i] = geom.WeightedPoint{P: pts[i], Label: lab[i].Label, Weight: 1}
 		}
-		// One generic (4-D) decomposition per level, shared by the
-		// width report, the k* solve, and the active run.
-		dec := chains.Decompose(pts)
+		// One prepared problem per level: its generic (4-D)
+		// decomposition is shared by the width report, the k* solve,
+		// and the active run.
+		p, err := problem.Prepare(ws, problem.Options{})
+		if err != nil {
+			panic(err)
+		}
+		dec := p.Decomposition()
 		width := dec.Width
-		sol, err := passive.Solve(ws, passive.Options{Chains: dec.Chains})
+		sol, err := p.Solve()
 		if err != nil {
 			panic(err)
 		}

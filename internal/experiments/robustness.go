@@ -8,7 +8,6 @@ import (
 	"monoclass/internal/dataset"
 	"monoclass/internal/geom"
 	"monoclass/internal/oracle"
-	"monoclass/internal/passive"
 	"monoclass/internal/stats"
 )
 
@@ -64,10 +63,7 @@ func OracleNoiseRobustness(cfg Config) Table {
 				}
 				ws[i] = geom.WeightedPoint{P: pts[i], Label: l, Weight: 1}
 			}
-			sol, err := passive.Solve(ws, passive.Options{})
-			if err != nil {
-				panic(err)
-			}
+			sol := mustSolve(ws)
 			corruptFrac = append(corruptFrac, float64(geom.Err(lab, sol.Classifier.Classify))/float64(n))
 		}
 		t.Rows = append(t.Rows, []string{

@@ -6,7 +6,7 @@ import (
 
 	"monoclass/internal/classifier"
 	"monoclass/internal/geom"
-	"monoclass/internal/passive"
+	"monoclass/internal/problem"
 )
 
 func TestLabels(t *testing.T) {
@@ -41,10 +41,11 @@ func TestOptimalErrorMatchesSolver(t *testing.T) {
 		for i := range pts {
 			ws[i] = geom.WeightedPoint{P: pts[i], Label: labels[i], Weight: 1}
 		}
-		kstar, err := passive.OptimalError(ws)
+		sol, err := problem.Solve(ws)
 		if err != nil {
 			t.Fatal(err)
 		}
+		kstar := sol.WErr
 		if int(kstar) != OptimalError(n) {
 			t.Fatalf("%+v: k* = %g, want %d", ins, kstar, OptimalError(n))
 		}

@@ -1,10 +1,9 @@
 // Package maxflow implements the max-flow / min-cut substrate of
-// Section 2 and Section 5 of the paper: Dinic's algorithm, two
-// Goldberg–Tarjan push-relabel variants (FIFO with the gap heuristic,
-// and highest-label with periodic global relabeling — the practical
-// workhorse), Edmonds–Karp and capacity scaling as independently
-// simple references, plus extraction of a minimum-weight cut-edge set
-// via the residual reachability construction in the proof of Lemma 8.
+// Section 2 and Section 5 of the paper: the Goldberg–Tarjan
+// push-relabel engine (highest-label with periodic global relabeling
+// and the gap heuristic), Dinic's algorithm as the independent
+// reference, plus extraction of a minimum-weight cut-edge set via the
+// residual reachability construction in the proof of Lemma 8.
 //
 // The residual graph lives in a compressed-sparse-row (CSR) arc pool:
 // prepare() finalizes the added edges into flat arrays where every

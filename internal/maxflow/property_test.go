@@ -32,7 +32,7 @@ func TestQuickMaxFlowMinCutDuality(t *testing.T) {
 		if math.Abs(r.Value-r.CutWeight()) > 1e-9 {
 			return false
 		}
-		for _, solver := range []func(*Network) Result{PushRelabel, EdmondsKarp, CapacityScaling} {
+		for _, solver := range []func(*Network) Result{PushRelabelHL, PushRelabelHLPooled} {
 			if math.Abs(solver(g.Clone()).Value-r.Value) > 1e-9 {
 				return false
 			}

@@ -7,34 +7,26 @@ type Solver func(*Network) Result
 
 // SolverNames lists the implementations in a fixed, deterministic
 // order, so differential tests and reports enumerate them stably.
-// "pushrelabelhl" is the default engine (highest-label + global
-// relabeling); "pushrelabelhl-pooled" is the same engine drawing its
-// workspace from a sync.Pool; "dinic-legacy" is the pre-CSR adjacency
-// baseline kept as an oracle and benchmark yardstick.
+// "pushrelabelhl" is the engine (highest-label + global relabeling);
+// "pushrelabelhl-pooled" is the same engine drawing its workspace from
+// a sync.Pool, the passive solver's default; "dinic" is the
+// independent reference it is checked against.
 func SolverNames() []string {
 	return []string{
 		"dinic",
 		"pushrelabelhl",
 		"pushrelabelhl-pooled",
-		"pushrelabel",
-		"edmondskarp",
-		"capacityscaling",
-		"dinic-legacy",
 	}
 }
 
 // Solvers maps each name from SolverNames to its implementation. The
-// implementations are deliberately redundant — same contract,
-// different algorithms — and the conformance harness holds them to
-// bit-level agreement on flow value and cut validity.
+// two algorithms are deliberately redundant — same contract, different
+// methods — and the conformance harness holds them to agreement on
+// flow value and cut validity.
 func Solvers() map[string]Solver {
 	return map[string]Solver{
 		"dinic":                Dinic,
 		"pushrelabelhl":        PushRelabelHL,
 		"pushrelabelhl-pooled": PushRelabelHLPooled,
-		"pushrelabel":          PushRelabel,
-		"edmondskarp":          EdmondsKarp,
-		"capacityscaling":      CapacityScaling,
-		"dinic-legacy":         DinicLegacy,
 	}
 }

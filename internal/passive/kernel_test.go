@@ -3,7 +3,7 @@ package passive
 import (
 	"math"
 	"math/rand"
-	"sort"
+	"reflect"
 	"testing"
 
 	"monoclass/internal/chains"
@@ -27,8 +27,8 @@ func randomWeightedSet(rng *rand.Rand, n, d, gridSide int) geom.WeightedSet {
 	return ws
 }
 
-// TestKernelSolveMatchesDense: for d >= 3 inputs (where the kernel
-// path engages) the objective value must equal the dense literal
+// TestKernelSolveMatchesDense: for d >= 3 inputs the network built
+// over the bit-packed matrix must reach the optimum of the literal
 // Section 5.1 construction, including on duplicate-heavy grids.
 func TestKernelSolveMatchesDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
@@ -36,19 +36,21 @@ func TestKernelSolveMatchesDense(t *testing.T) {
 		d := 3 + rng.Intn(3)
 		n := 1 + rng.Intn(80)
 		ws := randomWeightedSet(rng, n, d, 2+rng.Intn(3))
-		fast, err := Solve(ws, Options{})
+		pts := pointsOf(ws)
+		m := domgraph.Build(pts)
+		fast, err := Prepare(ws, m, chains.DecomposeMatrix(pts, m).Chains).Resolve(nil)
 		if err != nil {
 			t.Fatalf("trial %d: kernel solve: %v", trial, err)
 		}
-		dense, err := Solve(ws, Options{Dense: true})
+		dense, err := solveLiteral(ws)
 		if err != nil {
-			t.Fatalf("trial %d: dense solve: %v", trial, err)
+			t.Fatalf("trial %d: literal solve: %v", trial, err)
 		}
 		if math.Abs(fast.WErr-dense.WErr) > 1e-9 {
-			t.Fatalf("trial %d (n=%d d=%d): kernel WErr %g != dense %g", trial, n, d, fast.WErr, dense.WErr)
+			t.Fatalf("trial %d (n=%d d=%d): kernel WErr %g != literal %g", trial, n, d, fast.WErr, dense.WErr)
 		}
 		if fast.Stats.Contending != dense.Stats.Contending {
-			t.Fatalf("trial %d: kernel contending %d != dense %d", trial, fast.Stats.Contending, dense.Stats.Contending)
+			t.Fatalf("trial %d: kernel contending %d != literal %d", trial, fast.Stats.Contending, dense.Stats.Contending)
 		}
 		// The kernel assignment must itself achieve its objective.
 		var got float64
@@ -63,59 +65,195 @@ func TestKernelSolveMatchesDense(t *testing.T) {
 	}
 }
 
-// TestSparseEdgesMatrixMatchesScalar: the kernel ∞-edge builder must
-// emit exactly the same edge set as the scalar chain-index builder
-// when both run over the same decomposition.
+type edge struct{ from, to int }
+
+// edgesOf collects infinityEdges' output in emission order.
+func edgesOf(view domgraph.View, cover [][]int, contending []bool) []edge {
+	m := 0
+	for _, c := range contending {
+		if c {
+			m++
+		}
+	}
+	var out []edge
+	infinityEdges(view, cover, contending, m, func(from, to int) { out = append(out, edge{from, to}) })
+	return out
+}
+
+// checkReachability holds the ∞ edges to their contract: every edge
+// runs from a point to one it dominates, and the contending label-1
+// points reachable from each contending label-0 point are exactly the
+// ones it dominates.
+func checkReachability(t *testing.T, tag string, ws geom.WeightedSet, contending []bool, edges []edge) {
+	t.Helper()
+	adj := make([][]int, len(ws))
+	for _, e := range edges {
+		if !contending[e.from] || !contending[e.to] {
+			t.Fatalf("%s: edge %v touches a non-contending point", tag, e)
+		}
+		if !geom.Dominates(ws[e.from].P, ws[e.to].P) {
+			t.Fatalf("%s: edge %v runs against dominance", tag, e)
+		}
+		adj[e.from] = append(adj[e.from], e.to)
+	}
+	for i := range ws {
+		if !contending[i] || ws[i].Label != geom.Negative {
+			continue
+		}
+		seen := make([]bool, len(ws))
+		seen[i] = true
+		stack := []int{i}
+		for len(stack) > 0 {
+			u := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			for _, v := range adj[u] {
+				if !seen[v] {
+					seen[v] = true
+					stack = append(stack, v)
+				}
+			}
+		}
+		for j := range ws {
+			if !contending[j] || ws[j].Label != geom.Positive {
+				continue
+			}
+			if want := geom.Dominates(ws[i].P, ws[j].P); seen[j] != want {
+				t.Fatalf("%s: %d reaches %d = %v, dominates = %v", tag, i, j, seen[j], want)
+			}
+		}
+	}
+}
+
+// TestSparseEdgesMatrixMatchesScalar is the property test of the one
+// ∞-edge builder: over random small sets (duplicates, ±Inf, d = 1..4),
+// minimum and greedy covers, and the matrix, blocked and implicit views
+// (the latter two answer dominance from coordinates and ranks), the
+// contending scan matches its definition, ∞-reachability from each
+// contending label-0 point equals dominance over the contending
+// label-1 points, and all three views emit the identical edge list.
 func TestSparseEdgesMatrixMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
-	for trial := 0; trial < 30; trial++ {
-		d := 1 + rng.Intn(5)
-		n := 1 + rng.Intn(90)
-		ws := randomWeightedSet(rng, n, d, 2+rng.Intn(3))
-		pts := make([]geom.Point, n)
-		labels := make([]geom.Label, n)
+	for trial := 0; trial < 400; trial++ {
+		d := 1 + rng.Intn(4)
+		n := 1 + rng.Intn(40)
+		ws := randomWeightedSet(rng, n, d, 2+rng.Intn(4))
 		for i := range ws {
-			pts[i] = ws[i].P
-			labels[i] = ws[i].Label
-		}
-		m := domgraph.Build(pts)
-		dec := chains.DecomposeMatrix(pts, m)
-
-		ci := buildChainIndex(ws, dec.Chains)
-		contending := contendingPoints(ws, &ci)
-
-		scalar := sparseInfinityEdges(ws, &ci, contending)
-		kernel := sparseInfinityEdgesMatrix(m, dec, contending)
-
-		sortEdges := func(e []sparseEdge) {
-			sort.Slice(e, func(a, b int) bool {
-				if e[a].from != e[b].from {
-					return e[a].from < e[b].from
-				}
-				return e[a].to < e[b].to
-			})
-		}
-		sortEdges(scalar)
-		sortEdges(kernel)
-		if len(scalar) != len(kernel) {
-			t.Fatalf("trial %d (n=%d d=%d): %d scalar edges != %d kernel edges", trial, n, d, len(scalar), len(kernel))
-		}
-		for k := range scalar {
-			if scalar[k] != kernel[k] {
-				t.Fatalf("trial %d: edge %d: scalar %v != kernel %v", trial, k, scalar[k], kernel[k])
+			if i > 0 && rng.Intn(5) == 0 {
+				ws[i].P = ws[rng.Intn(i)].P.Clone()
+			}
+			if rng.Intn(12) == 0 {
+				ws[i].P[rng.Intn(d)] = math.Inf(1 - 2*rng.Intn(2))
 			}
 		}
-		// The kernel contending scan must agree with the chain-index
-		// scan, over the minimum cover and over a greedy (possibly
-		// wider) one alike.
-		kc := m.ViolationParties(labels)
-		greedy := buildChainIndex(ws, chains.GreedyDecompose(pts))
-		for cover, got := range map[string][]bool{"minimum": contending, "greedy": contendingPoints(ws, &greedy)} {
-			for i := range got {
-				if kc[i] != got[i] {
-					t.Fatalf("trial %d: %s cover: contending[%d] kernel=%v scalar=%v", trial, cover, i, kc[i], got[i])
+		pts := pointsOf(ws)
+		literal, err := PrepareLiteral(ws)
+		if err != nil {
+			t.Fatalf("trial %d: PrepareLiteral: %v", trial, err)
+		}
+		want := literal.Contending()
+		views := []struct {
+			name string
+			v    domgraph.View
+		}{
+			{"matrix", domgraph.Build(pts)},
+			{"blocked", domgraph.NewBlocked(pts, domgraph.BlockedConfig{TileRows: 8})},
+			{"implicit", domgraph.NewImplicit(pts)},
+		}
+		covers := map[string][][]int{
+			"minimum": chains.Decompose(pts).Chains,
+			"greedy":  chains.GreedyDecompose(pts),
+		}
+		for cname, cover := range covers {
+			contending := contendingPoints(ws, cover)
+			if !reflect.DeepEqual(contending, want) {
+				t.Fatalf("trial %d: %s cover: contending %v, want %v", trial, cname, contending, want)
+			}
+			ref := edgesOf(views[0].v, cover, contending)
+			checkReachability(t, cname, ws, contending, ref)
+			for _, v := range views[1:] {
+				if got := edgesOf(v.v, cover, contending); !reflect.DeepEqual(got, ref) {
+					t.Fatalf("trial %d (n=%d d=%d): %s cover: %s view emits %v, matrix view %v", trial, n, d, cname, v.name, got, ref)
 				}
 			}
 		}
+	}
+}
+
+// countingView counts dominance lookups.
+type countingView struct {
+	domgraph.View
+	lookups int
+}
+
+func (v *countingView) Dominates(i, j int) bool {
+	v.lookups++
+	return v.View.Dominates(i, j)
+}
+
+// TestInfinityEdgesWideCover: a cover of thousands of chains of which
+// only three keep contending members. The builder walks only those
+// three, with one advancing pointer per pair of chains: at most
+// 2·(k−1)·m cross lookups plus one per consecutive link, however wide
+// the cover.
+func TestInfinityEdgesWideCover(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	var ws geom.WeightedSet
+	// Three interleaved noisy chains: (t+0.3c, t−0.3c) for c = 0, 1, 2
+	// are pairwise incomparable at equal t and comparable across t.
+	for c := 0; c < 3; c++ {
+		for x := 0; x < 200; x++ {
+			label := geom.Label(0)
+			if x >= 100 {
+				label = geom.Positive
+			}
+			if rng.Float64() < 0.3 {
+				label ^= 1
+			}
+			p := geom.Point{float64(x) + 0.3*float64(c), float64(x) - 0.3*float64(c)}
+			ws = append(ws, geom.WeightedPoint{P: p, Label: label, Weight: 1})
+		}
+	}
+	// An antichain of label-1 points above everything: no label-0
+	// point dominates them, so none contends, but each needs a chain.
+	const wide = 3000
+	for i := 0; i < wide; i++ {
+		p := geom.Point{float64(1000 + i), float64(1000 + wide - i)}
+		ws = append(ws, geom.WeightedPoint{P: p, Label: geom.Positive, Weight: 1})
+	}
+	pts := pointsOf(ws)
+	cover := chains.Decompose(pts).Chains
+	if len(cover) < wide {
+		t.Fatalf("cover has %d chains, want at least %d", len(cover), wide)
+	}
+	contending := contendingPoints(ws, cover)
+	literal, err := PrepareLiteral(ws)
+	if err != nil {
+		t.Fatalf("PrepareLiteral: %v", err)
+	}
+	if !reflect.DeepEqual(contending, literal.Contending()) {
+		t.Fatal("contending scan diverges from its definition")
+	}
+	view := &countingView{View: domgraph.NewImplicit(pts)}
+	edges := edgesOf(view, cover, contending)
+	checkReachability(t, "wide", ws, contending, edges)
+
+	m, k := 0, 0
+	for _, chain := range cover {
+		had := false
+		for _, idx := range chain {
+			if contending[idx] {
+				m++
+				had = true
+			}
+		}
+		if had {
+			k++
+		}
+	}
+	if k > 3 || m < 300 {
+		t.Fatalf("m=%d contending points in k=%d chains, want m ≥ 300 in at most 3", m, k)
+	}
+	if bound := 2*(k-1)*m + m; view.lookups > bound {
+		t.Fatalf("%d lookups for m=%d contending points in k=%d chains, bound %d", view.lookups, m, k, bound)
 	}
 }

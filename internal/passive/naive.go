@@ -16,10 +16,10 @@ const NaiveLimit = 25
 // NaiveSolve is the exponential-time reference solver sketched in
 // Section 1.2 of the paper: enumerate every subset S ⊆ P, check whether
 // mapping S to 1 and P \ S to 0 is monotone-consistent, and keep the
-// assignment of minimum weighted error. It exists to cross-check Solve
-// on small inputs and to anchor experiment E5's exponential-vs-
-// polynomial comparison. It refuses inputs larger than NaiveLimit
-// points.
+// assignment of minimum weighted error. It exists to cross-check the
+// flow solver on small inputs and to anchor experiment E5's
+// exponential-vs-polynomial comparison. It refuses inputs larger than
+// NaiveLimit points.
 func NaiveSolve(ws geom.WeightedSet) (Solution, error) {
 	n := len(ws)
 	if n == 0 {
@@ -92,4 +92,42 @@ func NaiveSolve(ws geom.WeightedSet) (Solution, error) {
 		Assignment: assign,
 		Stats:      Stats{N: n, FlowValue: bestErr},
 	}, nil
+}
+
+// PrepareLiteral builds the flow network exactly as Section 5.1 states
+// it: the contending set by a scan of every (label-0, label-1) pair,
+// and one ∞ edge per contending dominating pair — Θ(n²) edges worst
+// case. It is the reference the sparse construction of Prepare is
+// checked against (conformance, tests, experiment E5), and like
+// NaiveSolve it validates its input itself.
+func PrepareLiteral(ws geom.WeightedSet) (*Prepared, error) {
+	if len(ws) == 0 {
+		return nil, fmt.Errorf("passive: empty input set")
+	}
+	if err := ws.Validate(); err != nil {
+		return nil, err
+	}
+	dominating := func(i, j int) bool {
+		return ws[i].Label == geom.Negative && ws[j].Label == geom.Positive && geom.Dominates(ws[i].P, ws[j].P)
+	}
+	contending := make([]bool, len(ws))
+	for i := range ws {
+		for j := range ws {
+			if dominating(i, j) {
+				contending[i] = true
+				contending[j] = true
+			}
+		}
+	}
+	pp, vertex := newPrepared(ws, contending)
+	if pp.g != nil {
+		for i := range ws {
+			for j := range ws {
+				if dominating(i, j) {
+					pp.g.AddEdge(int(vertex[i]), int(vertex[j]), math.Inf(1))
+				}
+			}
+		}
+	}
+	return pp, nil
 }

@@ -5,10 +5,37 @@ import (
 	"math/rand"
 	"testing"
 
+	"monoclass/internal/chains"
 	"monoclass/internal/classifier"
+	"monoclass/internal/domgraph"
 	"monoclass/internal/geom"
 	"monoclass/internal/maxflow"
 )
+
+func pointsOf(ws geom.WeightedSet) []geom.Point {
+	pts := make([]geom.Point, len(ws))
+	for i := range ws {
+		pts[i] = ws[i].P
+	}
+	return pts
+}
+
+// solve builds ws's network over the dense matrix and a minimum chain
+// cover, as internal/problem does in dense mode, and solves it with
+// solver (the default engine when nil).
+func solve(ws geom.WeightedSet, solver FlowSolver) (Solution, error) {
+	pts := pointsOf(ws)
+	return Prepare(ws, domgraph.Build(pts), chains.Decompose(pts).Chains).Resolve(solver)
+}
+
+// solveLiteral solves the literal Section 5.1 construction.
+func solveLiteral(ws geom.WeightedSet) (Solution, error) {
+	pp, err := PrepareLiteral(ws)
+	if err != nil {
+		return Solution{}, err
+	}
+	return pp.Resolve(nil)
+}
 
 func randWeightedSet(rng *rand.Rand, n, d, grid int, intWeights bool) geom.WeightedSet {
 	ws := make(geom.WeightedSet, n)
@@ -57,7 +84,7 @@ func TestSolveTrivialCases(t *testing.T) {
 		{P: geom.Point{0, 0}, Label: geom.Negative, Weight: 1},
 		{P: geom.Point{2, 2}, Label: geom.Positive, Weight: 1},
 	}
-	sol, err := Solve(ws, Options{})
+	sol, err := solve(ws, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +101,7 @@ func TestSolveTrivialCases(t *testing.T) {
 		{P: geom.Point{1, 1}, Label: geom.Negative, Weight: 5},
 		{P: geom.Point{0, 0}, Label: geom.Positive, Weight: 2},
 	}
-	sol, err = Solve(ws, Options{})
+	sol, err = solve(ws, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,15 +114,21 @@ func TestSolveTrivialCases(t *testing.T) {
 	}
 }
 
+// The standalone references validate their own input; Prepare trusts
+// internal/problem to have done so.
 func TestSolveEmptyRejected(t *testing.T) {
-	if _, err := Solve(nil, Options{}); err == nil {
-		t.Error("empty input accepted")
+	bad := geom.WeightedSet{{P: geom.Point{1}, Label: 0, Weight: -1}}
+	if _, err := PrepareLiteral(nil); err == nil {
+		t.Error("empty input accepted by the literal construction")
 	}
 	if _, err := NaiveSolve(nil); err == nil {
 		t.Error("empty input accepted by naive")
 	}
-	if _, err := Solve(geom.WeightedSet{{P: geom.Point{1}, Label: 0, Weight: -1}}, Options{}); err == nil {
-		t.Error("invalid weight accepted")
+	if _, err := PrepareLiteral(bad); err == nil {
+		t.Error("invalid weight accepted by the literal construction")
+	}
+	if _, err := NaiveSolve(bad); err == nil {
+		t.Error("invalid weight accepted by naive")
 	}
 }
 
@@ -105,7 +138,7 @@ func TestSolveMatchesNaive(t *testing.T) {
 		n := 1 + rng.Intn(10)
 		d := 1 + rng.Intn(3)
 		ws := randWeightedSet(rng, n, d, 4, true)
-		sol, err := Solve(ws, Options{})
+		sol, err := solve(ws, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,7 +158,7 @@ func TestSolveMatchesBestThreshold1D(t *testing.T) {
 	for trial := 0; trial < 100; trial++ {
 		n := 1 + rng.Intn(40)
 		ws := randWeightedSet(rng, n, 1, 10, false)
-		sol, err := Solve(ws, Options{})
+		sol, err := solve(ws, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -146,7 +179,7 @@ func TestSolveAllSolversAgree(t *testing.T) {
 		ws := randWeightedSet(rng, 3+rng.Intn(20), 2, 5, true)
 		var vals []float64
 		for _, name := range maxflow.SolverNames() {
-			sol, err := Solve(ws, Options{Solver: FlowSolver(impls[name])})
+			sol, err := solve(ws, FlowSolver(impls[name]))
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
@@ -167,7 +200,7 @@ func TestSolveOptimalityAgainstRandomClassifiers(t *testing.T) {
 	rng := rand.New(rand.NewSource(109))
 	for trial := 0; trial < 30; trial++ {
 		ws := randWeightedSet(rng, 20, 2, 6, true)
-		sol, err := Solve(ws, Options{})
+		sol, err := solve(ws, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -192,7 +225,7 @@ func TestSolveDuplicateConflictingPoints(t *testing.T) {
 		{P: geom.Point{1, 1}, Label: geom.Negative, Weight: 3},
 		{P: geom.Point{1, 1}, Label: geom.Positive, Weight: 7},
 	}
-	sol, err := Solve(ws, Options{})
+	sol, err := solve(ws, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +242,7 @@ func TestSolveAllSameLabel(t *testing.T) {
 			{P: geom.Point{1, 1}, Label: label, Weight: 1},
 			{P: geom.Point{2, 0}, Label: label, Weight: 1},
 		}
-		sol, err := Solve(ws, Options{})
+		sol, err := solve(ws, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -227,23 +260,6 @@ func TestNaiveSolveSizeLimit(t *testing.T) {
 	}
 }
 
-func TestOptimalError(t *testing.T) {
-	ws := geom.WeightedSet{
-		{P: geom.Point{1}, Label: geom.Positive, Weight: 4},
-		{P: geom.Point{2}, Label: geom.Negative, Weight: 9},
-	}
-	got, err := OptimalError(ws)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 4 {
-		t.Errorf("OptimalError = %g, want 4", got)
-	}
-	if _, err := OptimalError(nil); err == nil {
-		t.Error("empty input accepted")
-	}
-}
-
 // Unweighted k* on a larger random instance must match the naive
 // solver run on the same instance (unit weights), exercising the
 // integer special case the active algorithm relies on.
@@ -255,7 +271,7 @@ func TestSolveUnitWeightsMatchesNaive(t *testing.T) {
 		for i := range ws {
 			ws[i].Weight = 1
 		}
-		sol, err := Solve(ws, Options{})
+		sol, err := solve(ws, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -269,20 +285,20 @@ func TestSolveUnitWeightsMatchesNaive(t *testing.T) {
 	}
 }
 
-// The sparse reachability network (default) and the paper's literal
-// dense construction must produce identical optima on random
-// instances of every dimension.
+// The sparse reachability network and the paper's literal dense
+// construction must produce identical optima on random instances of
+// every dimension.
 func TestSolveSparseMatchesDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(127))
 	for trial := 0; trial < 120; trial++ {
 		n := 2 + rng.Intn(40)
 		d := 1 + rng.Intn(4)
 		ws := randWeightedSet(rng, n, d, 4, true)
-		sparse, err := Solve(ws, Options{})
+		sparse, err := solve(ws, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		dense, err := Solve(ws, Options{Dense: true})
+		dense, err := solveLiteral(ws)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -312,7 +328,7 @@ func TestSolveSparseEdgeCount(t *testing.T) {
 		}
 		ws[i] = geom.WeightedPoint{P: geom.Point{float64(i), float64(i)}, Label: label, Weight: 1}
 	}
-	sol, err := Solve(ws, Options{})
+	sol, err := solve(ws, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,64 +2,122 @@ package passive
 
 import (
 	"fmt"
+	"math"
 
 	"monoclass/internal/classifier"
+	"monoclass/internal/domgraph"
 	"monoclass/internal/geom"
 	"monoclass/internal/maxflow"
 )
 
 // Prepared is one passive instance with its Section 5.1 flow network
-// already constructed: the expensive half of Solve (validation,
-// contending scan, chain decomposition, CSR network build) done once,
-// so each Resolve call pays only a flow computation plus the cut
-// decode. The prepared-problem artifact (internal/problem) caches one
-// of these per Problem and re-solves it warm.
+// already constructed: the contending scan and the CSR network build
+// done once, so each Resolve call pays only a flow computation plus
+// the cut decode. The prepared-problem artifact (internal/problem)
+// caches one of these per Problem and re-solves it warm.
 //
 // A Prepared is not safe for concurrent Resolve calls: each call
 // resets and re-saturates the one underlying network.
 type Prepared struct {
-	ws geom.WeightedSet // aliased from Prepare's caller; must not mutate
-	bg builtGraph
+	ws            geom.WeightedSet // aliased from the caller; must not mutate
+	contending    []bool
+	numContending int
+	g             *maxflow.Network // nil when no points contend
+	// owner maps finite edge ids back to input indices. Finite
+	// source/sink edges are added before every ∞ edge, so their ids
+	// are exactly 0..len(owner)-1 — a dense slice, not a map, because
+	// the lookup sits on the cut-decode path.
+	owner []int32
 }
 
-// Prepare validates ws and builds its flow network without solving,
-// honoring the same Options as Solve (the Solver field is ignored —
-// it is Resolve's argument instead).
-func Prepare(ws geom.WeightedSet, opts Options) (*Prepared, error) {
-	bg, err := buildGraph(ws, opts)
-	if err != nil {
-		return nil, err
+// Prepare builds the flow network of ws: source and sink edges on the
+// contending points, plus the ∞ edges of sparse.go, whose reachability
+// equals dominance among those points. view answers dominance over
+// ws's points in input order, and cover is a valid chain decomposition
+// of them; any valid cover works, a wider one only costs edges.
+//
+// Prepare trusts all three: ws must be non-empty, dimensionally
+// consistent, NaN-free and positively weighted. Validation happens
+// once, where input enters — internal/problem's Prepare, Adopt and
+// Read.
+func Prepare(ws geom.WeightedSet, view domgraph.View, cover [][]int) *Prepared {
+	pp, vertex := newPrepared(ws, contendingPoints(ws, cover))
+	if pp.g != nil {
+		infinityEdges(view, cover, pp.contending, pp.numContending, func(from, to int) {
+			pp.g.AddEdge(int(vertex[from]), int(vertex[to]), math.Inf(1))
+		})
 	}
-	return &Prepared{ws: ws, bg: bg}, nil
+	return pp
 }
 
-// N returns the instance size.
-func (pp *Prepared) N() int { return len(pp.ws) }
+// newPrepared numbers the vertices — 0 = source, 1 = sink, contending
+// points from 2 on in input order — and adds every finite edge. It
+// returns each point's vertex (-1 when not contending) for the
+// caller's ∞ edges; the network is nil when no point contends.
+func newPrepared(ws geom.WeightedSet, contending []bool) (*Prepared, []int32) {
+	vertex := make([]int32, len(ws))
+	next := int32(2)
+	for i := range ws {
+		vertex[i] = -1
+		if contending[i] {
+			vertex[i] = next
+			next++
+		}
+	}
+	pp := &Prepared{ws: ws, contending: contending, numContending: int(next - 2)}
+	if pp.numContending == 0 {
+		return pp, vertex
+	}
+	const source, sink = 0, 1
+	pp.g = maxflow.New(int(next), source, sink)
+	pp.owner = make([]int32, 0, pp.numContending)
+	for i := range ws {
+		if !contending[i] {
+			continue
+		}
+		if ws[i].Label == geom.Negative {
+			pp.g.AddEdge(source, int(vertex[i]), ws[i].Weight)
+		} else {
+			pp.g.AddEdge(int(vertex[i]), sink, ws[i].Weight)
+		}
+		pp.owner = append(pp.owner, int32(i))
+	}
+	return pp, vertex
+}
 
 // NumContending returns |P^con| — the vertex count of the network
 // minus source and sink.
-func (pp *Prepared) NumContending() int { return pp.bg.numContending }
+func (pp *Prepared) NumContending() int { return pp.numContending }
 
 // NumEdges returns the edge count of the prepared network (0 when no
 // points contend and no network exists).
 func (pp *Prepared) NumEdges() int {
-	if pp.bg.g == nil {
+	if pp.g == nil {
 		return 0
 	}
-	return pp.bg.g.NumEdges()
+	return pp.g.NumEdges()
 }
 
 // Contending returns a copy of the contending-point mask, in input
 // order.
 func (pp *Prepared) Contending() []bool {
-	return append([]bool(nil), pp.bg.contending...)
+	return append([]bool(nil), pp.contending...)
+}
+
+// Network returns a copy of the prepared flow network, or nil when no
+// points contend. Benchmarks use it to run flow solvers on genuine
+// passive-construction topologies.
+func (pp *Prepared) Network() *maxflow.Network {
+	if pp.g == nil {
+		return nil
+	}
+	return pp.g.Clone()
 }
 
 // Resolve runs one max-flow computation over the prepared network
 // (resetting residual capacities first, so repeated calls are
-// idempotent) and decodes the min cut into a Solution — bit-identical
-// to what Solve would return for the same instance and solver. A nil
-// solver uses the default workspace-pooled push-relabel engine.
+// idempotent) and decodes the min cut into a Solution. A nil solver
+// uses the default workspace-pooled push-relabel engine.
 func (pp *Prepared) Resolve(solver FlowSolver) (Solution, error) {
 	solverName := "custom"
 	if solver == nil {
@@ -77,19 +135,19 @@ func (pp *Prepared) Resolve(solver FlowSolver) (Solution, error) {
 
 	var flowValue float64
 	graphEdges := 0
-	if pp.bg.g != nil {
-		graphEdges = pp.bg.g.NumEdges()
-		pp.bg.g.Reset()
-		res := solver(pp.bg.g)
+	if pp.g != nil {
+		graphEdges = pp.g.NumEdges()
+		pp.g.Reset()
+		res := solver(pp.g)
 		flowValue = res.Value
 		for _, cut := range res.CutEdges() {
-			if cut.ID >= len(pp.bg.owner) {
+			if cut.ID >= len(pp.owner) {
 				// CutEdges already panics on ∞ edges; reaching here
 				// would mean a finite type-3 edge, which cannot exist.
 				return Solution{}, fmt.Errorf("passive: cut contains unexpected edge %d", cut.ID)
 			}
 			// Cutting a point's own edge flips its assignment.
-			assign[pp.bg.owner[cut.ID]] ^= 1
+			assign[pp.owner[cut.ID]] ^= 1
 		}
 	}
 
@@ -109,7 +167,7 @@ func (pp *Prepared) Resolve(solver FlowSolver) (Solution, error) {
 		Assignment: assign,
 		Stats: Stats{
 			N:          n,
-			Contending: pp.bg.numContending,
+			Contending: pp.numContending,
 			GraphEdges: graphEdges,
 			FlowValue:  flowValue,
 			Solver:     solverName,

@@ -19,7 +19,7 @@ func TestQuickSolveOptimalityProperty(t *testing.T) {
 		n := 1 + rng.Intn(15)
 		d := 1 + rng.Intn(3)
 		ws := randWeightedSet(rng, n, d, 4, true)
-		sol, err := Solve(ws, Options{})
+		sol, err := solve(ws, nil)
 		if err != nil {
 			return false
 		}
@@ -61,11 +61,11 @@ func TestQuickSolveWeightScalingProperty(t *testing.T) {
 		for i, wp := range ws {
 			scaled[i] = geom.WeightedPoint{P: wp.P, Label: wp.Label, Weight: wp.Weight * scale}
 		}
-		a, err := Solve(ws, Options{})
+		a, err := solve(ws, nil)
 		if err != nil {
 			return false
 		}
-		b, err := Solve(scaled, Options{})
+		b, err := solve(scaled, nil)
 		if err != nil {
 			return false
 		}
@@ -93,11 +93,11 @@ func TestQuickSolveMirrorSymmetryProperty(t *testing.T) {
 			}
 			mirror[i] = geom.WeightedPoint{P: neg, Label: wp.Label ^ 1, Weight: wp.Weight}
 		}
-		a, err := Solve(ws, Options{})
+		a, err := solve(ws, nil)
 		if err != nil {
 			return false
 		}
-		b, err := Solve(mirror, Options{})
+		b, err := solve(mirror, nil)
 		if err != nil {
 			return false
 		}

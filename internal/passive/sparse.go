@@ -1,10 +1,6 @@
 package passive
 
 import (
-	"fmt"
-	"sort"
-
-	"monoclass/internal/chains"
 	"monoclass/internal/domgraph"
 	"monoclass/internal/geom"
 )
@@ -12,10 +8,10 @@ import (
 // The flow network of Section 5.1 nominally contains one ∞-capacity
 // edge per dominating pair (p, q) ∈ P0^con × P1^con — Θ(n²) edges on
 // adversarial inputs, which dominates both memory and max-flow time.
-// This file builds an equivalent sparse network: ∞ edges follow a
-// chain decomposition of the contending points (consecutive links
-// inside each chain, plus, for every point and every other chain, one
-// link to the highest chain member it dominates). Two facts make the
+// Prepare builds an equivalent sparse network instead: ∞ edges follow
+// a chain cover of the contending points (consecutive links inside
+// each chain, plus, for every point and every other chain, one link to
+// the highest chain member it dominates). Two facts make the
 // substitution exact:
 //
 //  1. soundness — every ∞ edge (a, b) added satisfies a ⪰ b, so any
@@ -23,12 +19,13 @@ import (
 //     (label-0 point) ⪰ (label-1 point) by transitivity;
 //  2. completeness — if a ⪰ b then b is reachable from a through ∞
 //     edges: within a chain via consecutive links, across chains via
-//     the binary-searched link plus the target chain's internal links
-//     (the dominated set within a chain is always a prefix).
+//     the cross link plus the target chain's internal links (the
+//     dominated members of a chain always form a prefix).
 //
 // Hence the two networks admit exactly the same source-sink cuts made
 // of finite edges, and the min cut — which never uses ∞ edges
-// (Lemma 18) — is unchanged. Edge count drops to O(n·w).
+// (Lemma 18) — is unchanged. Edge count drops to O(m·w) for m
+// contending points in w chains.
 //
 // The contending scan that precedes the edge build needs only each
 // chain's extreme members: along an ascending chain every label-1
@@ -38,37 +35,6 @@ import (
 // all. Both this and the prefix argument above need dominance to be a
 // partial order, which is why geom.WeightedPoint.Validate rejects NaN
 // coordinates.
-
-// chainIndex locates points within a chain decomposition.
-type chainIndex struct {
-	dec     chains.Decomposition
-	chainOf []int // chain id per point index
-}
-
-// buildChainIndex decomposes the points of ws into chains, or adopts
-// the caller's decomposition after validating it.
-func buildChainIndex(ws geom.WeightedSet, preset [][]int) chainIndex {
-	pts := make([]geom.Point, len(ws))
-	for i := range ws {
-		pts[i] = ws[i].P
-	}
-	var dec chains.Decomposition
-	if preset != nil {
-		if err := chains.ValidateDecomposition(pts, preset); err != nil {
-			panic(fmt.Sprintf("passive: supplied decomposition invalid: %v", err))
-		}
-		dec = chains.Decomposition{Chains: preset, Width: len(preset)}
-	} else {
-		dec = chains.Decompose(pts)
-	}
-	ci := chainIndex{dec: dec, chainOf: make([]int, len(ws))}
-	for c, chain := range dec.Chains {
-		for _, idx := range chain {
-			ci.chainOf[idx] = c
-		}
-	}
-	return ci
-}
 
 // contendingPoints computes the contending set of Section 5.1 in
 // O(n·w·d) time from the extreme members of each chain. A chain
@@ -81,9 +47,9 @@ func buildChainIndex(ws geom.WeightedSet, preset [][]int) chainIndex {
 // some chain dominates it. This holds for any valid cover, minimum or
 // not. The at most 2w extremes are copied into two flat coordinate
 // arrays, which stay cache-resident for the whole scan.
-func contendingPoints(ws geom.WeightedSet, ci *chainIndex) []bool {
+func contendingPoints(ws geom.WeightedSet, cover [][]int) []bool {
 	var lows, highs []float64 // per chain: lowest label-1, highest label-0 member
-	for _, chain := range ci.dec.Chains {
+	for _, chain := range cover {
 		for _, idx := range chain {
 			if ws[idx].Label == geom.Positive {
 				lows = append(lows, ws[idx].P...)
@@ -143,109 +109,60 @@ next:
 	return false
 }
 
-// sparseEdge is one ∞ edge of the sparsified reachability network.
-type sparseEdge struct{ from, to int } // point indices
-
-// sparseInfinityEdges emits the O(m·w) ∞ edges connecting the
-// contending points so that reachability equals dominance restricted
-// to the contending set.
-func sparseInfinityEdges(ws geom.WeightedSet, ci *chainIndex, contending []bool) []sparseEdge {
-	// Restrict each chain to its contending members, preserving order.
-	restricted := make([][]int, len(ci.dec.Chains))
-	for c, chain := range ci.dec.Chains {
+// infinityEdges emits the ∞ edges (point indices, from ⪰ to) that
+// connect the m contending points so that reachability equals
+// dominance restricted to them, asking view for every dominance test.
+//
+// Each chain of cover is restricted to its contending members, and
+// chains left empty drop out. Then, chain by chain in ascending order,
+// each point emits its consecutive link and one cross link per other
+// chain. The members of another chain c that a point dominates form a
+// prefix of c, and that prefix only grows as the point's own chain
+// ascends, so one pointer per other chain advances monotonically: the
+// pair of chains (a, c) costs at most |a|+|c| lookups, and the k ≤ m
+// non-empty chains at most 2·(k−1)·m in all.
+func infinityEdges(view domgraph.View, cover [][]int, contending []bool, m int, emit func(from, to int)) {
+	flat := make([]int, 0, m)
+	var restricted [][]int
+	for _, chain := range cover {
+		start := len(flat)
 		for _, idx := range chain {
 			if contending[idx] {
-				restricted[c] = append(restricted[c], idx)
+				flat = append(flat, idx)
+			}
+		}
+		if len(flat) > start {
+			restricted = append(restricted, flat[start:])
+		}
+	}
+	prefix := make([]int, len(restricted)) // per other chain: dominated prefix length
+	for a, chain := range restricted {
+		clear(prefix)
+		for k, i := range chain {
+			if k > 0 {
+				// Consecutive link, higher → lower. Coordinate-equal
+				// neighbours dominate each other in both directions, so
+				// they also get the forward link; without it a label-0
+				// point could not reach its label-1 duplicate.
+				lower := chain[k-1]
+				emit(i, lower)
+				if view.Dominates(lower, i) {
+					emit(lower, i)
+				}
+			}
+			for c, other := range restricted {
+				if c == a {
+					continue
+				}
+				p := prefix[c]
+				for p < len(other) && view.Dominates(i, other[p]) {
+					p++
+				}
+				prefix[c] = p
+				if p > 0 {
+					emit(i, other[p-1])
+				}
 			}
 		}
 	}
-	var edges []sparseEdge
-	// Consecutive links within each restricted chain (higher → lower).
-	// Coordinate-equal neighbours dominate each other in *both*
-	// directions, so they also get the forward link; without it a
-	// label-0 point could not reach its label-1 duplicate.
-	for _, chain := range restricted {
-		for k := 1; k < len(chain); k++ {
-			edges = append(edges, sparseEdge{from: chain[k], to: chain[k-1]})
-			if ws[chain[k]].P.Equal(ws[chain[k-1]].P) {
-				edges = append(edges, sparseEdge{from: chain[k-1], to: chain[k]})
-			}
-		}
-	}
-	// Cross-chain links: each contending point links to the highest
-	// contending member it dominates in every other chain.
-	for i := range ws {
-		if !contending[i] {
-			continue
-		}
-		p := ws[i].P
-		home := ci.chainOf[i]
-		for c, chain := range restricted {
-			if c == home || len(chain) == 0 {
-				continue
-			}
-			// Dominated contending members form a prefix.
-			pre := sort.Search(len(chain), func(k int) bool {
-				return !geom.Dominates(p, ws[chain[k]].P)
-			})
-			if pre > 0 {
-				edges = append(edges, sparseEdge{from: i, to: chain[pre-1]})
-			}
-		}
-	}
-	return edges
-}
-
-// sparseInfinityEdgesMatrix is sparseInfinityEdges driven by the
-// bit-packed dominance kernel instead of scalar geom.Dominates calls:
-// the same transitive-reduction-style ∞-edge set (consecutive links
-// inside each restricted chain, one cross-chain link to the highest
-// dominated member, duplicate forward links), with every dominance and
-// equality query answered by an O(1) bit test on the prebuilt matrix.
-// The two builders emit exactly the same edge set; tests assert it.
-func sparseInfinityEdgesMatrix(m *domgraph.Matrix, dec chains.Decomposition, contending []bool) []sparseEdge {
-	chainOf := make([]int, m.N())
-	restricted := make([][]int, len(dec.Chains))
-	for c, chain := range dec.Chains {
-		for _, idx := range chain {
-			chainOf[idx] = c
-			if contending[idx] {
-				restricted[c] = append(restricted[c], idx)
-			}
-		}
-	}
-	var edges []sparseEdge
-	// Consecutive links within each restricted chain (higher → lower),
-	// plus the forward link between coordinate-equal neighbours (equal
-	// points dominate each other in both directions; see the scalar
-	// builder above).
-	for _, chain := range restricted {
-		for k := 1; k < len(chain); k++ {
-			edges = append(edges, sparseEdge{from: chain[k], to: chain[k-1]})
-			if m.Equal(chain[k], chain[k-1]) {
-				edges = append(edges, sparseEdge{from: chain[k-1], to: chain[k]})
-			}
-		}
-	}
-	// Cross-chain links: the dominated members of an ascending chain
-	// always form a prefix (transitivity), so a binary search over
-	// O(1) bit lookups finds the highest one.
-	for i := range contending {
-		if !contending[i] {
-			continue
-		}
-		home := chainOf[i]
-		for c, chain := range restricted {
-			if c == home || len(chain) == 0 {
-				continue
-			}
-			pre := sort.Search(len(chain), func(k int) bool {
-				return !m.Dominates(i, chain[k])
-			})
-			if pre > 0 {
-				edges = append(edges, sparseEdge{from: i, to: chain[pre-1]})
-			}
-		}
-	}
-	return edges
 }

@@ -26,6 +26,7 @@ import (
 	"monoclass/internal/chains"
 	"monoclass/internal/domgraph"
 	"monoclass/internal/geom"
+	"monoclass/internal/maxflow"
 	"monoclass/internal/passive"
 )
 
@@ -101,7 +102,7 @@ const (
 	// matrix build — not the matching — bounds the practical limit.
 	DefaultExactDecomposeLimit = 65536
 	// streamCountLimit is the largest n at which Violations streams
-	// packed rows out of a non-dense view; past it the chain-counting
+	// packed rows out of a blocked view; past it the chain-counting
 	// method avoids the O(n²) row scan entirely.
 	streamCountLimit = 262144
 )
@@ -201,8 +202,7 @@ type PrepareStats struct {
 // SolveOptions configures one Solve call over a prepared Problem.
 type SolveOptions struct {
 	// Solver is the max-flow algorithm; the default workspace-pooled
-	// push-relabel engine when nil (exactly passive.Solve's default,
-	// so a Problem solve is bit-identical to the legacy path).
+	// push-relabel engine when nil.
 	Solver passive.FlowSolver
 }
 
@@ -233,10 +233,10 @@ type Problem struct {
 // network. The input set must be non-empty, dimensionally consistent,
 // and carry positive finite weights.
 //
-// The profiles are chosen so that Solve over the result is
-// bit-identical to passive.Solve(ws, passive.Options{}) whenever the
-// decomposition is exact — the problem-prepared-vs-legacy conformance
-// check holds it to that in all three modes.
+// Every mode builds the network with the one passive.Prepare over the
+// Problem's own view and the same cover, so dense, blocked and
+// implicit Problems of one instance solve bit-identically — the
+// problem-modes-agree conformance check holds them to it.
 func Prepare(ws geom.WeightedSet, opts Options) (*Problem, error) {
 	start := time.Now()
 	if len(ws) == 0 {
@@ -286,7 +286,6 @@ func Prepare(ws geom.WeightedSet, opts Options) (*Problem, error) {
 	decStart := time.Now()
 	var dec chains.Decomposition
 	var dst chains.DecomposeStats
-	netMatrix := matrix
 	exact := true
 	switch {
 	case d <= 2:
@@ -297,13 +296,10 @@ func Prepare(ws geom.WeightedSet, opts Options) (*Problem, error) {
 		dec, dst = chains.DecomposeMatrixStats(pts, matrix)
 		st.DecomposePath = PathExactDense
 	case n <= o.ExactDecomposeLimit && denseFootprint(n) <= o.MaxDenseBytes:
-		// Materialize transiently for the exact warm-started cover; the
-		// matrix (== domgraph.Build's bits) is dropped right after the
-		// network build in assemble.
-		m := view.Materialize()
-		dec, dst = chains.DecomposeMatrixStats(pts, m)
+		// Materialize transiently for the exact warm-started cover and
+		// drop the matrix (== domgraph.Build's bits) right after.
+		dec, dst = chains.DecomposeMatrixStats(pts, view.Materialize())
 		st.DecomposePath = PathExactTransient
-		netMatrix = m
 	default:
 		gc := chains.GreedyDecompose(pts)
 		dec = chains.Decomposition{Chains: gc, Width: len(gc)}
@@ -313,16 +309,15 @@ func Prepare(ws geom.WeightedSet, opts Options) (*Problem, error) {
 	st.DecomposeNS = time.Since(decStart).Nanoseconds()
 	st.SeedChains, st.Augmentations = dst.SeedChains, dst.Augmentations
 	st.Phases, st.CertEarlyExit = dst.Phases, dst.CertEarlyExit
-	return assemble(owned, pts, mode, view, matrix, netMatrix, dec, exact, st, start)
+	return assemble(owned, pts, mode, view, matrix, dec, exact, st, start), nil
 }
 
 // Adopt wraps an already-built dense matrix (domgraph.Build over ws's
 // points, in input order — the online updater's dynamically patched
 // relation qualifies) into a Problem without cloning ws or rebuilding
-// anything: the decomposition comes from the matrix and the network
-// from the kernel path, exactly what passive.Solve(ws,
-// passive.Options{Matrix: m}) constructs. The caller must not mutate
-// ws or m afterwards.
+// the relation: the decomposition comes from the matrix and the
+// network is built over it. The caller must not mutate ws or m
+// afterwards.
 func Adopt(ws geom.WeightedSet, m *domgraph.Matrix) (*Problem, error) {
 	if len(ws) == 0 {
 		return nil, fmt.Errorf("problem: empty input set")
@@ -344,28 +339,35 @@ func Adopt(ws geom.WeightedSet, m *domgraph.Matrix) (*Problem, error) {
 		Phases:        dst.Phases,
 		CertEarlyExit: dst.CertEarlyExit,
 	}
-	return assemble(ws, pts, ModeDense, m, m, m, dec, true, st, decStart)
+	return assemble(ws, pts, ModeDense, m, m, dec, true, st, decStart), nil
 }
 
-// assemble builds the passive network and finishes construction.
-// netMatrix (possibly nil, possibly transient) drives the kernel edge
-// builder; matrix is what the Problem retains. st carries the stage
-// timings accumulated so far; assemble adds the network stage and the
-// end-to-end total from start.
-func assemble(ws geom.WeightedSet, pts []geom.Point, mode MatrixMode, view domgraph.View, matrix, netMatrix *domgraph.Matrix, dec chains.Decomposition, exact bool, st PrepareStats, start time.Time) (*Problem, error) {
-	netStart := time.Now()
-	popts := passive.Options{Chains: dec.Chains}
-	if netMatrix != nil && ws.Dim() >= 3 {
-		// Kernel path, mirroring passive.Solve's own d ≥ 3 dispatch so
-		// the constructed network is bit-identical to the legacy one.
-		// At d ≤ 2 legacy Solve never materializes a matrix, so neither
-		// do we — the chain-index path is the reference there.
-		popts.Matrix = netMatrix
+// Solve prepares ws and solves it once: the one-shot exact passive
+// solve for callers that do not keep the Problem. At d ≤ 2 it prepares
+// in ModeImplicit, since nothing a single solve does there reads a
+// matrix: the cover comes from the O(n log n) fast path and the
+// network's lookups are O(d) rank compares, so auto mode's dense
+// matrix (1 GiB at n = 65536) would be pure cost. At d ≥ 3 it uses the
+// default Options.
+func Solve(ws geom.WeightedSet) (passive.Solution, error) {
+	var opts Options
+	if ws.Dim() <= 2 {
+		opts.Mode = ModeImplicit
 	}
-	prep, err := passive.Prepare(ws, popts)
+	p, err := Prepare(ws, opts)
 	if err != nil {
-		return nil, err
+		return passive.Solution{}, err
 	}
+	return p.Solve()
+}
+
+// assemble builds the passive network over view and dec and finishes
+// construction; matrix is what the Problem retains (nil unless
+// dense). st carries the stage timings accumulated so far; assemble
+// adds the network stage and the end-to-end total from start.
+func assemble(ws geom.WeightedSet, pts []geom.Point, mode MatrixMode, view domgraph.View, matrix *domgraph.Matrix, dec chains.Decomposition, exact bool, st PrepareStats, start time.Time) *Problem {
+	netStart := time.Now()
+	prep := passive.Prepare(ws, view, dec.Chains)
 	st.NetworkNS = time.Since(netStart).Nanoseconds()
 	st.TotalNS = time.Since(start).Nanoseconds()
 	st.N, st.Dim = len(ws), ws.Dim()
@@ -382,7 +384,7 @@ func assemble(ws geom.WeightedSet, pts []geom.Point, mode MatrixMode, view domgr
 		exactWidth: exact,
 		stats:      st,
 		prep:       prep,
-	}, nil
+	}
 }
 
 func pointsOf(ws geom.WeightedSet) []geom.Point {
@@ -481,11 +483,18 @@ func (p *Problem) NumContending() int { return p.prep.NumContending() }
 // NumEdges returns the prepared flow network's edge count.
 func (p *Problem) NumEdges() int { return p.prep.NumEdges() }
 
-// Solve re-solves the prepared network with the default flow solver —
-// bit-identical to passive.Solve(WeightedSet(), passive.Options{})
-// when the decomposition is exact, at a fraction of the cost: the
-// validation, contending scan, decomposition, and network build are
-// all amortized into Prepare.
+// Network returns a copy of the prepared flow network, or nil when no
+// points contend.
+func (p *Problem) Network() *maxflow.Network {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.prep.Network()
+}
+
+// Solve re-solves the prepared network with the default flow solver.
+// The validation, contending scan, decomposition, and network build
+// are all amortized into Prepare, so a re-solve pays only the flow
+// computation and the cut decode.
 func (p *Problem) Solve() (passive.Solution, error) {
 	return p.SolveWith(SolveOptions{})
 }
@@ -500,21 +509,22 @@ func (p *Problem) SolveWith(opts SolveOptions) (passive.Solution, error) {
 // Violations returns the number of (negative, positive) ordered pairs
 // where the negative point dominates the positive one — the quantity
 // domgraph.(*Matrix).CountViolations reports — computed by the
-// cheapest route the mode allows and cached.
+// cheapest route the mode allows and cached: a popcount over dense
+// rows, or over blocked rows (word-level tile reads) up to
+// streamCountLimit points; the chain count otherwise, and always for
+// implicit views, whose O(d·n) scalar row reads would make streaming
+// O(d·n²).
 func (p *Problem) Violations() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.violationsOK {
 		return p.violations
 	}
-	labels := make([]geom.Label, len(p.ws))
-	for i := range p.ws {
-		labels[i] = p.ws[i].Label
-	}
+	labels := p.Labels()
 	switch {
 	case p.matrix != nil:
 		p.violations = p.matrix.CountViolations(labels)
-	case len(p.ws) <= streamCountLimit:
+	case p.mode == ModeBlocked && len(p.ws) <= streamCountLimit:
 		p.violations = domgraph.ViewCountViolations(p.view, labels)
 	default:
 		p.violations = chainCountViolations(p.pts, labels, p.dec.Chains)

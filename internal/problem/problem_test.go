@@ -2,6 +2,7 @@ package problem
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
 	"math/rand"
 	"reflect"
@@ -51,26 +52,50 @@ func sameSolution(t *testing.T, tag string, got, want passive.Solution) {
 	}
 }
 
-func TestPrepareMatchesLegacyAllModes(t *testing.T) {
+// literalSolve solves ws through the literal Section 5.1 construction,
+// the reference every prepared network must agree with.
+func literalSolve(t *testing.T, ws geom.WeightedSet) (passive.Solution, []bool) {
+	t.Helper()
+	pp, err := passive.PrepareLiteral(ws)
+	if err != nil {
+		t.Fatalf("literal prepare: %v", err)
+	}
+	sol, err := pp.Resolve(nil)
+	if err != nil {
+		t.Fatalf("literal solve: %v", err)
+	}
+	return sol, pp.Contending()
+}
+
+// almostEq compares flow values across different network
+// constructions, whose arc orders may round the sum differently.
+func almostEq(a, b float64) bool {
+	return math.Abs(a-b) <= 1e-9*(1+math.Abs(b))
+}
+
+// TestPrepareModesAgree: every mode builds its network with the one
+// builder over the same cover, so dense, blocked, implicit and a
+// write/read round trip solve bit-identically; the optimum and the
+// contending set match the literal construction, and each mode counts
+// the same violations.
+func TestPrepareModesAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	modes := []MatrixMode{ModeAuto, ModeDense, ModeBlocked, ModeImplicit}
 	for trial := 0; trial < 25; trial++ {
 		n := 1 + rng.Intn(120)
 		d := 1 + rng.Intn(4)
 		ws := randomSet(rng, n, d)
-		legacy, err := passive.Solve(ws, passive.Options{})
-		if err != nil {
-			t.Fatalf("legacy solve: %v", err)
-		}
+		literal, contending := literalSolve(t, ws)
 		pts := pointsOf(ws)
-		legacyDec := chains.Decompose(pts)
+		wantDec := chains.Decompose(pts)
 		labels := make([]geom.Label, n)
 		for i := range ws {
 			labels[i] = ws[i].Label
 		}
 		wantViol := domgraph.Build(pts).CountViolations(labels)
 
-		for _, mode := range modes {
+		var first passive.Solution
+		for k, mode := range modes {
 			p, err := Prepare(ws, Options{Mode: mode})
 			if err != nil {
 				t.Fatalf("Prepare(%v): %v", mode, err)
@@ -82,13 +107,22 @@ func TestPrepareMatchesLegacyAllModes(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Solve(%v): %v", mode, err)
 			}
-			sameSolution(t, mode.String(), sol, legacy)
+			if k == 0 {
+				first = sol
+			}
+			sameSolution(t, mode.String(), sol, first)
+			if !almostEq(sol.WErr, literal.WErr) {
+				t.Fatalf("Solve(%v): WErr = %v, literal construction %v", mode, sol.WErr, literal.WErr)
+			}
+			if !reflect.DeepEqual(p.Contending(), contending) {
+				t.Fatalf("Prepare(%v): contending set diverges from the literal construction", mode)
+			}
 			again, err := p.Solve()
 			if err != nil {
 				t.Fatalf("re-Solve(%v): %v", mode, err)
 			}
 			sameSolution(t, mode.String()+" re-solve", again, sol)
-			if got := p.Decomposition(); !reflect.DeepEqual(got, legacyDec) {
+			if got := p.Decomposition(); !reflect.DeepEqual(got, wantDec) {
 				t.Fatalf("Prepare(%v): decomposition diverges from chains.Decompose", mode)
 			}
 			if !p.ExactWidth() {
@@ -101,16 +135,20 @@ func TestPrepareMatchesLegacyAllModes(t *testing.T) {
 	}
 }
 
-func TestAdoptMatchesMatrixOption(t *testing.T) {
+// TestAdoptMatchesMatrixView: Adopt builds exactly the network that
+// passive.Prepare builds over the supplied matrix and its minimum
+// cover, and keeps the matrix.
+func TestAdoptMatchesMatrixView(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 10; trial++ {
 		n := 1 + rng.Intn(90)
 		d := 1 + rng.Intn(4)
 		ws := randomSet(rng, n, d)
-		m := domgraph.Build(pointsOf(ws))
-		legacy, err := passive.Solve(ws, passive.Options{Matrix: m})
+		pts := pointsOf(ws)
+		m := domgraph.Build(pts)
+		want, err := passive.Prepare(ws, m, chains.DecomposeMatrix(pts, m).Chains).Resolve(nil)
 		if err != nil {
-			t.Fatalf("legacy solve: %v", err)
+			t.Fatalf("direct solve: %v", err)
 		}
 		p, err := Adopt(ws, m)
 		if err != nil {
@@ -120,10 +158,35 @@ func TestAdoptMatchesMatrixOption(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Solve: %v", err)
 		}
-		sameSolution(t, "adopt", sol, legacy)
+		sameSolution(t, "adopt", sol, want)
 		if p.Mode() != ModeDense || p.Matrix() != m {
 			t.Fatalf("Adopt must retain the supplied matrix in dense mode")
 		}
+	}
+}
+
+// TestSolveOneShot: the one-shot Solve, implicit at d ≤ 2 and auto
+// above, solves exactly as a dense Problem of the same instance.
+func TestSolveOneShot(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	for trial := 0; trial < 12; trial++ {
+		ws := randomSet(rng, 1+rng.Intn(90), 1+rng.Intn(4))
+		p, err := Prepare(ws, Options{Mode: ModeDense})
+		if err != nil {
+			t.Fatalf("Prepare: %v", err)
+		}
+		want, err := p.Solve()
+		if err != nil {
+			t.Fatalf("dense Solve: %v", err)
+		}
+		got, err := Solve(ws)
+		if err != nil {
+			t.Fatalf("one-shot Solve: %v", err)
+		}
+		sameSolution(t, "one-shot", got, want)
+	}
+	if _, err := Solve(nil); err == nil {
+		t.Fatal("Solve accepted an empty set")
 	}
 }
 
@@ -189,18 +252,16 @@ func TestGreedyFallbackPastExactLimit(t *testing.T) {
 		t.Fatalf("greedy decomposition invalid: %v", err)
 	}
 	// Even with the wider decomposition, the optimum is the optimum.
-	legacy, err := passive.Solve(ws, passive.Options{})
-	if err != nil {
-		t.Fatalf("legacy solve: %v", err)
-	}
+	literal, contending := literalSolve(t, ws)
 	sol, err := p.Solve()
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
-	// A wider decomposition builds a different (equivalent) network, so
-	// the flow value can differ by float summation order — not bits.
-	if math.Abs(sol.WErr-legacy.WErr) > 1e-9*(1+math.Abs(legacy.WErr)) {
-		t.Fatalf("greedy-path WErr = %v, want %v", sol.WErr, legacy.WErr)
+	if !almostEq(sol.WErr, literal.WErr) {
+		t.Fatalf("greedy-path WErr = %v, literal construction %v", sol.WErr, literal.WErr)
+	}
+	if !reflect.DeepEqual(p.Contending(), contending) {
+		t.Fatal("greedy-path contending set diverges from the literal construction")
 	}
 }
 
@@ -267,6 +328,29 @@ func TestReadRejectsCorruption(t *testing.T) {
 		{"mode", `"mode":"dense"`, `"mode":"auto"`},
 		{"label", `"labels":[`, `"labels":[7,`},
 	}
+	// One closure bit set in the stored matrix words at a pair the
+	// points do not relate: the blob stays structurally valid
+	// (reflexive, DAG ⊆ closure), but the network would carry an ∞
+	// edge the points do not justify.
+	var pf problemFile
+	if err := json.Unmarshal(buf.Bytes(), &pf); err != nil || pf.Matrix == nil {
+		t.Fatalf("dense file carries no matrix words (%v)", err)
+	}
+	dom, err := decodeWords(pf.Matrix.Dom)
+	if err != nil {
+		t.Fatalf("decodeWords: %v", err)
+	}
+	m := p.Matrix()
+	for pair := 0; pair < m.N()*m.N(); pair++ {
+		if i, j := pair/m.N(), pair%m.N(); !m.Dominates(i, j) {
+			dom[i*m.Words()+j>>6] |= 1 << (j & 63)
+			cases = append(cases, struct{ name, from, to string }{"matrix bit", pf.Matrix.Dom, encodeWords(dom)})
+			break
+		}
+	}
+	if cases[len(cases)-1].name != "matrix bit" {
+		t.Fatal("instance is a total order; no closure bit to set")
+	}
 	for _, c := range cases {
 		mutated := bytes.Replace([]byte(good), []byte(c.from), []byte(c.to), 1)
 		if bytes.Equal(mutated, []byte(good)) {
@@ -278,6 +362,9 @@ func TestReadRejectsCorruption(t *testing.T) {
 	}
 }
 
+// TestChainCountViolations: the chain count equals the popcount over
+// the minimum cover and over the greedy cover that the d ≥ 3 implicit
+// fallback carries.
 func TestChainCountViolations(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 20; trial++ {
@@ -289,10 +376,14 @@ func TestChainCountViolations(t *testing.T) {
 		for i := range ws {
 			labels[i] = ws[i].Label
 		}
-		dec := chains.Decompose(pts)
 		want := domgraph.Build(pts).CountViolations(labels)
-		if got := chainCountViolations(pts, labels, dec.Chains); got != want {
-			t.Fatalf("trial %d: chainCountViolations = %d, want %d", trial, got, want)
+		for cover, chainSets := range map[string][][]int{
+			"minimum": chains.Decompose(pts).Chains,
+			"greedy":  chains.GreedyDecompose(pts),
+		} {
+			if got := chainCountViolations(pts, labels, chainSets); got != want {
+				t.Fatalf("trial %d: %s cover: chainCountViolations = %d, want %d", trial, cover, got, want)
+			}
 		}
 	}
 }

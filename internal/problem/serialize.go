@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"time"
 
 	"monoclass/internal/chains"
@@ -19,8 +20,8 @@ import (
 // Prepare derives except the flow network (cheap to rebuild once the
 // decomposition — the expensive part — is known): points, labels,
 // weights, the chain decomposition with its antichain certificate, and
-// optionally the dense matrix words, so a warm process skips Prepare
-// entirely.
+// for small dense instances the matrix words, which Read holds to the
+// relation it rebuilds from the points.
 type problemFile struct {
 	Format     string       `json:"format"`  // always "monoclass-problem"
 	Version    int          `json:"version"` // currently 1
@@ -34,8 +35,9 @@ type problemFile struct {
 	Width      int          `json:"width"`
 	ExactWidth bool         `json:"exact_width"`
 	// Matrix carries the dense bit-packed relation, included only for
-	// small dense instances (n ≤ matrixBlobLimit); absent, a dense
-	// reader rebuilds it with the kernel builder.
+	// small dense instances (n ≤ matrixBlobLimit). A dense reader
+	// always rebuilds the relation with the kernel builder and rejects
+	// a file whose words differ from it in any bit.
 	Matrix *matrixBlob `json:"matrix,omitempty"`
 }
 
@@ -161,9 +163,10 @@ func Write(w io.Writer, p *Problem) error {
 // it trusts: format, version, mode, shapes, labels, weights, NaN-free
 // coordinates, the chain decomposition (must be a valid partition in
 // dominance order), the antichain certificate, and — when matrix
-// words are present — the blob's structural invariants plus a
-// deterministic sample of bits against the scalar dominance oracle.
-// The flow network is rebuilt eagerly; the stored decomposition makes
+// words are present — the blob's structural invariants and every one
+// of its bits against a fresh kernel build over the stored points, so
+// the network is only ever built over the points' own relation. The
+// flow network is rebuilt eagerly; the stored decomposition makes
 // that the cheap part.
 func Read(r io.Reader) (*Problem, error) {
 	var pf problemFile
@@ -234,24 +237,11 @@ func Read(r io.Reader) (*Problem, error) {
 	var matrix *domgraph.Matrix
 	switch mode {
 	case ModeDense:
+		matrix = domgraph.Build(pts)
 		if pf.Matrix != nil {
-			dom, derr := decodeWords(pf.Matrix.Dom)
-			if derr != nil {
-				return nil, fmt.Errorf("problem: matrix dom words: %w", derr)
-			}
-			dag, derr := decodeWords(pf.Matrix.Dag)
-			if derr != nil {
-				return nil, fmt.Errorf("problem: matrix dag words: %w", derr)
-			}
-			matrix, derr = domgraph.MatrixFromWords(n, dom, dag)
-			if derr != nil {
-				return nil, fmt.Errorf("problem: matrix blob: %w", derr)
-			}
-			if err := spotCheckMatrix(matrix, pts); err != nil {
+			if err := checkMatrixBlob(pf.Matrix, matrix); err != nil {
 				return nil, err
 			}
-		} else {
-			matrix = domgraph.Build(pts)
 		}
 		view = matrix
 	case ModeBlocked:
@@ -264,41 +254,42 @@ func Read(r io.Reader) (*Problem, error) {
 	// PathLoaded with zero stage timings marks it as not freshly
 	// prepared.
 	st := PrepareStats{DecomposePath: PathLoaded}
-	p, err := assemble(ws, pts, mode, view, matrix, matrix, decomp, pf.ExactWidth, st, time.Now())
-	if err != nil {
-		return nil, err
-	}
+	p := assemble(ws, pts, mode, view, matrix, decomp, pf.ExactWidth, st, time.Now())
 	p.stats.NetworkNS, p.stats.TotalNS = 0, 0
 	return p, nil
 }
 
-// spotCheckMatrix samples pairs with a deterministic splitmix64 stream
-// and holds the adopted words to the scalar dominance oracle — cheap
-// insurance against a blob that is structurally valid but belongs to
-// different points.
-func spotCheckMatrix(m *domgraph.Matrix, pts []geom.Point) error {
-	n := len(pts)
-	samples := 1024
-	if n*n < samples {
-		samples = n * n
+// checkMatrixBlob decodes a stored matrix blob and holds it to m, the
+// relation built from the stored points: structurally (lengths,
+// reflexive closure, DAG ⊆ closure) and then bit for bit, naming the
+// first pair where they differ.
+func checkMatrixBlob(b *matrixBlob, m *domgraph.Matrix) error {
+	dom, err := decodeWords(b.Dom)
+	if err != nil {
+		return fmt.Errorf("problem: matrix dom words: %w", err)
 	}
-	state := uint64(0x9e3779b97f4a7c15)
-	next := func() uint64 {
-		state += 0x9e3779b97f4a7c15
-		z := state
-		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-		return z ^ (z >> 31)
+	dag, err := decodeWords(b.Dag)
+	if err != nil {
+		return fmt.Errorf("problem: matrix dag words: %w", err)
 	}
-	for s := 0; s < samples; s++ {
-		i := int(next() % uint64(n))
-		j := int(next() % uint64(n))
-		wantDom := i == j || geom.Dominates(pts[i], pts[j])
-		if m.Dominates(i, j) != wantDom {
-			return fmt.Errorf("problem: matrix blob disagrees with points at closure pair (%d,%d)", i, j)
-		}
-		if m.Edge(i, j) != domgraph.DominanceEdge(pts, i, j) {
-			return fmt.Errorf("problem: matrix blob disagrees with points at dag pair (%d,%d)", i, j)
+	stored, err := domgraph.MatrixFromWords(m.N(), dom, dag)
+	if err != nil {
+		return fmt.Errorf("problem: matrix blob: %w", err)
+	}
+	for i := 0; i < m.N(); i++ {
+		for _, rel := range []struct {
+			name      string
+			got, want []uint64
+		}{
+			{"closure", stored.DomRow(i), m.DomRow(i)},
+			{"dag", stored.DAGRow(i), m.DAGRow(i)},
+		} {
+			for w := range rel.want {
+				if diff := rel.got[w] ^ rel.want[w]; diff != 0 {
+					j := w<<6 + bits.TrailingZeros64(diff)
+					return fmt.Errorf("problem: matrix blob disagrees with points at %s pair (%d,%d)", rel.name, i, j)
+				}
+			}
 		}
 	}
 	return nil

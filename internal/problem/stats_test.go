@@ -3,10 +3,10 @@ package problem
 import (
 	"bytes"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"monoclass/internal/domgraph"
-	"monoclass/internal/passive"
 )
 
 // TestPrepareStatsPaths pins which DecomposePath each Prepare route
@@ -150,11 +150,11 @@ func TestPrepareWarmStartSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy, err := passive.Solve(ws, passive.Options{})
-	if err != nil {
-		t.Fatal(err)
+	literal, contending := literalSolve(t, ws)
+	if !almostEq(sol.WErr, literal.WErr) {
+		t.Fatalf("prepared WErr %v != literal construction %v", sol.WErr, literal.WErr)
 	}
-	if sol.WErr != legacy.WErr {
-		t.Fatalf("prepared WErr %v != legacy %v", sol.WErr, legacy.WErr)
+	if !reflect.DeepEqual(p.Contending(), contending) {
+		t.Fatal("prepared contending set diverges from the literal construction")
 	}
 }

@@ -8,7 +8,7 @@ import (
 	"monoclass/internal/chains"
 	"monoclass/internal/classifier"
 	"monoclass/internal/geom"
-	"monoclass/internal/passive"
+	"monoclass/internal/problem"
 )
 
 func randPts(rng *rand.Rand, n, d int) []geom.Point {
@@ -153,7 +153,11 @@ func TestTradeoff(t *testing.T) {
 		}
 		lab = append(lab, geom.LabeledPoint{P: p, Label: label})
 	}
-	stats, err := Tradeoff(lab, []int{32, 8, 2}, passive.OptimalError)
+	kstar := func(ws geom.WeightedSet) (float64, error) {
+		sol, err := problem.Solve(ws)
+		return sol.WErr, err
+	}
+	stats, err := Tradeoff(lab, []int{32, 8, 2}, kstar)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"monoclass/internal/baselines"
 	"monoclass/internal/core"
 	"monoclass/internal/passive"
+	"monoclass/internal/problem"
 )
 
 // PassiveSolution is the result of OptimalPassive: an exactly optimal
@@ -17,12 +18,16 @@ type PassiveSolution = passive.Solution
 // classifier minimizing the weighted error over ws, in
 // O(dn²) + T_maxflow(n) time via the paper's min-cut construction.
 func OptimalPassive(ws WeightedSet) (PassiveSolution, error) {
-	return passive.Solve(ws, passive.Options{})
+	return problem.Solve(ws)
 }
 
 // OptimalError returns only the optimal weighted error k* of ws.
 func OptimalError(ws WeightedSet) (float64, error) {
-	return passive.OptimalError(ws)
+	sol, err := problem.Solve(ws)
+	if err != nil {
+		return 0, err
+	}
+	return sol.WErr, nil
 }
 
 // Params configures the active algorithm; see TheoryParams and

@@ -1,10 +1,6 @@
 package monoclass
 
-import (
-	"monoclass/internal/geom"
-	"monoclass/internal/passive"
-	"monoclass/internal/quantize"
-)
+import "monoclass/internal/quantize"
 
 // Quantization preprocessing: Theorem 2's probing cost scales with
 // the dominance width w, and continuous similarity scores make w
@@ -35,7 +31,5 @@ type QuantizeLevelStats = quantize.LevelStats
 // reporting width (labeling cost driver) against k* (accuracy floor)
 // per level. Each level requires one exact passive solve.
 func QuantizeTradeoff(lab []LabeledPoint, levels []int) ([]QuantizeLevelStats, error) {
-	return quantize.Tradeoff(lab, levels, func(ws geom.WeightedSet) (float64, error) {
-		return passive.OptimalError(ws)
-	})
+	return quantize.Tradeoff(lab, levels, OptimalError)
 }
