@@ -12,18 +12,23 @@
 //	loadgen -out /tmp/q.json -quick               # seconds-scale smoke
 //	loadgen -url http://host:8080 -out out.json   # external server
 //
-// Configurations are "SPEC[@PROCS]" entries. SPEC is either
-// "MAXBATCHxMAXWAIT" — single-point /classify requests through the
-// server-side micro-batcher ("1x0s" disables coalescing, "32x2ms"
-// holds batches open up to 2ms) — or "bN" — client-side batches of N
-// points per /classify/batch request, where -requests counts points
-// and throughput_rps reports classifications per second. An optional
-// "@PROCS" suffix pins runtime.GOMAXPROCS for that row ("32x2ms@2"),
-// and an optional "+rN" suffix serves the row through an in-process
-// replica fleet of N servers behind the sharding router
-// ("b512@2+r2"): requests scale by N so per-replica work stays
+// Configurations are "SPEC[@PROCS][+rN]" entries. SPEC is either
+// "MAXBATCH" — single-point /classify requests through the server's
+// batcher, which dispatches on arrival and takes at most MAXBATCH
+// queued requests per batch ("1" never coalesces) — or "bN" —
+// client-side batches of N points per /classify/batch request, where
+// -requests counts points and throughput_rps reports classifications
+// per second. An optional "@PROCS" suffix pins runtime.GOMAXPROCS for
+// that row ("32@2"), and an optional "+rN" suffix serves the row
+// through an in-process replica fleet of N servers behind the sharding
+// router ("b512@2+r2"): requests scale by N so per-replica work stays
 // comparable, throughput_rps aggregates the whole fleet, and
 // mean_batch/batches come from the router's exact summed totals.
+//
+// The run fails (non-zero exit, after the report is written) when any
+// row saw a failed request: a transport error or a status other than
+// 200/202. 429s are load shedding; they are counted per row, not
+// fatal.
 //
 // With -shard-addrs the row drives an already-running external fleet:
 // loadgen builds a local sharding router over the comma-separated
@@ -74,11 +79,10 @@ type report struct {
 // configRow is one batching configuration's measurements. For
 // client-batch rows (ClientBatch > 0) Requests counts points and
 // ThroughputRPS is classifications per second; the server-side batcher
-// is bypassed, so MaxBatch/MaxWaitMillis are zero.
+// is bypassed, so MaxBatch is zero.
 type configRow struct {
-	MaxBatch      int     `json:"max_batch"`
-	MaxWaitMillis float64 `json:"max_wait_ms"`
-	ClientBatch   int     `json:"client_batch"`
+	MaxBatch    int `json:"max_batch"`
+	ClientBatch int `json:"client_batch"`
 	// Replicas > 0 marks a sharded row: the requests were served by a
 	// replica fleet of this size behind the consistent-hash router, and
 	// the throughput/batch numbers aggregate the whole fleet.
@@ -101,6 +105,9 @@ type configRow struct {
 	LearnRequests int64 `json:"learn_requests,omitempty"`
 	LearnAccepted int64 `json:"learn_accepted,omitempty"`
 	LearnRejected int64 `json:"learn_rejected,omitempty"`
+	// firstErr is the first failed request's error, for the run's
+	// failure message.
+	firstErr error
 }
 
 // options collects the knobs so tests can call run directly.
@@ -131,8 +138,8 @@ func main() {
 	flag.Float64Var(&opt.noise, "noise", 0.1, "label-flip probability")
 	flag.IntVar(&opt.requests, "requests", 20000, "requests per configuration")
 	flag.IntVar(&opt.concurrency, "concurrency", 32, "concurrent client goroutines")
-	flag.StringVar(&opt.configs, "configs", "1x0s,8x1ms,32x2ms,32x2ms@2,b64,b512,b512@2,b512@2+r2,b2048@2+r2,b4096@2+r2,b4096@2+r3",
-		"comma-separated SPEC[@PROCS][+rN] configurations (SPEC = MAXBATCHxMAXWAIT or bN for client batches; +rN serves through an N-replica fleet)")
+	flag.StringVar(&opt.configs, "configs", "1@1,8@1,32@1,32@2,b64@1,b512@1,b512@2,b512@2+r2,b2048@2+r2,b4096@2+r2,b4096@2+r3",
+		"comma-separated SPEC[@PROCS][+rN] configurations (SPEC = MAXBATCH for single points or bN for client batches; +rN serves through an N-replica fleet)")
 	flag.StringVar(&opt.url, "url", "", "replay against an external server instead of in-process (single row)")
 	flag.StringVar(&opt.shardAddrs, "shard-addrs", "",
 		"comma-separated external replica base URLs; loadgen fronts them with a local sharding router and replays through it (single row)")
@@ -194,6 +201,7 @@ func run(opt options, logw io.Writer) error {
 	if opt.url != "" && opt.shardAddrs != "" {
 		return fmt.Errorf("-url and -shard-addrs are mutually exclusive")
 	}
+	var names []string // one per row, for the failure message
 	if opt.url != "" {
 		row, err := replay(opt.url, pts, opt.requests, opt.concurrency, 0, 0, nil)
 		if err != nil {
@@ -201,6 +209,7 @@ func run(opt options, logw io.Writer) error {
 		}
 		row.GOMAXPROCS = runtime.GOMAXPROCS(0)
 		rep.Rows = append(rep.Rows, *row)
+		names = append(names, opt.url)
 	} else if opt.shardAddrs != "" {
 		row, err := replayShardAddrs(opt, pts)
 		if err != nil {
@@ -209,6 +218,7 @@ func run(opt options, logw io.Writer) error {
 		fmt.Fprintf(logw, "loadgen: external fleet of %d replicas → %.0f req/s, p50=%.0fµs p99=%.0fµs\n",
 			row.Replicas, row.ThroughputRPS, row.P50Micros, row.P99Micros)
 		rep.Rows = append(rep.Rows, *row)
+		names = append(names, opt.shardAddrs)
 	} else {
 		for _, bc := range configs {
 			row, err := runRow(bc, sol.Classifier, pts, opt)
@@ -216,6 +226,7 @@ func run(opt options, logw io.Writer) error {
 				return err
 			}
 			rep.Rows = append(rep.Rows, *row)
+			names = append(names, bc.spec)
 			tag := ""
 			if bc.replicas > 1 {
 				tag = fmt.Sprintf(" replicas=%d", bc.replicas)
@@ -224,8 +235,8 @@ func run(opt options, logw io.Writer) error {
 				fmt.Fprintf(logw, "loadgen: client-batch=%d procs=%d%s → %.0f classifications/s, p50=%.0fµs p99=%.0fµs\n",
 					bc.clientBatch, row.GOMAXPROCS, tag, row.ThroughputRPS, row.P50Micros, row.P99Micros)
 			} else {
-				fmt.Fprintf(logw, "loadgen: batch=%d wait=%s procs=%d%s → %.0f req/s, p50=%.0fµs p99=%.0fµs (mean batch %.2f)\n",
-					bc.batcher.MaxBatch, bc.batcher.MaxWait, row.GOMAXPROCS, tag, row.ThroughputRPS, row.P50Micros, row.P99Micros, row.MeanBatch)
+				fmt.Fprintf(logw, "loadgen: max-batch=%d procs=%d%s → %.0f req/s, p50=%.0fµs p99=%.0fµs (mean batch %.2f)\n",
+					bc.batcher.MaxBatch, row.GOMAXPROCS, tag, row.ThroughputRPS, row.P50Micros, row.P99Micros, row.MeanBatch)
 			}
 			if opt.learnEvery > 0 {
 				fmt.Fprintf(logw, "loadgen:   learn: %d posted, %d accepted, %d rejected\n",
@@ -248,6 +259,15 @@ func run(opt options, logw io.Writer) error {
 		return err
 	}
 	fmt.Fprintf(logw, "loadgen: wrote %s (%d configuration rows)\n", opt.out, len(rep.Rows))
+	var failed []string
+	for i, row := range rep.Rows {
+		if row.Errors > 0 {
+			failed = append(failed, fmt.Sprintf("%s: %d failed, first: %v", names[i], row.Errors, row.firstErr))
+		}
+	}
+	if len(failed) > 0 {
+		return fmt.Errorf("requests failed (%s)", strings.Join(failed, "; "))
+	}
 	return nil
 }
 
@@ -278,19 +298,20 @@ type learnDelta struct {
 // batching shape (batcher) or a client-batch size, optionally pinned
 // to a GOMAXPROCS value.
 type benchConfig struct {
+	spec        string // as written, for messages
 	batcher     monoclass.BatcherConfig
 	clientBatch int // > 0: bN mode, /classify/batch with N points per call
 	procs       int // > 0: runtime.GOMAXPROCS for the row's duration
 	replicas    int // > 1: +rN mode, an in-process replica fleet behind the sharding router
 }
 
-// parseConfigs parses "32x2ms,1x0s,b512,32x2ms@2,b512@2+r2" into
-// benchmark configurations; a non-positive wait means greedy dispatch.
+// parseConfigs parses "32,1,b512,32@2,b512@2+r2" into benchmark
+// configurations.
 func parseConfigs(s string) ([]benchConfig, error) {
 	var out []benchConfig
 	for _, part := range strings.Split(s, ",") {
 		part = strings.TrimSpace(part)
-		var bc benchConfig
+		bc := benchConfig{spec: part}
 		if i := strings.LastIndex(part, "+r"); i >= 0 {
 			n, err := strconv.Atoi(part[i+2:])
 			if err != nil || n < 2 {
@@ -302,7 +323,7 @@ func parseConfigs(s string) ([]benchConfig, error) {
 		if i := strings.IndexByte(part, '@'); i >= 0 {
 			procs, err := strconv.Atoi(part[i+1:])
 			if err != nil || procs < 1 {
-				return nil, fmt.Errorf("invalid procs suffix in %q (want SPEC@PROCS, e.g. 32x2ms@2)", part)
+				return nil, fmt.Errorf("invalid procs suffix in %q (want SPEC@PROCS, e.g. 32@2)", part)
 			}
 			bc.procs = procs
 			part = part[:i]
@@ -316,19 +337,14 @@ func parseConfigs(s string) ([]benchConfig, error) {
 			out = append(out, bc)
 			continue
 		}
-		var mb int
-		var waitStr string
-		if _, err := fmt.Sscanf(part, "%dx%s", &mb, &waitStr); err != nil || mb < 1 {
-			return nil, fmt.Errorf("invalid config %q (want MAXBATCHxMAXWAIT or bN)", part)
+		if strings.Contains(part, "x") {
+			return nil, fmt.Errorf("config %q: the batcher no longer holds batches open, so the MAXBATCHxMAXWAIT form is gone; write MAXBATCH[@PROCS][+rN], e.g. 32@2", bc.spec)
 		}
-		wait, err := time.ParseDuration(waitStr)
-		if err != nil {
-			return nil, fmt.Errorf("invalid wait in %q: %v", part, err)
+		mb, err := strconv.Atoi(part)
+		if err != nil || mb < 1 {
+			return nil, fmt.Errorf("invalid config %q (want MAXBATCH[@PROCS][+rN] or bN[@PROCS][+rN], e.g. 32@2 or b512)", bc.spec)
 		}
-		if wait <= 0 {
-			wait = -1 // greedy dispatch
-		}
-		bc.batcher = monoclass.BatcherConfig{MaxBatch: mb, MaxWait: wait, QueueCap: 8192}
+		bc.batcher = monoclass.BatcherConfig{MaxBatch: mb, QueueCap: 8192}
 		out = append(out, bc)
 	}
 	if len(out) == 0 {
@@ -374,10 +390,6 @@ func runRow(bc benchConfig, model *monoclass.AnchorSet, pts []monoclass.Point, o
 	row.ClientBatch = bc.clientBatch
 	if bc.clientBatch == 0 {
 		row.MaxBatch = bc.batcher.MaxBatch
-		row.MaxWaitMillis = float64(bc.batcher.MaxWait) / float64(time.Millisecond)
-		if row.MaxWaitMillis < 0 {
-			row.MaxWaitMillis = 0
-		}
 	}
 	return row, nil
 }
@@ -417,10 +429,6 @@ func runClusterRow(bc benchConfig, model *monoclass.AnchorSet, cfg monoclass.Ser
 	row.Replicas = bc.replicas
 	if bc.clientBatch == 0 {
 		row.MaxBatch = bc.batcher.MaxBatch
-		row.MaxWaitMillis = float64(bc.batcher.MaxWait) / float64(time.Millisecond)
-		if row.MaxWaitMillis < 0 {
-			row.MaxWaitMillis = 0
-		}
 	}
 	return row, nil
 }
@@ -562,8 +570,15 @@ func replay(url string, pts []monoclass.Point, requests, concurrency, clientBatc
 		learnRej  atomic.Int64
 		mu        sync.Mutex
 		all       []time.Duration
-		firstErr  atomic.Value
+		firstErr  error
+		firstOnce sync.Once
 	)
+	// fail counts one failed request and keeps the first error for the
+	// report (transport errors and status errors differ in type).
+	fail := func(err error) {
+		errors.Add(1)
+		firstOnce.Do(func() { firstErr = err })
+	}
 	per := (calls + concurrency - 1) / concurrency
 	transport := &http.Transport{MaxIdleConnsPerHost: concurrency}
 	defer transport.CloseIdleConnections()
@@ -583,8 +598,7 @@ func replay(url string, pts []monoclass.Point, requests, concurrency, clientBatc
 				t0 := time.Now()
 				resp, err := client.Post(url+path, "application/json", strings.NewReader(string(body)))
 				if err != nil {
-					errors.Add(1)
-					firstErr.CompareAndSwap(nil, err)
+					fail(err)
 					continue
 				}
 				io.Copy(io.Discard, resp.Body)
@@ -595,16 +609,14 @@ func replay(url string, pts []monoclass.Point, requests, concurrency, clientBatc
 				case http.StatusTooManyRequests:
 					rejected.Add(1)
 				default:
-					errors.Add(1)
-					firstErr.CompareAndSwap(nil, fmt.Errorf("%s%s: status %d", url, path, resp.StatusCode))
+					fail(fmt.Errorf("%s%s: status %d", url, path, resp.StatusCode))
 				}
 				if learnEvery > 0 && i%learnEvery == learnEvery-1 {
 					lb := learnBodies[idx%len(learnBodies)]
 					learnReqs.Add(1)
 					resp, err := client.Post(url+"/learn", "application/json", strings.NewReader(string(lb)))
 					if err != nil {
-						errors.Add(1)
-						firstErr.CompareAndSwap(nil, err)
+						fail(err)
 						continue
 					}
 					io.Copy(io.Discard, resp.Body)
@@ -615,7 +627,7 @@ func replay(url string, pts []monoclass.Point, requests, concurrency, clientBatc
 					case http.StatusTooManyRequests:
 						learnRej.Add(1)
 					default:
-						errors.Add(1)
+						fail(fmt.Errorf("%s/learn: status %d", url, resp.StatusCode))
 					}
 				}
 			}
@@ -628,9 +640,8 @@ func replay(url string, pts []monoclass.Point, requests, concurrency, clientBatc
 	elapsed := time.Since(start)
 
 	if len(all) == 0 {
-		err, _ := firstErr.Load().(error)
 		return nil, fmt.Errorf("no request succeeded (%d rejected, %d errors, first error: %v)",
-			rejected.Load(), errors.Load(), err)
+			rejected.Load(), errors.Load(), firstErr)
 	}
 	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
 	q := func(p float64) float64 {
@@ -658,6 +669,7 @@ func replay(url string, pts []monoclass.Point, requests, concurrency, clientBatc
 		LearnAccepted: learnAcc.Load(),
 		LearnRejected: learnRej.Load(),
 	}
+	row.firstErr = firstErr
 	if srv != nil {
 		resp, err := http.Get(url + "/stats")
 		if err == nil {

@@ -3,9 +3,13 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -27,7 +31,7 @@ func TestRunWritesReport(t *testing.T) {
 		noise:       0.1,
 		requests:    200,
 		concurrency: 8,
-		configs:     "1x0s,16x1ms",
+		configs:     "1,16",
 	}
 	if err := run(opt, &log); err != nil {
 		t.Fatalf("run: %v\n%s", err, log.String())
@@ -82,7 +86,7 @@ func TestRunQuickCapsWork(t *testing.T) {
 		n:           1 << 20, // clamped to 1024
 		requests:    1 << 20, // clamped to 2000
 		concurrency: 4,
-		configs:     "4x500us",
+		configs:     "4",
 	}
 	var log bytes.Buffer
 	start := time.Now()
@@ -109,40 +113,45 @@ func TestRunQuickCapsWork(t *testing.T) {
 }
 
 func TestParseConfigs(t *testing.T) {
-	got, err := parseConfigs(" 1x0s, 32x2ms ,8x-5ms,b512, 32x2ms@2 ,b64@3,b512@2+r2,16x1ms+r3")
+	got, err := parseConfigs(" 1, 32 ,b512, 32@2 ,b64@3,b512@2+r2,16+r3")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 8 {
-		t.Fatalf("got %d configs, want 8", len(got))
+	if len(got) != 7 {
+		t.Fatalf("got %d configs, want 7", len(got))
 	}
-	if got[0].batcher.MaxBatch != 1 || got[0].batcher.MaxWait != -1 {
-		t.Errorf("1x0s → %+v, want greedy", got[0])
+	if got[0].batcher.MaxBatch != 1 || got[0].clientBatch != 0 || got[0].spec != "1" {
+		t.Errorf("1 → %+v", got[0])
 	}
-	if got[1].batcher.MaxBatch != 32 || got[1].batcher.MaxWait != 2*time.Millisecond {
-		t.Errorf("32x2ms → %+v", got[1])
+	if got[1].batcher.MaxBatch != 32 || got[1].procs != 0 {
+		t.Errorf("32 → %+v", got[1])
 	}
-	if got[2].batcher.MaxWait != -1 {
-		t.Errorf("negative wait %+v not normalized to greedy", got[2])
+	if got[2].clientBatch != 512 || got[2].procs != 0 {
+		t.Errorf("b512 → %+v", got[2])
 	}
-	if got[3].clientBatch != 512 || got[3].procs != 0 {
-		t.Errorf("b512 → %+v", got[3])
+	if got[3].batcher.MaxBatch != 32 || got[3].procs != 2 || got[3].clientBatch != 0 {
+		t.Errorf("32@2 → %+v", got[3])
 	}
-	if got[4].batcher.MaxBatch != 32 || got[4].procs != 2 || got[4].clientBatch != 0 {
-		t.Errorf("32x2ms@2 → %+v", got[4])
+	if got[4].clientBatch != 64 || got[4].procs != 3 {
+		t.Errorf("b64@3 → %+v", got[4])
 	}
-	if got[5].clientBatch != 64 || got[5].procs != 3 {
-		t.Errorf("b64@3 → %+v", got[5])
+	if got[5].clientBatch != 512 || got[5].procs != 2 || got[5].replicas != 2 {
+		t.Errorf("b512@2+r2 → %+v", got[5])
 	}
-	if got[6].clientBatch != 512 || got[6].procs != 2 || got[6].replicas != 2 {
-		t.Errorf("b512@2+r2 → %+v", got[6])
+	if got[6].batcher.MaxBatch != 16 || got[6].procs != 0 || got[6].replicas != 3 {
+		t.Errorf("16+r3 → %+v", got[6])
 	}
-	if got[7].batcher.MaxBatch != 16 || got[7].procs != 0 || got[7].replicas != 3 {
-		t.Errorf("16x1ms+r3 → %+v", got[7])
-	}
-	for _, bad := range []string{"", "x2ms", "0x2ms", "3x", "3xbogus", "-1x2ms", "b0", "bx", "32x2ms@0", "b512@x", "b512+r1", "b512+rx", "+r2"} {
+	for _, bad := range []string{"", "0", "-1", "3.5", "bogus", "b0", "bx", "32@0", "b512@x", "b512+r1", "b512+rx", "+r2"} {
 		if _, err := parseConfigs(bad); err == nil {
 			t.Errorf("parseConfigs(%q) accepted", bad)
+		}
+	}
+	// The retired MAXBATCHxMAXWAIT form is refused with a pointer to
+	// the form that replaced it.
+	for _, old := range []string{"32x2ms", "1x0s", "32x2ms@2", "16x1ms+r3"} {
+		_, err := parseConfigs(old)
+		if err == nil || !strings.Contains(err.Error(), "MAXBATCH[@PROCS][+rN]") {
+			t.Errorf("parseConfigs(%q) = %v, want an error naming MAXBATCH[@PROCS][+rN]", old, err)
 		}
 	}
 }
@@ -183,7 +192,7 @@ func TestRunClientBatch(t *testing.T) {
 	if row.ClientBatch != 64 || row.GOMAXPROCS != 1 {
 		t.Errorf("row %+v lost client_batch/gomaxprocs", row)
 	}
-	if row.MaxBatch != 0 || row.MaxWaitMillis != 0 {
+	if row.MaxBatch != 0 {
 		t.Errorf("client-batch row %+v reports server batching", row)
 	}
 	if row.Requests != 512 || row.Errors != 0 || row.ThroughputRPS <= 0 {
@@ -245,10 +254,68 @@ func TestRunReplicaRow(t *testing.T) {
 }
 
 func TestRunRejectsBadFlags(t *testing.T) {
-	if err := run(options{kind: "nope", configs: "1x0s", out: os.DevNull}, &bytes.Buffer{}); err == nil {
+	if err := run(options{kind: "nope", configs: "1", out: os.DevNull}, &bytes.Buffer{}); err == nil {
 		t.Error("unknown kind accepted")
 	}
 	if err := run(options{kind: "1d", n: 8, configs: "garbage", out: os.DevNull}, &bytes.Buffer{}); err == nil {
 		t.Error("garbage configs accepted")
+	}
+}
+
+// TestRunFailsOnErrors: a row with failed requests fails the run once
+// the report is written; 429s alone are reported but not fatal. One
+// client makes the answer sequence deterministic; status 0 drops the
+// connection, a transport error of another type than a bad status.
+func TestRunFailsOnErrors(t *testing.T) {
+	testutil.CheckGoroutines(t)
+	for _, tc := range []struct {
+		name                     string
+		statuses                 []int // answered in turn, call after call
+		wantErrors, wantRejected int64
+	}{
+		{"server errors", []int{200, 500}, 20, 0},
+		{"load shedding", []int{200, 429}, 0, 20},
+		{"mixed failures", []int{0, 500, 200}, 27, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var calls atomic.Int64
+			hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				io.Copy(io.Discard, r.Body)
+				switch status := tc.statuses[(calls.Add(1)-1)%int64(len(tc.statuses))]; status {
+				case 0:
+					conn, _, err := w.(http.Hijacker).Hijack()
+					if err == nil {
+						conn.Close()
+					}
+				case 200:
+					io.WriteString(w, `{"label":0,"version":1}`)
+				default:
+					w.WriteHeader(status)
+				}
+			}))
+			defer hs.Close()
+			out := filepath.Join(t.TempDir(), "bench.json")
+			err := run(options{
+				out: out, seed: 1, kind: "1d", n: 64,
+				requests: 40, concurrency: 1, configs: "1", url: hs.URL,
+			}, &bytes.Buffer{})
+			if tc.wantErrors > 0 && (err == nil || !strings.Contains(err.Error(), "requests failed")) {
+				t.Errorf("run = %v, want a failure naming the failed requests", err)
+			}
+			if tc.wantErrors == 0 && err != nil {
+				t.Errorf("run = %v, want success", err)
+			}
+			raw, rerr := os.ReadFile(out)
+			if rerr != nil {
+				t.Fatalf("report not written: %v", rerr)
+			}
+			var rep report
+			if err := json.Unmarshal(raw, &rep); err != nil {
+				t.Fatal(err)
+			}
+			if row := rep.Rows[0]; row.Errors != tc.wantErrors || row.Rejected != tc.wantRejected {
+				t.Errorf("row errors=%d rejected=%d, want %d and %d", row.Errors, row.Rejected, tc.wantErrors, tc.wantRejected)
+			}
+		})
 	}
 }

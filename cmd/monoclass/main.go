@@ -42,8 +42,8 @@
 //
 //	monoclass serve -model model.json [-addr :8080]
 //	monoclass serve -in data.csv [-addr :8080]
-//	    Serve the model over HTTP (micro-batched /classify with hot
-//	    swaps via POST /model); with -in, train it first with the
+//	    Serve the model over HTTP (/classify and /classify/batch with
+//	    hot swaps via POST /model); with -in, train it first with the
 //	    passive solver. Thin front-end to cmd/monoserve's engine.
 package main
 
@@ -442,8 +442,7 @@ func runServe(args []string) error {
 	model := fs.String("model", "", "trained model JSON to serve")
 	in := fs.String("in", "", "labeled CSV to train on (passive solver) when no -model is given")
 	addr := fs.String("addr", ":8080", "listen address (127.0.0.1:0 for an ephemeral port)")
-	maxBatch := fs.Int("max-batch", 32, "largest micro-batch dispatched to the classifier")
-	maxWait := fs.Duration("max-wait", 2*time.Millisecond, "longest an under-full batch is held open (negative: greedy)")
+	maxBatch := fs.Int("max-batch", 32, "largest batch a worker takes from the queued backlog")
 	queue := fs.Int("queue", 1024, "bounded intake queue capacity")
 	spotAudit := fs.Bool("spot-audit", false, "re-check monotonicity of candidate models before promotion")
 	fs.Parse(args)
@@ -476,7 +475,7 @@ func runServe(args []string) error {
 	}
 
 	cfg := monoclass.ServeConfig{
-		Batch: monoclass.BatcherConfig{MaxBatch: *maxBatch, MaxWait: *maxWait, QueueCap: *queue},
+		Batch: monoclass.BatcherConfig{MaxBatch: *maxBatch, QueueCap: *queue},
 	}
 	if *spotAudit {
 		cfg.Audit = monoclass.SpotAudit(nil)

@@ -1,12 +1,12 @@
 // Command monoserve runs the monotone-classification HTTP service: it
 // loads a trained anchor model (written by `monoclass passive -save`
-// or `monoclass active -save`) and serves micro-batched classify
-// traffic with hot model swaps.
+// or `monoclass active -save`) and serves classify traffic with hot
+// model swaps.
 //
 // Usage:
 //
 //	monoserve -model model.json [-addr :8080] [-max-batch 32]
-//	          [-max-wait 2ms] [-queue 1024] [-workers N]
+//	          [-queue 1024] [-workers N]
 //	          [-holdout data.csv -max-werr 120] [-spot-audit]
 //	          [-learn] [-train data.csv] [-rebuild-every 64]
 //	          [-max-drift W] [-learn-queue 1024] [-no-interim]
@@ -66,8 +66,7 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("monoserve", flag.ExitOnError)
 	model := fs.String("model", "", "trained model JSON (required)")
 	addr := fs.String("addr", ":8080", "listen address (use 127.0.0.1:0 for an ephemeral port)")
-	maxBatch := fs.Int("max-batch", 32, "largest micro-batch dispatched to the classifier")
-	maxWait := fs.Duration("max-wait", 2*time.Millisecond, "longest an under-full batch is held open (negative: dispatch greedily)")
+	maxBatch := fs.Int("max-batch", 32, "largest batch a worker takes from the queued backlog")
 	queue := fs.Int("queue", 1024, "bounded intake queue capacity (backpressure beyond it)")
 	workers := fs.Int("workers", 0, "dispatcher goroutines (0: GOMAXPROCS)")
 	holdout := fs.String("holdout", "", "labeled CSV; candidate models must fit it within -max-werr to be promoted")
@@ -178,7 +177,6 @@ func run(args []string) error {
 	cfg := monoclass.ServeConfig{
 		Batch: monoclass.BatcherConfig{
 			MaxBatch: *maxBatch,
-			MaxWait:  *maxWait,
 			QueueCap: *queue,
 			Workers:  *workers,
 		},

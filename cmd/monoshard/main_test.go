@@ -46,7 +46,7 @@ func startFleet(t *testing.T, n int) []string {
 	urls := make([]string, n)
 	for i := range urls {
 		srv, err := monoclass.NewServer(sol.Classifier, monoclass.ServeConfig{
-			Batch: monoclass.BatcherConfig{MaxBatch: 8, MaxWait: -1, QueueCap: 256},
+			Batch: monoclass.BatcherConfig{MaxBatch: 8, QueueCap: 256},
 		})
 		if err != nil {
 			t.Fatal(err)

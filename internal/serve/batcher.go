@@ -5,7 +5,6 @@ import (
 	"errors"
 	"runtime"
 	"sync"
-	"time"
 
 	"monoclass/internal/classifier"
 	"monoclass/internal/geom"
@@ -26,17 +25,12 @@ var (
 // batch is classified by the same model version.
 type Source func() (classifier.Classifier, int64)
 
-// BatcherConfig tunes the micro-batching pipeline. The zero value
-// gets sensible defaults from normalize.
+// BatcherConfig tunes the dispatch pipeline. The zero value gets
+// sensible defaults from normalize.
 type BatcherConfig struct {
 	// MaxBatch is the largest batch dispatched to the classifier
 	// (default 32).
 	MaxBatch int
-	// MaxWait bounds how long the dispatcher holds an under-full batch
-	// open waiting for more requests (default 2ms). A negative value
-	// selects greedy mode: take whatever is already queued and dispatch
-	// immediately.
-	MaxWait time.Duration
 	// QueueCap bounds the intake queue; Submit fails fast with
 	// ErrQueueFull beyond it (default 1024).
 	QueueCap int
@@ -49,11 +43,6 @@ type BatcherConfig struct {
 func (c *BatcherConfig) normalize() {
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 32
-	}
-	if c.MaxWait == 0 {
-		c.MaxWait = 2 * time.Millisecond
-	} else if c.MaxWait < 0 {
-		c.MaxWait = -1 // greedy
 	}
 	if c.QueueCap <= 0 {
 		c.QueueCap = 1024
@@ -77,17 +66,18 @@ type request struct {
 	resp chan Result
 }
 
-// Batcher coalesces single-point classification requests into batches.
-// Amortizing the snapshot load and scheduling across a batch is what
-// lets the service keep throughput under swap storms: the hot path per
-// batch is one atomic snapshot read plus a tight classify loop.
+// Batcher dispatches single-point classification requests on arrival.
+// A worker never waits for company: it takes the first request plus
+// whatever else is already queued, so a lone request is answered at
+// once and batches form only from a backlog that built up while every
+// worker was busy. The hot path per batch is one atomic snapshot read
+// plus a tight classify loop.
 type Batcher struct {
 	cfg   BatcherConfig
 	src   Source
 	stats *Stats
 
 	queue chan *request
-	stop  chan struct{} // closed by Close; workers drain then exit
 	done  chan struct{} // closed when the last worker exits
 	// mu guards the Submit-vs-Close race: Submit sends on queue only
 	// while closed=false under the read lock, so Close can safely close
@@ -105,7 +95,6 @@ func NewBatcher(src Source, cfg BatcherConfig, stats *Stats) *Batcher {
 		src:   src,
 		stats: stats,
 		queue: make(chan *request, cfg.QueueCap),
-		stop:  make(chan struct{}),
 		done:  make(chan struct{}),
 	}
 	var wg sync.WaitGroup
@@ -171,13 +160,12 @@ func (b *Batcher) Close() {
 	// No Submit can be sending now (they check closed under RLock while
 	// holding the send), so closing queue is safe; workers drain the
 	// buffered remainder before exiting.
-	close(b.stop)
 	close(b.queue)
 	<-b.done
 }
 
-// worker is one dispatcher loop: block for a first request, hold the
-// batch open for up to MaxWait (or until MaxBatch), classify against a
+// worker is one dispatcher loop: block for a first request, take
+// whatever else is already queued (up to MaxBatch), classify against a
 // single snapshot, reply. Multi-point batches route through the
 // model's batch kernel (classifier.BatchClassifier) when it has one;
 // the worker-local pts/labels scratch keeps the hot loop allocation
@@ -186,51 +174,24 @@ func (b *Batcher) worker() {
 	batch := make([]*request, 0, b.cfg.MaxBatch)
 	pts := make([]geom.Point, 0, b.cfg.MaxBatch)
 	labels := make([]geom.Label, b.cfg.MaxBatch)
-	var timer *time.Timer
 	for {
 		first, ok := <-b.queue
 		if !ok {
 			return
 		}
 		batch = append(batch[:0], first)
-
-		if b.cfg.MaxWait > 0 {
-			timer = time.NewTimer(b.cfg.MaxWait)
-		}
 	fill:
 		for len(batch) < b.cfg.MaxBatch {
-			if b.cfg.MaxWait <= 0 {
-				// Greedy mode: only take what is already queued.
-				select {
-				case r, ok := <-b.queue:
-					if !ok {
-						break fill
-					}
-					batch = append(batch, r)
-				default:
-					break fill
-				}
-				continue
-			}
 			select {
 			case r, ok := <-b.queue:
 				if !ok {
 					break fill
 				}
 				batch = append(batch, r)
-			case <-timer.C:
-				timer = nil // fired and drained; nothing to stop below
-				break fill
-			case <-b.stop:
-				// Shutdown: stop waiting for stragglers, flush what we
-				// have, then keep draining the closed queue.
+			default:
 				break fill
 			}
 		}
-		if timer != nil && !timer.Stop() {
-			<-timer.C
-		}
-		timer = nil
 
 		h, version := b.src()
 		if b.stats != nil {

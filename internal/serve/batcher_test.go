@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -27,7 +28,7 @@ func (f funcClassifier) Classify(p geom.Point) geom.Label { return f(p) }
 func TestBatcherClassifiesCorrectly(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	h := thresholdModel(t, 5)
-	b := NewBatcher(fixedSource(h, 7), BatcherConfig{MaxBatch: 4, MaxWait: time.Millisecond}, nil)
+	b := NewBatcher(fixedSource(h, 7), BatcherConfig{MaxBatch: 4}, nil)
 	defer b.Close()
 	for _, tc := range []struct {
 		x    float64
@@ -61,7 +62,7 @@ func TestBatcherCoalesces(t *testing.T) {
 		return geom.Negative
 	})
 	b := NewBatcher(fixedSource(h, 1), BatcherConfig{
-		MaxBatch: 8, MaxWait: 5 * time.Millisecond, QueueCap: 64, Workers: 1,
+		MaxBatch: 8, QueueCap: 64, Workers: 1,
 	}, stats)
 	defer b.Close()
 
@@ -72,8 +73,8 @@ func TestBatcherCoalesces(t *testing.T) {
 			t.Errorf("Submit: %v", err)
 		}
 	}
-	// Plug: the queue is empty when the worker picks this up, so after
-	// MaxWait it classifies a batch of exactly 1 and parks on release.
+	// Plug: the queue is empty when the worker picks this up, so it
+	// classifies a batch of exactly 1 and parks on release.
 	wg.Add(1)
 	go submit()
 	<-started
@@ -110,86 +111,137 @@ func TestBatcherCoalesces(t *testing.T) {
 	}
 }
 
+// kernelCounter wraps a model and counts its batch-kernel calls.
+type kernelCounter struct {
+	*classifier.AnchorSet
+	calls atomic.Int64
+}
+
+func (k *kernelCounter) ClassifyBatchInto(dst []geom.Label, pts []geom.Point) {
+	k.calls.Add(1)
+	k.AnchorSet.ClassifyBatchInto(dst, pts)
+}
+
 // TestBatcherBatchKernel: when the model implements
 // classifier.BatchClassifier (AnchorSet does), a coalesced batch must
-// be scored through the batch kernel with per-slot answers intact. A
-// generous MaxWait lets the single worker gather the full batch.
+// be scored through the batch kernel with per-slot answers intact. The
+// source parks the single worker on its first read, so a full batch
+// queues up behind that plug request.
 func TestBatcherBatchKernel(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	stats := &Stats{}
-	h := thresholdModel(t, 5)
+	h := &kernelCounter{AnchorSet: thresholdModel(t, 5)}
+	release := make(chan struct{})
+	parked := make(chan struct{})
+	var once sync.Once
+	src := func() (classifier.Classifier, int64) {
+		once.Do(func() {
+			close(parked)
+			<-release
+		})
+		return h, 3
+	}
 	const n = 8
-	b := NewBatcher(fixedSource(h, 3), BatcherConfig{
-		MaxBatch: n, MaxWait: time.Second, QueueCap: 64, Workers: 1,
-	}, stats)
+	b := NewBatcher(src, BatcherConfig{MaxBatch: n, QueueCap: 64, Workers: 1}, stats)
 	defer b.Close()
+	unpark := sync.OnceFunc(func() { close(release) })
+	defer unpark()
+
+	var wg sync.WaitGroup
+	submit := func(x float64) {
+		defer wg.Done()
+		res, err := b.Submit(context.Background(), geom.Point{x})
+		if err != nil {
+			t.Errorf("Submit(%g): %v", x, err)
+			return
+		}
+		if want := h.Classify(geom.Point{x}); res.Label != want || res.Version != 3 {
+			t.Errorf("Submit(%g) = (%v, v%d), want (%v, v3)", x, res.Label, res.Version, want)
+		}
+	}
+	wg.Add(1)
+	go submit(1)
+	<-parked
 
 	xs := []float64{4.9, 5, 100, -3, 5.1, 0, 4.999, 7}
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(x float64) {
-			defer wg.Done()
-			res, err := b.Submit(context.Background(), geom.Point{x})
-			if err != nil {
-				t.Errorf("Submit(%g): %v", x, err)
-				return
-			}
-			if want := h.Classify(geom.Point{x}); res.Label != want || res.Version != 3 {
-				t.Errorf("Submit(%g) = (%v, v%d), want (%v, v3)", x, res.Label, res.Version, want)
-			}
-		}(xs[i])
+	wg.Add(n)
+	for _, x := range xs {
+		go submit(x)
 	}
+	deadline := time.Now().Add(5 * time.Second)
+	for b.QueueDepth() < n && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if b.QueueDepth() != n {
+		t.Fatalf("queue depth = %d, want %d", b.QueueDepth(), n)
+	}
+	unpark()
 	wg.Wait()
 
 	var snap StatsSnapshot
 	stats.snapshotCounters(&snap)
-	if snap.BatchPoints != n {
-		t.Errorf("batch points = %d, want %d", snap.BatchPoints, n)
+	if snap.BatchPoints != n+1 || snap.BatchSizeHist["1"] != 1 || snap.BatchSizeHist["8"] != 1 {
+		t.Errorf("batch points %d, histogram %v; want %d points as {1:1 8:1}", snap.BatchPoints, snap.BatchSizeHist, n+1)
 	}
-	// All n submitters were in flight before the first dispatch could
-	// complete its MaxWait gather, so at least one batch coalesced —
-	// that batch went through ClassifyBatchInto.
-	if snap.Batches >= n {
-		t.Errorf("batches = %d (hist %v): nothing coalesced, kernel path never ran", snap.Batches, snap.BatchSizeHist)
+	// The plug went through Classify; the backlog batch is the one
+	// kernel call.
+	if got := h.calls.Load(); got != 1 {
+		t.Errorf("batch kernel calls = %d, want 1", got)
 	}
 }
 
-// TestBatcherMaxWaitFires: a lone request must not wait for a full
-// batch — the MaxWait timer has to flush it.
-func TestBatcherMaxWaitFires(t *testing.T) {
+// TestBatcherLoneRequest: a worker never holds a request back for
+// company, so a lone Submit at MaxBatch 1024 is answered as a batch of
+// one.
+func TestBatcherLoneRequest(t *testing.T) {
 	testutil.CheckGoroutines(t)
-	b := NewBatcher(fixedSource(thresholdModel(t, 0), 1), BatcherConfig{
-		MaxBatch: 1024, MaxWait: 10 * time.Millisecond, Workers: 1,
-	}, nil)
+	stats := &Stats{}
+	b := NewBatcher(fixedSource(thresholdModel(t, 0), 1), BatcherConfig{MaxBatch: 1024, Workers: 1}, stats)
 	defer b.Close()
-	start := time.Now()
-	if _, err := b.Submit(context.Background(), geom.Point{1}); err != nil {
+	res, err := b.Submit(context.Background(), geom.Point{1})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if elapsed := time.Since(start); elapsed > 3*time.Second {
-		t.Errorf("lone request took %s; MaxWait timer did not fire", elapsed)
+	if res.Label != geom.Positive {
+		t.Errorf("Submit(1) = %v, want positive", res.Label)
+	}
+	var snap StatsSnapshot
+	stats.snapshotCounters(&snap)
+	if snap.Batches != 1 || len(snap.BatchSizeHist) != 1 || snap.BatchSizeHist["1"] != 1 {
+		t.Errorf("batches %d, histogram %v; want {1:1}", snap.Batches, snap.BatchSizeHist)
 	}
 }
 
+// TestBatcherQueueFull: with the worker parked on a plug request and
+// the queue full, the next Submit must be rejected, not block. The
+// plug is taken off the queue before the backlog is sent, so the
+// backlog fits exactly.
 func TestBatcherQueueFull(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	release := make(chan struct{})
-	h := funcClassifier(func(geom.Point) geom.Label { <-release; return geom.Negative })
+	started := make(chan struct{})
+	var once sync.Once
+	h := funcClassifier(func(geom.Point) geom.Label {
+		once.Do(func() { close(started) })
+		<-release
+		return geom.Negative
+	})
 	b := NewBatcher(fixedSource(h, 1), BatcherConfig{
-		MaxBatch: 1, MaxWait: 0, QueueCap: 2, Workers: 1,
+		MaxBatch: 1, QueueCap: 2, Workers: 1,
 	}, nil)
 	defer b.Close()
+	unpark := sync.OnceFunc(func() { close(release) })
+	defer unpark()
 
-	// One request occupies the worker; two fill the queue; the next
-	// must be rejected, not block.
 	results := make(chan error, 3)
-	for i := 0; i < 3; i++ {
-		go func() {
-			_, err := b.Submit(context.Background(), geom.Point{0})
-			results <- err
-		}()
+	submit := func() {
+		_, err := b.Submit(context.Background(), geom.Point{0})
+		results <- err
 	}
+	go submit()
+	<-started
+	go submit()
+	go submit()
 	deadline := time.Now().Add(5 * time.Second)
 	for b.QueueDepth() < 2 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
@@ -200,7 +252,7 @@ func TestBatcherQueueFull(t *testing.T) {
 	if _, err := b.Submit(context.Background(), geom.Point{0}); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("overflow Submit returned %v, want ErrQueueFull", err)
 	}
-	close(release)
+	unpark()
 	for i := 0; i < 3; i++ {
 		if err := <-results; err != nil {
 			t.Errorf("queued Submit failed: %v", err)
@@ -219,7 +271,7 @@ func TestBatcherDrainOnClose(t *testing.T) {
 		return geom.Positive
 	})
 	b := NewBatcher(fixedSource(h, 1), BatcherConfig{
-		MaxBatch: 4, MaxWait: 20 * time.Millisecond, QueueCap: 256, Workers: 2,
+		MaxBatch: 4, QueueCap: 256, Workers: 2,
 	}, nil)
 
 	const n = 100
@@ -267,7 +319,7 @@ func TestBatcherContextCancel(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	release := make(chan struct{})
 	h := funcClassifier(func(geom.Point) geom.Label { <-release; return geom.Negative })
-	b := NewBatcher(fixedSource(h, 1), BatcherConfig{MaxBatch: 1, MaxWait: 0, QueueCap: 8, Workers: 1}, nil)
+	b := NewBatcher(fixedSource(h, 1), BatcherConfig{MaxBatch: 1, QueueCap: 8, Workers: 1}, nil)
 	defer func() {
 		close(release)
 		b.Close()
@@ -295,10 +347,26 @@ func TestBatcherDefaults(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	b := NewBatcher(fixedSource(thresholdModel(t, 0), 1), BatcherConfig{}, nil)
 	defer b.Close()
-	if b.cfg.MaxBatch != 32 || b.cfg.QueueCap != 1024 || b.cfg.Workers < 1 || b.cfg.MaxWait != 2*time.Millisecond {
+	if b.cfg.MaxBatch != 32 || b.cfg.QueueCap != 1024 || b.cfg.Workers != runtime.GOMAXPROCS(0) {
 		t.Errorf("normalized config = %+v", b.cfg)
 	}
 	if _, err := b.Submit(context.Background(), geom.Point{1}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// BenchmarkBatcherSubmit times one lone Submit round trip: enqueue,
+// worker wake-up, a one-point classify and the reply.
+func BenchmarkBatcherSubmit(b *testing.B) {
+	bat := NewBatcher(fixedSource(thresholdModel(b, 5), 1), BatcherConfig{}, nil)
+	defer bat.Close()
+	ctx := context.Background()
+	pt := geom.Point{7}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := bat.Submit(ctx, pt); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

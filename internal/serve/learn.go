@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"strconv"
 
 	"monoclass/internal/classifier"
 	"monoclass/internal/geom"
@@ -125,7 +124,7 @@ func (s *Server) handleLearn(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusAccepted, learnResponse{Accepted: accepted, QueueDepth: s.pipe.QueueDepth()})
 	case errors.Is(err, online.ErrQueueFull):
 		s.stats.AddRejected(len(ds) - accepted)
-		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(s.cfg.Batch.MaxWait)))
+		w.Header().Set("Retry-After", retryAfter)
 		writeJSON(w, http.StatusTooManyRequests, learnResponse{Accepted: accepted, QueueDepth: s.pipe.QueueDepth()})
 	case errors.Is(err, online.ErrClosed):
 		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: err.Error()})

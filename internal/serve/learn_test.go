@@ -179,6 +179,85 @@ func TestLearnDisabled(t *testing.T) {
 	}
 }
 
+// TestLearnBackpressure parks the learner inside a blocking Audit and
+// overfills the delta queue: the overflowing batch must get 429 with
+// "Retry-After: 1", report how many deltas still fit, and count the
+// rest as rejected; the accepted ones are applied once the learner is
+// released.
+func TestLearnBackpressure(t *testing.T) {
+	testutil.CheckGoroutines(t)
+	release := make(chan struct{})
+	parked := make(chan struct{})
+	var once sync.Once
+	audit := func(_, _ *classifier.AnchorSet) error {
+		once.Do(func() {
+			close(parked)
+			<-release
+		})
+		return nil
+	}
+	const queueCap = 4
+	srv, err := NewServer(classifier.ConstNegative(1), Config{
+		Audit:  audit,
+		Online: &OnlineConfig{RebuildEvery: 1, QueueCap: queueCap},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	hs := httptest.NewServer(srv.Handler())
+	defer hs.Close()
+	unpark := sync.OnceFunc(func() { close(release) })
+	defer unpark()
+
+	// The first delta's exact re-solve publishes into the audit, which
+	// parks the learner with that delta taken off the queue.
+	insert := `{"op":"insert","point":[1],"label":1,"weight":1}`
+	if code := postJSON(t, hs.URL+"/learn", `{"deltas":[`+insert+`]}`, nil); code != 202 {
+		t.Fatalf("first /learn status %d, want 202", code)
+	}
+	select {
+	case <-parked:
+	case <-time.After(10 * time.Second):
+		t.Fatal("learner never reached the audit")
+	}
+
+	const sent = queueCap + 2
+	resp, err := http.Post(hs.URL+"/learn", "application/json",
+		strings.NewReader(`{"deltas":[`+strings.TrimSuffix(strings.Repeat(insert+",", sent), ",")+`]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lr learnResponse
+	err = json.NewDecoder(resp.Body).Decode(&lr)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != 429 {
+		t.Fatalf("overflowing /learn status %d, want 429", resp.StatusCode)
+	}
+	if ra := resp.Header.Get("Retry-After"); ra != "1" {
+		t.Errorf("429 with Retry-After %q, want \"1\"", ra)
+	}
+	if lr.Accepted != queueCap || lr.QueueDepth != queueCap {
+		t.Errorf("429 body %+v, want accepted = queue_depth = %d", lr, queueCap)
+	}
+	// /stats reads the updater, which the parked learner holds, so read
+	// the server counters directly.
+	var snap StatsSnapshot
+	srv.stats.snapshotCounters(&snap)
+	if snap.Rejected != sent-queueCap {
+		t.Errorf("rejected counter = %d, want %d", snap.Rejected, sent-queueCap)
+	}
+
+	unpark()
+	st := waitOnlineStats(t, hs.URL, func(o *OnlineStats) bool { return o.Inserts == 1+queueCap && o.QueueDepth == 0 })
+	if st.Inserts != 1+queueCap {
+		t.Errorf("applied %d inserts after release, want %d", st.Inserts, 1+queueCap)
+	}
+}
+
 // TestLearnAuditGate wires a holdout audit that rejects any model
 // mislabeling the holdout: learned promotions that violate it are
 // rejected, the served model stays put, and the rejection is counted
@@ -222,7 +301,7 @@ func TestLearnAuditGate(t *testing.T) {
 func TestLearnChurnStorm(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	srv, err := NewServer(classifier.ConstNegative(2), Config{
-		Batch:  BatcherConfig{MaxBatch: 32, MaxWait: 200 * time.Microsecond, QueueCap: 4096, Workers: 2},
+		Batch:  BatcherConfig{MaxBatch: 32, QueueCap: 4096, Workers: 2},
 		Online: &OnlineConfig{RebuildEvery: 16, QueueCap: 4096},
 	})
 	if err != nil {

@@ -1,6 +1,6 @@
 // Package serve is the online serving layer: a hot-swappable model
-// registry plus a micro-batching HTTP classification service over
-// trained AnchorSet models.
+// registry plus an HTTP classification service over trained AnchorSet
+// models.
 //
 // The registry holds immutable model snapshots behind an
 // atomic.Pointer, so the classify hot path is a single atomic load —
@@ -10,11 +10,12 @@
 // by an audit hook (monotonicity spot-check, holdout error budget)
 // before a candidate model is promoted.
 //
-// The batcher coalesces single-point requests into micro-batches
-// (bounded by MaxBatch and MaxWait), classifies each batch against one
-// snapshot, and applies backpressure by rejecting work when its
-// bounded queue is full. See DESIGN.md §9 for the architecture
-// rationale.
+// The batcher dispatches single-point requests on arrival: a worker
+// takes the first queued request plus whatever else is already
+// waiting (at most MaxBatch), classifies that batch against one
+// snapshot, and never holds a request back for company. Its bounded
+// queue applies backpressure by rejecting work when full. See
+// DESIGN.md §9 for the architecture rationale.
 package serve
 
 import (

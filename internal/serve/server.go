@@ -20,7 +20,7 @@ import (
 // Config tunes a Server. The zero value is serviceable: default
 // batching, no audit gate, 4096-point client batches.
 type Config struct {
-	// Batch configures the micro-batching pipeline.
+	// Batch configures the single-point dispatch pipeline.
 	Batch BatcherConfig
 	// Audit optionally gates POST /model promotions.
 	Audit AuditFunc
@@ -41,8 +41,7 @@ type Config struct {
 }
 
 // Server is the HTTP serving layer: a Registry for hot-swappable
-// models, a Batcher for single-point micro-batching, and JSON
-// endpoints:
+// models, a Batcher for single-point dispatch, and JSON endpoints:
 //
 //	POST /classify        {"point":[...]}          → {"label":L,"version":V}
 //	POST /classify/batch  {"points":[[...],...]}   → {"labels":[...],"version":V}
@@ -53,8 +52,8 @@ type Config struct {
 //	GET  /stats                                    → StatsSnapshot
 //
 // Backpressure: when the batcher queue is full, /classify answers
-// 429 with a Retry-After header instead of queuing unboundedly; the
-// learn queue behaves the same way.
+// 429 with "Retry-After: 1" instead of queuing unboundedly; the learn
+// queue behaves the same way.
 type Server struct {
 	cfg     Config
 	reg     *Registry
@@ -351,7 +350,7 @@ func (s *Server) classifyError(w http.ResponseWriter, r *http.Request, err error
 	switch {
 	case errors.Is(err, ErrQueueFull):
 		s.stats.AddRejected(n)
-		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(s.cfg.Batch.MaxWait)))
+		w.Header().Set("Retry-After", retryAfter)
 		writeJSON(w, http.StatusTooManyRequests, errorResponse{Error: err.Error()})
 	case errors.Is(err, ErrClosed):
 		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: err.Error()})
@@ -364,15 +363,10 @@ func (s *Server) classifyError(w http.ResponseWriter, r *http.Request, err error
 	}
 }
 
-// retryAfterSeconds suggests a backoff of at least one second, scaled
-// to the batching window.
-func retryAfterSeconds(maxWait time.Duration) int {
-	sec := int((maxWait + time.Second - 1) / time.Second)
-	if sec < 1 {
-		sec = 1
-	}
-	return sec
-}
+// retryAfter is the Retry-After value, in seconds, on every 429 (both
+// classify and learn): the shortest nonzero backoff the header can
+// express.
+const retryAfter = "1"
 
 func (s *Server) badRequest(w http.ResponseWriter, msg string) {
 	s.stats.AddBadRequest()

@@ -287,7 +287,7 @@ func TestServerBackpressure(t *testing.T) {
 		return snap.Model, snap.Version
 	}
 	srv.bat.Close()
-	srv.bat = NewBatcher(parkingSrc, BatcherConfig{MaxBatch: 1, MaxWait: -1, QueueCap: 1, Workers: 1}, srv.stats)
+	srv.bat = NewBatcher(parkingSrc, BatcherConfig{MaxBatch: 1, QueueCap: 1, Workers: 1}, srv.stats)
 
 	hs := httptest.NewServer(srv.Handler())
 	defer func() {
@@ -317,7 +317,7 @@ func TestServerBackpressure(t *testing.T) {
 		t.Fatal("second request never queued")
 	}
 
-	// Queue full: this one must be rejected with 429 + Retry-After ≥ 1.
+	// Queue full: this one must be rejected with 429 + Retry-After: 1.
 	resp, err := http.Post(hs.URL+"/classify", "application/json", strings.NewReader(`{"point":[9]}`))
 	if err != nil {
 		t.Fatal(err)
@@ -327,8 +327,8 @@ func TestServerBackpressure(t *testing.T) {
 	if resp.StatusCode != 429 {
 		t.Fatalf("status %d (body %s), want 429", resp.StatusCode, body)
 	}
-	if ra := resp.Header.Get("Retry-After"); ra == "" || ra == "0" {
-		t.Errorf("429 without a positive Retry-After (%q)", ra)
+	if ra := resp.Header.Get("Retry-After"); ra != "1" {
+		t.Errorf("429 with Retry-After %q, want \"1\"", ra)
 	}
 
 	close(release)

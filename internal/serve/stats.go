@@ -33,7 +33,7 @@ type Stats struct {
 	requests    atomic.Int64 // points accepted for classification
 	rejected    atomic.Int64 // points turned away with 429 (queue full)
 	badRequests atomic.Int64 // malformed/oversized requests (4xx other than 429)
-	batches     atomic.Int64 // dispatched batches (micro-batcher + client batches)
+	batches     atomic.Int64 // dispatched batches (batcher + client batches)
 	batchPoints atomic.Int64 // points across all dispatched batches
 	hist        [histBuckets]atomic.Int64
 }

@@ -10,8 +10,8 @@ import (
 	"monoclass/internal/serve"
 )
 
-// Serving layer: a hot-swappable model registry plus a micro-batching
-// HTTP classification service (see internal/serve and DESIGN.md §9).
+// Serving layer: a hot-swappable model registry plus an HTTP
+// classification service (see internal/serve and DESIGN.md §9).
 // These aliases re-export the engine types so applications can embed
 // the server without importing internal packages.
 type (
@@ -23,11 +23,11 @@ type (
 	ModelSnapshot = serve.Snapshot
 	// AuditFunc gates model promotion; see SpotAudit and HoldoutAudit.
 	AuditFunc = serve.AuditFunc
-	// Server is the micro-batching HTTP classification service.
+	// Server is the HTTP classification service.
 	Server = serve.Server
 	// ServeConfig tunes the server (batching, audit gate, limits).
 	ServeConfig = serve.Config
-	// BatcherConfig tunes the micro-batching pipeline.
+	// BatcherConfig tunes the single-point dispatch pipeline.
 	BatcherConfig = serve.BatcherConfig
 	// ServeStats is the JSON shape of the /stats endpoint.
 	ServeStats = serve.StatsSnapshot

@@ -25,7 +25,7 @@ func TestServeWrappers(t *testing.T) {
 
 	srv, err := monoclass.NewServer(sol.Classifier, monoclass.ServeConfig{
 		Audit: monoclass.SpotAudit(nil),
-		Batch: monoclass.BatcherConfig{MaxBatch: 8, MaxWait: time.Millisecond},
+		Batch: monoclass.BatcherConfig{MaxBatch: 8},
 	})
 	if err != nil {
 		t.Fatal(err)
