@@ -17,6 +17,7 @@
 #   make loc               count non-test Go lines (the size ROADMAP tracks)
 #   make fuzz-online       short fuzz pass over the online delta intake
 #   make fuzz-problem      short fuzz pass over problem deserialization
+#   make fuzz-serve        short differential fuzz of the classify wire codec
 #   make serve-stress      long hot-swap/soak stress of the serving layer
 #   make verify            everything CI gates on, in order
 #   make verify-full       verify + the benchmark regenerations
@@ -24,7 +25,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: all build vet test race conformance conformance-long conformance-mutate bench-domkernel bench-maxflow bench-classify bench-serve bench-shard bench-online bench-problem profile-prepare ci-smoke loc fuzz-online fuzz-problem serve-stress verify verify-full clean
+.PHONY: all build vet test race conformance conformance-long conformance-mutate bench-domkernel bench-maxflow bench-classify bench-serve bench-shard bench-online bench-problem profile-prepare ci-smoke loc fuzz-online fuzz-problem fuzz-serve serve-stress verify verify-full clean
 
 all: check
 
@@ -169,6 +170,12 @@ fuzz-online:
 # survives a second round trip bit-for-bit.
 fuzz-problem:
 	$(GO) test -run FuzzProblemRoundTrip -fuzz FuzzProblemRoundTrip -fuzztime 30s ./internal/problem
+
+# Differential fuzz of the classify wire codec against encoding/json:
+# the same accepted bodies (bar null coordinates and trailing data, which
+# the codec rejects), bit-identical points, byte-identical responses.
+fuzz-serve:
+	$(GO) test -run FuzzClassifyWire -fuzz FuzzClassifyWire -fuzztime 30s ./internal/serve
 
 # Heavier serving-layer adversarial pass: the hot-swap storm and HTTP
 # soak tests with boosted iteration counts, under the race detector.

@@ -30,6 +30,8 @@ func FuzzModelRoundTrip(f *testing.F) {
 	f.Add(`{"format":"monoclass-anchors","version":1,"dim":2,"anchors":[[4,16],[4,16]]}`)
 	f.Add(`{"format":"monoclass-anchors","version":2,"dim":1,"anchors":[[0]]}`)
 	f.Add(`{"format":"monoclass-anchors","version":1,"dim":2,"anchors":[[1,"nan"]]}`)
+	f.Add(`{"format":"monoclass-anchors","version":1,"dim":2,"anchors":[[1,null]]}`)
+	f.Add(figure1ModelJSON + `{"format":"monoclass-anchors"}`)
 	f.Add(`{"format":"monoclass-anchors","version":1,"dim":2,"anchors":[[1],[2,3]]}`)
 	f.Add(`{"format":"monoclass-anchors","version":1,"dim":-1,"anchors":[]}`)
 	f.Add(`{"format":"evil","version":1,"dim":1,"anchors":[[0]]}`)

@@ -37,8 +37,12 @@ func (c jsonCoor) MarshalJSON() ([]byte, error) {
 	}
 }
 
-// UnmarshalJSON implements json.Unmarshaler.
+// UnmarshalJSON implements json.Unmarshaler. A null coordinate is an
+// error: decoding it into a float64 would leave 0 in its place.
 func (c *jsonCoor) UnmarshalJSON(data []byte) error {
+	if string(data) == "null" {
+		return fmt.Errorf("classifier: null coordinate")
+	}
 	var f float64
 	if err := json.Unmarshal(data, &f); err == nil {
 		c.value = f
@@ -75,12 +79,16 @@ func WriteModel(w io.Writer, h *AnchorSet) error {
 }
 
 // ReadModel deserializes a classifier written by WriteModel,
-// validating format, version, and anchor dimensionality.
+// validating format, version, and anchor dimensionality. Anything but
+// whitespace after the JSON value is an error.
 func ReadModel(r io.Reader) (*AnchorSet, error) {
 	var mf modelFile
 	dec := json.NewDecoder(r)
 	if err := dec.Decode(&mf); err != nil {
 		return nil, fmt.Errorf("classifier: decoding model: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("classifier: data after the model's JSON value")
 	}
 	if mf.Format != "monoclass-anchors" {
 		return nil, fmt.Errorf("classifier: unknown model format %q", mf.Format)

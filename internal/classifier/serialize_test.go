@@ -70,10 +70,13 @@ func TestReadModelRejectsMalformed(t *testing.T) {
 		`{`,
 		`{"format":"other","version":1,"dim":2}`,
 		`{"format":"monoclass-anchors","version":9,"dim":2}`,
-		`{"format":"monoclass-anchors","version":1,"dim":2,"anchors":[[1]]}`,     // wrong anchor dim
-		`{"format":"monoclass-anchors","version":1,"dim":0,"anchors":[]}`,        // bad dim
-		`{"format":"monoclass-anchors","version":1,"dim":1,"anchors":[["huh"]]}`, // bad coord string
-		`{"format":"monoclass-anchors","version":1,"dim":1,"anchors":[[{}]]}`,    // bad coord type
+		`{"format":"monoclass-anchors","version":1,"dim":2,"anchors":[[1]]}`,      // wrong anchor dim
+		`{"format":"monoclass-anchors","version":1,"dim":0,"anchors":[]}`,         // bad dim
+		`{"format":"monoclass-anchors","version":1,"dim":1,"anchors":[["huh"]]}`,  // bad coord string
+		`{"format":"monoclass-anchors","version":1,"dim":1,"anchors":[[{}]]}`,     // bad coord type
+		`{"format":"monoclass-anchors","version":1,"dim":2,"anchors":[[1,null]]}`, // null coord, not 0
+		`{"format":"monoclass-anchors","version":1,"dim":1,"anchors":[[1]]} x`,    // trailing data
+		`{"format":"monoclass-anchors","version":1,"dim":1,"anchors":[[1]]}{}`,    // second value
 	}
 	for i, c := range cases {
 		if _, err := ReadModel(strings.NewReader(c)); err == nil {

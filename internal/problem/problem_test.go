@@ -312,6 +312,7 @@ func TestRoundTrip(t *testing.T) {
 
 func TestReadRejectsCorruption(t *testing.T) {
 	ws := randomSet(rand.New(rand.NewSource(13)), 40, 3)
+	ws[0].P[0] = 0
 	p, err := Prepare(ws, Options{Mode: ModeDense})
 	if err != nil {
 		t.Fatalf("Prepare: %v", err)
@@ -327,6 +328,8 @@ func TestReadRejectsCorruption(t *testing.T) {
 		{"version", `"version":1`, `"version":9`},
 		{"mode", `"mode":"dense"`, `"mode":"auto"`},
 		{"label", `"labels":[`, `"labels":[7,`},
+		// Point 0's first coordinate is 0, which null must not read as.
+		{"null coordinate", `"points":[[0,`, `"points":[[null,`},
 	}
 	// One closure bit set in the stored matrix words at a pair the
 	// points do not relate: the blob stays structurally valid
@@ -409,6 +412,7 @@ func FuzzProblemRoundTrip(f *testing.F) {
 	// A stored NaN coordinate must be rejected: the stored chains are
 	// trusted only under a partial order.
 	f.Add([]byte(`{"format":"monoclass-problem","version":1,"mode":"implicit","dim":2,"points":[["nan",0],[1,1]],"labels":[0,1],"weights":[1,1],"chains":[[0],[1]],"width":2,"exact_width":false}`))
+	f.Add([]byte(`{"format":"monoclass-problem","version":1,"mode":"implicit","dim":2,"points":[[null,0],[1,1]],"labels":[0,1],"weights":[1,1],"chains":[[0],[1]],"width":2,"exact_width":false}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, err := Read(bytes.NewReader(data))
 		if err != nil {

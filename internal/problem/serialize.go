@@ -55,7 +55,8 @@ const matrixBlobLimit = 4096
 // jsonCoor wraps a coordinate so ±Inf survives the round trip (same
 // scheme as the model format). "nan" decodes too, so that Read can
 // reject a NaN coordinate by name: it would break the partial order
-// the stored chains are trusted under.
+// the stored chains are trusted under. null is an error: decoding it
+// into a float64 would leave 0 in its place.
 type jsonCoor struct {
 	value float64
 }
@@ -74,6 +75,9 @@ func (c jsonCoor) MarshalJSON() ([]byte, error) {
 
 // UnmarshalJSON implements json.Unmarshaler.
 func (c *jsonCoor) UnmarshalJSON(data []byte) error {
+	if string(data) == "null" {
+		return fmt.Errorf("problem: null coordinate")
+	}
 	var f float64
 	if err := json.Unmarshal(data, &f); err == nil {
 		c.value = f

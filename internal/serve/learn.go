@@ -65,10 +65,24 @@ func (s *Server) Learner() *online.Pipeline { return s.pipe }
 // ---- wire types ----
 
 type learnDelta struct {
-	Op     string    `json:"op"` // "insert" or "delete"
-	Point  []float64 `json:"point"`
-	Label  int       `json:"label"`
-	Weight float64   `json:"weight,omitempty"` // insert only
+	Op     string     `json:"op"` // "insert" or "delete"
+	Point  learnPoint `json:"point"`
+	Label  int        `json:"label"`
+	Weight float64    `json:"weight,omitempty"` // insert only
+}
+
+// learnPoint is a delta's coordinates, parsed by the classify wire
+// codec so that a null coordinate is rejected instead of read as 0.
+type learnPoint geom.Point
+
+// UnmarshalJSON implements json.Unmarshaler.
+func (p *learnPoint) UnmarshalJSON(data []byte) error {
+	d := wireDecoder{b: data}
+	if err := d.point(); err != nil {
+		return err
+	}
+	*p = learnPoint(d.flat)
+	return nil
 }
 
 type learnRequest struct {

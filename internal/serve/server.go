@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"strconv"
@@ -173,24 +174,6 @@ func (s *Server) Close() error {
 
 // ---- wire types ----
 
-type classifyRequest struct {
-	Point []float64 `json:"point"`
-}
-
-type classifyResponse struct {
-	Label   int   `json:"label"`
-	Version int64 `json:"version"`
-}
-
-type batchRequest struct {
-	Points [][]float64 `json:"points"`
-}
-
-type batchResponse struct {
-	Labels  []int `json:"labels"`
-	Version int64 `json:"version"`
-}
-
 type swapResponse struct {
 	Version int64 `json:"version"`
 	Dim     int   `json:"dim"`
@@ -204,12 +187,16 @@ type errorResponse struct {
 // ---- handlers ----
 
 func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
-	var req classifyRequest
-	if !s.decodeJSON(w, r, &req) {
+	body, ok := s.readBody(w, r)
+	if !ok {
 		return
 	}
-	pt, ok := s.checkPoint(w, req.Point)
-	if !ok {
+	pt, err := decodePoint(body)
+	if err != nil {
+		s.badRequest(w, fmt.Sprintf("invalid request body: %v", err))
+		return
+	}
+	if !s.checkPoint(w, pt) {
 		return
 	}
 	res, err := s.bat.Submit(r.Context(), pt)
@@ -218,45 +205,42 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.stats.AddRequests(1)
-	writeJSON(w, http.StatusOK, classifyResponse{Label: int(res.Label), Version: res.Version})
+	writeEncoded(w, appendPointResponse(make([]byte, 0, 48), res.Label, res.Version))
 }
 
 func (s *Server) handleClassifyBatch(w http.ResponseWriter, r *http.Request) {
-	var req batchRequest
-	if !s.decodeJSON(w, r, &req) {
+	body, ok := s.readBody(w, r)
+	if !ok {
 		return
 	}
-	if len(req.Points) == 0 {
+	pts, err := decodeBatch(body, s.cfg.MaxClientBatch)
+	switch {
+	case err == errTooManyPoints:
+		s.stats.AddBadRequest()
+		writeJSON(w, http.StatusRequestEntityTooLarge,
+			errorResponse{Error: fmt.Sprintf("batch exceeds limit %d", s.cfg.MaxClientBatch)})
+		return
+	case err != nil:
+		s.badRequest(w, fmt.Sprintf("invalid request body: %v", err))
+		return
+	case len(pts) == 0:
 		s.badRequest(w, "empty batch")
 		return
 	}
-	if len(req.Points) > s.cfg.MaxClientBatch {
-		s.stats.AddBadRequest()
-		writeJSON(w, http.StatusRequestEntityTooLarge,
-			errorResponse{Error: fmt.Sprintf("batch of %d exceeds limit %d", len(req.Points), s.cfg.MaxClientBatch)})
-		return
-	}
-	pts := make([]geom.Point, len(req.Points))
-	for i, c := range req.Points {
-		pt, ok := s.checkPoint(w, c)
-		if !ok {
+	for _, pt := range pts {
+		if !s.checkPoint(w, pt) {
 			return
 		}
-		pts[i] = pt
 	}
 	// A client batch is already a batch: classify it inline against one
 	// snapshot through the model's batch kernel instead of re-queuing
 	// point by point.
 	snap := s.reg.Snapshot()
-	out := make([]geom.Label, len(pts))
-	snap.Model.ClassifyBatchInto(out, pts)
-	labels := make([]int, len(pts))
-	for i, l := range out {
-		labels[i] = int(l)
-	}
+	labels := make([]geom.Label, len(pts))
+	snap.Model.ClassifyBatchInto(labels, pts)
 	s.stats.ObserveBatch(len(pts))
 	s.stats.AddRequests(len(pts))
-	writeJSON(w, http.StatusOK, batchResponse{Labels: labels, Version: snap.Version})
+	writeEncoded(w, appendBatchResponse(make([]byte, 0, 48+2*len(labels)), labels, snap.Version))
 }
 
 func (s *Server) handleModelGet(w http.ResponseWriter, r *http.Request) {
@@ -322,12 +306,30 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 
 // ---- helpers ----
 
-// decodeJSON parses the body into dst, answering 400 on garbage.
+// readBody buffers a classify request body for the wire codec,
+// answering 400 when it cannot be read or passes MaxBodyBytes.
+func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+	body, err := ReadBody(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), r.ContentLength, s.cfg.MaxBodyBytes)
+	if err != nil {
+		s.badRequest(w, fmt.Sprintf("invalid request body: %v", err))
+		return nil, false
+	}
+	return body, true
+}
+
+// decodeJSON parses the body into dst, answering 400 on garbage or on
+// anything but whitespace after the JSON value.
 func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, dst any) bool {
 	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
+	err := dec.Decode(dst)
+	if err == nil {
+		if _, tail := dec.Token(); tail != io.EOF {
+			err = errors.New("data after the JSON value")
+		}
+	}
+	if err != nil {
 		s.badRequest(w, fmt.Sprintf("invalid request body: %v", err))
 		return false
 	}
@@ -336,12 +338,12 @@ func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, dst any) boo
 
 // checkPoint validates one coordinate vector against the registry
 // dimension, answering 400 on mismatch.
-func (s *Server) checkPoint(w http.ResponseWriter, coords []float64) (geom.Point, bool) {
-	if len(coords) != s.reg.Dim() {
-		s.badRequest(w, fmt.Sprintf("point has dimension %d, model serves dimension %d", len(coords), s.reg.Dim()))
-		return nil, false
+func (s *Server) checkPoint(w http.ResponseWriter, pt geom.Point) bool {
+	if len(pt) != s.reg.Dim() {
+		s.badRequest(w, fmt.Sprintf("point has dimension %d, model serves dimension %d", len(pt), s.reg.Dim()))
+		return false
 	}
-	return geom.Point(coords), true
+	return true
 }
 
 // classifyError maps batcher errors to HTTP statuses; n is how many

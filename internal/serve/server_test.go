@@ -105,7 +105,9 @@ func TestServerClassifyBatch(t *testing.T) {
 
 func TestServerBadRequests(t *testing.T) {
 	testutil.CheckGoroutines(t)
-	srv, hs := newTestServer(t, Config{MaxClientBatch: 4})
+	srv, hs := newTestServer(t, Config{MaxClientBatch: 4, Online: &OnlineConfig{}})
+	model := `{"format":"monoclass-anchors","version":1,"dim":1,"anchors":[[3]]}`
+	learn := `{"deltas":[{"op":"insert","point":[1],"label":1,"weight":1}]}`
 	cases := []struct {
 		name, path, body string
 		wantCode         int
@@ -115,9 +117,22 @@ func TestServerBadRequests(t *testing.T) {
 		{"wrong dim", "/classify", `{"point":[1,2]}`, 400},
 		{"empty point", "/classify", `{"point":[]}`, 400},
 		{"empty batch", "/classify/batch", `{"points":[]}`, 400},
+		{"empty object batch", "/classify/batch", `{}`, 400},
+		{"null batch", "/classify/batch", `{"points":null}`, 400},
 		{"dim mismatch inside batch", "/classify/batch", `{"points":[[1],[1,2]]}`, 400},
 		{"oversized batch", "/classify/batch", `{"points":[[1],[2],[3],[4],[5]]}`, 413},
 		{"model garbage", "/model", `{"format":"nope"}`, 400},
+		// A null coordinate is an error at every JSON ingress, not a 0.
+		{"null coordinate", "/classify", `{"point":[null]}`, 400},
+		{"null coordinate in batch", "/classify/batch", `{"points":[[1],[null]]}`, 400},
+		{"null coordinate in learn", "/learn", `{"deltas":[{"op":"insert","point":[null],"label":1,"weight":1}]}`, 400},
+		{"null coordinate in model", "/model", `{"format":"monoclass-anchors","version":1,"dim":1,"anchors":[[null]]}`, 400},
+		// So is anything but whitespace after the JSON value.
+		{"trailing garbage", "/classify", `{"point":[1]}garbage`, 400},
+		{"trailing garbage in batch", "/classify/batch", `{"points":[[1]]}garbage`, 400},
+		{"second batch object", "/classify/batch", `{"points":[[1]]}{"points":[[0]]}`, 400},
+		{"trailing garbage in learn", "/learn", learn + `garbage`, 400},
+		{"trailing garbage in model", "/model", model + ` {}`, 400},
 	}
 	for _, tc := range cases {
 		var eresp errorResponse
@@ -132,6 +147,16 @@ func TestServerBadRequests(t *testing.T) {
 	getJSON(t, hs.URL+"/stats", &snap)
 	if snap.BadRequests != int64(len(cases)) {
 		t.Errorf("bad_requests = %d, want %d", snap.BadRequests, len(cases))
+	}
+	if snap.Online.Inserts != 0 || snap.Swaps != 0 {
+		t.Errorf("rejected bodies still applied %d inserts and %d swaps", snap.Online.Inserts, snap.Swaps)
+	}
+	// The trailing-data rows differ from accepted bodies only in their
+	// tails.
+	for path, body := range map[string]string{"/classify": `{"point":[1]}` + " \n", "/learn": learn, "/model": model} {
+		if code := postJSON(t, hs.URL+path, body, nil); code/100 != 2 {
+			t.Errorf("POST %s %s: status %d", path, body, code)
+		}
 	}
 	// GET on a POST-only route must 405 under the method-aware mux.
 	resp, err := http.Get(hs.URL + "/classify")

@@ -297,80 +297,22 @@ func (r *Router) probe(i int) (bool, int64) {
 
 // ---- data plane ----
 
-// extractKey pulls the placement key out of a classify body without
-// decoding it in full: a streaming prefix parse stops at the first
-// point (a client batch routes whole to one replica, keyed by its
-// first point, so the response carries one coherent (labels, version)
-// pair exactly as direct serving does). Large batches therefore cost
-// the router one point's decode, not the whole body's — the replica
-// does the strict full parse. A body the router cannot key returns
-// nil, and still gets forwarded (to the strategy's order for the
-// empty point) so the error surface a client sees is the replica's,
-// identical to serving without a router.
-func extractKey(body []byte) geom.Point {
-	dec := json.NewDecoder(bytes.NewReader(body))
-	if t, err := dec.Token(); err != nil || t != json.Delim('{') {
-		return nil
-	}
-	for dec.More() {
-		kt, err := dec.Token()
-		if err != nil {
-			return nil
-		}
-		key, _ := kt.(string)
-		switch key {
-		case "point":
-			var p []float64
-			if dec.Decode(&p) == nil && len(p) > 0 {
-				return p
-			}
-			return nil
-		case "points":
-			if t, err := dec.Token(); err != nil || t != json.Delim('[') {
-				return nil
-			}
-			if !dec.More() {
-				return nil
-			}
-			var p []float64
-			if dec.Decode(&p) == nil && len(p) > 0 {
-				return p
-			}
-			return nil
-		default:
-			var skip json.RawMessage
-			if dec.Decode(&skip) != nil {
-				return nil
-			}
-		}
-	}
-	return nil
-}
-
 // handleData proxies /classify and /classify/batch: buffer the body,
 // key it, walk replicas in placement order (healthy first), pass the
-// first non-faulty response through verbatim.
+// first non-faulty response through verbatim. A client batch routes
+// whole to one replica, keyed by its first point, so the response
+// carries one coherent (labels, version) pair exactly as direct
+// serving does; the key parse reads no further than that point. A body
+// the router cannot key gets a nil key and is still forwarded (to the
+// strategy's order for the empty point), so the error a client sees is
+// the replica's, identical to serving without a router.
 func (r *Router) handleData(w http.ResponseWriter, req *http.Request) {
-	body, err := readBody(http.MaxBytesReader(w, req.Body, r.maxBody), req.ContentLength)
+	body, err := serve.ReadBody(http.MaxBytesReader(w, req.Body, r.maxBody), req.ContentLength, r.maxBody)
 	if err != nil {
 		writeRouterError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("reading body: %v", err))
 		return
 	}
-	r.proxyOrdered(w, req, extractKey(body), body)
-}
-
-// readBody buffers a request/response body, sizing the buffer from the
-// declared length when one is present (io.ReadAll's grow-and-copy is
-// measurable on the per-batch hot path).
-func readBody(rd io.Reader, declared int64) ([]byte, error) {
-	if declared > 0 {
-		buf := bytes.NewBuffer(make([]byte, 0, declared+1))
-		if _, err := buf.ReadFrom(rd); err != nil {
-			return nil, err
-		}
-		return buf.Bytes(), nil
-	}
-	return io.ReadAll(rd)
+	r.proxyOrdered(w, req, serve.FirstPoint(body, req.URL.Path == "/classify/batch"), body)
 }
 
 // proxyOrdered tries replicas in placement order, healthy ones first,
@@ -429,7 +371,7 @@ func (r *Router) forward(ctx context.Context, idx int, path string, body []byte)
 		return 0, nil, nil, err
 	}
 	defer resp.Body.Close()
-	respBody, err := readBody(resp.Body, resp.ContentLength)
+	respBody, err := serve.ReadBody(resp.Body, resp.ContentLength, r.maxBody)
 	if err != nil {
 		return 0, nil, nil, err
 	}
