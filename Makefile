@@ -5,7 +5,6 @@
 #   make conformance       quick differential/metamorphic engine run (CI gate)
 #   make conformance-long  soak run: more trials, larger instances
 #   make conformance-mutate self-test: injected bug must be caught
-#   make bench-domkernel   regenerate BENCH_domkernel.json (kernel vs scalar)
 #   make bench-maxflow     regenerate BENCH_maxflow.json (flow-solver engine)
 #   make bench-classify    regenerate BENCH_classify.json (anchor index vs scalar)
 #   make bench-serve       regenerate BENCH_serve.json (serving layer loadgen)
@@ -25,7 +24,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: all build vet test race conformance conformance-long conformance-mutate bench-domkernel bench-maxflow bench-classify bench-serve bench-shard bench-online bench-problem profile-prepare ci-smoke loc fuzz-online fuzz-problem fuzz-serve serve-stress verify verify-full clean
+.PHONY: all build vet test race conformance conformance-long conformance-mutate bench-maxflow bench-classify bench-serve bench-shard bench-online bench-problem profile-prepare ci-smoke loc fuzz-online fuzz-problem fuzz-serve serve-stress verify verify-full clean
 
 all: check
 
@@ -61,16 +60,6 @@ conformance-long:
 # assert the engine detects, shrinks, and persists a replayable repro.
 conformance-mutate:
 	$(GO) test -tags conformance_mutation -run TestMutation -count=1 ./internal/conformance
-
-# Machine-readable before/after numbers for the bit-packed dominance
-# kernel (cmd/benchtab -domkernel). Takes ~30s; add QUICK=1 for a
-# seconds-scale smoke run that overwrites nothing.
-bench-domkernel:
-ifdef QUICK
-	$(GO) run ./cmd/benchtab -domkernel /tmp/BENCH_domkernel.quick.json -seed 42 -quick
-else
-	$(GO) run ./cmd/benchtab -domkernel BENCH_domkernel.json -seed 42
-endif
 
 # Machine-readable numbers for the CSR flow-solver engine: every
 # registered max-flow solver on passive-construction networks and
@@ -184,7 +173,7 @@ serve-stress:
 
 verify: build vet test race conformance conformance-mutate
 
-verify-full: verify bench-domkernel bench-maxflow bench-classify bench-serve bench-online bench-problem
+verify-full: verify bench-maxflow bench-classify bench-serve bench-online bench-problem
 
 clean:
 	$(GO) clean ./...

@@ -30,7 +30,7 @@ type classifyReport struct {
 	GOARCH      string             `json:"goarch"`
 	NumCPU      int                `json:"num_cpu"`
 	Seed        int64              `json:"seed"`
-	Benchmarks  []domKernelResult  `json:"benchmarks"`
+	Benchmarks  []benchResult      `json:"benchmarks"`
 	Speedups    map[string]float64 `json:"speedups"`
 }
 
@@ -84,7 +84,7 @@ func runClassifyBench(path string, seed int64, quick bool) error {
 		Speedups:    make(map[string]float64),
 	}
 
-	add := func(name string, fn func()) domKernelResult {
+	add := func(name string, fn func()) benchResult {
 		r := timeIt(minTime, minIters, fn)
 		r.Name = name
 		report.Benchmarks = append(report.Benchmarks, r)

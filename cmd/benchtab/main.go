@@ -5,7 +5,6 @@
 // Usage:
 //
 //	benchtab [-quick] [-seed N] [-only E1,E4,F1] [-cpuprofile FILE] [-memprofile FILE]
-//	benchtab -domkernel FILE
 //	benchtab -maxflow FILE
 //	benchtab -classify FILE
 //	benchtab -online FILE
@@ -13,13 +12,11 @@
 //	benchtab -conformance [-trials N] [-long] [-repro-dir DIR]
 //
 // The full run takes a few minutes; -quick shrinks workloads to
-// seconds for smoke testing. -domkernel skips the experiment tables
-// and instead times the bit-packed dominance kernel against its scalar
-// baselines, writing a machine-readable JSON report to FILE (see
-// runDomKernelBench). -maxflow does the same for the flow-solver
-// engine: every registered solver on passive-construction networks
-// and worst-case flow families, plus the workspace zero-allocation
-// re-solve check (see runMaxflowBench). -classify times the anchor
+// seconds for smoke testing. -maxflow skips the experiment tables and
+// instead times the flow-solver engine — every registered solver on
+// passive-construction networks and worst-case flow families, plus the
+// workspace zero-allocation re-solve check — writing a machine-readable
+// JSON report to FILE (see runMaxflowBench). -classify times the anchor
 // classifier's scalar scan against the indexed and batch-kernel paths
 // across a (queries, dimension, anchors) grid (see runClassifyBench).
 // -online times the incremental learner's amortized per-delta cost —
@@ -52,7 +49,6 @@ func main() {
 	quick := flag.Bool("quick", false, "run reduced-scale workloads")
 	seed := flag.Int64("seed", 1, "random seed (tables are reproducible per seed)")
 	only := flag.String("only", "", "comma-separated experiment ids (default: all)")
-	domkernel := flag.String("domkernel", "", "write dominance-kernel benchmark JSON to this file and exit")
 	maxflowOut := flag.String("maxflow", "", "write max-flow solver benchmark JSON to this file and exit")
 	classifyOut := flag.String("classify", "", "write classifier index benchmark JSON to this file and exit")
 	onlineOut := flag.String("online", "", "write online incremental-vs-retrain benchmark JSON to this file and exit")
@@ -97,14 +93,6 @@ func main() {
 
 	if *conf {
 		if err := runConformance(*seed, *trials, *long, *reproDir); err != nil {
-			fmt.Fprintf(os.Stderr, "benchtab: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *domkernel != "" {
-		if err := runDomKernelBench(*domkernel, *seed, *quick); err != nil {
 			fmt.Fprintf(os.Stderr, "benchtab: %v\n", err)
 			os.Exit(1)
 		}

@@ -27,7 +27,7 @@ type maxflowReport struct {
 	GOARCH      string             `json:"goarch"`
 	NumCPU      int                `json:"num_cpu"`
 	Seed        int64              `json:"seed"`
-	Benchmarks  []domKernelResult  `json:"benchmarks"`
+	Benchmarks  []benchResult      `json:"benchmarks"`
 	Speedups    map[string]float64 `json:"speedups"`
 	// WorkspaceResolveAllocs is testing.AllocsPerRun for a
 	// Reset+SolveWith cycle on the largest passive network; the

@@ -31,7 +31,7 @@ type onlineReport struct {
 	N           int                `json:"n"`
 	Dim         int                `json:"dim"`
 	Deltas      int                `json:"deltas"`
-	Benchmarks  []domKernelResult  `json:"benchmarks"`
+	Benchmarks  []benchResult      `json:"benchmarks"`
 	Speedups    map[string]float64 `json:"speedups"`
 }
 
@@ -132,7 +132,7 @@ func runOnlineBench(path string, seed int64, quick bool) error {
 		Speedups:    make(map[string]float64),
 	}
 	add := func(name string, iters int, nsPerDelta float64) {
-		report.Benchmarks = append(report.Benchmarks, domKernelResult{
+		report.Benchmarks = append(report.Benchmarks, benchResult{
 			Name: name, Iterations: iters, NsPerOp: nsPerDelta,
 		})
 		fmt.Printf("%-44s %12d ns/delta  (%d deltas)\n", name, int64(nsPerDelta), iters)

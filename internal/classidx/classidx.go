@@ -36,12 +36,13 @@
 //     anchor sets (m <= tinyAnchors) skip the machinery for a flat
 //     column-blocked scan that beats it on constant factors.
 //
-// The batch kernel (ClassifyBatchInto) sorts the micro-batch along
-// dimension 0 and sweeps that dimension's rank with a galloping
-// pointer, so the dominance work of the first dimension is shared
-// across the whole batch; remaining dimensions fall back to per-point
-// binary search. Scratch comes from a sync.Pool, so steady-state batch
-// classification performs zero allocations.
+// The batch kernel (ClassifyBatchInto) classifies the batch in its
+// given order, carrying the dimension-0 rank from point to point: it
+// gallops forward over ascending runs and restarts with a bounded
+// binary search on descents, so a sorted batch shares the first
+// dimension's work while any other order costs no more than per-point
+// classification; remaining dimensions use per-point binary search.
+// It neither sorts nor allocates, and all its state is local.
 package classidx
 
 import (

@@ -77,10 +77,10 @@ func hasNonFinite(in Instance) bool {
 	return false
 }
 
-// retrainWErr solves the live multiset from scratch through a shared
-// prepared Problem — the same artifact the updater adopts internally,
-// so the differential covers the problem layer too. ok is false when
-// the multiset is empty (nothing to compare against).
+// retrainWErr solves the live multiset from scratch — problem.Prepare
+// with default Options and the default flow solver — the retrain the
+// updater's exact regime must equal. ok is false when the multiset is
+// empty (nothing to compare against).
 func retrainWErr(live []geom.WeightedPoint) (float64, bool, error) {
 	if len(live) == 0 {
 		return 0, false, nil

@@ -24,7 +24,7 @@ type PipelineConfig struct {
 	// MaxBatch caps how many queued deltas the worker coalesces into
 	// one ApplyBatch lock hold (default 256). Coalescing matters under
 	// bursts: the rebuild policy counts deltas, not batches, so one
-	// long lock hold applies many cheap patches between exact solves
+	// long lock hold applies many cheap deltas between exact solves
 	// instead of paying lock churn per delta.
 	MaxBatch int
 }

@@ -1,19 +1,18 @@
 // Package online turns the static passive solver into an incremental
-// learning pipeline (ROADMAP item 2, DESIGN.md §11): an Updater
-// accepts labeled-point deltas (insert/delete), patches the dominance
-// structure in place through domgraph.Dynamic instead of rebuilding
-// the O(dn²) relation, warm-starts exact re-solves from a persistent
-// maxflow.Workspace, and between exact solves maintains a cheap
-// interim model whose weighted error is provably within DriftBound of
-// optimal.
+// learning pipeline (DESIGN.md §11): an Updater accepts labeled-point
+// deltas (insert/delete) over a live multiset, re-solves it exactly
+// every RebuildEvery deltas — a retrain through problem.Prepare, with
+// the flow computed on a persistent maxflow.Workspace — and between
+// exact solves maintains a cheap interim model whose weighted error is
+// provably within DriftBound of optimal.
 //
 // The correctness contract, enforced differentially by the
 // conformance checks and FuzzOnlineTrace: at every step the
 // maintained weighted error equals geom.WErr of the current model
 // over the live multiset, immediately after an exact solve the model
-// is bit-equal to a full retrain with the same dominance matrix, and
-// at all times werr ≤ k* + DriftBound, where k* is the optimum of the
-// live multiset.
+// is bit-equal to a full retrain (problem.Prepare with default
+// Options over Live), and at all times werr ≤ k* + DriftBound, where
+// k* is the optimum of the live multiset.
 //
 // The drift bound is the invariant that makes interim models sound
 // (Tao, "Monotone Classification with Relative Approximations"):
@@ -32,7 +31,6 @@ import (
 	"sync"
 
 	"monoclass/internal/classifier"
-	"monoclass/internal/domgraph"
 	"monoclass/internal/geom"
 	"monoclass/internal/maxflow"
 	"monoclass/internal/problem"
@@ -75,9 +73,9 @@ var ErrNotFound = errors.New("online: delete target not in live set")
 
 // Config tunes an Updater.
 type Config struct {
-	// RebuildEvery triggers an exact warm-started re-solve after this
-	// many applied deltas (default 64). 1 means every delta is exact —
-	// the differential-testing mode.
+	// RebuildEvery triggers an exact re-solve after this many applied
+	// deltas (default 64). 1 means every delta is exact — the
+	// differential-testing mode.
 	RebuildEvery int
 	// MaxDrift forces an exact re-solve whenever DriftBound would
 	// exceed it, regardless of RebuildEvery (0 = no weight cap). It is
@@ -105,7 +103,6 @@ type StatsSnapshot struct {
 	ExactSolves      uint64  `json:"exact_solves"`
 	InterimAdoptions uint64  `json:"interim_adoptions"`
 	PublishRejects   uint64  `json:"publish_rejects"`
-	Compactions      uint64  `json:"compactions"`
 	ApplyErrors      uint64  `json:"apply_errors"`
 	Live             int     `json:"live"`
 	WErr             float64 `json:"werr"`
@@ -122,19 +119,19 @@ type Updater struct {
 	cfg Config
 	dim int
 
-	dyn *domgraph.Dynamic
-	// Parallel per-slot arrays (tombstoned slots keep stale entries
-	// until the next Compact, exactly like dyn's own rows).
+	// The live multiset as parallel slices in insertion order; a
+	// delete removes its slot in place, so slot order is the input
+	// order of the next exact solve.
+	pts     []geom.Point
 	labels  []geom.Label
 	weights []float64
 	// assign is the current model's value on each slot — maintained so
-	// werr never needs an O(n·m) rescore. Invariant: for every live
-	// slot i, assign[i] == model.Classify(point i), and werr is the
-	// total weight of live slots with assign[i] != labels[i].
+	// werr never needs an O(n·m) rescore. Invariant: for every slot i,
+	// assign[i] == model.Classify(pts[i]), and werr is the total weight
+	// of slots with assign[i] != labels[i].
 	assign []geom.Label
 
-	ws    *maxflow.Workspace // persistent warm-start scratch for exact solves
-	prob  *problem.Problem   // prepared at the last exact solve; see Problem
+	ws    *maxflow.Workspace // persistent flow scratch for exact solves
 	model *classifier.AnchorSet
 	werr  float64
 	drift float64 // Σ delta weights since last exact solve
@@ -143,7 +140,7 @@ type Updater struct {
 	stats struct {
 		inserts, deletes, deleteMisses       uint64
 		exactSolves, interims, publishRejcts uint64
-		compactions, applyErrors             uint64
+		applyErrors                          uint64
 	}
 }
 
@@ -151,19 +148,34 @@ type Updater struct {
 // be empty) and runs one exact solve without publishing — the caller
 // seeds the registry with the returned Model itself.
 func NewUpdater(dim int, initial geom.WeightedSet, cfg Config) (*Updater, error) {
-	return newUpdater(dim, initial, nil, cfg)
+	u, err := newUpdater(dim, initial, cfg)
+	if err != nil {
+		return nil, err
+	}
+	if err := u.resolveLocked(false); err != nil {
+		return nil, err
+	}
+	return u, nil
 }
 
-// NewUpdaterFromProblem builds an updater seeded from a prepared
-// Problem over the initial multiset: when the Problem holds a dense
-// matrix its bits are adopted directly, so warm-starting an online
-// pipeline from a trained-and-audited Problem skips the O(dn²)
-// relation rebuild entirely.
+// NewUpdaterFromProblem builds an updater whose live multiset is the
+// prepared Problem's point set, in input order, and whose first model
+// is that Problem's exact solve: an online pipeline seeded from a
+// trained-and-audited Problem skips the first Prepare.
 func NewUpdaterFromProblem(p *problem.Problem, cfg Config) (*Updater, error) {
-	return newUpdater(p.Dim(), p.WeightedSet(), p, cfg)
+	u, err := newUpdater(p.Dim(), p.WeightedSet(), cfg)
+	if err != nil {
+		return nil, err
+	}
+	if err := u.solveLocked(p, false); err != nil {
+		return nil, err
+	}
+	return u, nil
 }
 
-func newUpdater(dim int, initial geom.WeightedSet, seed *problem.Problem, cfg Config) (*Updater, error) {
+// newUpdater validates cfg and the initial multiset and copies it
+// into the live slices; the caller runs the first solve.
+func newUpdater(dim int, initial geom.WeightedSet, cfg Config) (*Updater, error) {
 	if dim <= 0 {
 		return nil, fmt.Errorf("online: dimension %d must be positive", dim)
 	}
@@ -176,37 +188,22 @@ func newUpdater(dim int, initial geom.WeightedSet, seed *problem.Problem, cfg Co
 	if cfg.MaxDrift < 0 || math.IsNaN(cfg.MaxDrift) {
 		return nil, fmt.Errorf("online: MaxDrift %g must be non-negative", cfg.MaxDrift)
 	}
-	u := &Updater{cfg: cfg, dim: dim, ws: maxflow.NewWorkspace()}
-	pts := make([]geom.Point, len(initial))
+	u := &Updater{
+		cfg:     cfg,
+		dim:     dim,
+		ws:      maxflow.NewWorkspace(),
+		pts:     make([]geom.Point, len(initial)),
+		labels:  make([]geom.Label, len(initial)),
+		weights: make([]float64, len(initial)),
+		model:   classifier.ConstNegative(dim),
+	}
 	for i, wp := range initial {
 		if err := validateInsert(dim, wp.P, wp.Label, wp.Weight); err != nil {
 			return nil, fmt.Errorf("online: initial point %d: %w", i, err)
 		}
-		pts[i] = wp.P
-	}
-	var dyn *domgraph.Dynamic
-	var err error
-	if seed != nil && seed.Matrix() != nil && seed.N() == len(initial) {
-		// A dense prepared Problem over the same points already paid
-		// for the relation — adopt its bits instead of rebuilding.
-		dyn, err = domgraph.NewDynamicFromMatrix(dim, pts, seed.Matrix())
-	} else {
-		dyn, err = domgraph.NewDynamic(dim, pts)
-	}
-	if err != nil {
-		return nil, err
-	}
-	u.dyn = dyn
-	u.labels = make([]geom.Label, len(initial))
-	u.weights = make([]float64, len(initial))
-	u.assign = make([]geom.Label, len(initial))
-	for i, wp := range initial {
+		u.pts[i] = wp.P.Clone()
 		u.labels[i] = wp.Label
 		u.weights[i] = wp.Weight
-	}
-	u.model = classifier.ConstNegative(dim)
-	if err := u.resolveLocked(false); err != nil {
-		return nil, err
 	}
 	return u, nil
 }
@@ -253,9 +250,9 @@ func (u *Updater) validateInsertErr(d Delta) error {
 }
 
 // Apply applies one delta and runs the rebuild policy: an exact
-// warm-started re-solve when the delta count reaches RebuildEvery or
-// the drift bound exceeds MaxDrift, a constant-work interim model
-// graft otherwise. On error the live multiset is unchanged.
+// re-solve when the delta count reaches RebuildEvery or the drift
+// bound exceeds MaxDrift, a cheap interim model graft otherwise. On
+// error the live multiset is unchanged.
 func (u *Updater) Apply(d Delta) error {
 	u.mu.Lock()
 	defer u.mu.Unlock()
@@ -283,10 +280,7 @@ func (u *Updater) applyLocked(d Delta) error {
 	var w float64
 	switch d.Op {
 	case OpInsert:
-		if _, err := u.dyn.Insert(d.Point); err != nil {
-			u.stats.applyErrors++
-			return fmt.Errorf("online: %w", err)
-		}
+		u.pts = append(u.pts, d.Point.Clone())
 		u.labels = append(u.labels, d.Label)
 		u.weights = append(u.weights, d.Weight)
 		pred := u.model.Classify(d.Point)
@@ -306,7 +300,10 @@ func (u *Updater) applyLocked(d Delta) error {
 			u.werr -= u.weights[slot]
 		}
 		w = u.weights[slot]
-		u.dyn.Delete(slot)
+		u.pts = append(u.pts[:slot], u.pts[slot+1:]...)
+		u.labels = append(u.labels[:slot], u.labels[slot+1:]...)
+		u.weights = append(u.weights[:slot], u.weights[slot+1:]...)
+		u.assign = append(u.assign[:slot], u.assign[slot+1:]...)
 		u.stats.deletes++
 	}
 	u.drift += w
@@ -321,12 +318,12 @@ func (u *Updater) applyLocked(d Delta) error {
 	return nil
 }
 
-// findLocked returns the lowest live slot whose point and label match
+// findLocked returns the lowest slot whose point and label match
 // (FIFO among duplicates), or -1. NaN coordinates never match because
 // inserts reject them and Equal is IEEE-strict.
 func (u *Updater) findLocked(p geom.Point, l geom.Label) int {
-	for i := 0; i < u.dyn.Slots(); i++ {
-		if u.dyn.Alive(i) && u.labels[i] == l && u.dyn.Point(i).Equal(p) {
+	for i := range u.pts {
+		if u.labels[i] == l && u.pts[i].Equal(p) {
 			return i
 		}
 	}
@@ -337,19 +334,20 @@ func (u *Updater) findLocked(p geom.Point, l geom.Label) int {
 // when that strictly lowers werr. The candidate model differs from
 // the current one exactly on the live points dominating the new point
 // that were classified Negative (anchors only ever grow the positive
-// region), so the error delta is computable from one bit-matrix
-// column walk — no flow solve, no rescore. Deletes and already-correct
+// region), so the error delta is computable from one O(n·d) dominance
+// scan — no flow solve, no rescore. Deletes and already-correct
 // inserts leave the model alone; mis-classified Negative inserts have
 // no anchor-graft analogue (shrinking the positive region is not
 // expressible by adding anchors) and simply wait for the next rebuild.
 func (u *Updater) tryInterimLocked() {
-	slot := u.dyn.Slots() - 1 // the point applyLocked just inserted
+	slot := len(u.pts) - 1 // the point applyLocked just inserted
 	if u.labels[slot] != geom.Positive || u.assign[slot] == geom.Positive {
 		return
 	}
+	p := u.pts[slot]
 	var errDelta float64
-	for i := 0; i < u.dyn.Slots(); i++ {
-		if !u.dyn.Alive(i) || u.assign[i] != geom.Negative || !u.dyn.Dominates(i, slot) {
+	for i, q := range u.pts {
+		if u.assign[i] != geom.Negative || !geom.Dominates(q, p) {
 			continue
 		}
 		if u.labels[i] == geom.Negative {
@@ -364,7 +362,7 @@ func (u *Updater) tryInterimLocked() {
 	anchors := u.model.Anchors()
 	cand := make([]geom.Point, len(anchors), len(anchors)+1)
 	copy(cand, anchors)
-	cand = append(cand, u.dyn.Point(slot))
+	cand = append(cand, p)
 	next, err := classifier.NewAnchorSet(u.dim, cand)
 	if err != nil {
 		// Cannot happen for finite non-NaN anchors; treat as a skipped
@@ -372,8 +370,8 @@ func (u *Updater) tryInterimLocked() {
 		u.stats.applyErrors++
 		return
 	}
-	for i := 0; i < u.dyn.Slots(); i++ {
-		if u.dyn.Alive(i) && u.assign[i] == geom.Negative && u.dyn.Dominates(i, slot) {
+	for i, q := range u.pts {
+		if u.assign[i] == geom.Negative && geom.Dominates(q, p) {
 			u.assign[i] = geom.Positive
 		}
 	}
@@ -383,53 +381,41 @@ func (u *Updater) tryInterimLocked() {
 	u.publishLocked()
 }
 
-// Resolve forces an exact warm-started re-solve (and publication)
-// regardless of the rebuild policy.
+// Resolve forces an exact re-solve (and publication) regardless of
+// the rebuild policy.
 func (u *Updater) Resolve() error {
 	u.mu.Lock()
 	defer u.mu.Unlock()
 	return u.resolveLocked(true)
 }
 
-// resolveLocked compacts the dynamic matrix, adopts the live multiset
-// and its patched matrix into a problem.Problem, and re-solves that
-// with the persistent workspace before installing the exact model.
-// The adopted matrix view carries the same bits a fresh domgraph.Build
-// over the live points would produce, so a retrain with
-// Options{Matrix: Build(live)} constructs a bit-identical network and
-// must return the identical assignment.
+// resolveLocked retrains on the live multiset: problem.Prepare with
+// default Options — the train path's constructor, mode choice and
+// dense guard — then solveLocked. A retrain over Live therefore builds
+// a bit-identical network and must return the identical assignment.
 func (u *Updater) resolveLocked(publish bool) error {
-	if u.dyn.Dead() > 0 {
-		u.stats.compactions++
-	}
-	remap := u.dyn.Compact()
-	labels := make([]geom.Label, len(remap))
-	weights := make([]float64, len(remap))
-	for ni, oi := range remap {
-		labels[ni] = u.labels[oi]
-		weights[ni] = u.weights[oi]
-	}
-	u.labels, u.weights = labels, weights
-
-	n := u.dyn.Live()
-	if n == 0 {
+	if len(u.pts) == 0 {
 		// Empty multiset: every model has werr 0; keep serving the
 		// current one rather than yanking it to a constant.
-		u.assign = u.assign[:0]
-		u.prob = nil
 		u.werr, u.drift, u.since = 0, 0, 0
 		u.stats.exactSolves++
 		return nil
 	}
-	lws := make(geom.WeightedSet, n)
-	for i := 0; i < n; i++ {
-		lws[i] = geom.WeightedPoint{P: u.dyn.Point(i), Label: u.labels[i], Weight: u.weights[i]}
+	live := make(geom.WeightedSet, len(u.pts))
+	for i, p := range u.pts {
+		live[i] = geom.WeightedPoint{P: p, Label: u.labels[i], Weight: u.weights[i]}
 	}
-	prob, err := problem.Adopt(lws, u.dyn.MatrixView())
+	prob, err := problem.Prepare(live, problem.Options{})
 	if err != nil {
 		u.stats.applyErrors++
 		return fmt.Errorf("online: exact re-solve: %w", err)
 	}
+	return u.solveLocked(prob, publish)
+}
+
+// solveLocked solves prob, a Problem over the live multiset in slot
+// order, on the persistent workspace and installs the exact model.
+func (u *Updater) solveLocked(prob *problem.Problem, publish bool) error {
 	sol, err := prob.SolveWith(problem.SolveOptions{
 		Solver: func(g *maxflow.Network) maxflow.Result { return maxflow.SolveWith(u.ws, g) },
 	})
@@ -437,7 +423,6 @@ func (u *Updater) resolveLocked(publish bool) error {
 		u.stats.applyErrors++
 		return fmt.Errorf("online: exact re-solve: %w", err)
 	}
-	u.prob = prob
 	u.model = sol.Classifier
 	u.assign = sol.Assignment
 	u.werr = sol.WErr
@@ -460,17 +445,6 @@ func (u *Updater) publishLocked() {
 
 // Dim returns the dimensionality of the point space.
 func (u *Updater) Dim() int { return u.dim }
-
-// Problem returns the prepared Problem adopted at the last exact
-// solve, or nil before the first non-empty solve. It shares storage
-// with the updater's live matrix, so it is a snapshot valid only until
-// the next applied delta — use it immediately (serving gates do) and
-// do not retain it across mutations.
-func (u *Updater) Problem() *problem.Problem {
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	return u.prob
-}
 
 // Model returns the current model (exact or interim). The returned
 // AnchorSet is immutable.
@@ -501,11 +475,9 @@ func (u *Updater) DriftBound() float64 {
 func (u *Updater) Live() geom.WeightedSet {
 	u.mu.Lock()
 	defer u.mu.Unlock()
-	out := make(geom.WeightedSet, 0, u.dyn.Live())
-	for i := 0; i < u.dyn.Slots(); i++ {
-		if u.dyn.Alive(i) {
-			out = append(out, geom.WeightedPoint{P: u.dyn.Point(i).Clone(), Label: u.labels[i], Weight: u.weights[i]})
-		}
+	out := make(geom.WeightedSet, len(u.pts))
+	for i, p := range u.pts {
+		out[i] = geom.WeightedPoint{P: p.Clone(), Label: u.labels[i], Weight: u.weights[i]}
 	}
 	return out
 }
@@ -521,9 +493,8 @@ func (u *Updater) Stats() StatsSnapshot {
 		ExactSolves:      u.stats.exactSolves,
 		InterimAdoptions: u.stats.interims,
 		PublishRejects:   u.stats.publishRejcts,
-		Compactions:      u.stats.compactions,
 		ApplyErrors:      u.stats.applyErrors,
-		Live:             u.dyn.Live(),
+		Live:             len(u.pts),
 		WErr:             u.werr,
 		DriftBound:       u.drift,
 		SinceExact:       u.since,

@@ -4,10 +4,11 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"monoclass/internal/classifier"
-	"monoclass/internal/domgraph"
 	"monoclass/internal/geom"
 	"monoclass/internal/maxflow"
 	"monoclass/internal/passive"
@@ -54,17 +55,13 @@ func traceStep(t *testing.T, rng *rand.Rand, u *Updater, mirror geom.WeightedSet
 	return nil
 }
 
-// retrain solves the mirror multiset from scratch on the same
-// matrix-adopting problem route the updater uses, with a cold
-// workspace — the differential baseline.
+// retrain solves the mirror multiset from scratch through
+// problem.Prepare with default Options, with a cold workspace — the
+// differential baseline.
 func retrain(t *testing.T, mirror geom.WeightedSet) passive.Solution {
 	t.Helper()
-	pts := make([]geom.Point, len(mirror))
-	for i := range mirror {
-		pts[i] = mirror[i].P
-	}
 	cold := maxflow.NewWorkspace()
-	p, err := problem.Adopt(mirror, domgraph.Build(pts))
+	p, err := problem.Prepare(mirror, problem.Options{})
 	if err != nil {
 		t.Fatalf("retrain: %v", err)
 	}
@@ -99,30 +96,134 @@ func TestIncrementalVsRetrain1000(t *testing.T) {
 		}
 		// Cheap invariants every step; the expensive retrain on a
 		// schedule that still covers hundreds of states.
-		live := u.Live()
-		if len(live) != len(mirror) {
-			t.Fatalf("step %d: live size %d, mirror %d", step, len(live), len(mirror))
-		}
-		if got := geom.WErr(live, u.Model().Classify); !almostEq(got, u.WErr()) {
-			t.Fatalf("step %d: maintained werr %g, rescore %g", step, u.WErr(), got)
-		}
-		if u.DriftBound() != 0 {
-			t.Fatalf("step %d: drift %g after exact solve", step, u.DriftBound())
-		}
-		if step < 200 || step%7 == 0 {
-			sol := retrain(t, mirror)
-			if !almostEq(sol.WErr, u.WErr()) {
-				t.Fatalf("step %d: incremental werr %g, retrain %g", step, u.WErr(), sol.WErr)
-			}
-			for i := range live {
-				if got := u.Model().Classify(live[i].P); got != sol.Assignment[i] {
-					t.Fatalf("step %d: point %d label %v, retrain %v", step, i, got, sol.Assignment[i])
-				}
-			}
-		}
+		checkExact(t, step, u, mirror, step < 200 || step%7 == 0)
 	}
 	if s := u.Stats(); s.ExactSolves < steps {
 		t.Errorf("RebuildEvery=1 ran %d exact solves over %d deltas", s.ExactSolves, steps)
+	}
+}
+
+// checkExact holds an updater in exact mode to its mirror multiset:
+// same live size, a maintained werr equal to a rescore of the model,
+// zero drift and, when full is set, a full retrain's werr and
+// assignment (bit-identical networks force a unique solver trajectory).
+func checkExact(t *testing.T, step int, u *Updater, mirror geom.WeightedSet, full bool) {
+	t.Helper()
+	live := u.Live()
+	if len(live) != len(mirror) {
+		t.Fatalf("step %d: live size %d, mirror %d", step, len(live), len(mirror))
+	}
+	if got := geom.WErr(live, u.Model().Classify); !almostEq(got, u.WErr()) {
+		t.Fatalf("step %d: maintained werr %g, rescore %g", step, u.WErr(), got)
+	}
+	if u.DriftBound() != 0 {
+		t.Fatalf("step %d: drift %g after exact solve", step, u.DriftBound())
+	}
+	if !full || len(mirror) == 0 {
+		return
+	}
+	sol := retrain(t, mirror)
+	if !almostEq(sol.WErr, u.WErr()) {
+		t.Fatalf("step %d: incremental werr %g, retrain %g", step, u.WErr(), sol.WErr)
+	}
+	for i := range live {
+		if got := u.Model().Classify(live[i].P); got != sol.Assignment[i] {
+			t.Fatalf("step %d: point %d label %v, retrain %v", step, i, got, sol.Assignment[i])
+		}
+	}
+}
+
+// TestNewUpdaterFromProblem seeds updaters from dense, blocked and
+// implicit Problems: the first model is the Problem's own solve, the
+// live multiset is its point set in input order, and every exact step
+// of a delta trace afterwards matches a retrain.
+func TestNewUpdaterFromProblem(t *testing.T) {
+	cases := []struct {
+		name string
+		dim  int
+		mode problem.MatrixMode
+	}{
+		{"dense", 3, problem.ModeDense},
+		{"blocked", 3, problem.ModeBlocked},
+		{"implicit", 2, problem.ModeImplicit},
+	}
+	for ci, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(10 + ci)))
+			seed := make(geom.WeightedSet, 60)
+			for i := range seed {
+				pt := make(geom.Point, tc.dim)
+				for k := range pt {
+					pt[k] = float64(rng.Intn(6))
+				}
+				seed[i] = geom.WeightedPoint{P: pt, Label: geom.Label(rng.Intn(2)), Weight: float64(1 + rng.Intn(4))}
+			}
+			p, err := problem.Prepare(seed, problem.Options{Mode: tc.mode})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p.Mode() != tc.mode {
+				t.Fatalf("prepared mode %v, want %v", p.Mode(), tc.mode)
+			}
+			want, err := p.Solve()
+			if err != nil {
+				t.Fatal(err)
+			}
+			u, err := NewUpdaterFromProblem(p, Config{RebuildEvery: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if u.WErr() != want.WErr {
+				t.Fatalf("first werr %g, Problem.Solve %g", u.WErr(), want.WErr)
+			}
+			mirror := u.Live()
+			if !reflect.DeepEqual(mirror, p.WeightedSet()) {
+				t.Fatalf("live multiset %v, problem's %v", mirror, p.WeightedSet())
+			}
+			for step := 0; step < 40; step++ {
+				mirror = traceStep(t, rng, u, mirror, tc.dim)
+				checkExact(t, step, u, mirror, true)
+			}
+		})
+	}
+}
+
+// TestNewUpdaterDenseGuard: an initial multiset one point past the
+// dense limit goes through Prepare's mode choice, so the first exact
+// solve never materializes the n²/64 matrix. Sixteen diagonals at d=2,
+// labelled by a threshold along them, keep the width low and leave
+// nothing contending.
+func TestNewUpdaterDenseGuard(t *testing.T) {
+	const chains = 16
+	n := problem.DefaultDenseLimit + 1
+	initial := make(geom.WeightedSet, n)
+	for i := range initial {
+		tt, j := float64(i/chains), float64(i%chains)
+		label := geom.Negative
+		if tt >= float64(n/chains/2) {
+			label = geom.Positive
+		}
+		initial[i] = geom.WeightedPoint{P: geom.Point{tt + j, tt + chains - j}, Label: label, Weight: 1}
+	}
+	want, err := problem.Solve(initial)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	u, err := NewUpdater(2, initial, Config{})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const limit = 256 << 20
+	alloc := after.TotalAlloc - before.TotalAlloc
+	if alloc >= limit {
+		t.Fatalf("NewUpdater over %d points allocated %d MiB, want < %d", n, alloc>>20, limit>>20)
+	}
+	t.Logf("NewUpdater over %d points allocated %d MiB", n, alloc>>20)
+	if u.WErr() != want.WErr {
+		t.Fatalf("werr %g, problem.Solve %g", u.WErr(), want.WErr)
 	}
 }
 

@@ -154,9 +154,6 @@ const (
 	// footprint guard) — first-fit cover, possibly wider than the true
 	// width. The one path where ExactWidth is false.
 	PathGreedyFallback = "greedy-fallback"
-	// PathAdopted: decomposition computed from a caller-supplied matrix
-	// (problem.Adopt); exact.
-	PathAdopted = "adopted"
 	// PathLoaded: decomposition restored verbatim from a serialized
 	// Problem (problem.Read); exactness is whatever the writer recorded.
 	PathLoaded = "loaded"
@@ -207,9 +204,9 @@ type SolveOptions struct {
 }
 
 // Problem is one prepared instance. It is immutable after Prepare /
-// Adopt / Read; Solve and Violations are safe for concurrent use.
+// Read; Solve and Violations are safe for concurrent use.
 type Problem struct {
-	ws     geom.WeightedSet // owned (Prepare clones; Adopt documents aliasing)
+	ws     geom.WeightedSet // owned (Prepare clones; Read decodes fresh)
 	pts    []geom.Point     // ws[i].P, in input order
 	dim    int
 	mode   MatrixMode       // resolved, never ModeAuto
@@ -310,36 +307,6 @@ func Prepare(ws geom.WeightedSet, opts Options) (*Problem, error) {
 	st.SeedChains, st.Augmentations = dst.SeedChains, dst.Augmentations
 	st.Phases, st.CertEarlyExit = dst.Phases, dst.CertEarlyExit
 	return assemble(owned, pts, mode, view, matrix, dec, exact, st, start), nil
-}
-
-// Adopt wraps an already-built dense matrix (domgraph.Build over ws's
-// points, in input order — the online updater's dynamically patched
-// relation qualifies) into a Problem without cloning ws or rebuilding
-// the relation: the decomposition comes from the matrix and the
-// network is built over it. The caller must not mutate ws or m
-// afterwards.
-func Adopt(ws geom.WeightedSet, m *domgraph.Matrix) (*Problem, error) {
-	if len(ws) == 0 {
-		return nil, fmt.Errorf("problem: empty input set")
-	}
-	if err := ws.Validate(); err != nil {
-		return nil, err
-	}
-	if m.N() != len(ws) {
-		return nil, fmt.Errorf("problem: matrix covers %d points, want %d", m.N(), len(ws))
-	}
-	pts := pointsOf(ws)
-	decStart := time.Now()
-	dec, dst := chains.DecomposeMatrixStats(pts, m)
-	st := PrepareStats{
-		DecomposePath: PathAdopted,
-		DecomposeNS:   time.Since(decStart).Nanoseconds(),
-		SeedChains:    dst.SeedChains,
-		Augmentations: dst.Augmentations,
-		Phases:        dst.Phases,
-		CertEarlyExit: dst.CertEarlyExit,
-	}
-	return assemble(ws, pts, ModeDense, m, m, dec, true, st, decStart), nil
 }
 
 // Solve prepares ws and solves it once: the one-shot exact passive

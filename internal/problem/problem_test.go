@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"monoclass/internal/chains"
@@ -131,36 +132,6 @@ func TestPrepareModesAgree(t *testing.T) {
 			if got := p.Violations(); got != wantViol {
 				t.Fatalf("Prepare(%v): Violations = %d, want %d", mode, got, wantViol)
 			}
-		}
-	}
-}
-
-// TestAdoptMatchesMatrixView: Adopt builds exactly the network that
-// passive.Prepare builds over the supplied matrix and its minimum
-// cover, and keeps the matrix.
-func TestAdoptMatchesMatrixView(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for trial := 0; trial < 10; trial++ {
-		n := 1 + rng.Intn(90)
-		d := 1 + rng.Intn(4)
-		ws := randomSet(rng, n, d)
-		pts := pointsOf(ws)
-		m := domgraph.Build(pts)
-		want, err := passive.Prepare(ws, m, chains.DecomposeMatrix(pts, m).Chains).Resolve(nil)
-		if err != nil {
-			t.Fatalf("direct solve: %v", err)
-		}
-		p, err := Adopt(ws, m)
-		if err != nil {
-			t.Fatalf("Adopt: %v", err)
-		}
-		sol, err := p.Solve()
-		if err != nil {
-			t.Fatalf("Solve: %v", err)
-		}
-		sameSolution(t, "adopt", sol, want)
-		if p.Mode() != ModeDense || p.Matrix() != m {
-			t.Fatalf("Adopt must retain the supplied matrix in dense mode")
 		}
 	}
 }
@@ -363,6 +334,16 @@ func TestReadRejectsCorruption(t *testing.T) {
 			t.Fatalf("%s: corrupted file accepted", c.name)
 		}
 	}
+	// Bytes after the JSON value: garbage, or a second problem file.
+	// Trailing whitespace stays legal.
+	for _, suffix := range []string{"garbage", "{}", good} {
+		if _, err := Read(strings.NewReader(good + suffix)); err == nil {
+			t.Fatalf("trailing %.20q accepted", suffix)
+		}
+	}
+	if _, err := Read(strings.NewReader(good + " \n\t")); err != nil {
+		t.Fatalf("trailing whitespace rejected: %v", err)
+	}
 }
 
 // TestChainCountViolations: the chain count equals the popcount over
@@ -409,6 +390,8 @@ func FuzzProblemRoundTrip(f *testing.F) {
 	}
 	f.Add([]byte(`{"format":"monoclass-problem","version":1}`))
 	f.Add([]byte(`not json`))
+	// Trailing data after a valid file must be rejected.
+	f.Add([]byte(`{"format":"monoclass-problem","version":1,"mode":"implicit","dim":1,"points":[[0],[1]],"labels":[0,1],"weights":[1,1],"chains":[[0,1]],"width":1,"exact_width":true}garbage`))
 	// A stored NaN coordinate must be rejected: the stored chains are
 	// trusted only under a partial order.
 	f.Add([]byte(`{"format":"monoclass-problem","version":1,"mode":"implicit","dim":2,"points":[["nan",0],[1,1]],"labels":[0,1],"weights":[1,1],"chains":[[0],[1]],"width":2,"exact_width":false}`))

@@ -164,7 +164,8 @@ func Write(w io.Writer, p *Problem) error {
 }
 
 // Read deserializes a Problem written by Write, validating everything
-// it trusts: format, version, mode, shapes, labels, weights, NaN-free
+// it trusts: one JSON value with nothing but whitespace after it,
+// format, version, mode, shapes, labels, weights, NaN-free
 // coordinates, the chain decomposition (must be a valid partition in
 // dominance order), the antichain certificate, and — when matrix
 // words are present — the blob's structural invariants and every one
@@ -177,6 +178,9 @@ func Read(r io.Reader) (*Problem, error) {
 	dec := json.NewDecoder(r)
 	if err := dec.Decode(&pf); err != nil {
 		return nil, fmt.Errorf("problem: decoding: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("problem: data after the problem's JSON value")
 	}
 	if pf.Format != "monoclass-problem" {
 		return nil, fmt.Errorf("problem: unknown format %q", pf.Format)

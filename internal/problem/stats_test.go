@@ -5,8 +5,6 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
-
-	"monoclass/internal/domgraph"
 )
 
 // TestPrepareStatsPaths pins which DecomposePath each Prepare route
@@ -71,18 +69,6 @@ func TestPrepareStatsPaths(t *testing.T) {
 		}
 		if st.SeedChains != 0 || st.Augmentations != 0 {
 			t.Fatalf("greedy fallback reported matching work: %+v", st)
-		}
-	})
-
-	t.Run("adopted", func(t *testing.T) {
-		ws := randomSet(rng, 40, 3)
-		m := domgraph.Build(pointsOf(ws))
-		p, err := Adopt(ws, m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st := p.Stats(); st.DecomposePath != PathAdopted || !st.ExactWidth {
-			t.Fatalf("stats %+v", st)
 		}
 	})
 

@@ -6,7 +6,7 @@ import (
 )
 
 // Online learning: incremental insert/delete of labeled points with
-// warm-started exact re-solves and drift-bounded interim models (see
+// periodic exact re-solves and drift-bounded interim models (see
 // internal/online and DESIGN.md §11). These aliases re-export the
 // engine types so applications can embed the updater without
 // importing internal packages; the serving layer exposes the same

@@ -67,8 +67,10 @@ func TrainPrepared(p *Problem) (PassiveSolution, error) { return p.Solve() }
 func AuditPrepared(p *Problem) (AuditReport, error) { return audit.AuditProblem(p) }
 
 // NewOnlineUpdaterFromProblem seeds an incremental learner from a
-// prepared Problem, adopting its dense matrix (when the mode holds
-// one) instead of rebuilding the relation.
+// prepared Problem: its live multiset is the Problem's point set and
+// its first model is the Problem's own solve, so the first exact solve
+// skips a Prepare. Later exact re-solves retrain through
+// PrepareProblem's default path.
 func NewOnlineUpdaterFromProblem(p *Problem, cfg OnlineConfig) (*OnlineUpdater, error) {
 	return online.NewUpdaterFromProblem(p, cfg)
 }
