@@ -14,6 +14,7 @@
 #   make profile-prepare   CPU+heap profile of the prepare-stage sweep (pprof files)
 #   make ci-smoke          one warm-started exact prepare under the race detector
 #   make loc               count non-test Go lines (the size ROADMAP tracks)
+#   make fuzz-chains       short differential fuzz of the chain decomposition
 #   make fuzz-online       short fuzz pass over the online delta intake
 #   make fuzz-problem      short fuzz pass over problem deserialization
 #   make fuzz-serve        short differential fuzz of the classify wire codec
@@ -24,7 +25,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: all build vet test race conformance conformance-long conformance-mutate bench-maxflow bench-classify bench-serve bench-shard bench-online bench-problem profile-prepare ci-smoke loc fuzz-online fuzz-problem fuzz-serve serve-stress verify verify-full clean
+.PHONY: all build vet test race conformance conformance-long conformance-mutate bench-maxflow bench-classify bench-serve bench-shard bench-online bench-problem profile-prepare ci-smoke loc fuzz-chains fuzz-online fuzz-problem fuzz-serve serve-stress verify verify-full clean
 
 all: check
 
@@ -148,6 +149,11 @@ ci-smoke:
 loc:
 	@files="$$(find . -name '*.go' -not -name '*_test.go' -not -path './perfbench/*' -not -path './.bench_build/*')"; \
 	echo "$$(cat $$files | wc -l) non-test Go lines in $$(echo "$$files" | wc -l) files"
+
+# Differential fuzz of the bit-packed chain decomposition against its
+# scalar oracle, on up to 130 points so matrix rows span three words.
+fuzz-chains:
+	$(GO) test -run FuzzDecomposeKernelVsScalar -fuzz FuzzDecomposeKernelVsScalar -fuzztime 30s ./internal/chains
 
 # Coverage-guided fuzz of the online updater's byte-decoded delta
 # traces: no panics, contract-only rejections, retrain equivalence.

@@ -69,8 +69,7 @@ func Decompose(pts []geom.Point) Decomposition {
 // prepare-stage instrumentation (problem.PrepareStats) consume it.
 type DecomposeStats struct {
 	// SeedChains is the chain count of the warm-start cover the
-	// matching was seeded from (0 on a cold start of a non-empty set
-	// means the seed left every point in its own chain).
+	// matching was seeded from.
 	SeedChains int
 	// Width is the final minimum chain count.
 	Width int
@@ -164,19 +163,6 @@ func DecomposeMatrixSeeded(pts []geom.Point, m *domgraph.Matrix, cover [][]int) 
 	return decomposeSeeded(m, seedL)
 }
 
-// DecomposeMatrixCold is the pre-warm-start construction — empty
-// initial matching, full Hopcroft–Karp phase schedule. It is the
-// oracle for the decompose-warmstart-vs-cold conformance check and
-// the baseline of the warm-start benchmarks.
-func DecomposeMatrixCold(pts []geom.Point, m *domgraph.Matrix) Decomposition {
-	n := checkMatrix(pts, m)
-	if n == 0 {
-		return Decomposition{}
-	}
-	dec, _ := decomposeSeeded(m, nil)
-	return dec
-}
-
 func checkMatrix(pts []geom.Point, m *domgraph.Matrix) int {
 	n := m.N()
 	if n != len(pts) {
@@ -219,38 +205,36 @@ func greedySeedBitset(pts []geom.Point, m *domgraph.Matrix) []int {
 }
 
 // decomposeSeeded finishes the Lemma 6 construction from a seed
-// matching (nil = cold): certificate attempt, Hopcroft–Karp, chain
-// walk, König antichain.
+// matching: certificate attempt, Hopcroft–Karp, chain walk, König
+// antichain.
 func decomposeSeeded(m *domgraph.Matrix, seedL []int) (Decomposition, DecomposeStats) {
 	n := m.N()
 	var st DecomposeStats
 
-	if seedL != nil {
-		seedSize := 0
-		for _, v := range seedL {
-			if v != -1 {
-				seedSize++
-			}
+	seedSize := 0
+	for _, v := range seedL {
+		if v != -1 {
+			seedSize++
 		}
-		st.SeedChains = n - seedSize
-		// Optimality certificate: the seed's c chains are minimum iff
-		// some antichain has c points (Dilworth). The chain bottoms and
-		// chain tops are the natural candidates — one point per chain,
-		// free on the left resp. right side of the matching — and each
-		// costs only an O(c·n/64) incomparability check. A hit skips
-		// Hopcroft–Karp entirely; a miss costs nothing beyond the
-		// single certifying BFS the matching would run anyway.
-		for _, anti := range [2][]int{seedBottoms(seedL), seedTops(seedL, n)} {
-			if !m.IsAntichain(anti) {
-				continue
-			}
-			st.Width = st.SeedChains
-			st.CertEarlyExit = true
-			mm := matchingFromSeed(seedL, n, seedSize)
-			chainSets := chainsFromMatching(mm, n)
-			sort.Ints(anti)
-			return Decomposition{Chains: chainSets, Width: len(chainSets), Antichain: anti}, st
+	}
+	st.SeedChains = n - seedSize
+	// Optimality certificate: the seed's c chains are minimum iff some
+	// antichain has c points (Dilworth). The chain bottoms and chain
+	// tops are the natural candidates — one point per chain, free on
+	// the left resp. right side of the matching — and each costs only
+	// an O(c·n/64) incomparability check. A hit skips Hopcroft–Karp
+	// entirely; a miss costs nothing beyond the single certifying BFS
+	// the matching would run anyway.
+	for _, anti := range [2][]int{seedBottoms(seedL), seedTops(seedL, n)} {
+		if !m.IsAntichain(anti) {
+			continue
 		}
+		st.Width = st.SeedChains
+		st.CertEarlyExit = true
+		mm := matchingFromSeed(seedL, n, seedSize)
+		chainSets := chainsFromMatching(mm, n)
+		sort.Ints(anti)
+		return Decomposition{Chains: chainSets, Width: len(chainSets), Antichain: anti}, st
 	}
 
 	// Bipartite reduction for minimum path cover: left copy u matched

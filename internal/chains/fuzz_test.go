@@ -11,6 +11,8 @@ import (
 // grid: the first byte fixes the dimension (1..4), then every d bytes
 // form one point with coordinates in 0..7 (small grid → dense ties and
 // duplicates, the regime where kernel and scalar paths can disagree).
+// Up to 130 points decode, so a matrix row spans three 64-bit words and
+// the matcher's per-word masks meet both word boundaries.
 func decodePoints(data []byte) []geom.Point {
 	if len(data) < 1 {
 		return nil
@@ -18,8 +20,8 @@ func decodePoints(data []byte) []geom.Point {
 	d := 1 + int(data[0])%4
 	body := data[1:]
 	n := len(body) / d
-	if n > 24 {
-		n = 24
+	if n > 130 {
+		n = 130
 	}
 	pts := make([]geom.Point, n)
 	for i := 0; i < n; i++ {
@@ -33,11 +35,13 @@ func decodePoints(data []byte) []geom.Point {
 }
 
 // FuzzDecomposeKernelVsScalar feeds arbitrary small point sets to the
-// bit-packed decomposition kernel (now warm-started) and its scalar
+// bit-packed decomposition kernel (warm-started) and its scalar
 // oracle: both must produce valid minimum chain decompositions of
-// identical width, the warm-started width must be bit-identical to a
-// cold Hopcroft–Karp run, and the width must match the independent
-// Width computation.
+// identical width, matching the independent Width computation. The
+// kernel's certificate must be an antichain of that width, its
+// warm-start accounting must balance, and the all-singletons seed —
+// an empty matching, so the matcher's full cold phase schedule — must
+// reach the same width.
 func FuzzDecomposeKernelVsScalar(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4})                   // 1-d chain
 	f.Add([]byte{1, 0, 7, 1, 6, 2, 5, 3, 4})       // 2-d antichain
@@ -53,6 +57,11 @@ func FuzzDecomposeKernelVsScalar(f *testing.F) {
 	f.Add([]byte{2, 5, 5, 5, 5, 5, 5, 5, 5, 5, 0, 0, 0})             // 3-d duplicates → tiebreak seed edges
 	f.Add([]byte{2, 1, 0, 2, 0, 1, 2, 2, 2, 0, 1, 1, 1, 0, 2, 1})    // 3-d mixed → augmentation gap
 	f.Add([]byte{3, 3, 0, 0, 3, 0, 3, 3, 0, 3, 0, 3, 3, 1, 1, 1, 1}) // 4-d near-antichain with one chain link
+	wide := []byte{2}                                                // 130 3-d points: rows span three words
+	for i := 0; i < 3*130; i++ {
+		wide = append(wide, byte(i*37%61))
+	}
+	f.Add(wide)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		pts := decodePoints(data)
 		if pts == nil {
@@ -72,18 +81,28 @@ func FuzzDecomposeKernelVsScalar(f *testing.F) {
 		if err := ValidateDecomposition(pts, scalar.Chains); err != nil {
 			t.Fatalf("scalar decomposition invalid: %v", err)
 		}
+		if len(kernel.Antichain) != len(kernel.Chains) {
+			t.Fatalf("kernel certificate holds %d points for width %d", len(kernel.Antichain), len(kernel.Chains))
+		}
+		if err := ValidateAntichain(pts, kernel.Antichain); err != nil {
+			t.Fatalf("kernel certificate invalid: %v", err)
+		}
 		if len(pts) > 0 {
 			m := domgraph.Build(pts)
-			cold := DecomposeMatrixCold(pts, m)
-			warm, st := DecomposeMatrixStats(pts, m)
-			if warm.Width != cold.Width {
-				t.Fatalf("warm width %d, cold width %d", warm.Width, cold.Width)
-			}
+			_, st := DecomposeMatrixStats(pts, m)
 			if st.Augmentations != st.SeedChains-st.Width {
 				t.Fatalf("%d augmentations for seed %d -> width %d", st.Augmentations, st.SeedChains, st.Width)
 			}
-			if err := ValidateDecomposition(pts, warm.Chains); err != nil {
-				t.Fatalf("warm decomposition invalid: %v", err)
+			singletons := make([][]int, len(pts))
+			for i := range singletons {
+				singletons[i] = []int{i}
+			}
+			cold, _ := DecomposeMatrixSeeded(pts, m, singletons)
+			if cold.Width != scalar.Width {
+				t.Fatalf("singletons-seeded width %d, scalar width %d", cold.Width, scalar.Width)
+			}
+			if err := ValidateDecomposition(pts, cold.Chains); err != nil {
+				t.Fatalf("singletons-seeded decomposition invalid: %v", err)
 			}
 		}
 	})

@@ -4,8 +4,10 @@ import (
 	"math/rand"
 	"testing"
 
+	"monoclass/internal/dataset"
 	"monoclass/internal/domgraph"
 	"monoclass/internal/geom"
+	"monoclass/internal/matching"
 )
 
 // plantedWidth builds a point set of exact width w: w parallel chains
@@ -33,8 +35,10 @@ func plantedWidth(rng *rand.Rand, w, chainLen, d int) ([]geom.Point, int) {
 }
 
 // TestWarmWidthMatchesCold: the warm-started decomposition must land
-// on exactly the cold Hopcroft–Karp width, with a valid chain cover
-// and antichain certificate, over random instances of several shapes.
+// on exactly the width of a cold Hopcroft–Karp run — the scalar
+// oracle's, whose slice matcher shares no code with the bitset one —
+// with a valid chain cover and antichain certificate, over random
+// instances of several shapes.
 func TestWarmWidthMatchesCold(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 30; trial++ {
@@ -42,10 +46,10 @@ func TestWarmWidthMatchesCold(t *testing.T) {
 		d := 3 + rng.Intn(3)
 		pts := randPoints(rng, n, d, 12)
 		m := domgraph.Build(pts)
-		cold := DecomposeMatrixCold(pts, m)
+		cold := DecomposeGenericScalar(pts)
 		warm, st := DecomposeMatrixStats(pts, m)
 		if warm.Width != cold.Width {
-			t.Fatalf("trial %d: warm width %d, cold width %d", trial, warm.Width, cold.Width)
+			t.Fatalf("trial %d: warm width %d, scalar width %d", trial, warm.Width, cold.Width)
 		}
 		if st.Width != warm.Width {
 			t.Fatalf("trial %d: stats width %d != decomposition width %d", trial, st.Width, warm.Width)
@@ -67,7 +71,8 @@ func TestWarmWidthMatchesCold(t *testing.T) {
 
 // TestSeededAnyCoverConverges: seeding from any valid chain cover —
 // the scalar greedy cover, a permuted variant, and the adversarially
-// wide all-singletons cover — must converge to the cold width.
+// wide all-singletons cover, whose empty seed matching runs the full
+// cold phase schedule — must converge to the scalar oracle's width.
 func TestSeededAnyCoverConverges(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 12; trial++ {
@@ -75,7 +80,7 @@ func TestSeededAnyCoverConverges(t *testing.T) {
 		d := 3 + rng.Intn(2)
 		pts := randPoints(rng, n, d, 12)
 		m := domgraph.Build(pts)
-		cold := DecomposeMatrixCold(pts, m)
+		cold := DecomposeGenericScalar(pts)
 
 		greedy := GreedyDecompose(pts)
 		permuted := make([][]int, len(greedy))
@@ -91,7 +96,7 @@ func TestSeededAnyCoverConverges(t *testing.T) {
 		} {
 			dec, st := DecomposeMatrixSeeded(pts, m, cover)
 			if dec.Width != cold.Width {
-				t.Fatalf("trial %d %s: width %d, cold %d", trial, name, dec.Width, cold.Width)
+				t.Fatalf("trial %d %s: width %d, scalar %d", trial, name, dec.Width, cold.Width)
 			}
 			if err := ValidateDecomposition(pts, dec.Chains); err != nil {
 				t.Fatalf("trial %d %s: %v", trial, name, err)
@@ -122,6 +127,35 @@ func TestAugmentationsBoundPlanted(t *testing.T) {
 		}
 		if !st.CertEarlyExit && st.Phases > st.Augmentations+1 {
 			t.Fatalf("w=%d: %d phases exceed augmentations+1 = %d", w, st.Phases, st.Augmentations+1)
+		}
+	}
+}
+
+// TestMatcherExaminesEachRightOncePerPhase guards the masked
+// augmenting DFS on a planted noisy d=3 set whose greedy seed the
+// certificate cannot prove optimal, so Hopcroft–Karp does real work.
+// Cold and warm-started from the greedy seed, the DFS tests each right
+// vertex at most once per phase. A DFS that walks every set bit of its
+// rows tests 40–60× that bound at this size.
+func TestMatcherExaminesEachRightOncePerPhase(t *testing.T) {
+	const n = 2048
+	lps := dataset.Planted(rand.New(rand.NewSource(1)), dataset.PlantedParams{N: n, D: 3, Noise: 0.1})
+	pts := make([]geom.Point, n)
+	for i, lp := range lps {
+		pts[i] = lp.P
+	}
+	m := domgraph.Build(pts)
+	if _, st := DecomposeMatrixStats(pts, m); st.CertEarlyExit || st.Augmentations == 0 {
+		t.Fatalf("want a certificate miss that needs augmentations, got %+v", st)
+	}
+	b := matching.BitsetFromRows(n, n, m.DAGBits())
+	for name, seed := range map[string][]int{"cold": nil, "warm": greedySeedBitset(pts, m)} {
+		_, st := matching.MaxMatchingBitsetWarm(b, seed)
+		if st.Augmentations == 0 {
+			t.Fatalf("%s: no augmentations (%+v)", name, st)
+		}
+		if bound := st.Phases * b.NumRight(); st.Examined > bound {
+			t.Errorf("%s: DFS examined %d right vertices in %d phases, bound %d", name, st.Examined, st.Phases, bound)
 		}
 	}
 }

@@ -40,7 +40,7 @@ func Checks() []Check {
 		{"maxflow-differential", CheckMaxflowDifferential},
 		{"domgraph-kernel-vs-naive", CheckDomgraphKernel},
 		{"chains-kernel-vs-scalar", CheckChainsDecompose},
-		{"decompose-warmstart-vs-cold", CheckDecomposeWarmStart},
+		{"decompose-warmstart-vs-scalar", CheckDecomposeWarmStart},
 		{"classifier-indexed-vs-scalar", CheckClassifierIndexed},
 		{"passive-differential", CheckPassiveDifferential},
 		{"active-exhaustive-exact", CheckActiveExhaustive},

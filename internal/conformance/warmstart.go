@@ -10,13 +10,16 @@ import (
 )
 
 // CheckDecomposeWarmStart holds the warm-started chain decomposition
-// to the cold Hopcroft–Karp oracle across every dominance
-// representation a Problem can carry. For each of the dense, blocked,
-// and implicit materializations it requires: bit-identical width to a
-// cold run over the same matrix, a valid decomposition and a
-// certifying antichain of exactly that width, warm-start accounting
-// that balances (augmentations = seed chains − width), and convergence
-// from a caller-supplied greedy cover through DecomposeMatrixSeeded.
+// to the scalar Lemma 6 oracle (chains.DecomposeGenericScalar:
+// pairwise dominance tests and slice Hopcroft–Karp, sharing no code
+// with the bitset matcher) across every dominance representation a
+// Problem can carry. The oracle must itself be a valid decomposition
+// with a certifying antichain. For each of the dense, blocked, and
+// implicit materializations the check then requires: the oracle's
+// width, a valid decomposition and a certifying antichain of exactly
+// that width, warm-start accounting that balances (augmentations =
+// seed chains − width), and convergence from a caller-supplied greedy
+// cover through DecomposeMatrixSeeded.
 // ±Inf instances exercise the full differential; NaN coordinates are
 // outside the decomposition domain — geom.Dominates makes NaN points
 // mutually dominating without being Equal (NaN != NaN), so the "DAG"
@@ -48,17 +51,16 @@ func CheckDecomposeWarmStart(in Instance) error {
 		{"implicit", domgraph.NewImplicit(pts).Materialize()},
 	}
 
-	var refWidth = -1
+	scalar := chains.DecomposeGenericScalar(pts)
+	if err := validateDecomposition("scalar", pts, scalar); err != nil {
+		return err
+	}
 	for _, src := range sources {
-		cold := chains.DecomposeMatrixCold(pts, src.m)
 		warm, st := chains.DecomposeMatrixStats(pts, src.m)
-		if warm.Width != cold.Width {
-			return fmt.Errorf("%s: warm width %d != cold width %d", src.name, warm.Width, cold.Width)
+		if warm.Width != scalar.Width {
+			return fmt.Errorf("%s: warm width %d != scalar width %d", src.name, warm.Width, scalar.Width)
 		}
 		if err := validateDecomposition(src.name+"-warm", pts, warm); err != nil {
-			return err
-		}
-		if err := validateDecomposition(src.name+"-cold", pts, cold); err != nil {
 			return err
 		}
 		if st.Width != warm.Width {
@@ -71,18 +73,13 @@ func CheckDecomposeWarmStart(in Instance) error {
 		if st.CertEarlyExit && (st.Phases != 0 || st.Augmentations != 0) {
 			return fmt.Errorf("%s: certificate early exit still ran matching: %+v", src.name, st)
 		}
-		if refWidth == -1 {
-			refWidth = warm.Width
-		} else if warm.Width != refWidth {
-			return fmt.Errorf("%s: width %d != dense width %d", src.name, warm.Width, refWidth)
-		}
 
 		// A caller-supplied greedy cover must converge identically, with
 		// the augmentation count bounded by its seed gap.
 		greedy := chains.GreedyDecompose(pts)
 		seeded, sst := chains.DecomposeMatrixSeeded(pts, src.m, greedy)
-		if seeded.Width != cold.Width {
-			return fmt.Errorf("%s: greedy-seeded width %d != cold width %d", src.name, seeded.Width, cold.Width)
+		if seeded.Width != scalar.Width {
+			return fmt.Errorf("%s: greedy-seeded width %d != scalar width %d", src.name, seeded.Width, scalar.Width)
 		}
 		if sst.Augmentations > sst.SeedChains-seeded.Width {
 			return fmt.Errorf("%s: greedy-seeded %d augmentations exceed seed gap %d",
@@ -94,9 +91,9 @@ func CheckDecomposeWarmStart(in Instance) error {
 	}
 
 	// The generic entry point (what Prepare's exact paths call) must
-	// agree with the per-matrix runs.
-	if gen := chains.DecomposeGeneric(pts); gen.Width != refWidth {
-		return fmt.Errorf("DecomposeGeneric width %d != matrix width %d", gen.Width, refWidth)
+	// agree with the oracle too.
+	if gen := chains.DecomposeGeneric(pts); gen.Width != scalar.Width {
+		return fmt.Errorf("DecomposeGeneric width %d != scalar width %d", gen.Width, scalar.Width)
 	}
 	return nil
 }

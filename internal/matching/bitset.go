@@ -78,14 +78,25 @@ type MatchingStats struct {
 	// Augmentations counts augmenting paths applied on top of the
 	// seed; always the final size minus SeedSize.
 	Augmentations int
+	// Examined counts the candidate right vertices the augmenting
+	// DFS tested. The per-layer masks let each right vertex be tested
+	// at most once per phase, so it never exceeds Phases·NumRight.
+	Examined int
 }
 
 // MaxMatchingBitset is Hopcroft–Karp over the packed adjacency from an
 // empty matching. The phase structure (and therefore the O(√V) phase
-// bound) is identical to MaxMatching; the BFS layering additionally
-// keeps an unvisited-right bitset so each row scan is one AND per word
-// and every right vertex is expanded at most once per phase, making a
-// BFS O(V²/64) instead of O(E).
+// bound) is identical to MaxMatching, but both halves of a phase work
+// a word at a time. The BFS keeps an unvisited-right bitset, so each
+// row scan is one AND per word and every right vertex is expanded at
+// most once. It also files every right vertex it reaches into a mask:
+// the free-right mask, or the mask of layer k when its partner sits at
+// distance k. The DFS from a left vertex at distance k scans its row
+// ANDed with the free mask and layer k+1's mask, and clears each
+// candidate it tests: the partner dead-ends, or the augmenting path
+// takes the vertex. Each right vertex is tested at most once, so a
+// phase costs O(V²/64) word operations plus O(V) bit tests, not O(E)
+// bit visits.
 func MaxMatchingBitset(b *BitsetBipartite) Matching {
 	m, _ := MaxMatchingBitsetWarm(b, nil)
 	return m
@@ -132,10 +143,15 @@ func MaxMatchingBitsetWarm(b *BitsetBipartite, seedL []int) (Matching, MatchingS
 		}
 	}
 
-	const inf = int(^uint(0) >> 1)
-	dist := make([]int, b.nLeft)
+	words := b.words
+	dist := make([]int, b.nLeft) // BFS distance; read only for left vertices the BFS reached
 	queue := make([]int, 0, b.nLeft)
-	unvis := make([]uint64, b.words)
+	unvis := make([]uint64, words)
+	// masks holds one bitset of words words per slot: slot 0 is the
+	// free-right mask, slot k ≥ 1 the right vertices whose partner
+	// sits at BFS distance k. It is rebuilt by every BFS and keeps its
+	// capacity across phases.
+	var masks []uint64
 
 	bfs := func() bool {
 		queue = queue[:0]
@@ -143,19 +159,23 @@ func MaxMatchingBitsetWarm(b *BitsetBipartite, seedL []int) (Matching, MatchingS
 			if matchL[u] == unmatched {
 				dist[u] = 0
 				queue = append(queue, u)
-			} else {
-				dist[u] = inf
 			}
 		}
 		for w := range unvis {
 			unvis[w] = ^uint64(0)
 		}
-		if tail := b.nRight & 63; tail != 0 && b.words > 0 {
-			unvis[b.words-1] = 1<<uint(tail) - 1
+		if tail := b.nRight & 63; tail != 0 && words > 0 {
+			unvis[words-1] = 1<<uint(tail) - 1
 		}
+		masks = append(masks[:0], make([]uint64, 2*words)...)
 		found := false
 		for head := 0; head < len(queue); head++ {
 			u := queue[head]
+			next := dist[u] + 1
+			if len(masks) < (next+2)*words {
+				// Layer next+1 must exist for the DFS from layer next.
+				masks = append(masks, make([]uint64, words)...)
+			}
 			row := b.row(u)
 			for w, bitsW := range row {
 				cand := bitsW & unvis[w]
@@ -169,8 +189,11 @@ func MaxMatchingBitsetWarm(b *BitsetBipartite, seedL []int) (Matching, MatchingS
 					x := matchR[v]
 					if x == unmatched {
 						found = true
-					} else if dist[x] == inf {
-						dist[x] = dist[u] + 1
+						masks[w] |= 1 << uint(v&63)
+					} else {
+						// x is matched to v alone, so this is its only visit.
+						dist[x] = next
+						masks[next*words+w] |= 1 << uint(v&63)
 						queue = append(queue, x)
 					}
 				}
@@ -182,19 +205,32 @@ func MaxMatchingBitsetWarm(b *BitsetBipartite, seedL []int) (Matching, MatchingS
 	var dfs func(u int) bool
 	dfs = func(u int) bool {
 		row := b.row(u)
-		for w, bitsW := range row {
-			for bitsW != 0 {
-				v := w<<6 + bits.TrailingZeros64(bitsW)
-				bitsW &= bitsW - 1
-				x := matchR[v]
-				if x == unmatched || (dist[x] == dist[u]+1 && dfs(x)) {
-					matchL[u] = v
-					matchR[v] = u
-					return true
+		free := masks[:words]
+		layer := masks[(dist[u]+1)*words : (dist[u]+2)*words]
+		for w := 0; w < words; w++ {
+			mask := free[w] | layer[w]
+			if mask == 0 {
+				continue
+			}
+			for cand := row[w] & mask; cand != 0; cand &= cand - 1 {
+				bit := cand & -cand
+				v := w<<6 + bits.TrailingZeros64(cand)
+				st.Examined++
+				if x := matchR[v]; x == unmatched {
+					free[w] &^= bit
+				} else {
+					// Dead end or path through v: either way v is done
+					// for this phase.
+					layer[w] &^= bit
+					if !dfs(x) {
+						continue
+					}
 				}
+				matchL[u] = v
+				matchR[v] = u
+				return true
 			}
 		}
-		dist[u] = inf // dead end: prune for the rest of this phase
 		return false
 	}
 

@@ -38,8 +38,9 @@ func greedySeed(b *BitsetBipartite) []int {
 }
 
 // TestWarmMatchesColdSize: warm-started Hopcroft–Karp must reach
-// exactly the cold maximum-matching size from any valid seed, and the
-// augmentation count must equal the size gap.
+// exactly the cold maximum-matching size from any valid seed, the
+// augmentation count must equal the size gap, and the masked DFS must
+// test each right vertex at most once per phase.
 func TestWarmMatchesColdSize(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 40; trial++ {
@@ -56,6 +57,9 @@ func TestWarmMatchesColdSize(t *testing.T) {
 		}
 		if st.Phases > st.Augmentations+1 {
 			t.Fatalf("trial %d: %d phases exceed augmentations+1 = %d", trial, st.Phases, st.Augmentations+1)
+		}
+		if st.Examined > st.Phases*nR {
+			t.Fatalf("trial %d: DFS examined %d right vertices in %d phases of %d", trial, st.Examined, st.Phases, nR)
 		}
 		// The warm result must be a consistent matching over real edges.
 		for u, v := range warm.MatchLeft {

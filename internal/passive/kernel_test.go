@@ -257,3 +257,96 @@ func TestInfinityEdgesWideCover(t *testing.T) {
 		t.Fatalf("%d lookups for m=%d contending points in k=%d chains, bound %d", view.lookups, m, k, bound)
 	}
 }
+
+// checkEdgeBound holds infinityEdges to its edge budget over cover
+// restricted to the contending points: at most 2m consecutive links
+// (one down-link per point, plus a forward link between
+// coordinate-equal neighbours) and, per ordered pair of restricted
+// chains (a, c), at most min(|a|, |c|) cross links. It returns the
+// cross-link count.
+func checkEdgeBound(t *testing.T, cover [][]int, contending []bool, edges []edge) int {
+	t.Helper()
+	chainOf := map[int]int{}
+	var sizes []int
+	for _, chain := range cover {
+		size := 0
+		for _, idx := range chain {
+			if contending[idx] {
+				chainOf[idx] = len(sizes)
+				size++
+			}
+		}
+		if size > 0 {
+			sizes = append(sizes, size)
+		}
+	}
+	m := len(chainOf)
+	consecutive, cross := 0, 0
+	for _, e := range edges {
+		if chainOf[e.from] == chainOf[e.to] {
+			consecutive++
+		} else {
+			cross++
+		}
+	}
+	budget := 0
+	for a := range sizes {
+		for c := range sizes {
+			if a != c {
+				budget += min(sizes[a], sizes[c])
+			}
+		}
+	}
+	if consecutive > 2*m {
+		t.Fatalf("%d consecutive links for m=%d contending points", consecutive, m)
+	}
+	if cross > budget {
+		t.Fatalf("%d cross links, budget Σ min(|a|,|c|) = %d over chain sizes %v", cross, budget, sizes)
+	}
+	return cross
+}
+
+// TestInfinityEdgeCount: a long contending chain whose top fifty
+// points dominate a prefix of a short chain. Only the three points
+// where that prefix grows need a cross link; the rest reach it
+// through their chain's consecutive links, where one cross link per
+// point would spend fifty. Random sets hold the same budget.
+func TestInfinityEdgeCount(t *testing.T) {
+	var ws geom.WeightedSet
+	var long, short []int
+	for x := 0; x < 200; x++ {
+		long = append(long, len(ws))
+		ws = append(ws, geom.WeightedPoint{P: geom.Point{float64(x), float64(x)}, Label: geom.Label(1 - x%2), Weight: 1})
+	}
+	// (j, 150+j) is dominated by (x, x) iff x ≥ 150+j, and is
+	// incomparable with the long chain's middle.
+	for j := 0; j < 3; j++ {
+		short = append(short, len(ws))
+		ws = append(ws, geom.WeightedPoint{P: geom.Point{float64(j), float64(150 + j)}, Label: geom.Label(1 - j%2), Weight: 1})
+	}
+	cover := [][]int{long, short}
+	contending := contendingPoints(ws, cover)
+	for i, c := range contending {
+		if !c {
+			t.Fatalf("point %d does not contend", i)
+		}
+	}
+	edges := edgesOf(domgraph.NewImplicit(pointsOf(ws)), cover, contending)
+	checkReachability(t, "long-over-short", ws, contending, edges)
+	if cross := checkEdgeBound(t, cover, contending, edges); cross != 2*len(short) {
+		t.Fatalf("%d cross links, want %d: one per prefix step in each direction", cross, 2*len(short))
+	}
+
+	rng := rand.New(rand.NewSource(34))
+	for trial := 0; trial < 100; trial++ {
+		d := 1 + rng.Intn(4)
+		ws := randomWeightedSet(rng, 1+rng.Intn(60), d, 2+rng.Intn(4))
+		pts := pointsOf(ws)
+		for _, cover := range [][][]int{chains.Decompose(pts).Chains, chains.GreedyDecompose(pts)} {
+			contending := contendingPoints(ws, cover)
+			edges := edgesOf(domgraph.Build(pts), cover, contending)
+			checkReachability(t, "random", ws, contending, edges)
+			checkEdgeBound(t, cover, contending, edges)
+		}
+	}
+}

@@ -10,22 +10,25 @@ import (
 // adversarial inputs, which dominates both memory and max-flow time.
 // Prepare builds an equivalent sparse network instead: ∞ edges follow
 // a chain cover of the contending points (consecutive links inside
-// each chain, plus, for every point and every other chain, one link to
-// the highest chain member it dominates). Two facts make the
-// substitution exact:
+// each chain, plus cross links from a point to the highest member it
+// dominates in another chain, wherever its own chain link does not
+// already reach that member). Two facts make the substitution exact:
 //
 //  1. soundness — every ∞ edge (a, b) added satisfies a ⪰ b, so any
 //     source→sink path still witnesses a dominating pair
 //     (label-0 point) ⪰ (label-1 point) by transitivity;
 //  2. completeness — if a ⪰ b then b is reachable from a through ∞
 //     edges: within a chain via consecutive links, across chains via
-//     the cross link plus the target chain's internal links (the
-//     dominated members of a chain always form a prefix).
+//     a cross link from a or a point below it in its chain, plus the
+//     target chain's internal links (the dominated members of a chain
+//     always form a prefix).
 //
 // Hence the two networks admit exactly the same source-sink cuts made
 // of finite edges, and the min cut — which never uses ∞ edges
-// (Lemma 18) — is unchanged. Edge count drops to O(m·w) for m
-// contending points in w chains.
+// (Lemma 18) — is unchanged. Each ordered pair of chains (a, c) holds
+// at most min(|a|, |c|) cross links, so the m contending points in k
+// chains need at most 2m consecutive and Σ min(|a|, |c|) ≤ (k−1)·m
+// cross links.
 //
 // The contending scan that precedes the edge build needs only each
 // chain's extreme members: along an ascending chain every label-1
@@ -115,12 +118,17 @@ next:
 //
 // Each chain of cover is restricted to its contending members, and
 // chains left empty drop out. Then, chain by chain in ascending order,
-// each point emits its consecutive link and one cross link per other
-// chain. The members of another chain c that a point dominates form a
-// prefix of c, and that prefix only grows as the point's own chain
-// ascends, so one pointer per other chain advances monotonically: the
-// pair of chains (a, c) costs at most |a|+|c| lookups, and the k ≤ m
-// non-empty chains at most 2·(k−1)·m in all.
+// each point emits its consecutive link and its cross links. The
+// members of another chain c that a point dominates form a prefix of
+// c, and that prefix only grows as the point's own chain ascends, so
+// one pointer per other chain advances monotonically: the pair of
+// chains (a, c) costs at most |a|+|c| lookups, and the k ≤ m non-empty
+// chains at most 2·(k−1)·m in all. A point links to the top of its
+// prefix of c only when the pointer advanced. Otherwise the point
+// below it in chain a has the same prefix, and by induction down the
+// chain already reaches its top, so the consecutive link implies the
+// cross link. Each link then marks a step of the pointer and a member
+// of a: at most min(|a|, |c|) per pair.
 func infinityEdges(view domgraph.View, cover [][]int, contending []bool, m int, emit func(from, to int)) {
 	flat := make([]int, 0, m)
 	var restricted [][]int
@@ -158,9 +166,9 @@ func infinityEdges(view domgraph.View, cover [][]int, contending []bool, m int, 
 				for p < len(other) && view.Dominates(i, other[p]) {
 					p++
 				}
-				prefix[c] = p
-				if p > 0 {
+				if p > prefix[c] {
 					emit(i, other[p-1])
+					prefix[c] = p
 				}
 			}
 		}
