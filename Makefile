@@ -15,6 +15,7 @@
 #   make ci-smoke          one warm-started exact prepare under the race detector
 #   make loc               count non-test Go lines (the size ROADMAP tracks)
 #   make fuzz-chains       short differential fuzz of the chain decomposition
+#   make fuzz-passive      short fuzz of the ∞-edge builder vs the literal network
 #   make fuzz-online       short fuzz pass over the online delta intake
 #   make fuzz-problem      short fuzz pass over problem deserialization
 #   make fuzz-serve        short differential fuzz of the classify wire codec
@@ -25,7 +26,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: all build vet test race conformance conformance-long conformance-mutate bench-maxflow bench-classify bench-serve bench-shard bench-online bench-problem profile-prepare ci-smoke loc fuzz-chains fuzz-online fuzz-problem fuzz-serve serve-stress verify verify-full clean
+.PHONY: all build vet test race conformance conformance-long conformance-mutate bench-maxflow bench-classify bench-serve bench-shard bench-online bench-problem profile-prepare ci-smoke loc fuzz-chains fuzz-passive fuzz-online fuzz-problem fuzz-serve serve-stress verify verify-full clean
 
 all: check
 
@@ -154,6 +155,13 @@ loc:
 # scalar oracle, on up to 130 points so matrix rows span three words.
 fuzz-chains:
 	$(GO) test -run FuzzDecomposeKernelVsScalar -fuzz FuzzDecomposeKernelVsScalar -fuzztime 30s ./internal/chains
+
+# Fuzz of the one ∞-edge builder on up to 130 points: sound edges
+# within the label-split budget, label-0 → label-1 reachability equal
+# to dominance, identical edges from every view, and the literal
+# network's WErr, assignment and anchors.
+fuzz-passive:
+	$(GO) test -run FuzzPassiveNetwork -fuzz FuzzPassiveNetwork -fuzztime 30s ./internal/passive
 
 # Coverage-guided fuzz of the online updater's byte-decoded delta
 # traces: no panics, contract-only rejections, retrain equivalence.

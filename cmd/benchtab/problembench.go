@@ -27,6 +27,7 @@ type problemRow struct {
 	Width          int     `json:"width"`
 	ExactWidth     bool    `json:"exact_width"`
 	Contending     int     `json:"contending"`
+	Edges          int     `json:"edges"`
 	PrepareNs      float64 `json:"prepare_ns"`
 	SolveNs        float64 `json:"solve_ns"`
 	ResolveNs      float64 `json:"resolve_ns"`
@@ -227,7 +228,8 @@ func runProblemBench(path string, seed int64, quick bool) error {
 			Mode:           p.Mode().String(),
 			Width:          p.Width(),
 			ExactWidth:     p.ExactWidth(),
-			Contending:     p.NumContending(),
+			Contending:     pst.Contending,
+			Edges:          pst.Edges,
 			PrepareNs:      prepareNs,
 			SolveNs:        solveNs,
 			ResolveNs:      resolveNs,
@@ -245,7 +247,7 @@ func runProblemBench(path string, seed int64, quick bool) error {
 			CertEarlyExit:  pst.CertEarlyExit,
 		}
 		report.Rows = append(report.Rows, row)
-		fmt.Printf("%-34s prepare %10s (matrix %9s decomp %9s net %9s)  solve %10s  re-solve %9s  (%.0fx)  peak %7.1f MB  width %d  %s  aug %d\n",
+		fmt.Printf("%-34s prepare %10s (matrix %9s decomp %9s net %9s)  solve %10s  re-solve %9s  (%.0fx)  peak %7.1f MB  width %d  edges %d  %s  aug %d\n",
 			row.Name,
 			time.Duration(prepareNs).Round(time.Microsecond),
 			time.Duration(pst.MatrixNS).Round(time.Microsecond),
@@ -255,7 +257,7 @@ func runProblemBench(path string, seed int64, quick bool) error {
 			time.Duration(resolveNs).Round(time.Microsecond),
 			row.ResolveSpeedup,
 			float64(peak)/(1<<20),
-			row.Width, row.DecomposePath, row.Augmentations)
+			row.Width, row.Edges, row.DecomposePath, row.Augmentations)
 	}
 
 	// The dense wall itself: explicit dense mode at 10⁶ points must be

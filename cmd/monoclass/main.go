@@ -200,6 +200,7 @@ func runPrepare(args []string) error {
 	fmt.Printf("width:       %d (exact: %v)\n", p.Width(), p.ExactWidth())
 	fmt.Printf("decompose:   %s (seed %d chains, %d augmentations, %d phases)\n",
 		st.DecomposePath, st.SeedChains, st.Augmentations, st.Phases)
+	fmt.Printf("network:     %d contending points, %d edges\n", st.Contending, st.Edges)
 	fmt.Printf("stages:      matrix %s, decompose %s, network %s\n",
 		time.Duration(st.MatrixNS).Round(time.Millisecond),
 		time.Duration(st.DecomposeNS).Round(time.Millisecond),

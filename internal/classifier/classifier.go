@@ -17,6 +17,7 @@ package classifier
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"monoclass/internal/classidx"
@@ -188,7 +189,17 @@ func (a *AnchorSet) String() string {
 // points assigned 1. It fails when the assignment itself violates
 // monotonicity on pts (a 0-assigned point dominating a 1-assigned
 // point), because then no monotone extension agrees with it.
-func FromAssignment(pts []geom.Point, assign []geom.Label) (*AnchorSet, error) {
+//
+// cover, when non-nil, is a chain decomposition of pts, and only each
+// chain's lowest 1-assigned member goes to the skyline: every
+// 1-assigned point dominates the lowest one of its chain, so these
+// candidates have the same minimal points. Where coordinate-equal
+// members start a chain's 1-assigned run, the smallest index stands
+// for them, which keeps the nil-cover anchor order. A nil cover means
+// singleton chains. The consistency check runs at every point either
+// way, so chains that do not ascend can cause an error but never a
+// wrong classifier.
+func FromAssignment(pts []geom.Point, assign []geom.Label, cover [][]int) (*AnchorSet, error) {
 	if len(pts) != len(assign) {
 		return nil, fmt.Errorf("classifier: %d points but %d labels", len(pts), len(assign))
 	}
@@ -196,14 +207,21 @@ func FromAssignment(pts []geom.Point, assign []geom.Label) (*AnchorSet, error) {
 		return nil, fmt.Errorf("classifier: empty assignment (dimension unknown)")
 	}
 	dim := len(pts[0])
+	for i, l := range assign {
+		if l != geom.Positive && l != geom.Negative {
+			return nil, fmt.Errorf("classifier: invalid label %d at index %d", l, i)
+		}
+	}
 	var pos []geom.Point
-	for i, p := range pts {
-		switch assign[i] {
-		case geom.Positive:
-			pos = append(pos, p)
-		case geom.Negative:
-		default:
-			return nil, fmt.Errorf("classifier: invalid label %d at index %d", assign[i], i)
+	if cover == nil {
+		for i, p := range pts {
+			if assign[i] == geom.Positive {
+				pos = append(pos, p)
+			}
+		}
+	} else {
+		for _, i := range chainBottoms(pts, assign, cover) {
+			pos = append(pos, pts[i])
 		}
 	}
 	h, err := NewAnchorSet(dim, pos)
@@ -219,6 +237,32 @@ func FromAssignment(pts []geom.Point, assign []geom.Label) (*AnchorSet, error) {
 		}
 	}
 	return h, nil
+}
+
+// chainBottoms returns, in increasing order, one index per chain of
+// cover that holds a 1-assigned member: the lowest such member, or the
+// smallest index among the coordinate-equal members its run starts
+// with.
+func chainBottoms(pts []geom.Point, assign []geom.Label, cover [][]int) []int {
+	var out []int
+	for _, chain := range cover {
+		for k, idx := range chain {
+			if assign[idx] != geom.Positive {
+				continue
+			}
+			low := idx
+			for _, j := range chain[k+1:] {
+				if !pts[j].Equal(pts[idx]) {
+					break
+				}
+				low = min(low, j)
+			}
+			out = append(out, low)
+			break
+		}
+	}
+	slices.Sort(out)
+	return out
 }
 
 // IsMonotoneOn audits monotonicity of an arbitrary classifier over a

@@ -3,8 +3,11 @@ package classifier
 import (
 	"math"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 
+	"monoclass/internal/chains"
 	"monoclass/internal/geom"
 )
 
@@ -151,7 +154,7 @@ func TestIsMonotoneOnDetectsViolation(t *testing.T) {
 func TestFromAssignment(t *testing.T) {
 	pts := []geom.Point{{0, 0}, {1, 1}, {2, 0}, {0, 2}}
 	assign := []geom.Label{0, 1, 0, 1}
-	h, err := FromAssignment(pts, assign)
+	h, err := FromAssignment(pts, assign, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,18 +172,119 @@ func TestFromAssignment(t *testing.T) {
 func TestFromAssignmentRejectsInconsistent(t *testing.T) {
 	pts := []geom.Point{{0, 0}, {1, 1}}
 	// (1,1) assigned 0 while dominated (0,0) assigned 1: impossible.
-	if _, err := FromAssignment(pts, []geom.Label{1, 0}); err == nil {
+	if _, err := FromAssignment(pts, []geom.Label{1, 0}, nil); err == nil {
 		t.Error("non-monotone assignment accepted")
 	}
-	if _, err := FromAssignment(pts, []geom.Label{1}); err == nil {
+	if _, err := FromAssignment(pts, []geom.Label{1}, nil); err == nil {
 		t.Error("length mismatch accepted")
 	}
-	if _, err := FromAssignment(nil, nil); err == nil {
+	if _, err := FromAssignment(nil, nil, nil); err == nil {
 		t.Error("empty assignment accepted")
 	}
-	if _, err := FromAssignment(pts, []geom.Label{0, 9}); err == nil {
+	if _, err := FromAssignment(pts, []geom.Label{0, 9}, nil); err == nil {
 		t.Error("invalid label accepted")
 	}
+}
+
+// TestFromAssignmentCoverDecode: handing the skyline only each chain's
+// lowest 1-assigned member changes nothing observable. Over random
+// sets (d = 1..4, duplicates, ±Inf) and assignments that are monotone
+// (upward closures of random anchor sets), monotone but for one flip,
+// or random, the minimum cover, the greedy cover and a cover whose
+// coordinate-equal runs are reversed return the nil cover's anchors in
+// the nil cover's order, or fail with its error; so does an invalid
+// label.
+func TestFromAssignmentCoverDecode(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	failures := 0
+	for trial := 0; trial < 600; trial++ {
+		d := 1 + rng.Intn(4)
+		n := 1 + rng.Intn(70)
+		pts := make([]geom.Point, n)
+		for i := range pts {
+			if i > 0 && rng.Intn(4) == 0 {
+				pts[i] = pts[rng.Intn(i)].Clone()
+				continue
+			}
+			p := make(geom.Point, d)
+			for k := range p {
+				p[k] = float64(rng.Intn(4))
+				if rng.Intn(15) == 0 {
+					p[k] = math.Inf(1 - 2*rng.Intn(2))
+				}
+			}
+			pts[i] = p
+		}
+		assign := make([]geom.Label, n)
+		seeds := make([]geom.Point, rng.Intn(4))
+		for a := range seeds {
+			seeds[a] = pts[rng.Intn(n)]
+		}
+		for i, p := range pts {
+			for _, s := range seeds {
+				if geom.Dominates(p, s) {
+					assign[i] = geom.Positive
+				}
+			}
+		}
+		switch trial % 4 {
+		case 1:
+			assign[rng.Intn(n)] ^= 1
+		case 2:
+			for i := range assign {
+				assign[i] = geom.Label(rng.Intn(2))
+			}
+		case 3:
+			if trial%8 == 3 {
+				assign[rng.Intn(n)] = 2
+			}
+		}
+		minimum := chains.Decompose(pts).Chains
+		covers := map[string][][]int{
+			"minimum":  minimum,
+			"greedy":   chains.GreedyDecompose(pts),
+			"reversed": reverseEqualRuns(pts, minimum),
+		}
+		want, wantErr := FromAssignment(pts, assign, nil)
+		if wantErr != nil {
+			failures++
+		}
+		for name, cover := range covers {
+			if err := chains.ValidateDecomposition(pts, cover); err != nil {
+				t.Fatalf("trial %d: %s cover invalid: %v", trial, name, err)
+			}
+			got, err := FromAssignment(pts, assign, cover)
+			if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
+				t.Fatalf("trial %d: %s cover: error %v, nil cover %v", trial, name, err, wantErr)
+			}
+			if err == nil && !reflect.DeepEqual(got.Anchors(), want.Anchors()) {
+				t.Fatalf("trial %d: %s cover: anchors %v, nil cover %v", trial, name, got.Anchors(), want.Anchors())
+			}
+		}
+	}
+	if failures < 100 {
+		t.Fatalf("only %d of 600 trials exercised a rejected assignment", failures)
+	}
+}
+
+// reverseEqualRuns returns a copy of cover with every run of
+// coordinate-equal chain neighbours reversed: still a valid cover,
+// but its duplicates no longer ascend by index.
+func reverseEqualRuns(pts []geom.Point, cover [][]int) [][]int {
+	out := make([][]int, len(cover))
+	for c, chain := range cover {
+		chain = slices.Clone(chain)
+		for lo := 0; lo < len(chain); {
+			hi := lo + 1
+			for hi < len(chain) && pts[chain[hi]].Equal(pts[chain[lo]]) {
+				hi++
+			}
+			slices.Reverse(chain[lo:hi])
+			lo = hi
+		}
+		out[c] = chain
+	}
+	return out
 }
 
 func TestBestThreshold1DExhaustive(t *testing.T) {

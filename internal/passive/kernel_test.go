@@ -1,6 +1,7 @@
 package passive
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -68,7 +69,7 @@ func TestKernelSolveMatchesDense(t *testing.T) {
 type edge struct{ from, to int }
 
 // edgesOf collects infinityEdges' output in emission order.
-func edgesOf(view domgraph.View, cover [][]int, contending []bool) []edge {
+func edgesOf(view domgraph.View, ws geom.WeightedSet, cover [][]int, contending []bool) []edge {
 	m := 0
 	for _, c := range contending {
 		if c {
@@ -76,7 +77,7 @@ func edgesOf(view domgraph.View, cover [][]int, contending []bool) []edge {
 		}
 	}
 	var out []edge
-	infinityEdges(view, cover, contending, m, func(from, to int) { out = append(out, edge{from, to}) })
+	infinityEdges(view, ws, cover, contending, m, func(from, to int) { out = append(out, edge{from, to}) })
 	return out
 }
 
@@ -125,17 +126,19 @@ func checkReachability(t *testing.T, tag string, ws geom.WeightedSet, contending
 }
 
 // TestSparseEdgesMatrixMatchesScalar is the property test of the one
-// ∞-edge builder: over random small sets (duplicates, ±Inf, d = 1..4),
-// minimum and greedy covers, and the matrix, blocked and implicit views
-// (the latter two answer dominance from coordinates and ranks), the
-// contending scan matches its definition, ∞-reachability from each
-// contending label-0 point equals dominance over the contending
-// label-1 points, and all three views emit the identical edge list.
+// ∞-edge builder: over random sets of up to 130 points (duplicates,
+// ±Inf, d = 1..4), so matrix rows and blocked tiles span up to three
+// words, minimum and greedy covers, and the matrix, blocked and
+// implicit views (the latter two answer dominance from coordinates
+// and ranks), the contending scan matches its definition, the edges
+// keep their budget, ∞-reachability from each contending label-0
+// point equals dominance over the contending label-1 points, and all
+// three views emit the identical edge list.
 func TestSparseEdgesMatrixMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	for trial := 0; trial < 400; trial++ {
 		d := 1 + rng.Intn(4)
-		n := 1 + rng.Intn(40)
+		n := 1 + rng.Intn(130)
 		ws := randomWeightedSet(rng, n, d, 2+rng.Intn(4))
 		for i := range ws {
 			if i > 0 && rng.Intn(5) == 0 {
@@ -145,35 +148,50 @@ func TestSparseEdgesMatrixMatchesScalar(t *testing.T) {
 				ws[i].P[rng.Intn(d)] = math.Inf(1 - 2*rng.Intn(2))
 			}
 		}
-		pts := pointsOf(ws)
-		literal, err := PrepareLiteral(ws)
-		if err != nil {
-			t.Fatalf("trial %d: PrepareLiteral: %v", trial, err)
+		checkBuilder(t, fmt.Sprintf("trial %d (n=%d d=%d)", trial, n, d), ws)
+	}
+}
+
+// checkBuilder runs infinityEdges over ws with the minimum and the
+// greedy cover in the matrix, blocked and implicit views, and holds
+// it to its contract: the contending scan matches PrepareLiteral's
+// definition, every edge is sound, reachability from label 0 to
+// label 1 equals dominance, the edge budget holds, and all three
+// views emit the identical edge list.
+func checkBuilder(t *testing.T, tag string, ws geom.WeightedSet) {
+	t.Helper()
+	pts := pointsOf(ws)
+	literal, err := PrepareLiteral(ws)
+	if err != nil {
+		t.Fatalf("%s: PrepareLiteral: %v", tag, err)
+	}
+	want := literal.Contending()
+	views := []struct {
+		name string
+		v    domgraph.View
+	}{
+		{"matrix", domgraph.Build(pts)},
+		{"blocked", domgraph.NewBlocked(pts, domgraph.BlockedConfig{TileRows: 8})},
+		{"implicit", domgraph.NewImplicit(pts)},
+	}
+	covers := []struct {
+		name  string
+		cover [][]int
+	}{
+		{"minimum", chains.Decompose(pts).Chains},
+		{"greedy", chains.GreedyDecompose(pts)},
+	}
+	for _, c := range covers {
+		contending := contendingPoints(ws, c.cover)
+		if !reflect.DeepEqual(contending, want) {
+			t.Fatalf("%s: %s cover: contending %v, want %v", tag, c.name, contending, want)
 		}
-		want := literal.Contending()
-		views := []struct {
-			name string
-			v    domgraph.View
-		}{
-			{"matrix", domgraph.Build(pts)},
-			{"blocked", domgraph.NewBlocked(pts, domgraph.BlockedConfig{TileRows: 8})},
-			{"implicit", domgraph.NewImplicit(pts)},
-		}
-		covers := map[string][][]int{
-			"minimum": chains.Decompose(pts).Chains,
-			"greedy":  chains.GreedyDecompose(pts),
-		}
-		for cname, cover := range covers {
-			contending := contendingPoints(ws, cover)
-			if !reflect.DeepEqual(contending, want) {
-				t.Fatalf("trial %d: %s cover: contending %v, want %v", trial, cname, contending, want)
-			}
-			ref := edgesOf(views[0].v, cover, contending)
-			checkReachability(t, cname, ws, contending, ref)
-			for _, v := range views[1:] {
-				if got := edgesOf(v.v, cover, contending); !reflect.DeepEqual(got, ref) {
-					t.Fatalf("trial %d (n=%d d=%d): %s cover: %s view emits %v, matrix view %v", trial, n, d, cname, v.name, got, ref)
-				}
+		ref := edgesOf(views[0].v, ws, c.cover, contending)
+		checkReachability(t, tag+" "+c.name, ws, contending, ref)
+		checkEdgeBound(t, ws, c.cover, contending, ref)
+		for _, v := range views[1:] {
+			if got := edgesOf(v.v, ws, c.cover, contending); !reflect.DeepEqual(got, ref) {
+				t.Fatalf("%s: %s cover: %s view emits %v, matrix view %v", tag, c.name, v.name, got, ref)
 			}
 		}
 	}
@@ -192,9 +210,9 @@ func (v *countingView) Dominates(i, j int) bool {
 
 // TestInfinityEdgesWideCover: a cover of thousands of chains of which
 // only three keep contending members. The builder walks only those
-// three, with one advancing pointer per pair of chains: at most
-// 2·(k−1)·m cross lookups plus one per consecutive link, however wide
-// the cover.
+// three, with one advancing pointer per (label-0 half, label-1 half)
+// pair: at most k·m lookups, inside the 2·(k−1)·m + m bound asserted
+// here, however wide the cover.
 func TestInfinityEdgesWideCover(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	var ws geom.WeightedSet
@@ -234,7 +252,7 @@ func TestInfinityEdgesWideCover(t *testing.T) {
 		t.Fatal("contending scan diverges from its definition")
 	}
 	view := &countingView{View: domgraph.NewImplicit(pts)}
-	edges := edgesOf(view, cover, contending)
+	edges := edgesOf(view, ws, cover, contending)
 	checkReachability(t, "wide", ws, contending, edges)
 
 	m, k := 0, 0
@@ -259,58 +277,64 @@ func TestInfinityEdgesWideCover(t *testing.T) {
 }
 
 // checkEdgeBound holds infinityEdges to its edge budget over cover
-// restricted to the contending points: at most 2m consecutive links
-// (one down-link per point, plus a forward link between
-// coordinate-equal neighbours) and, per ordered pair of restricted
-// chains (a, c), at most min(|a|, |c|) cross links. It returns the
-// cross-link count.
-func checkEdgeBound(t *testing.T, cover [][]int, contending []bool, edges []edge) int {
+// restricted to the contending points and split by label. An edge
+// between two points of one label is a chain link: it must join
+// neighbours of one chain's half, higher → lower, and there are at
+// most m of them. Every other edge is a cross link and must run from
+// a label-0 point to a label-1 point; the ordered pair of chains
+// (a, c), c = a included, holds at most min(|a₀|, |c₁|) of them. It
+// returns the cross-link count.
+func checkEdgeBound(t *testing.T, ws geom.WeightedSet, cover [][]int, contending []bool, edges []edge) int {
 	t.Helper()
-	chainOf := map[int]int{}
-	var sizes []int
-	for _, chain := range cover {
-		size := 0
+	type slot struct{ chain, pos int } // chain, and position in its label half
+	at := map[int]slot{}
+	halves := make([][2]int, len(cover)) // per chain: label-0 and label-1 half sizes
+	for c, chain := range cover {
 		for _, idx := range chain {
 			if contending[idx] {
-				chainOf[idx] = len(sizes)
-				size++
+				l := int(ws[idx].Label)
+				at[idx] = slot{c, halves[c][l]}
+				halves[c][l]++
 			}
 		}
-		if size > 0 {
-			sizes = append(sizes, size)
-		}
 	}
-	m := len(chainOf)
-	consecutive, cross := 0, 0
+	links, cross := 0, 0
+	perPair := map[[2]int]int{}
 	for _, e := range edges {
-		if chainOf[e.from] == chainOf[e.to] {
-			consecutive++
-		} else {
-			cross++
-		}
-	}
-	budget := 0
-	for a := range sizes {
-		for c := range sizes {
-			if a != c {
-				budget += min(sizes[a], sizes[c])
+		from, to := at[e.from], at[e.to]
+		switch lf := ws[e.from].Label; {
+		case lf == ws[e.to].Label:
+			if from.chain != to.chain || from.pos != to.pos+1 {
+				t.Fatalf("edge %v joins label-%d points that are not neighbours, higher → lower, in one chain", e, lf)
 			}
+			links++
+		case lf == geom.Negative:
+			perPair[[2]int{from.chain, to.chain}]++
+			cross++
+		default:
+			t.Fatalf("cross link %v runs from a label-1 point", e)
 		}
 	}
-	if consecutive > 2*m {
-		t.Fatalf("%d consecutive links for m=%d contending points", consecutive, m)
+	if m := len(at); links > m {
+		t.Fatalf("%d chain links for m=%d contending points", links, m)
 	}
-	if cross > budget {
-		t.Fatalf("%d cross links, budget Σ min(|a|,|c|) = %d over chain sizes %v", cross, budget, sizes)
+	for pair, count := range perPair {
+		if budget := min(halves[pair[0]][0], halves[pair[1]][1]); count > budget {
+			t.Fatalf("%d cross links from chain %d into chain %d, budget min(|a₀|, |c₁|) = %d", count, pair[0], pair[1], budget)
+		}
 	}
 	return cross
 }
 
-// TestInfinityEdgeCount: a long contending chain whose top fifty
-// points dominate a prefix of a short chain. Only the three points
-// where that prefix grows need a cross link; the rest reach it
-// through their chain's consecutive links, where one cross link per
-// point would spend fifty. Random sets hold the same budget.
+// TestInfinityEdgeCount: a long chain of alternating labels whose top
+// fifty points dominate a prefix of a short chain. Each of the long
+// chain's 100 label-0 points dominates one more label-1 member of its
+// own chain than the label-0 point below it, so it spends one own-chain
+// cross link; only two of them, where the prefix of the short chain's
+// label-1 half grows, link into it; and the short chain's one label-0
+// point links once into each chain. That is 104 cross links, exactly
+// Σ_{a,c} min(|a₀|, |c₁|), and no label-1 point emits one. Random sets
+// hold the same budget.
 func TestInfinityEdgeCount(t *testing.T) {
 	var ws geom.WeightedSet
 	var long, short []int
@@ -331,10 +355,11 @@ func TestInfinityEdgeCount(t *testing.T) {
 			t.Fatalf("point %d does not contend", i)
 		}
 	}
-	edges := edgesOf(domgraph.NewImplicit(pointsOf(ws)), cover, contending)
+	edges := edgesOf(domgraph.NewImplicit(pointsOf(ws)), ws, cover, contending)
 	checkReachability(t, "long-over-short", ws, contending, edges)
-	if cross := checkEdgeBound(t, cover, contending, edges); cross != 2*len(short) {
-		t.Fatalf("%d cross links, want %d: one per prefix step in each direction", cross, 2*len(short))
+	// Budget: min(100, 100) + min(100, 2) + min(1, 100) + min(1, 2).
+	if cross := checkEdgeBound(t, ws, cover, contending, edges); cross != 104 {
+		t.Fatalf("%d cross links, want 104: 100 down the long chain, 2 into the short chain, 1 + 1 from its label-0 point", cross)
 	}
 
 	rng := rand.New(rand.NewSource(34))
@@ -344,9 +369,9 @@ func TestInfinityEdgeCount(t *testing.T) {
 		pts := pointsOf(ws)
 		for _, cover := range [][][]int{chains.Decompose(pts).Chains, chains.GreedyDecompose(pts)} {
 			contending := contendingPoints(ws, cover)
-			edges := edgesOf(domgraph.Build(pts), cover, contending)
+			edges := edgesOf(domgraph.Build(pts), ws, cover, contending)
 			checkReachability(t, "random", ws, contending, edges)
-			checkEdgeBound(t, cover, contending, edges)
+			checkEdgeBound(t, ws, cover, contending, edges)
 		}
 	}
 }

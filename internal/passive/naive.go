@@ -82,7 +82,7 @@ func NaiveSolve(ws geom.WeightedSet) (Solution, error) {
 			assign[i] = geom.Positive
 		}
 	}
-	h, err := classifier.FromAssignment(pts, assign)
+	h, err := classifier.FromAssignment(pts, assign, nil)
 	if err != nil {
 		return Solution{}, fmt.Errorf("passive: naive assignment not monotone: %w", err)
 	}
@@ -99,7 +99,8 @@ func NaiveSolve(ws geom.WeightedSet) (Solution, error) {
 // and one ∞ edge per contending dominating pair — Θ(n²) edges worst
 // case. It is the reference the sparse construction of Prepare is
 // checked against (conformance, tests, experiment E5), and like
-// NaiveSolve it validates its input itself.
+// NaiveSolve it validates its input itself. It keeps no cover, so its
+// Resolve decodes the anchors from every 1-assigned point.
 func PrepareLiteral(ws geom.WeightedSet) (*Prepared, error) {
 	if len(ws) == 0 {
 		return nil, fmt.Errorf("passive: empty input set")

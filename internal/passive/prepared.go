@@ -13,13 +13,16 @@ import (
 // Prepared is one passive instance with its Section 5.1 flow network
 // already constructed: the contending scan and the CSR network build
 // done once, so each Resolve call pays only a flow computation plus
-// the cut decode. The prepared-problem artifact (internal/problem)
-// caches one of these per Problem and re-solves it warm.
+// the cut decode, which reads the anchors off the chain cover the
+// network was built from. The prepared-problem artifact
+// (internal/problem) caches one of these per Problem and re-solves it
+// warm.
 //
 // A Prepared is not safe for concurrent Resolve calls: each call
 // resets and re-saturates the one underlying network.
 type Prepared struct {
 	ws            geom.WeightedSet // aliased from the caller; must not mutate
+	cover         [][]int          // aliased likewise; nil for PrepareLiteral
 	contending    []bool
 	numContending int
 	g             *maxflow.Network // nil when no points contend
@@ -31,18 +34,23 @@ type Prepared struct {
 }
 
 // Prepare builds the flow network of ws: source and sink edges on the
-// contending points, plus the ∞ edges of sparse.go, whose reachability
-// equals dominance among those points. view answers dominance over
-// ws's points in input order, and cover is a valid chain decomposition
-// of them; any valid cover works, a wider one only costs edges.
+// contending points, plus the ∞ edges of sparse.go — chain links
+// inside each chain's label-0 and label-1 halves and cross links from
+// label-0 points — through which each contending label-0 point reaches
+// exactly the contending label-1 points it dominates. view answers
+// dominance over ws's points in input order, and cover is a valid
+// chain decomposition of them; any valid cover works, a wider one only
+// costs edges. Prepared keeps the cover: Resolve decodes the anchors
+// from its chains' lowest 1-assigned members.
 //
 // Prepare trusts all three: ws must be non-empty, dimensionally
 // consistent, NaN-free and positively weighted. Validation happens
 // once, where input enters — internal/problem's Prepare and Read.
 func Prepare(ws geom.WeightedSet, view domgraph.View, cover [][]int) *Prepared {
 	pp, vertex := newPrepared(ws, contendingPoints(ws, cover))
+	pp.cover = cover
 	if pp.g != nil {
-		infinityEdges(view, cover, pp.contending, pp.numContending, func(from, to int) {
+		infinityEdges(view, ws, cover, pp.contending, pp.numContending, func(from, to int) {
 			pp.g.AddEdge(int(vertex[from]), int(vertex[to]), math.Inf(1))
 		})
 	}
@@ -154,7 +162,7 @@ func (pp *Prepared) Resolve(solver FlowSolver) (Solution, error) {
 	for i := range pp.ws {
 		pts[i] = pp.ws[i].P
 	}
-	h, err := classifier.FromAssignment(pts, assign)
+	h, err := classifier.FromAssignment(pts, assign, pp.cover)
 	if err != nil {
 		// Lemma 16 guarantees the cut assignment is monotone; failure
 		// indicates a solver bug and must surface loudly.

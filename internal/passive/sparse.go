@@ -8,27 +8,46 @@ import (
 // The flow network of Section 5.1 nominally contains one ∞-capacity
 // edge per dominating pair (p, q) ∈ P0^con × P1^con — Θ(n²) edges on
 // adversarial inputs, which dominates both memory and max-flow time.
-// Prepare builds an equivalent sparse network instead: ∞ edges follow
-// a chain cover of the contending points (consecutive links inside
-// each chain, plus cross links from a point to the highest member it
-// dominates in another chain, wherever its own chain link does not
-// already reach that member). Two facts make the substitution exact:
+// Prepare builds an equivalent sparse network instead, over a chain
+// cover of the points. Each chain is split by label: its contending
+// label-0 members and its contending label-1 members, each half in the
+// chain's ascending order. Both halves are linked downward, higher →
+// lower, and each label-0 point emits cross links to label-1 halves
+// only (infinityEdges). Three facts make the substitution exact:
 //
-//  1. soundness — every ∞ edge (a, b) added satisfies a ⪰ b, so any
-//     source→sink path still witnesses a dominating pair
-//     (label-0 point) ⪰ (label-1 point) by transitivity;
-//  2. completeness — if a ⪰ b then b is reachable from a through ∞
-//     edges: within a chain via consecutive links, across chains via
-//     a cross link from a or a point below it in its chain, plus the
-//     target chain's internal links (the dominated members of a chain
-//     always form a prefix).
+//  1. soundness — every ∞ edge (a, b) satisfies a ⪰ b: chain links
+//     join members of one ascending chain, and a cross link goes to a
+//     point its source dominates. Reachability therefore implies
+//     dominance.
+//  2. completeness from label 0 to label 1 — if a label-0 point p
+//     dominates a label-1 point q, then q is reachable from p. Let q
+//     sit in the label-1 half of chain c. The members of that half p
+//     dominates form a prefix, and p reaches the prefix's top t: p
+//     links to t itself, or, by induction down p's label-0 half, the
+//     label-0 point below p has the same prefix, already reaches t,
+//     and is p's chain link. From t the half's chain links descend
+//     through q.
+//  3. the same minimum cuts — a cut of finite edges is an assignment
+//     of the contending points (source side ↦ 0), and an ∞ edge
+//     (a, b) forbids a ↦ 0 with b ↦ 1. The literal network forbids
+//     that only for label-0 a ⪰ label-1 b, full monotonicity for
+//     every a ⪰ b, and by facts 1 and 2 this network's constraints
+//     sit between the two. Every minimum cut of the literal network
+//     is already monotone: with positive weights, a label-1 point
+//     assigned 0 is dominated by some label-0 point assigned 0, and a
+//     label-0 point assigned 1 dominates some label-1 point assigned
+//     1, since otherwise flipping it back to its own label is
+//     feasible and cheaper. A violation a ⪰ b would then extend to a
+//     forbidden label-0 ⪰ label-1 pair. So the three networks have
+//     exactly the same minimum cuts, and the one Resolve decodes —
+//     the residual source side, the minimal one — is unchanged, and
+//     with it WErr, the assignment and the anchors.
 //
-// Hence the two networks admit exactly the same source-sink cuts made
-// of finite edges, and the min cut — which never uses ∞ edges
-// (Lemma 18) — is unchanged. Each ordered pair of chains (a, c) holds
-// at most min(|a|, |c|) cross links, so the m contending points in k
-// chains need at most 2m consecutive and Σ min(|a|, |c|) ≤ (k−1)·m
-// cross links.
+// Edge bound: over k chains holding m contending points, at most m
+// chain links (|a₀|−1 + |a₁|−1 per chain a) and, per ordered pair of
+// chains (a, c) with c = a included, at most min(|a₀|, |c₁|) cross
+// links — each marks both a label-0 member of a and a step of the
+// prefix pointer in c's label-1 half.
 //
 // The contending scan that precedes the edge build needs only each
 // chain's extreme members: along an ascending chain every label-1
@@ -112,56 +131,50 @@ next:
 	return false
 }
 
-// infinityEdges emits the ∞ edges (point indices, from ⪰ to) that
-// connect the m contending points so that reachability equals
-// dominance restricted to them, asking view for every dominance test.
+// infinityEdges emits the ∞ edges (point indices, from ⪰ to) over the
+// m contending points, so that the contending label-1 points each
+// contending label-0 point reaches are exactly those it dominates,
+// asking view for every dominance test.
 //
-// Each chain of cover is restricted to its contending members, and
-// chains left empty drop out. Then, chain by chain in ascending order,
-// each point emits its consecutive link and its cross links. The
-// members of another chain c that a point dominates form a prefix of
-// c, and that prefix only grows as the point's own chain ascends, so
-// one pointer per other chain advances monotonically: the pair of
-// chains (a, c) costs at most |a|+|c| lookups, and the k ≤ m non-empty
-// chains at most 2·(k−1)·m in all. A point links to the top of its
-// prefix of c only when the pointer advanced. Otherwise the point
-// below it in chain a has the same prefix, and by induction down the
-// chain already reaches its top, so the consecutive link implies the
-// cross link. Each link then marks a step of the pointer and a member
-// of a: at most min(|a|, |c|) per pair.
-func infinityEdges(view domgraph.View, cover [][]int, contending []bool, m int, emit func(from, to int)) {
+// Each chain of cover is split into its contending label-0 and
+// label-1 halves; empty halves drop out. Every half gets its chain
+// links, higher → lower. Then each label-0 half is walked upward, and
+// each of its points emits one cross link per label-1 half, its own
+// chain's included, to the highest member it dominates there. Those
+// members form a prefix of the half, and the prefix only grows as the
+// label-0 half ascends, so one pointer per label-1 half advances
+// monotonically: the pair (a, c) costs at most |a₀|+|c₁| lookups, k·m
+// over k chains. A point emits its cross link only when the pointer
+// advanced; otherwise the label-0 point below it reaches the same top
+// (see the header). Label-1 points emit no cross links. A
+// coordinate-equal label-1 neighbour above a label-0 point needs no
+// link of its own: it lies in the point's own-chain prefix.
+func infinityEdges(view domgraph.View, ws geom.WeightedSet, cover [][]int, contending []bool, m int, emit func(from, to int)) {
 	flat := make([]int, 0, m)
-	var restricted [][]int
+	var halves [2][][]int // per label: the chains' non-empty halves
 	for _, chain := range cover {
-		start := len(flat)
-		for _, idx := range chain {
-			if contending[idx] {
-				flat = append(flat, idx)
+		for _, label := range [...]geom.Label{geom.Negative, geom.Positive} {
+			start := len(flat)
+			for _, idx := range chain {
+				if contending[idx] && ws[idx].Label == label {
+					flat = append(flat, idx)
+				}
 			}
-		}
-		if len(flat) > start {
-			restricted = append(restricted, flat[start:])
+			half := flat[start:]
+			for k := 1; k < len(half); k++ {
+				emit(half[k], half[k-1])
+			}
+			if len(half) > 0 {
+				halves[label] = append(halves[label], half)
+			}
 		}
 	}
-	prefix := make([]int, len(restricted)) // per other chain: dominated prefix length
-	for a, chain := range restricted {
+	ones := halves[geom.Positive]
+	prefix := make([]int, len(ones)) // per label-1 half: dominated prefix length
+	for _, half := range halves[geom.Negative] {
 		clear(prefix)
-		for k, i := range chain {
-			if k > 0 {
-				// Consecutive link, higher → lower. Coordinate-equal
-				// neighbours dominate each other in both directions, so
-				// they also get the forward link; without it a label-0
-				// point could not reach its label-1 duplicate.
-				lower := chain[k-1]
-				emit(i, lower)
-				if view.Dominates(lower, i) {
-					emit(lower, i)
-				}
-			}
-			for c, other := range restricted {
-				if c == a {
-					continue
-				}
+		for _, i := range half {
+			for c, other := range ones {
 				p := prefix[c]
 				for p < len(other) && view.Dominates(i, other[p]) {
 					p++

@@ -186,6 +186,11 @@ type PrepareStats struct {
 	Augmentations int  `json:"augmentations,omitempty"`
 	Phases        int  `json:"phases,omitempty"`
 	CertEarlyExit bool `json:"cert_early_exit,omitempty"`
+	// Contending and Edges give the flow network's size: |P^con|
+	// (its vertices minus source and sink) and its edge count, finite
+	// and ∞. Loaded Problems rebuild the network, so they carry both.
+	Contending int `json:"contending"`
+	Edges      int `json:"edges"`
 	// Per-stage wall times: dominance representation build, chain
 	// decomposition (including a transient materialization when the
 	// path is exact-transient), flow-network construction, and the
@@ -338,6 +343,7 @@ func assemble(ws geom.WeightedSet, pts []geom.Point, mode MatrixMode, view domgr
 	st.NetworkNS = time.Since(netStart).Nanoseconds()
 	st.TotalNS = time.Since(start).Nanoseconds()
 	st.N, st.Dim = len(ws), ws.Dim()
+	st.Contending, st.Edges = prep.NumContending(), prep.NumEdges()
 	st.Mode = mode.String()
 	st.Width, st.ExactWidth = dec.Width, exact
 	return &Problem{

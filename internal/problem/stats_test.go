@@ -36,6 +36,9 @@ func TestPrepareStatsPaths(t *testing.T) {
 		if st.Width != p.Width() || st.Mode != "dense" || st.N != 60 || st.Dim != 3 {
 			t.Fatalf("stats %+v disagree with problem (width %d)", st, p.Width())
 		}
+		if st.Contending != p.NumContending() || st.Edges != p.NumEdges() || st.Edges == 0 {
+			t.Fatalf("stats %+v disagree with the network (%d contending, %d edges)", st, p.NumContending(), p.NumEdges())
+		}
 		if !st.CertEarlyExit && st.Augmentations != st.SeedChains-st.Width {
 			t.Fatalf("augmentations %d != seed %d - width %d", st.Augmentations, st.SeedChains, st.Width)
 		}
@@ -94,6 +97,9 @@ func TestPrepareStatsPaths(t *testing.T) {
 		}
 		if st.Width != p.Width() || st.ExactWidth != p.ExactWidth() {
 			t.Fatalf("loaded stats %+v disagree with source (width %d exact %v)", st, p.Width(), p.ExactWidth())
+		}
+		if src := p.Stats(); st.Contending != src.Contending || st.Edges != src.Edges {
+			t.Fatalf("loaded stats %+v lost the network size of %+v", st, src)
 		}
 	})
 }

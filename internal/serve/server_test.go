@@ -15,6 +15,7 @@ import (
 
 	"monoclass/internal/classifier"
 	"monoclass/internal/geom"
+	"monoclass/internal/problem"
 	"monoclass/internal/testutil"
 )
 
@@ -286,6 +287,22 @@ func TestServerHealthzAndStats(t *testing.T) {
 	}
 	if snap.ModelVersion != 1 || snap.QueueCap == 0 {
 		t.Errorf("snapshot = %+v", snap)
+	}
+}
+
+// TestServerStatsPrepare: the prepare provenance a server is started
+// with reaches /stats "prepare", the network's size included.
+func TestServerStatsPrepare(t *testing.T) {
+	prep := &problem.PrepareStats{N: 10, Dim: 2, Width: 3, DecomposePath: problem.PathFast2D, Contending: 7, Edges: 19}
+	_, hs := newTestServer(t, Config{Prepare: prep})
+	var snap struct {
+		Prepare map[string]any `json:"prepare"`
+	}
+	if code := getJSON(t, hs.URL+"/stats", &snap); code != 200 {
+		t.Fatalf("stats status %d", code)
+	}
+	if snap.Prepare["contending"] != 7.0 || snap.Prepare["edges"] != 19.0 || snap.Prepare["width"] != 3.0 {
+		t.Errorf("/stats prepare = %v, want width 3, contending 7, edges 19", snap.Prepare)
 	}
 }
 
