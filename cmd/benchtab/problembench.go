@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"monoclass/internal/dataset"
 	"monoclass/internal/geom"
 	"monoclass/internal/problem"
 )
@@ -99,6 +100,20 @@ func problemWorkload(rng *rand.Rand, n, d, w int) geom.WeightedSet {
 	return ws
 }
 
+// plantedNoisy draws n planted points (dataset.Planted: uniform in
+// [0,1]^d, labeled by Σx > d/2, each label flipped with probability
+// 0.1) with unit weights. Unlike problemWorkload, almost every point
+// contends and the width runs to hundreds at n=8192, so the matcher,
+// the ∞-edge walk and the flow all do real work.
+func plantedNoisy(rng *rand.Rand, n, d int) geom.WeightedSet {
+	lps := dataset.Planted(rng, dataset.PlantedParams{N: n, D: d, Noise: 0.1})
+	ws := make(geom.WeightedSet, n)
+	for i, lp := range lps {
+		ws[i] = geom.WeightedPoint{P: lp.P, Label: lp.Label, Weight: 1}
+	}
+	return ws
+}
+
 // trackPeakHeap samples HeapAlloc while fn runs and returns fn's
 // result alongside the observed peak (resolution a few ms — good
 // enough to catch transient allocations orders of magnitude above the
@@ -142,23 +157,26 @@ func heapBaseline() uint64 {
 // mode) and matrix modes, writing the JSON report to path.
 func runProblemBench(path string, seed int64, quick bool) error {
 	type spec struct {
-		n, d int
-		mode problem.MatrixMode
+		n, d  int
+		mode  problem.MatrixMode
+		noisy bool // plantedNoisy instead of the 16-chain problemWorkload
 	}
 	specs := []spec{
-		{4096, 3, problem.ModeAuto},        // auto → dense
-		{16384, 3, problem.ModeDense},      // dense, 67 MB matrix; warm-start acceptance row
-		{65536, 2, problem.ModeImplicit},   // acceptance row for re-solve speedup
-		{65536, 3, problem.ModeDense},      // dense at the raised exact limit (1 GiB matrix)
-		{65536, 3, problem.ModeBlocked},    // blocked, exact via transient materialization
-		{262144, 3, problem.ModeBlocked},   // past the exact limit: greedy fallback
-		{1 << 20, 2, problem.ModeImplicit}, // the 10⁶ row the dense wall forbids
+		{4096, 3, problem.ModeAuto, false},        // auto → dense
+		{8192, 3, problem.ModeAuto, true},         // auto → dense; width ≈740, the matcher does real work
+		{16384, 3, problem.ModeDense, false},      // dense, 67 MB matrix; warm-start acceptance row
+		{65536, 2, problem.ModeImplicit, false},   // acceptance row for re-solve speedup
+		{65536, 3, problem.ModeDense, false},      // dense at the raised exact limit (1 GiB matrix)
+		{65536, 3, problem.ModeBlocked, false},    // blocked, exact via transient materialization
+		{262144, 3, problem.ModeBlocked, false},   // past the exact limit: greedy fallback
+		{1 << 20, 2, problem.ModeImplicit, false}, // the 10⁶ row the dense wall forbids
 	}
 	if quick {
 		specs = []spec{
-			{2048, 3, problem.ModeAuto},
-			{8192, 3, problem.ModeBlocked},
-			{16384, 2, problem.ModeImplicit},
+			{2048, 3, problem.ModeAuto, false},
+			{2048, 3, problem.ModeAuto, true},
+			{8192, 3, problem.ModeBlocked, false},
+			{16384, 2, problem.ModeImplicit, false},
 		}
 	}
 
@@ -174,7 +192,13 @@ func runProblemBench(path string, seed int64, quick bool) error {
 	const width = 16
 	for _, s := range specs {
 		rng := rand.New(rand.NewSource(seed))
-		ws := problemWorkload(rng, s.n, s.d, width)
+		var ws geom.WeightedSet
+		shape := ""
+		if s.noisy {
+			ws, shape = plantedNoisy(rng, s.n, s.d), "_noisy"
+		} else {
+			ws = problemWorkload(rng, s.n, s.d, width)
+		}
 		opts := problem.Options{Mode: s.mode}
 
 		base := heapBaseline()
@@ -222,7 +246,7 @@ func runProblemBench(path string, seed int64, quick bool) error {
 		fromRaw := prepareNs + solveNs
 		pst := p.Stats()
 		row := problemRow{
-			Name:           fmt.Sprintf("Problem/n%d_d%d_%s", s.n, s.d, p.Mode()),
+			Name:           fmt.Sprintf("Problem/n%d_d%d%s_%s", s.n, s.d, shape, p.Mode()),
 			N:              s.n,
 			Dim:            s.d,
 			Mode:           p.Mode().String(),

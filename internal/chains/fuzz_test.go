@@ -1,18 +1,23 @@
 package chains
 
 import (
+	"math"
+	"reflect"
 	"testing"
 
 	"monoclass/internal/domgraph"
 	"monoclass/internal/geom"
+	"monoclass/internal/matching"
 )
 
 // decodePoints interprets fuzz bytes as a point set on a small integer
 // grid: the first byte fixes the dimension (1..4), then every d bytes
 // form one point with coordinates in 0..7 (small grid → dense ties and
-// duplicates, the regime where kernel and scalar paths can disagree).
-// Up to 130 points decode, so a matrix row spans three 64-bit words and
-// the matcher's per-word masks meet both word boundaries.
+// duplicates, the regime where kernel and scalar paths can disagree),
+// except that byte 0xff decodes to +Inf and 0xfe to −Inf, so a point
+// can hold both and sum to NaN. Up to 130 points decode, so a matrix
+// row spans three 64-bit words and the matcher's per-word masks meet
+// both word boundaries.
 func decodePoints(data []byte) []geom.Point {
 	if len(data) < 1 {
 		return nil
@@ -27,7 +32,14 @@ func decodePoints(data []byte) []geom.Point {
 	for i := 0; i < n; i++ {
 		p := make(geom.Point, d)
 		for k := 0; k < d; k++ {
-			p[k] = float64(body[i*d+k] % 8)
+			switch b := body[i*d+k]; b {
+			case 0xff:
+				p[k] = math.Inf(1)
+			case 0xfe:
+				p[k] = math.Inf(-1)
+			default:
+				p[k] = float64(b % 8)
+			}
 		}
 		pts[i] = p
 	}
@@ -41,7 +53,10 @@ func decodePoints(data []byte) []geom.Point {
 // kernel's certificate must be an antichain of that width, its
 // warm-start accounting must balance, and the all-singletons seed —
 // an empty matching, so the matcher's full cold phase schedule — must
-// reach the same width.
+// reach the same width. The matcher's closure rules must change
+// nothing: from the best-fit seed and from an empty one, the DAG graph
+// returns the generic graph's matching, stats and König cover over
+// the same rows, scanning no more rows.
 func FuzzDecomposeKernelVsScalar(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4})                   // 1-d chain
 	f.Add([]byte{1, 0, 7, 1, 6, 2, 5, 3, 4})       // 2-d antichain
@@ -57,7 +72,10 @@ func FuzzDecomposeKernelVsScalar(f *testing.F) {
 	f.Add([]byte{2, 5, 5, 5, 5, 5, 5, 5, 5, 5, 0, 0, 0})             // 3-d duplicates → tiebreak seed edges
 	f.Add([]byte{2, 1, 0, 2, 0, 1, 2, 2, 2, 0, 1, 1, 1, 0, 2, 1})    // 3-d mixed → augmentation gap
 	f.Add([]byte{3, 3, 0, 0, 3, 0, 3, 3, 0, 3, 0, 3, 3, 1, 1, 1, 1}) // 4-d near-antichain with one chain link
-	wide := []byte{2}                                                // 130 3-d points: rows span three words
+	// 3-d points holding both +Inf and −Inf: their plain coordinate
+	// sums are NaN.
+	f.Add([]byte{2, 0xff, 0xfe, 3, 0xfe, 0xff, 1, 2, 2, 2, 0xff, 0xff, 0xff, 0xfe, 0xfe, 0xfe, 0xff, 0xfe, 0xfe})
+	wide := []byte{2} // 130 3-d points: rows span three words
 	for i := 0; i < 3*130; i++ {
 		wide = append(wide, byte(i*37%61))
 	}
@@ -103,6 +121,27 @@ func FuzzDecomposeKernelVsScalar(f *testing.F) {
 			}
 			if err := ValidateDecomposition(pts, cold.Chains); err != nil {
 				t.Fatalf("singletons-seeded decomposition invalid: %v", err)
+			}
+			n := len(pts)
+			gen := matching.BitsetFromRows(n, n, m.DAGBits())
+			dag := matching.BitsetFromDAG(n, m.DAGBits())
+			for _, seed := range [][]int{greedySeedBitset(pts, m), nil} {
+				mg, sg := matching.MaxMatchingBitsetWarm(gen, seed)
+				md, sd := matching.MaxMatchingBitsetWarm(dag, seed)
+				if !reflect.DeepEqual(mg, md) {
+					t.Fatalf("DAG matching diverges from the generic one (seeded: %v)", seed != nil)
+				}
+				if sd.RowScans > sg.RowScans {
+					t.Fatalf("DAG path scanned %d rows, generic %d", sd.RowScans, sg.RowScans)
+				}
+				if sd.RowScans = sg.RowScans; sd != sg {
+					t.Fatalf("stats diverge: DAG %+v, generic %+v", sd, sg)
+				}
+				gl, gr := matching.MinVertexCoverBitset(gen, mg)
+				dl, dr := matching.MinVertexCoverBitset(dag, md)
+				if !reflect.DeepEqual(gl, dl) || !reflect.DeepEqual(gr, dr) {
+					t.Fatal("König covers diverge")
+				}
 			}
 		}
 	})

@@ -3,10 +3,12 @@ package conformance
 import (
 	"fmt"
 	"math"
+	"reflect"
 
 	"monoclass/internal/chains"
 	"monoclass/internal/domgraph"
 	"monoclass/internal/geom"
+	"monoclass/internal/matching"
 )
 
 // CheckDecomposeWarmStart holds the warm-started chain decomposition
@@ -19,7 +21,11 @@ import (
 // width, a valid decomposition and a certifying antichain of exactly
 // that width, warm-start accounting that balances (augmentations =
 // seed chains − width), and convergence from a caller-supplied greedy
-// cover through DecomposeMatrixSeeded.
+// cover through DecomposeMatrixSeeded. The matcher's closure rules
+// must change nothing: over the same DAG rows and the same seed — the
+// greedy cover's, and none — the transitive graph (BitsetFromDAG)
+// returns the generic graph's matching and stats, scanning no more
+// rows.
 // ±Inf instances exercise the full differential; NaN coordinates are
 // outside the decomposition domain — geom.Dominates makes NaN points
 // mutually dominating without being Equal (NaN != NaN), so the "DAG"
@@ -88,12 +94,48 @@ func CheckDecomposeWarmStart(in Instance) error {
 		if err := validateDecomposition(src.name+"-seeded", pts, seeded); err != nil {
 			return err
 		}
+		if err := checkClosureRules(src.m, greedy); err != nil {
+			return fmt.Errorf("%s: %w", src.name, err)
+		}
 	}
 
 	// The generic entry point (what Prepare's exact paths call) must
 	// agree with the oracle too.
 	if gen := chains.DecomposeGeneric(pts); gen.Width != scalar.Width {
 		return fmt.Errorf("DecomposeGeneric width %d != scalar width %d", gen.Width, scalar.Width)
+	}
+	return nil
+}
+
+// checkClosureRules runs Hopcroft–Karp over m's DAG rows twice, as a
+// transitive graph and as a generic one, from cover's seed matching
+// and from an empty one, and requires identical matchings and stats
+// bar RowScans, which the transitive graph may only lower.
+func checkClosureRules(m *domgraph.Matrix, cover [][]int) error {
+	n := m.N()
+	seedL := make([]int, n)
+	for _, chain := range cover {
+		for k, idx := range chain {
+			seedL[idx] = -1
+			if k > 0 && m.Edge(idx, chain[k-1]) {
+				seedL[idx] = chain[k-1]
+			}
+		}
+	}
+	gen := matching.BitsetFromRows(n, n, m.DAGBits())
+	dag := matching.BitsetFromDAG(n, m.DAGBits())
+	for _, seed := range [][]int{seedL, nil} {
+		mg, sg := matching.MaxMatchingBitsetWarm(gen, seed)
+		md, sd := matching.MaxMatchingBitsetWarm(dag, seed)
+		if !reflect.DeepEqual(mg, md) {
+			return fmt.Errorf("closure rules changed the matching (seeded: %v)", seed != nil)
+		}
+		if sd.RowScans > sg.RowScans {
+			return fmt.Errorf("closure rules scanned %d rows, generic path %d", sd.RowScans, sg.RowScans)
+		}
+		if sd.RowScans = sg.RowScans; sd != sg {
+			return fmt.Errorf("closure rules changed the stats: %+v, generic %+v", sd, sg)
+		}
 	}
 	return nil
 }

@@ -15,6 +15,10 @@ type BitsetBipartite struct {
 	nLeft, nRight int
 	words         int // words per row: ceil(nRight/64)
 	adj           []uint64
+	// dag marks the path-cover graph of a transitive, irreflexive
+	// relation (BitsetFromDAG): left u and right u are one point, and
+	// u → v implies row(v) ⊆ row(u).
+	dag bool
 }
 
 // NewBitsetBipartite creates an empty packed bipartite graph.
@@ -36,6 +40,23 @@ func BitsetFromRows(nLeft, nRight int, rows []uint64) *BitsetBipartite {
 		panic(fmt.Sprintf("matching: adjacency has %d words, want %d×%d", len(rows), nLeft, words))
 	}
 	return &BitsetBipartite{nLeft: nLeft, nRight: nRight, words: words, adj: rows}
+}
+
+// BitsetFromDAG adopts rows like BitsetFromRows as the path-cover
+// graph of a transitive, irreflexive relation on n points — the
+// dominance DAG rows of internal/domgraph. Left vertex u and right
+// vertex u are the same point, and row u holds the points u relates
+// to. Transitivity means u → v implies row(v) ⊆ row(u), and the
+// matcher and the König pass use that to skip rows that provably hold
+// nothing new (see MaxMatchingBitsetWarm). Matching, MatchingStats
+// and covers are identical to BitsetFromRows over the same rows, bar
+// RowScans, which can only fall. Rows that are not transitive make
+// the results wrong, not just slow: only the caller can vouch for
+// the relation.
+func BitsetFromDAG(n int, rows []uint64) *BitsetBipartite {
+	b := BitsetFromRows(n, n, rows)
+	b.dag = true
+	return b
 }
 
 // SetEdge adds the edge (u, v); setting it twice is harmless.
@@ -64,6 +85,11 @@ func (b *BitsetBipartite) row(u int) []uint64 {
 	return b.adj[u*b.words : (u+1)*b.words]
 }
 
+// has reports whether bitset set holds u.
+func has(set []uint64, u int) bool {
+	return set[u>>6]>>(uint(u)&63)&1 == 1
+}
+
 // MatchingStats reports the work one matching computation performed.
 // Warm-started calls use it to verify the width-bounded augmentation
 // claim: a matching seeded from a valid chain cover of c chains needs
@@ -82,6 +108,10 @@ type MatchingStats struct {
 	// DFS tested. The per-layer masks let each right vertex be tested
 	// at most once per phase, so it never exceeds Phases·NumRight.
 	Examined int
+	// RowScans counts the adjacency rows the BFS expanded and the
+	// DFS scanned. On a BitsetFromDAG graph it is the only field the
+	// closure rules change.
+	RowScans int
 }
 
 // MaxMatchingBitset is Hopcroft–Karp over the packed adjacency from an
@@ -97,6 +127,15 @@ type MatchingStats struct {
 // takes the vertex. Each right vertex is tested at most once, so a
 // phase costs O(V²/64) word operations plus O(V) bit tests, not O(E)
 // bit visits.
+//
+// On a BitsetFromDAG graph two closure rules skip rows without
+// changing any layer, mask or augmenting path. The BFS does not expand
+// a left vertex u whose right copy is already visited: some expanded a
+// has a → u, so row(u) ⊆ row(a), all of it visited. And each BFS layer
+// keeps the union of the rows of its left vertices whose DFS failed:
+// a DFS from u returns false at once when u is in its layer's union,
+// because a failed a at that layer with a → u tested and cleared every
+// candidate in row(a) ⊇ row(u), and masks only shrink within a phase.
 func MaxMatchingBitset(b *BitsetBipartite) Matching {
 	m, _ := MaxMatchingBitsetWarm(b, nil)
 	return m
@@ -109,7 +148,10 @@ func MaxMatchingBitset(b *BitsetBipartite) Matching {
 // function panics otherwise — seeds come from trusted chain covers,
 // not user input). Hopcroft–Karp converges to a maximum matching from
 // any valid initial matching; since each phase augments at least once,
-// the whole run costs at most (max − |seed|) + 1 BFS phases.
+// the whole run costs at most (max − |seed|) + 1 BFS phases. On a
+// BitsetFromDAG graph the closure rules described at MaxMatchingBitset
+// apply, and of the returned stats only RowScans differs from the
+// generic graph's over the same rows and seed.
 func MaxMatchingBitsetWarm(b *BitsetBipartite, seedL []int) (Matching, MatchingStats) {
 	matchL := make([]int, b.nLeft)
 	matchR := make([]int, b.nRight)
@@ -150,8 +192,9 @@ func MaxMatchingBitsetWarm(b *BitsetBipartite, seedL []int) (Matching, MatchingS
 	// masks holds one bitset of words words per slot: slot 0 is the
 	// free-right mask, slot k ≥ 1 the right vertices whose partner
 	// sits at BFS distance k. It is rebuilt by every BFS and keeps its
-	// capacity across phases.
-	var masks []uint64
+	// capacity across phases. On a DAG graph, dead holds one bitset
+	// per BFS distance: the union of the rows whose DFS failed there.
+	var masks, dead []uint64
 
 	bfs := func() bool {
 		queue = queue[:0]
@@ -176,6 +219,10 @@ func MaxMatchingBitsetWarm(b *BitsetBipartite, seedL []int) (Matching, MatchingS
 				// Layer next+1 must exist for the DFS from layer next.
 				masks = append(masks, make([]uint64, words)...)
 			}
+			if b.dag && !has(unvis, u) {
+				continue // an expanded a → u already visited row(u)
+			}
+			st.RowScans++
 			row := b.row(u)
 			for w, bitsW := range row {
 				cand := bitsW & unvis[w]
@@ -199,11 +246,22 @@ func MaxMatchingBitsetWarm(b *BitsetBipartite, seedL []int) (Matching, MatchingS
 				}
 			}
 		}
+		if b.dag {
+			dead = append(dead[:0], make([]uint64, len(masks))...)
+		}
 		return found
 	}
 
 	var dfs func(u int) bool
 	dfs = func(u int) bool {
+		var deadU []uint64
+		if b.dag {
+			deadU = dead[dist[u]*words : (dist[u]+1)*words]
+			if has(deadU, u) {
+				return false // a failed a → u at this layer tested row(u)
+			}
+		}
+		st.RowScans++
 		row := b.row(u)
 		free := masks[:words]
 		layer := masks[(dist[u]+1)*words : (dist[u]+2)*words]
@@ -231,6 +289,9 @@ func MaxMatchingBitsetWarm(b *BitsetBipartite, seedL []int) (Matching, MatchingS
 				return true
 			}
 		}
+		for w, bw := range deadU {
+			deadU[w] = bw | row[w]
+		}
 		return false
 	}
 
@@ -252,8 +313,20 @@ func MaxMatchingBitsetWarm(b *BitsetBipartite, seedL []int) (Matching, MatchingS
 
 // MinVertexCoverBitset is MinVertexCover over the packed adjacency:
 // König alternating reachability from free left vertices, with the
-// same visited-right bitset trick as the matching BFS.
+// same visited-right bitset trick as the matching BFS. On a
+// BitsetFromDAG graph it takes the matching BFS's skip: a left u whose
+// right copy is visited is not expanded, because the a that visited it
+// has a → u and left no bit of row(a) ⊇ row(u) unvisited — a's own
+// matched partner included, since visiting that partner is what
+// queued a.
 func MinVertexCoverBitset(b *BitsetBipartite, m Matching) (coverLeft, coverRight []bool) {
+	coverLeft, coverRight, _ = minVertexCoverBitset(b, m)
+	return coverLeft, coverRight
+}
+
+// minVertexCoverBitset is MinVertexCoverBitset plus the count of rows
+// it expanded.
+func minVertexCoverBitset(b *BitsetBipartite, m Matching) (coverLeft, coverRight []bool, rowScans int) {
 	visitedL := make([]bool, b.nLeft)
 	visitedR := make([]bool, b.nRight)
 	unvis := make([]uint64, b.words)
@@ -272,6 +345,10 @@ func MinVertexCoverBitset(b *BitsetBipartite, m Matching) (coverLeft, coverRight
 	}
 	for head := 0; head < len(queue); head++ {
 		u := queue[head]
+		if b.dag && !has(unvis, u) {
+			continue
+		}
+		rowScans++
 		row := b.row(u)
 		for w, bitsW := range row {
 			cand := bitsW & unvis[w]
@@ -304,5 +381,5 @@ func MinVertexCoverBitset(b *BitsetBipartite, m Matching) (coverLeft, coverRight
 	for v := 0; v < b.nRight; v++ {
 		coverRight[v] = visitedR[v]
 	}
-	return coverLeft, coverRight
+	return coverLeft, coverRight, rowScans
 }
