@@ -78,9 +78,8 @@ func bestFitReference(pts []geom.Point, m *domgraph.Matrix) []int {
 }
 
 // TestGreedySeedBestFit: the bitset seed builder picks the reference's
-// top whichever way it searches — walking the open-top list (fewer
-// open tops than row words: the planted low-width sets) or scanning
-// the row against the top bitset (the wide random grids).
+// top on planted low-width sets and on wide random grids with
+// duplicates and ±Inf.
 func TestGreedySeedBestFit(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	for trial := 0; trial < 60; trial++ {

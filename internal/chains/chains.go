@@ -18,7 +18,6 @@ import (
 	"cmp"
 	"fmt"
 	"math"
-	"math/bits"
 	"slices"
 	"sort"
 
@@ -108,13 +107,15 @@ func DecomposeGeneric(pts []geom.Point) Decomposition {
 // for callers (passive, audit, problem) that reuse one kernel build
 // across several stages. m must have been built from pts.
 //
-// The matching is warm-started: a first-fit greedy chain cover is
-// built directly on the packed DAG rows (O(n²/64) word scans, no
-// scalar dominance tests) and handed to Hopcroft–Karp as the seed, so
-// only coverSize − width augmentations remain instead of O(√n) phases
-// over an empty matching. When the seed's chain bottoms or tops
-// already form an antichain of matching size, that certificate proves
-// the seed optimal and the matching is skipped outright.
+// The matching is warm-started: a best-fit greedy chain cover (each
+// point above the open chain top latest in sumLexOrder that it
+// dominates; see greedySeedBitset) is built directly on the packed
+// DAG rows (O(n²/64) word scans, no scalar dominance tests) and
+// handed to Hopcroft–Karp as the seed, so only coverSize − width
+// augmentations remain instead of O(√n) phases over an empty
+// matching. When the seed's chain bottoms or tops already form an
+// antichain of matching size, that certificate proves the seed
+// optimal and the matching is skipped outright.
 func DecomposeMatrix(pts []geom.Point, m *domgraph.Matrix) Decomposition {
 	dec, _ := DecomposeMatrixStats(pts, m)
 	return dec
@@ -183,71 +184,47 @@ func checkMatrix(pts []geom.Point, m *domgraph.Matrix) int {
 // the lower tops open for the lower points still to come. First-fit
 // (the lowest-index top) left ≈5% more seed chains on planted noisy
 // d=3 sets and ran a quarter more matching phases (DESIGN.md §13).
-// The open tops are kept twice: as a bitset, so a row with many open
-// tops costs one AND per word, and as a list linked in order, walked
-// from the latest top down with one bit test each, whenever there
-// are fewer open tops than row words. Both pick the same top, and the
-// whole cover costs O(n²/64) word operations instead of
-// GreedyDecompose's O(d·n·w) scalar tests. Validity needs no ordering
-// assumption: every link is a real DAG edge, so the matching always
-// decodes into disjoint ascending chains.
+// The open tops are kept as a list linked in processing order and
+// walked from the latest down, one bit test of the row per top, so a
+// point costs at most one test per open top and a low-width set never
+// reads a row past its few tops. With hundreds of open tops, ANDing
+// the whole row against an open-top bitset would halve the seed, but
+// that is ≈3% of a noisy train, below what the benchmark resolves
+// (bench_results.md K11). Validity needs no ordering assumption:
+// every link is a real DAG edge, so the matching always decodes into
+// disjoint ascending chains.
 func greedySeedBitset(pts []geom.Point, m *domgraph.Matrix) []int {
 	n := m.N()
-	order := sumLexOrder(pts)
-	rank := make([]int32, n)
-	for r, idx := range order {
-		rank[idx] = int32(r)
-	}
 	seedL := make([]int, n)
 	for i := range seedL {
 		seedL[i] = -1
 	}
-	tops := make([]uint64, (n+63)/64)
 	prev := make([]int32, n) // the open-top list, in order; last is the latest
 	next := make([]int32, n)
-	last, open := int32(-1), 0
-	for _, idx := range order {
+	last := int32(-1)
+	for _, idx := range sumLexOrder(pts) {
 		row := m.DAGRow(idx)
-		best := int32(-1)
-		if open < len(row) {
-			for v := last; v >= 0; v = prev[v] {
-				if row[v>>6]>>(uint(v)&63)&1 == 1 {
-					best = v
-					break
-				}
+		for v := last; v >= 0; v = prev[v] {
+			if row[v>>6]>>(uint(v)&63)&1 == 0 {
+				continue
 			}
-		} else {
-			bestRank := int32(-1)
-			for w, bw := range row {
-				for cand := bw & tops[w]; cand != 0; cand &= cand - 1 {
-					v := int32(w<<6 + bits.TrailingZeros64(cand))
-					if rank[v] > bestRank {
-						best, bestRank = v, rank[v]
-					}
-				}
+			seedL[idx] = int(v) // v is no longer a top
+			if p := prev[v]; p >= 0 {
+				next[p] = next[v]
 			}
-		}
-		if best >= 0 { // best is no longer a top
-			seedL[idx] = int(best)
-			tops[best>>6] &^= 1 << uint(best&63)
-			if p := prev[best]; p >= 0 {
-				next[p] = next[best]
-			}
-			if x := next[best]; x >= 0 {
-				prev[x] = prev[best]
+			if x := next[v]; x >= 0 {
+				prev[x] = prev[v]
 			} else {
-				last = prev[best]
+				last = prev[v]
 			}
-			open--
+			break
 		}
 		// idx tops its chain either way, and is the latest top so far.
-		tops[idx>>6] |= 1 << uint(idx&63)
 		prev[idx], next[idx] = last, -1
 		if last >= 0 {
 			next[last] = int32(idx)
 		}
 		last = int32(idx)
-		open++
 	}
 	return seedL
 }

@@ -320,13 +320,6 @@ func MaxMatchingBitsetWarm(b *BitsetBipartite, seedL []int) (Matching, MatchingS
 // matched partner included, since visiting that partner is what
 // queued a.
 func MinVertexCoverBitset(b *BitsetBipartite, m Matching) (coverLeft, coverRight []bool) {
-	coverLeft, coverRight, _ = minVertexCoverBitset(b, m)
-	return coverLeft, coverRight
-}
-
-// minVertexCoverBitset is MinVertexCoverBitset plus the count of rows
-// it expanded.
-func minVertexCoverBitset(b *BitsetBipartite, m Matching) (coverLeft, coverRight []bool, rowScans int) {
 	visitedL := make([]bool, b.nLeft)
 	visitedR := make([]bool, b.nRight)
 	unvis := make([]uint64, b.words)
@@ -348,7 +341,6 @@ func minVertexCoverBitset(b *BitsetBipartite, m Matching) (coverLeft, coverRight
 		if b.dag && !has(unvis, u) {
 			continue
 		}
-		rowScans++
 		row := b.row(u)
 		for w, bitsW := range row {
 			cand := bitsW & unvis[w]
@@ -381,5 +373,5 @@ func minVertexCoverBitset(b *BitsetBipartite, m Matching) (coverLeft, coverRight
 	for v := 0; v < b.nRight; v++ {
 		coverRight[v] = visitedR[v]
 	}
-	return coverLeft, coverRight, rowScans
+	return coverLeft, coverRight
 }

@@ -61,15 +61,11 @@ func TestDAGRulesMatchGeneric(t *testing.T) {
 			if sd != sg {
 				t.Fatalf("trial %d: stats diverge: DAG %+v, generic %+v", trial, sd, sg)
 			}
-			cgL, cgR, kg := minVertexCoverBitset(gen, mg)
-			cdL, cdR, kd := minVertexCoverBitset(dag, md)
+			cgL, cgR := MinVertexCoverBitset(gen, mg)
+			cdL, cdR := MinVertexCoverBitset(dag, md)
 			if !reflect.DeepEqual(cgL, cdL) || !reflect.DeepEqual(cgR, cdR) {
 				t.Fatalf("trial %d: König covers diverge", trial)
 			}
-			if kd > kg {
-				t.Fatalf("trial %d: DAG König pass scanned %d rows, generic %d", trial, kd, kg)
-			}
-			saved += kg - kd
 		}
 	}
 	if saved == 0 {

@@ -169,11 +169,10 @@ next:
 // reached, advances c₁'s pointer past everything that member
 // dominates, emits the link to the last of those, and repeats from
 // the member above: O(log |a₀|) lookups per link found, not one per
-// member of a₀ (the header's lookup bound). The links of one label-0
-// half are buffered and emitted by position in a₀, then by label-1
-// half — the order of a walk that probes every label-1 half from each
-// label-0 point in turn — so the edge list and the network's edge ids
-// do not depend on how the pairs were walked.
+// member of a₀ (the header's lookup bound). Links come out pair by
+// pair as the walk finds them; no caller depends on the edge order,
+// since the minimal minimum cut Resolve decodes is the same whatever
+// order the network's edges were added in.
 func infinityEdges(view domgraph.View, ws geom.WeightedSet, cover [][]int, contending []bool, m int, emit func(from, to int)) {
 	flat := make([]int, 0, m)
 	var halves [2][][]int // per label: the chains' non-empty halves
@@ -194,11 +193,7 @@ func infinityEdges(view domgraph.View, ws geom.WeightedSet, cover [][]int, conte
 			}
 		}
 	}
-	type link struct{ pos, to int } // cross link from position pos of a₀
-	var links, sorted []link
-	var count []int // links per position of a₀, then start offsets
 	for _, zero := range halves[geom.Negative] {
-		links = links[:0]
 		top := zero[len(zero)-1]
 		for _, one := range halves[geom.Positive] {
 			if !view.Dominates(top, one[0]) {
@@ -212,25 +207,8 @@ func infinityEdges(view domgraph.View, ws geom.WeightedSet, cover [][]int, conte
 				for p < len(one) && view.Dominates(zero[pos], one[p]) {
 					p++
 				}
-				links = append(links, link{pos, one[p-1]})
+				emit(zero[pos], one[p-1])
 			}
-		}
-		// Counting sort by position; stable, so each position keeps
-		// the label-1 halves in order.
-		count = append(count[:0], make([]int, len(zero)+1)...)
-		for _, l := range links {
-			count[l.pos+1]++
-		}
-		for k := 1; k < len(count); k++ {
-			count[k] += count[k-1]
-		}
-		sorted = append(sorted[:0], make([]link, len(links))...)
-		for _, l := range links {
-			sorted[count[l.pos]] = l
-			count[l.pos]++
-		}
-		for _, l := range sorted {
-			emit(zero[l.pos], l.to)
 		}
 	}
 }
