@@ -23,9 +23,9 @@
 // exact (rebuild every delta) and lazy (rebuild every 64) — against
 // full retrains over the same insert/delete trace (see runOnlineBench).
 // -problem sweeps the prepared-problem lifecycle — prepare, first
-// solve, warm re-solve, peak memory — across n up to 10⁶ and the
-// three matrix modes, including the dense-guard refusal past the
-// n²/64 wall (see runProblemBench).
+// solve, warm re-solve, peak and retained memory — across n up to 10⁶
+// under default options, one row per (n, d, shape) (see
+// runProblemBench).
 // -conformance runs the
 // differential/metamorphic
 // engine (internal/conformance) and exits non-zero on any divergence,

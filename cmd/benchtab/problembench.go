@@ -15,11 +15,11 @@ import (
 )
 
 // problemRow is one sweep point of -problem: prepare / first-solve /
-// re-solve wall times plus memory for a single prepared instance. The
-// acceptance gates are (a) the n=10⁶ row completes in a non-dense
-// mode, (b) re-solve beats prepare+solve-from-raw by ≥5× at n=65536,
-// and (c) explicit dense mode refuses past the footprint guard instead
-// of thrashing.
+// re-solve wall times plus memory for a single prepared instance under
+// default options, which pick the route (dense at d ≥ 3 within the
+// exact limit, implicit otherwise). The acceptance gates are (a) the
+// n=10⁶ row completes, and (b) re-solve beats prepare+solve-from-raw
+// by ≥5× at n=65536.
 type problemRow struct {
 	Name           string  `json:"name"`
 	N              int     `json:"n"`
@@ -50,15 +50,13 @@ type problemRow struct {
 
 // problemReport is the machine-readable output of -problem.
 type problemReport struct {
-	GeneratedAt  string       `json:"generated_at"`
-	GoVersion    string       `json:"go_version"`
-	GOOS         string       `json:"goos"`
-	GOARCH       string       `json:"goarch"`
-	NumCPU       int          `json:"num_cpu"`
-	Seed         int64        `json:"seed"`
-	Rows         []problemRow `json:"rows"`
-	DenseRefused bool         `json:"dense_refused_at_1m"`
-	DenseRefusal string       `json:"dense_refusal"`
+	GeneratedAt string       `json:"generated_at"`
+	GoVersion   string       `json:"go_version"`
+	GOOS        string       `json:"goos"`
+	GOARCH      string       `json:"goarch"`
+	NumCPU      int          `json:"num_cpu"`
+	Seed        int64        `json:"seed"`
+	Rows        []problemRow `json:"rows"`
 }
 
 // problemWorkload generates n points on w explicit dominance chains:
@@ -114,11 +112,10 @@ func plantedNoisy(rng *rand.Rand, n, d int) geom.WeightedSet {
 	return ws
 }
 
-// trackPeakHeap samples HeapAlloc while fn runs and returns fn's
-// result alongside the observed peak (resolution a few ms — good
-// enough to catch transient allocations orders of magnitude above the
-// retained structure, which is what the blocked/implicit modes claim
-// to avoid).
+// trackPeakHeap samples HeapAlloc while fn runs and returns the
+// observed peak (resolution a few ms — good enough to catch transient
+// allocations orders of magnitude above the retained structure, such
+// as the dense route's matrix).
 func trackPeakHeap(fn func()) uint64 {
 	var peak uint64
 	stop := make(chan struct{})
@@ -154,29 +151,27 @@ func heapBaseline() uint64 {
 }
 
 // runProblemBench sweeps problem.Prepare across n (to 10⁶ in full
-// mode) and matrix modes, writing the JSON report to path.
+// mode), dimension and shape, writing the JSON report to path.
 func runProblemBench(path string, seed int64, quick bool) error {
 	type spec struct {
 		n, d  int
-		mode  problem.MatrixMode
 		noisy bool // plantedNoisy instead of the 16-chain problemWorkload
 	}
 	specs := []spec{
-		{4096, 3, problem.ModeAuto, false},        // auto → dense
-		{8192, 3, problem.ModeAuto, true},         // auto → dense; width ≈740, the matcher does real work
-		{16384, 3, problem.ModeDense, false},      // dense, 67 MB matrix; warm-start acceptance row
-		{65536, 2, problem.ModeImplicit, false},   // acceptance row for re-solve speedup
-		{65536, 3, problem.ModeDense, false},      // dense at the raised exact limit (1 GiB matrix)
-		{65536, 3, problem.ModeBlocked, false},    // blocked, exact via transient materialization
-		{262144, 3, problem.ModeBlocked, false},   // past the exact limit: greedy fallback
-		{1 << 20, 2, problem.ModeImplicit, false}, // the 10⁶ row the dense wall forbids
+		{4096, 3, false},
+		{8192, 3, true}, // width ≈740, the matcher does real work
+		{16384, 3, false},
+		{65536, 2, false},  // acceptance row for re-solve speedup
+		{65536, 3, false},  // dense at the exact limit (1 GiB transient matrix)
+		{262144, 3, false}, // past the exact limit: greedy fallback
+		{1 << 20, 2, false},
 	}
 	if quick {
 		specs = []spec{
-			{2048, 3, problem.ModeAuto, false},
-			{2048, 3, problem.ModeAuto, true},
-			{8192, 3, problem.ModeBlocked, false},
-			{16384, 2, problem.ModeImplicit, false},
+			{2048, 3, false},
+			{2048, 3, true},
+			{8192, 3, false},
+			{16384, 2, false},
 		}
 	}
 
@@ -199,7 +194,6 @@ func runProblemBench(path string, seed int64, quick bool) error {
 		} else {
 			ws = problemWorkload(rng, s.n, s.d, width)
 		}
-		opts := problem.Options{Mode: s.mode}
 
 		base := heapBaseline()
 		var p *problem.Problem
@@ -207,11 +201,11 @@ func runProblemBench(path string, seed int64, quick bool) error {
 		var prepareNs float64
 		peak := trackPeakHeap(func() {
 			start := time.Now()
-			p, prepErr = problem.Prepare(ws, opts)
+			p, prepErr = problem.Prepare(ws, problem.Options{})
 			prepareNs = float64(time.Since(start).Nanoseconds())
 		})
 		if prepErr != nil {
-			return fmt.Errorf("problem bench prepare n=%d mode=%s: %w", s.n, s.mode, prepErr)
+			return fmt.Errorf("problem bench prepare n=%d d=%d: %w", s.n, s.d, prepErr)
 		}
 		var ms runtime.MemStats
 		runtime.GC()
@@ -221,7 +215,7 @@ func runProblemBench(path string, seed int64, quick bool) error {
 		start := time.Now()
 		sol, err := p.Solve()
 		if err != nil {
-			return fmt.Errorf("problem bench solve n=%d mode=%s: %w", s.n, s.mode, err)
+			return fmt.Errorf("problem bench solve n=%d d=%d: %w", s.n, s.d, err)
 		}
 		solveNs := float64(time.Since(start).Nanoseconds())
 
@@ -236,7 +230,7 @@ func runProblemBench(path string, seed int64, quick bool) error {
 				return err
 			}
 			if again.WErr != sol.WErr {
-				return fmt.Errorf("problem bench n=%d mode=%s: re-solve drifted from %g to %g", s.n, s.mode, sol.WErr, again.WErr)
+				return fmt.Errorf("problem bench n=%d d=%d: re-solve drifted from %g to %g", s.n, s.d, sol.WErr, again.WErr)
 			}
 			if el := float64(time.Since(start).Nanoseconds()); r == 0 || el < resolveNs {
 				resolveNs = el
@@ -284,36 +278,12 @@ func runProblemBench(path string, seed int64, quick bool) error {
 			row.Width, row.Edges, row.DecomposePath, row.Augmentations)
 	}
 
-	// The dense wall itself: explicit dense mode at 10⁶ points must be
-	// refused by the footprint guard (≈2 n²/64 words ≫ the 2 GiB cap),
-	// not attempted.
-	if _, err := problemDenseRefusal(seed); err != nil {
-		report.DenseRefused = true
-		report.DenseRefusal = err.Error()
-		fmt.Printf("dense mode at n=1048576: refused as intended (%v)\n", err)
-	} else {
-		return fmt.Errorf("problem bench: dense mode at n=1048576 was not refused by the memory guard")
-	}
-
 	out, err := json.MarshalIndent(report, "", "  ")
 	if err != nil {
 		return err
 	}
 	out = append(out, '\n')
 	return os.WriteFile(path, out, 0o644)
-}
-
-// problemDenseRefusal asks for an explicit dense prepare at 10⁶
-// points; the footprint guard must reject it before any allocation.
-func problemDenseRefusal(seed int64) (*problem.Problem, error) {
-	ws := problemWorkload(rand.New(rand.NewSource(seed)), 64, 2, 4)
-	// The guard fires on n alone, so lie about nothing: hand Prepare a
-	// million-point set but make the points trivial to generate.
-	big := make(geom.WeightedSet, 1<<20)
-	for i := range big {
-		big[i] = ws[i%len(ws)]
-	}
-	return problem.Prepare(big, problem.Options{Mode: problem.ModeDense})
 }
 
 func min64(a, b uint64) uint64 {

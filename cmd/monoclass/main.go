@@ -23,14 +23,13 @@
 //	    Report dataset health: label balance, monotone violations,
 //	    contending points, k*, width, and chain profile.
 //
-//	monoclass prepare -in data.csv -out problem.json [-mode auto|dense|blocked|implicit]
-//	                  [-exact-decompose-limit N]
-//	    Build the prepared problem artifact (dominance structure,
-//	    chain decomposition, flow network) once and save it; passive
-//	    and audit accept it via -problem, skipping the rebuild. The
-//	    output reports the decomposition path taken (warm-started
-//	    exact vs greedy fallback) with per-stage timings, and warns
-//	    when the width is only an upper bound.
+//	monoclass prepare -in data.csv -out problem.json [-exact-decompose-limit N]
+//	    Build the prepared problem artifact (chain decomposition and
+//	    flow network) once and save it; passive and audit accept it
+//	    via -problem, skipping the rebuild. The output reports the
+//	    dominance representation and decomposition path taken
+//	    (warm-started exact vs greedy fallback) with per-stage
+//	    timings, and warns when the width is only an upper bound.
 //
 //	monoclass hasse -in data.csv > out.dot
 //	    Render the dominance Hasse diagram as Graphviz DOT (small
@@ -109,12 +108,12 @@ func loadCSV(path string) (monoclass.WeightedSet, error) {
 	return monoclass.ReadCSV(f)
 }
 
-// prepareArg resolves the -in/-problem/-mode flag trio every
+// prepareArg resolves the -in/-problem flag pair every
 // structure-consuming subcommand shares: load a serialized prepared
 // problem when -problem is given, otherwise prepare the CSV once. The
 // single Problem then feeds training and auditing without a second
 // dominance build.
-func prepareArg(in, problemPath, mode string, exactLimit int) (*monoclass.Problem, error) {
+func prepareArg(in, problemPath string, exactLimit int) (*monoclass.Problem, error) {
 	if problemPath != "" {
 		if in != "" {
 			return nil, fmt.Errorf("-in and -problem are mutually exclusive")
@@ -129,26 +128,21 @@ func prepareArg(in, problemPath, mode string, exactLimit int) (*monoclass.Proble
 	if in == "" {
 		return nil, fmt.Errorf("-in or -problem is required")
 	}
-	m, err := monoclass.ParseMatrixMode(mode)
-	if err != nil {
-		return nil, err
-	}
 	ws, err := loadCSV(in)
 	if err != nil {
 		return nil, err
 	}
-	return monoclass.PrepareProblem(ws, monoclass.ProblemOptions{Mode: m, ExactDecomposeLimit: exactLimit})
+	return monoclass.PrepareProblem(ws, monoclass.ProblemOptions{ExactDecomposeLimit: exactLimit})
 }
 
 func runPassive(args []string) error {
 	fs := flag.NewFlagSet("passive", flag.ExitOnError)
 	in := fs.String("in", "", "input CSV (x1..xd,label,weight)")
 	problemPath := fs.String("problem", "", "prepared problem JSON written by 'prepare' (alternative to -in)")
-	mode := fs.String("mode", "auto", "matrix mode: auto, dense, blocked, implicit")
 	doAudit := fs.Bool("audit", false, "also print the dataset audit, from the same prepared structure")
 	save := fs.String("save", "", "write the trained model as JSON to this path")
 	fs.Parse(args)
-	p, err := prepareArg(*in, *problemPath, *mode, 0)
+	p, err := prepareArg(*in, *problemPath, 0)
 	if err != nil {
 		return err
 	}
@@ -174,7 +168,6 @@ func runPrepare(args []string) error {
 	fs := flag.NewFlagSet("prepare", flag.ExitOnError)
 	in := fs.String("in", "", "input CSV (x1..xd,label,weight)")
 	out := fs.String("out", "", "write the prepared problem JSON to this path")
-	mode := fs.String("mode", "auto", "matrix mode: auto, dense, blocked, implicit")
 	exactLimit := fs.Int("exact-decompose-limit", 0,
 		"largest n decomposed exactly before falling back to greedy (0: library default)")
 	fs.Parse(args)
@@ -182,7 +175,7 @@ func runPrepare(args []string) error {
 		return fmt.Errorf("-out is required")
 	}
 	start := time.Now()
-	p, err := prepareArg(*in, "", *mode, *exactLimit)
+	p, err := prepareArg(*in, "", *exactLimit)
 	if err != nil {
 		return err
 	}
@@ -207,7 +200,7 @@ func runPrepare(args []string) error {
 		time.Duration(st.NetworkNS).Round(time.Millisecond))
 	if !p.ExactWidth() {
 		fmt.Printf("warning:     exact decomposition skipped; width %d is an upper bound "+
-			"(raise -exact-decompose-limit or memory guard to force exact)\n", p.Width())
+			"(raise -exact-decompose-limit to force exact)\n", p.Width())
 	}
 	fmt.Printf("prepare:     %s\n", time.Since(start).Round(time.Millisecond))
 	fmt.Printf("problem saved to %s\n", *out)
@@ -366,9 +359,8 @@ func runAudit(args []string) error {
 	fs := flag.NewFlagSet("audit", flag.ExitOnError)
 	in := fs.String("in", "", "input CSV")
 	problemPath := fs.String("problem", "", "prepared problem JSON written by 'prepare' (alternative to -in)")
-	mode := fs.String("mode", "auto", "matrix mode: auto, dense, blocked, implicit")
 	fs.Parse(args)
-	p, err := prepareArg(*in, *problemPath, *mode, 0)
+	p, err := prepareArg(*in, *problemPath, 0)
 	if err != nil {
 		return err
 	}

@@ -53,9 +53,9 @@ type Report struct {
 }
 
 // Audit computes a full report, preparing a throwaway Problem
-// internally (auto matrix mode). Callers who already hold a prepared
+// internally (default options). Callers who already hold a prepared
 // Problem — or will train on the same points next — use AuditProblem
-// and pay the dominance build once.
+// and pay the decomposition once.
 func Audit(ws geom.WeightedSet) (Report, error) {
 	if len(ws) == 0 {
 		return Report{}, fmt.Errorf("audit: empty dataset")

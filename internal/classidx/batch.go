@@ -2,24 +2,19 @@ package classidx
 
 import (
 	"fmt"
-	"math"
 
 	"monoclass/internal/geom"
 )
 
 // ClassifyBatchInto classifies every point of pts into dst, which must
 // have the same length; dst[i] is always the label of pts[i]. It
-// panics on length or dimension mismatches.
+// panics on length or dimension mismatches, checked before any point
+// is classified.
 //
-// The kernel is a run-adaptive sweep over the first dimension: the
-// dimension-0 rank is carried from point to point, galloping forward
-// over ascending runs (advanceRank) and restarting with a binary
-// search bounded by the previous rank on descents (boundedRank). A
-// sorted batch therefore pays O(1) amortized per point on the swept
-// dimension, while an adversarial ordering degrades to the plain
-// per-point binary search — never worse than calling Classify in a
-// loop, with no internal sorting, reordering, or allocation. Safe for
-// concurrent use: all state is local.
+// The kernel classifies point by point in the given order through the
+// layout's own classify, with the layout switch and the dimension
+// check hoisted out of the loop: no sorting, reordering, or
+// allocation. Safe for concurrent use: all state is local.
 func (ix *Index) ClassifyBatchInto(dst []geom.Label, pts []geom.Point) {
 	if len(dst) != len(pts) {
 		panic(fmt.Sprintf("classidx: dst length %d != batch length %d", len(dst), len(pts)))
@@ -38,135 +33,17 @@ func (ix *Index) ClassifyBatchInto(dst []geom.Label, pts []geom.Point) {
 		for i, p := range pts {
 			dst[i] = label(!(p[0] < ix.tau))
 		}
+	case layout2D:
+		for i, p := range pts {
+			dst[i] = ix.classify2D(p)
+		}
 	case layoutTiny:
 		for i, p := range pts {
 			dst[i] = ix.classifyTiny(p)
 		}
-	case layout2D:
-		ix.sweep2D(dst, pts)
 	default:
-		ix.sweepBits(dst, pts)
-	}
-}
-
-// sweep2D walks the batch while the staircase rank follows the
-// dimension-0 key; each point then costs one rank update plus one y
-// comparison.
-func (ix *Index) sweep2D(dst []geom.Label, pts []geom.Point) {
-	r := len(ix.xs) // rank of +Inf: every anchor x is <= it
-	prev := math.Inf(1)
-	for i, p := range pts {
-		x := p[0]
-		if x >= prev {
-			r = advanceRank(ix.xs, r, x)
-		} else {
-			r = boundedRank(ix.xs, r, x)
-		}
-		prev = x
-		dst[i] = label(r > 0 && !(p[1] < ix.ys[r-1]))
-	}
-}
-
-// sweepBits carries the dimension-0 rank across the batch and
-// intersects the remaining dimensions per point, exactly as
-// classifyBits does.
-func (ix *Index) sweepBits(dst []geom.Label, pts []geom.Point) {
-	// Row pointers under intersection; stack buffer for realistic
-	// dimensionalities, so the sweep does not allocate.
-	var rbuf [16][]uint64
-	rowsBuf := rbuf[:0]
-	if ix.dim > len(rbuf) {
-		rowsBuf = make([][]uint64, 0, ix.dim)
-	}
-	r0 := len(ix.coords[0])
-	prev := math.Inf(1)
-	for i, p := range pts {
-		x := p[0]
-		if x >= prev {
-			r0 = advanceRank(ix.coords[0], r0, x)
-		} else {
-			r0 = boundedRank(ix.coords[0], r0, x)
-		}
-		prev = x
-		if r0 == 0 {
-			dst[i] = geom.Negative
-			continue
-		}
-		rows := rowsBuf[:0]
-		if r0 < ix.m {
-			rows = append(rows, ix.prefixRow(0, r0))
-		}
-		negative := false
-		for k := 1; k < ix.dim; k++ {
-			r := ix.rank(k, p[k])
-			if r == 0 {
-				negative = true
-				break
-			}
-			if r == ix.m {
-				continue
-			}
-			rows = append(rows, ix.prefixRow(k, r))
-		}
-		if negative {
-			dst[i] = geom.Negative
-			continue
-		}
-		dst[i] = label(anyCommonBit(rows, ix.words))
-	}
-}
-
-// advanceRank returns the upper-bound rank of x in cs, searching
-// forward from a previous rank `from` (valid when x is at least the
-// key that produced `from`). Galloping keeps the cost O(log gap) per
-// point — O(1) amortized over an ascending run that spans the anchors
-// densely — instead of a full binary search.
-func advanceRank(cs []float64, from int, x float64) int {
-	if math.IsNaN(x) {
-		return len(cs)
-	}
-	if from >= len(cs) || cs[from] > x {
-		return from
-	}
-	// cs[from] <= x: gallop to bracket the boundary, then bisect.
-	lo, step := from, 1
-	for lo+step < len(cs) && cs[lo+step] <= x {
-		lo += step
-		step <<= 1
-	}
-	hi := lo + step
-	if hi > len(cs) {
-		hi = len(cs)
-	}
-	lo++
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if cs[mid] <= x {
-			lo = mid + 1
-		} else {
-			hi = mid
+		for i, p := range pts {
+			dst[i] = ix.classifyBits(p)
 		}
 	}
-	return lo
-}
-
-// boundedRank returns the upper-bound rank of x in cs, given that the
-// rank is known to be at most hi (x is below the key whose rank was
-// hi, and ranks are monotone in the key). NaN is checked first: it
-// reaches this path through a failed >= comparison but ranks past
-// every anchor, outside the [0, hi] window.
-func boundedRank(cs []float64, hi int, x float64) int {
-	if math.IsNaN(x) {
-		return len(cs)
-	}
-	lo := 0
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if cs[mid] <= x {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
 }

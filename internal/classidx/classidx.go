@@ -36,13 +36,10 @@
 //     anchor sets (m <= tinyAnchors) skip the machinery for a flat
 //     column-blocked scan that beats it on constant factors.
 //
-// The batch kernel (ClassifyBatchInto) classifies the batch in its
-// given order, carrying the dimension-0 rank from point to point: it
-// gallops forward over ascending runs and restarts with a bounded
-// binary search on descents, so a sorted batch shares the first
-// dimension's work while any other order costs no more than per-point
-// classification; remaining dimensions use per-point binary search.
-// It neither sorts nor allocates, and all its state is local.
+// The batch kernel (ClassifyBatchInto) checks the whole batch's
+// dimensions once, then classifies point by point in the given order
+// through the layout's own classify. It neither sorts nor allocates,
+// and all its state is local.
 package classidx
 
 import (
@@ -289,8 +286,7 @@ func (ix *Index) Classify(p geom.Point) geom.Label {
 	case layout1D:
 		return label(!(p[0] < ix.tau))
 	case layout2D:
-		r := ix.rank2D(p[0])
-		return label(r > 0 && !(p[1] < ix.ys[r-1]))
+		return ix.classify2D(p)
 	case layoutTiny:
 		return ix.classifyTiny(p)
 	default:
@@ -322,6 +318,13 @@ func (ix *Index) rank2D(x float64) int {
 		}
 	}
 	return lo
+}
+
+// classify2D is the staircase test: the x rank picks the last anchor
+// whose x passes, and that anchor's y — the lowest among them — decides.
+func (ix *Index) classify2D(p geom.Point) geom.Label {
+	r := ix.rank2D(p[0])
+	return label(r > 0 && !(p[1] < ix.ys[r-1]))
 }
 
 // classifyTiny is the flat scan: the scalar loop over normalized

@@ -186,8 +186,7 @@ func TestBuildDeterministic(t *testing.T) {
 
 // TestBatchEveryPermutation: for every permutation of a small batch,
 // batch output stays positionally aligned with the scalar result of
-// the same slot — the rank carried across the sweep must reset
-// correctly on every ascent/descent pattern.
+// the same slot.
 func TestBatchEveryPermutation(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, d := range []int{2, 3, 4} {
@@ -277,41 +276,4 @@ func TestBatchPanics(t *testing.T) {
 		ix.ClassifyBatchInto(make([]geom.Label, 1), []geom.Point{{1, 2, 3}})
 	})
 	mustPanic("classify dimension mismatch", func() { ix.Classify(geom.Point{1}) })
-}
-
-// TestAdvanceRank pins the galloping upper-bound search against the
-// straightforward linear scan.
-func TestAdvanceRank(t *testing.T) {
-	cs := []float64{math.Inf(-1), -2, -2, 0, 0, 0, 1, 5, 5, math.Inf(1)}
-	linear := func(x float64) int {
-		if math.IsNaN(x) {
-			return len(cs)
-		}
-		r := 0
-		for _, c := range cs {
-			if c <= x {
-				r++
-			}
-		}
-		return r
-	}
-	queries := []float64{math.Inf(-1), -3, -2, -1, 0, 0.5, 1, 4, 5, 6, math.Inf(1), math.NaN()}
-	for _, x := range queries {
-		want := linear(x)
-		for from := 0; from <= want; from++ {
-			if got := advanceRank(cs, from, x); got != want {
-				t.Errorf("advanceRank(from=%d, %v) = %d, want %d", from, x, got, want)
-			}
-		}
-		for hi := want; hi <= len(cs); hi++ {
-			if got := boundedRank(cs, hi, x); got != want {
-				t.Errorf("boundedRank(hi=%d, %v) = %d, want %d", hi, x, got, want)
-			}
-		}
-	}
-	// NaN through boundedRank: reached via a failed >= comparison, but
-	// its rank lies past every window.
-	if got := boundedRank(cs, 3, math.NaN()); got != len(cs) {
-		t.Errorf("boundedRank(hi=3, NaN) = %d, want %d", got, len(cs))
-	}
 }

@@ -342,7 +342,7 @@ func CheckDomgraphKernel(in Instance) error {
 		}
 		covers := map[string][]bool{
 			"minimum": p.Contending(),
-			"greedy":  passive.Prepare(p.WeightedSet(), p.View(), chains.GreedyDecompose(pts)).Contending(),
+			"greedy":  passive.Prepare(p.WeightedSet(), domgraph.NewImplicit(pts), chains.GreedyDecompose(pts)).Contending(),
 		}
 		for i := 0; i < n; i++ {
 			want := false
@@ -404,7 +404,7 @@ func classidxCoord(rng *rand.Rand) float64 {
 }
 
 // CheckClassifierIndexed holds AnchorSet's indexed classification paths
-// (sorted 1-D/2-D fast paths, bit-packed anchor matrix, batch sweep
+// (sorted 1-D/2-D fast paths, bit-packed anchor matrix, batch
 // kernel) to exact agreement with the scalar anchor scan
 // (ClassifyScalar): anchor sets are derived from the instance and from
 // seeded random pools with ±Inf and duplicate coordinates, queried with
@@ -625,7 +625,7 @@ func CheckPassiveDifferential(in Instance) error {
 		// A valid but possibly wider cover: the greedy-fallback path
 		// problem.Prepare takes past its exact-decomposition limit.
 		{"greedy-chains", func() (passive.Solution, error) {
-			return passive.Prepare(ws, p.View(), chains.GreedyDecompose(in.Pts())).Resolve(nil)
+			return passive.Prepare(ws, domgraph.NewImplicit(in.Pts()), chains.GreedyDecompose(in.Pts())).Resolve(nil)
 		}},
 	}
 	// Every registered max-flow solver drives the prepared network;

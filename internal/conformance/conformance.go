@@ -16,8 +16,8 @@
 //   - the passive optimum across the sparse network (minimum and greedy
 //     chain covers, every solver) and the literal Section 5.1
 //     construction, against the exponential NaiveSolve on small inputs;
-//   - the prepared problem across its dense, blocked and implicit
-//     dominance views and a serialization round trip, bit for bit;
+//   - the prepared problem against its serialization round trip,
+//     whose network is rebuilt over rank arrays, bit for bit;
 //   - the active pipeline in exhaustive mode against the passive
 //     optimum (exact), and with sampling parameters against the (1+ε)
 //     guarantee over repeated trials (statistical audit).

@@ -14,15 +14,15 @@ import (
 	"monoclass/internal/problem"
 )
 
-// Problem-artifact conformance: every matrix mode builds its network
-// with the one passive.Prepare over its own view and the same chain
-// cover, so dense, blocked and implicit Problems of one instance — and
-// each one's serialization round trip — must solve bit-identically,
-// with the same decomposition and audit report. The optimum and the
-// contending set are held to the literal Section 5.1 construction.
-// The audit report is recomputed inline from the points (matrix build,
-// decomposition, network over the fresh matrix) rather than through
-// the problem package.
+// Problem-artifact conformance: a prepared Problem — the dense route at
+// d ≥ 3, rank arrays at d ≤ 2 — and its serialization round trip,
+// whose network is rebuilt over rank arrays from the same stored
+// cover, must have the same edges, solve bit-identically, and give the
+// same decomposition, violation count and audit report. The optimum
+// and the contending set are held to the literal Section 5.1
+// construction. The audit report is recomputed inline from the points
+// (matrix build, decomposition, network over the fresh matrix) rather
+// than through the problem package.
 
 // recomputeAuditReport derives audit.Report from scratch: fresh
 // domgraph.Build, popcount violation count, dimension-dispatched
@@ -142,64 +142,55 @@ func CheckProblemModesAgree(in Instance) error {
 		return fmt.Errorf("audit recompute: %w", err)
 	}
 
-	var first passive.Solution
-	for k, mode := range []problem.MatrixMode{problem.ModeDense, problem.ModeBlocked, problem.ModeImplicit} {
-		p, err := problem.Prepare(ws, problem.Options{Mode: mode})
+	p, err := problem.Prepare(ws, problem.Options{})
+	if err != nil {
+		return fmt.Errorf("Prepare: %w", err)
+	}
+	var buf bytes.Buffer
+	if err := problem.Write(&buf, p); err != nil {
+		return fmt.Errorf("serialize: %w", err)
+	}
+	q, err := problem.Read(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		return fmt.Errorf("deserialize: %w", err)
+	}
+	if p.NumEdges() != q.NumEdges() {
+		return fmt.Errorf("round trip: %d edges, prepared %v network %d", q.NumEdges(), p.Mode(), p.NumEdges())
+	}
+	first, err := p.Solve()
+	if err != nil {
+		return fmt.Errorf("Solve: %w", err)
+	}
+	for _, c := range []struct {
+		tag  string
+		prob *problem.Problem
+	}{{p.Mode().String(), p}, {"round trip", q}} {
+		sol, err := c.prob.Solve()
 		if err != nil {
-			return fmt.Errorf("%v: Prepare: %w", mode, err)
+			return fmt.Errorf("%s: Solve: %w", c.tag, err)
 		}
-		sol, err := p.Solve()
-		if err != nil {
-			return fmt.Errorf("%v: Solve: %w", mode, err)
-		}
-		if k == 0 {
-			first = sol
-		}
-		if err := sameSolutions(mode.String()+" vs "+problem.ModeDense.String(), sol, first); err != nil {
+		if err := sameSolutions(c.tag, sol, first); err != nil {
 			return err
 		}
 		if !almostEq(sol.WErr, literalSol.WErr) {
-			return fmt.Errorf("%v: optimum %v, literal construction %v", mode, sol.WErr, literalSol.WErr)
+			return fmt.Errorf("%s: optimum %v, literal construction %v", c.tag, sol.WErr, literalSol.WErr)
 		}
-		if !reflect.DeepEqual(p.Contending(), literal.Contending()) {
-			return fmt.Errorf("%v: contending set diverges from the literal construction", mode)
+		if !reflect.DeepEqual(c.prob.Contending(), literal.Contending()) {
+			return fmt.Errorf("%s: contending set diverges from the literal construction", c.tag)
 		}
-		again, err := p.Solve()
+		if got := c.prob.Decomposition(); !reflect.DeepEqual(got, wantDec) {
+			return fmt.Errorf("%s: decomposition diverges from chains.Decompose", c.tag)
+		}
+		rep, err := audit.AuditProblem(c.prob)
 		if err != nil {
-			return fmt.Errorf("%v: re-solve: %w", mode, err)
-		}
-		if err := sameSolutions(mode.String()+" re-solve", again, sol); err != nil {
-			return err
-		}
-		if got := p.Decomposition(); !reflect.DeepEqual(got, wantDec) {
-			return fmt.Errorf("%v: decomposition diverges from chains.Decompose", mode)
-		}
-		rep, err := audit.AuditProblem(p)
-		if err != nil {
-			return fmt.Errorf("%v: audit: %w", mode, err)
+			return fmt.Errorf("%s: audit: %w", c.tag, err)
 		}
 		if rep != wantRep {
-			return fmt.Errorf("%v: audit report %+v, recomputed %+v", mode, rep, wantRep)
+			return fmt.Errorf("%s: audit report %+v, recomputed %+v", c.tag, rep, wantRep)
 		}
-
-		var buf bytes.Buffer
-		if err := problem.Write(&buf, p); err != nil {
-			return fmt.Errorf("%v: serialize: %w", mode, err)
-		}
-		q, err := problem.Read(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			return fmt.Errorf("%v: deserialize: %w", mode, err)
-		}
-		rsol, err := q.Solve()
-		if err != nil {
-			return fmt.Errorf("%v: reread solve: %w", mode, err)
-		}
-		if err := sameSolutions(mode.String()+" round trip", rsol, first); err != nil {
-			return err
-		}
-		if q.Violations() != p.Violations() {
-			return fmt.Errorf("%v: round trip changed violations %d -> %d", mode, p.Violations(), q.Violations())
-		}
+	}
+	if p.Violations() != q.Violations() {
+		return fmt.Errorf("round trip changed violations %d -> %d", p.Violations(), q.Violations())
 	}
 	return nil
 }

@@ -14,10 +14,10 @@ import (
 // CheckDecomposeWarmStart holds the warm-started chain decomposition
 // to the scalar Lemma 6 oracle (chains.DecomposeGenericScalar:
 // pairwise dominance tests and slice Hopcroft–Karp, sharing no code
-// with the bitset matcher) across every dominance representation a
-// Problem can carry. The oracle must itself be a valid decomposition
-// with a certifying antichain. For each of the dense, blocked, and
-// implicit materializations the check then requires: the oracle's
+// with the bitset matcher) over the kernel-built matrix and the scalar
+// BuildNaive one. The oracle must itself be a valid decomposition
+// with a certifying antichain. For each matrix the check then
+// requires: the oracle's
 // width, a valid decomposition and a certifying antichain of exactly
 // that width, warm-start accounting that balances (augmentations =
 // seed chains − width), and convergence from a caller-supplied greedy
@@ -46,15 +46,11 @@ func CheckDecomposeWarmStart(in Instance) error {
 		name string
 		m    *domgraph.Matrix
 	}
-	// BuildNaive is the views' scalar fallback for non-sweepable
-	// coordinates; ±Inf inputs exercise it through the blocked and
-	// implicit materializations below, and it must agree with the
-	// parallel sweep builder here regardless.
+	// BuildNaive must agree with the parallel sweep builder, ±Inf
+	// inputs included.
 	sources := []matSource{
 		{"dense", domgraph.Build(pts)},
 		{"dense-naive", domgraph.BuildNaive(pts)},
-		{"blocked", domgraph.NewBlocked(pts, domgraph.BlockedConfig{}).Materialize()},
-		{"implicit", domgraph.NewImplicit(pts).Materialize()},
 	}
 
 	scalar := chains.DecomposeGenericScalar(pts)

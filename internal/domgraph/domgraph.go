@@ -1,9 +1,12 @@
 // Package domgraph is the shared dominance kernel: a bit-packed
 // representation of the pairwise dominance relation of a point set,
-// 64 points per machine word, built once and consumed by every
-// super-linear stage of the pipeline — the Lemma 6 chain decomposition
-// (internal/chains), the Theorem 4 passive min-cut network
-// (internal/passive), and the dataset audit (internal/audit).
+// 64 points per machine word, consumed by the super-linear stages of
+// the pipeline — the Lemma 6 chain decomposition (internal/chains),
+// the Theorem 4 passive min-cut network (internal/passive), and the
+// violation count (internal/problem). The prepared problem builds it
+// only while it decomposes and builds the network, then drops it;
+// Implicit (view.go) answers the same dominance queries from
+// per-dimension rank arrays where no matrix is built.
 //
 // Two relations are materialized side by side:
 //

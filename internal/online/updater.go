@@ -390,8 +390,8 @@ func (u *Updater) Resolve() error {
 }
 
 // resolveLocked retrains on the live multiset: problem.Prepare with
-// default Options — the train path's constructor, mode choice and
-// dense guard — then solveLocked. A retrain over Live therefore builds
+// default Options — the train path's constructor and route choice —
+// then solveLocked. A retrain over Live therefore builds
 // a bit-identical network and must return the identical assignment.
 func (u *Updater) resolveLocked(publish bool) error {
 	if len(u.pts) == 0 {

@@ -133,19 +133,21 @@ func checkExact(t *testing.T, step int, u *Updater, mirror geom.WeightedSet, ful
 	}
 }
 
-// TestNewUpdaterFromProblem seeds updaters from dense, blocked and
-// implicit Problems: the first model is the Problem's own solve, the
-// live multiset is its point set in input order, and every exact step
-// of a delta trace afterwards matches a retrain.
+// TestNewUpdaterFromProblem seeds updaters from Problems of every
+// route — dense, the d ≥ 3 greedy fallback over rank arrays, and d ≤ 2
+// rank arrays: the first model is the Problem's own solve, the live
+// multiset is its point set in input order, and every exact step of a
+// delta trace afterwards matches a retrain.
 func TestNewUpdaterFromProblem(t *testing.T) {
 	cases := []struct {
 		name string
 		dim  int
+		opts problem.Options
 		mode problem.MatrixMode
 	}{
-		{"dense", 3, problem.ModeDense},
-		{"blocked", 3, problem.ModeBlocked},
-		{"implicit", 2, problem.ModeImplicit},
+		{"dense", 3, problem.Options{}, problem.ModeDense},
+		{"greedy", 3, problem.Options{ExactDecomposeLimit: 10}, problem.ModeImplicit},
+		{"implicit", 2, problem.Options{}, problem.ModeImplicit},
 	}
 	for ci, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -158,7 +160,7 @@ func TestNewUpdaterFromProblem(t *testing.T) {
 				}
 				seed[i] = geom.WeightedPoint{P: pt, Label: geom.Label(rng.Intn(2)), Weight: float64(1 + rng.Intn(4))}
 			}
-			p, err := problem.Prepare(seed, problem.Options{Mode: tc.mode})
+			p, err := problem.Prepare(seed, tc.opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -189,13 +191,13 @@ func TestNewUpdaterFromProblem(t *testing.T) {
 }
 
 // TestNewUpdaterDenseGuard: an initial multiset one point past the
-// dense limit goes through Prepare's mode choice, so the first exact
+// exact limit goes through Prepare's route choice, so the first exact
 // solve never materializes the n²/64 matrix. Sixteen diagonals at d=2,
 // labelled by a threshold along them, keep the width low and leave
 // nothing contending.
 func TestNewUpdaterDenseGuard(t *testing.T) {
 	const chains = 16
-	n := problem.DefaultDenseLimit + 1
+	n := problem.DefaultExactDecomposeLimit + 1
 	initial := make(geom.WeightedSet, n)
 	for i := range initial {
 		tt, j := float64(i/chains), float64(i%chains)

@@ -16,8 +16,8 @@ import (
 // point. Each coordinate byte maps to 0..7 on a small grid (dense ties
 // and duplicates), or to −Inf or +Inf; the last byte's low bit is the
 // label and the rest picks an integer weight 1..4, so the optimum is an
-// exact float. Up to 130 points decode, so matrix rows and blocked
-// tiles span three 64-bit words.
+// exact float. Up to 130 points decode, so matrix rows span three
+// 64-bit words.
 func decodeWeightedSet(data []byte) geom.WeightedSet {
 	if len(data) < 1 {
 		return nil
@@ -48,8 +48,8 @@ func decodeWeightedSet(data []byte) geom.WeightedSet {
 // builder and the network it feeds. Over the minimum and the greedy
 // cover, every edge must be sound and keep the label-split budget,
 // reachability from each contending label-0 point must equal
-// dominance over the contending label-1 points, and the matrix,
-// blocked and implicit views must emit identical edge lists. The
+// dominance over the contending label-1 points, and the matrix and
+// implicit views must emit identical edge lists. The
 // solved network must then return exactly the literal Section 5.1
 // construction's WErr, assignment and anchors.
 func FuzzPassiveNetwork(f *testing.F) {

@@ -127,13 +127,12 @@ func checkReachability(t *testing.T, tag string, ws geom.WeightedSet, contending
 
 // TestSparseEdgesMatrixMatchesScalar is the property test of the one
 // ∞-edge builder: over random sets of up to 130 points (duplicates,
-// ±Inf, d = 1..4), so matrix rows and blocked tiles span up to three
-// words, minimum and greedy covers, and the matrix, blocked and
-// implicit views (the latter two answer dominance from coordinates
-// and ranks), the contending scan matches its definition, the edges
-// keep their budget, ∞-reachability from each contending label-0
-// point equals dominance over the contending label-1 points, and all
-// three views emit the identical edge list.
+// ±Inf, d = 1..4), so matrix rows span up to three words, minimum and
+// greedy covers, and the matrix and implicit views (the latter answers
+// dominance from ranks), the contending scan matches its definition,
+// the edges keep their budget, ∞-reachability from each contending
+// label-0 point equals dominance over the contending label-1 points,
+// and both views emit the identical edge list.
 func TestSparseEdgesMatrixMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	for trial := 0; trial < 400; trial++ {
@@ -153,11 +152,11 @@ func TestSparseEdgesMatrixMatchesScalar(t *testing.T) {
 }
 
 // checkBuilder runs infinityEdges over ws with the minimum and the
-// greedy cover in the matrix, blocked and implicit views, and holds
-// it to its contract: the contending scan matches PrepareLiteral's
-// definition, every edge is sound, reachability from label 0 to
-// label 1 equals dominance, the edge budget holds, and all three
-// views emit the identical edge list.
+// greedy cover in the matrix and implicit views, and holds it to its
+// contract: the contending scan matches PrepareLiteral's definition,
+// every edge is sound, reachability from label 0 to label 1 equals
+// dominance, the edge budget holds, and both views emit the identical
+// edge list.
 func checkBuilder(t *testing.T, tag string, ws geom.WeightedSet) {
 	t.Helper()
 	pts := pointsOf(ws)
@@ -171,7 +170,6 @@ func checkBuilder(t *testing.T, tag string, ws geom.WeightedSet) {
 		v    domgraph.View
 	}{
 		{"matrix", domgraph.Build(pts)},
-		{"blocked", domgraph.NewBlocked(pts, domgraph.BlockedConfig{TileRows: 8})},
 		{"implicit", domgraph.NewImplicit(pts)},
 	}
 	covers := []struct {

@@ -1,21 +1,22 @@
 // Package problem owns the prepared form of one monotone-classification
-// instance: the points, their dominance representation, a chain
-// decomposition, and the Section 5.1 flow network, built once by
-// Prepare and shared by every solver layer — passive solves, audits,
-// conformance differentials, the online updater, and serving gates all
-// accept a *Problem instead of re-deriving the same structure from raw
-// points.
+// instance: the points, a chain decomposition, and the Section 5.1 flow
+// network, built once by Prepare and shared by every solver layer —
+// passive solves, audits, conformance differentials, the online
+// updater, and serving gates all accept a *Problem instead of
+// re-deriving the same structure from raw points.
 //
 // A Problem is immutable after Prepare: accessors never mutate it and
 // repeated Solve calls are deterministic (the one mutable piece, the
 // flow network's residual state, is reset under an internal mutex).
-// The dominance representation is chosen by MatrixMode: dense keeps
-// the full bit-packed matrix (the classic O(n²/64)-word layout),
-// blocked materializes cache-sized row tiles on demand behind an LRU,
-// and implicit answers dominance queries from per-dimension rank
-// arrays without materializing anything. Auto picks dense up to
-// DenseLimit points and blocked/implicit past it, so the n²/64 memory
-// wall never stops Prepare.
+// Prepare takes one route per instance. At d ≥ 3, within
+// ExactDecomposeLimit points and the dense-footprint guard, it builds
+// the bit-packed dominance matrix, runs the warm-started matching on it
+// for a minimum chain cover, builds the network over it and drops it
+// (ModeDense). Everywhere else — d ≤ 2, whose minimum cover comes from
+// an O(n log n) construction, and the greedy fallback past the limits —
+// it answers the network build's dominance lookups from per-dimension
+// rank arrays (ModeImplicit). Either way the Problem keeps nothing
+// quadratic: the points, the cover and the network.
 package problem
 
 import (
@@ -30,126 +31,57 @@ import (
 	"monoclass/internal/passive"
 )
 
-// MatrixMode selects the dominance representation of a Problem.
+// MatrixMode names the dominance representation Prepare built the
+// network over.
 type MatrixMode int
 
 const (
-	// ModeAuto picks dense while the matrix fits (n ≤ DenseLimit and
-	// under MaxDenseBytes), then blocked for d ≥ 3 and implicit for
-	// d ≤ 2.
-	ModeAuto MatrixMode = iota
-	// ModeDense materializes the full bit-packed matrix (domgraph.Build);
-	// Prepare refuses when it would exceed MaxDenseBytes.
-	ModeDense
-	// ModeBlocked materializes the matrix in cache-sized row tiles on
-	// demand, behind an LRU of tiles (domgraph.Blocked).
-	ModeBlocked
-	// ModeImplicit never materializes bits: dominance queries are
-	// answered from per-dimension rank arrays (domgraph.Implicit).
+	// ModeDense: the bit-packed matrix (domgraph.Build), which also
+	// feeds the exact warm-started decomposition at d ≥ 3. The Problem
+	// drops it once the network is built.
+	ModeDense MatrixMode = iota
+	// ModeImplicit: per-dimension rank arrays (domgraph.Implicit), for
+	// d ≤ 2, the greedy fallback, and every Problem Read restores.
 	ModeImplicit
 )
 
-// String returns the mode's flag spelling: auto, dense, blocked,
-// implicit.
+// String returns the mode's name: dense or implicit.
 func (m MatrixMode) String() string {
 	switch m {
-	case ModeAuto:
-		return "auto"
 	case ModeDense:
 		return "dense"
-	case ModeBlocked:
-		return "blocked"
 	case ModeImplicit:
 		return "implicit"
 	}
 	return fmt.Sprintf("MatrixMode(%d)", int(m))
 }
 
-// ParseMode is String's inverse, for flags and the serialized format.
-func ParseMode(s string) (MatrixMode, error) {
-	switch s {
-	case "auto":
-		return ModeAuto, nil
-	case "dense":
-		return ModeDense, nil
-	case "blocked":
-		return ModeBlocked, nil
-	case "implicit":
-		return ModeImplicit, nil
-	}
-	return 0, fmt.Errorf("problem: unknown matrix mode %q (want auto, dense, blocked, or implicit)", s)
-}
-
-// Tuning defaults; zero Options fields resolve to these.
 const (
-	// DefaultDenseLimit is the auto-mode point-count threshold past
-	// which Prepare stops materializing the dense matrix (1 GiB of
-	// dom+dag words at the limit).
-	DefaultDenseLimit = 65536
-	// DefaultMaxDenseBytes caps the dense matrix footprint: explicit
-	// ModeDense refuses past it, ModeAuto falls through to a
-	// non-materializing mode.
-	DefaultMaxDenseBytes = int64(2) << 30
-	// DefaultExactDecomposeLimit is the largest n at which a
-	// non-dense Problem at d ≥ 3 still materializes the matrix
-	// transiently to compute an exact minimum chain decomposition;
-	// past it (or past the dense-footprint guard), GreedyDecompose
+	// DefaultExactDecomposeLimit is the largest n at which Prepare builds
+	// the dense matrix at d ≥ 3 for an exact minimum chain decomposition
+	// (1 GiB of dom+dag words at the limit); past it, GreedyDecompose
 	// supplies a valid (possibly wider) cover and Stats records the
-	// fallback. Raised from 16384 once the matching was warm-started
-	// from the greedy cover: exact width now costs only the
-	// seed-to-optimum augmentation gap on top of the greedy cover
-	// instead of O(√n) cold Hopcroft–Karp phases, so the transient
-	// matrix build — not the matching — bounds the practical limit.
+	// fallback.
 	DefaultExactDecomposeLimit = 65536
-	// streamCountLimit is the largest n at which Violations streams
-	// packed rows out of a blocked view; past it the chain-counting
-	// method avoids the O(n²) row scan entirely.
-	streamCountLimit = 262144
+	// maxDenseBytes caps the dense matrix footprint: past it Prepare
+	// takes the greedy fallback whatever ExactDecomposeLimit says.
+	maxDenseBytes = int64(2) << 30
 )
 
 // Options configures Prepare.
 type Options struct {
-	// Mode selects the dominance representation; ModeAuto (the zero
-	// value) picks one by instance size.
-	Mode MatrixMode
-	// DenseLimit overrides the auto-mode dense threshold (points);
-	// DefaultDenseLimit when zero.
-	DenseLimit int
-	// MaxDenseBytes overrides the dense footprint guard;
-	// DefaultMaxDenseBytes when zero.
-	MaxDenseBytes int64
-	// ExactDecomposeLimit overrides the exact-decomposition threshold
-	// for non-dense d ≥ 3 instances; DefaultExactDecomposeLimit when
-	// zero.
+	// ExactDecomposeLimit overrides the largest n decomposed exactly at
+	// d ≥ 3; DefaultExactDecomposeLimit when zero.
 	ExactDecomposeLimit int
-	// Blocked tunes the tile cache in ModeBlocked (defaults apply
-	// per-field, see domgraph.BlockedConfig).
-	Blocked domgraph.BlockedConfig
-}
-
-func (o Options) withDefaults() Options {
-	if o.DenseLimit == 0 {
-		o.DenseLimit = DefaultDenseLimit
-	}
-	if o.MaxDenseBytes == 0 {
-		o.MaxDenseBytes = DefaultMaxDenseBytes
-	}
-	if o.ExactDecomposeLimit == 0 {
-		o.ExactDecomposeLimit = DefaultExactDecomposeLimit
-	}
-	return o
 }
 
 // Decomposition path names recorded in PrepareStats.DecomposePath.
 const (
 	// PathFast2D: the d ≤ 2 O(n log n) construction; always exact.
 	PathFast2D = "fast-2d"
-	// PathExactDense: warm-started matching over the retained dense
-	// matrix; exact.
+	// PathExactDense: warm-started matching over the dense matrix;
+	// exact.
 	PathExactDense = "exact-dense"
-	// PathExactTransient: non-dense mode that materialized the matrix
-	// transiently for the warm-started matching; exact.
-	PathExactTransient = "exact-transient"
 	// PathGreedyFallback: past ExactDecomposeLimit (or the dense
 	// footprint guard) — first-fit cover, possibly wider than the true
 	// width. The one path where ExactWidth is false.
@@ -167,7 +99,8 @@ type PrepareStats struct {
 	// N and Dim echo the instance shape.
 	N   int `json:"n"`
 	Dim int `json:"d"`
-	// Mode is the resolved matrix mode (never ModeAuto).
+	// Mode is the dominance representation the network was built over:
+	// dense or implicit.
 	Mode string `json:"mode"`
 	// Width is the decomposition's chain count; ExactWidth reports
 	// whether that is the true dominance width or a greedy upper bound.
@@ -177,7 +110,7 @@ type PrepareStats struct {
 	// constants) — the greedy fallback is no longer silent.
 	DecomposePath string `json:"decompose_path"`
 	// SeedChains, Augmentations, Phases, and CertEarlyExit mirror
-	// chains.DecomposeStats for the exact matrix paths: the warm-start
+	// chains.DecomposeStats for the exact matrix path: the warm-start
 	// seed's chain count, the augmenting paths needed on top of it
 	// (exactly SeedChains − Width), the BFS phases run, and whether the
 	// antichain certificate proved the seed optimal with no matching
@@ -192,9 +125,8 @@ type PrepareStats struct {
 	Contending int `json:"contending"`
 	Edges      int `json:"edges"`
 	// Per-stage wall times: dominance representation build, chain
-	// decomposition (including a transient materialization when the
-	// path is exact-transient), flow-network construction, and the
-	// whole Prepare call end to end.
+	// decomposition, flow-network construction, and the whole Prepare
+	// call end to end.
 	MatrixNS    int64 `json:"matrix_ns"`
 	DecomposeNS int64 `json:"decompose_ns"`
 	NetworkNS   int64 `json:"network_ns"`
@@ -211,12 +143,10 @@ type SolveOptions struct {
 // Problem is one prepared instance. It is immutable after Prepare /
 // Read; Solve and Violations are safe for concurrent use.
 type Problem struct {
-	ws     geom.WeightedSet // owned (Prepare clones; Read decodes fresh)
-	pts    []geom.Point     // ws[i].P, in input order
-	dim    int
-	mode   MatrixMode       // resolved, never ModeAuto
-	view   domgraph.View    // the dominance representation
-	matrix *domgraph.Matrix // non-nil iff mode is dense (same object as view)
+	ws   geom.WeightedSet // owned (Prepare clones; Read decodes fresh)
+	pts  []geom.Point     // ws[i].P, in input order
+	dim  int
+	mode MatrixMode // the representation the network was built over
 
 	dec        chains.Decomposition
 	exactWidth bool // dec is a minimum decomposition (width = dominance width)
@@ -229,16 +159,17 @@ type Problem struct {
 	violationsOK bool
 }
 
-// Prepare validates ws, clones it, and builds the full prepared form:
-// the dominance representation picked by opts, a chain decomposition
-// (exact below the mode's limits, greedy above), and the passive flow
-// network. The input set must be non-empty, dimensionally consistent,
-// and carry positive finite weights.
+// Prepare validates ws, clones it, and builds the full prepared form
+// on the route the package comment describes: a chain decomposition
+// (exact unless d ≥ 3 past the limits) and the passive flow network.
+// The input set must be non-empty, dimensionally consistent, and carry
+// positive finite weights.
 //
-// Every mode builds the network with the one passive.Prepare over the
-// Problem's own view and the same cover, so dense, blocked and
-// implicit Problems of one instance solve bit-identically — the
-// problem-modes-agree conformance check holds them to it.
+// Both routes build the network with the one passive.Prepare, whose
+// edges depend only on the cover and the dominance answers, so a
+// Problem and its Write/Read round trip, rebuilt over rank arrays from
+// the same cover, solve bit-identically — the problem-modes-agree
+// conformance check holds them to it.
 func Prepare(ws geom.WeightedSet, opts Options) (*Problem, error) {
 	start := time.Now()
 	if len(ws) == 0 {
@@ -247,7 +178,10 @@ func Prepare(ws geom.WeightedSet, opts Options) (*Problem, error) {
 	if err := ws.Validate(); err != nil {
 		return nil, err
 	}
-	o := opts.withDefaults()
+	limit := opts.ExactDecomposeLimit
+	if limit == 0 {
+		limit = DefaultExactDecomposeLimit
+	}
 
 	owned := make(geom.WeightedSet, len(ws))
 	for i, wp := range ws {
@@ -256,77 +190,52 @@ func Prepare(ws geom.WeightedSet, opts Options) (*Problem, error) {
 	pts := pointsOf(owned)
 	n, d := len(owned), owned.Dim()
 
-	mode, err := resolveMode(o, n)
-	if err != nil {
-		return nil, err
-	}
-	if mode == ModeAuto {
-		if n <= o.DenseLimit && denseFootprint(n) <= o.MaxDenseBytes {
-			mode = ModeDense
-		} else if d >= 3 {
-			mode = ModeBlocked
-		} else {
-			mode = ModeImplicit
-		}
-	}
-
-	matrixStart := time.Now()
-	var view domgraph.View
-	var matrix *domgraph.Matrix
-	switch mode {
-	case ModeDense:
-		matrix = domgraph.Build(pts)
-		view = matrix
-	case ModeBlocked:
-		view = domgraph.NewBlocked(pts, o.Blocked)
-	case ModeImplicit:
-		view = domgraph.NewImplicit(pts)
-	}
 	var st PrepareStats
-	st.MatrixNS = time.Since(matrixStart).Nanoseconds()
-
-	decStart := time.Now()
+	var view domgraph.View
 	var dec chains.Decomposition
-	var dst chains.DecomposeStats
-	exact := true
-	switch {
-	case d <= 2:
-		// O(n log n) fast paths; never touch the matrix.
-		dec = chains.Decompose(pts)
-		st.DecomposePath = PathFast2D
-	case matrix != nil:
-		dec, dst = chains.DecomposeMatrixStats(pts, matrix)
+	mode, exact := ModeImplicit, true
+	if denseRoute(n, d, limit) {
+		matrixStart := time.Now()
+		m := domgraph.Build(pts)
+		st.MatrixNS = time.Since(matrixStart).Nanoseconds()
+		decStart := time.Now()
+		var dst chains.DecomposeStats
+		dec, dst = chains.DecomposeMatrixStats(pts, m)
+		st.DecomposeNS = time.Since(decStart).Nanoseconds()
 		st.DecomposePath = PathExactDense
-	case n <= o.ExactDecomposeLimit && denseFootprint(n) <= o.MaxDenseBytes:
-		// Materialize transiently for the exact warm-started cover and
-		// drop the matrix (== domgraph.Build's bits) right after.
-		dec, dst = chains.DecomposeMatrixStats(pts, view.Materialize())
-		st.DecomposePath = PathExactTransient
-	default:
-		gc := chains.GreedyDecompose(pts)
-		dec = chains.Decomposition{Chains: gc, Width: len(gc)}
-		st.DecomposePath = PathGreedyFallback
-		exact = false
+		st.SeedChains, st.Augmentations = dst.SeedChains, dst.Augmentations
+		st.Phases, st.CertEarlyExit = dst.Phases, dst.CertEarlyExit
+		view, mode = m, ModeDense
+	} else {
+		matrixStart := time.Now()
+		view = domgraph.NewImplicit(pts)
+		st.MatrixNS = time.Since(matrixStart).Nanoseconds()
+		decStart := time.Now()
+		if d <= 2 {
+			dec = chains.Decompose(pts)
+			st.DecomposePath = PathFast2D
+		} else {
+			gc := chains.GreedyDecompose(pts)
+			dec = chains.Decomposition{Chains: gc, Width: len(gc)}
+			st.DecomposePath = PathGreedyFallback
+			exact = false
+		}
+		st.DecomposeNS = time.Since(decStart).Nanoseconds()
 	}
-	st.DecomposeNS = time.Since(decStart).Nanoseconds()
-	st.SeedChains, st.Augmentations = dst.SeedChains, dst.Augmentations
-	st.Phases, st.CertEarlyExit = dst.Phases, dst.CertEarlyExit
-	return assemble(owned, pts, mode, view, matrix, dec, exact, st, start), nil
+	return assemble(owned, pts, mode, view, dec, exact, st, start), nil
+}
+
+// denseRoute reports whether Prepare builds the dense matrix for n
+// points in d dimensions: d ≥ 3, n within limit, and the matrix within
+// maxDenseBytes.
+func denseRoute(n, d, limit int) bool {
+	return d >= 3 && n <= limit && denseFootprint(n) <= maxDenseBytes
 }
 
 // Solve prepares ws and solves it once: the one-shot exact passive
-// solve for callers that do not keep the Problem. At d ≤ 2 it prepares
-// in ModeImplicit, since nothing a single solve does there reads a
-// matrix: the cover comes from the O(n log n) fast path and the
-// network's lookups are O(d) rank compares, so auto mode's dense
-// matrix (1 GiB at n = 65536) would be pure cost. At d ≥ 3 it uses the
-// default Options.
+// solve for callers that do not keep the Problem.
 func Solve(ws geom.WeightedSet) (passive.Solution, error) {
-	var opts Options
-	if ws.Dim() <= 2 {
-		opts.Mode = ModeImplicit
-	}
-	p, err := Prepare(ws, opts)
+	p, err := Prepare(ws, Options{})
 	if err != nil {
 		return passive.Solution{}, err
 	}
@@ -334,10 +243,10 @@ func Solve(ws geom.WeightedSet) (passive.Solution, error) {
 }
 
 // assemble builds the passive network over view and dec and finishes
-// construction; matrix is what the Problem retains (nil unless
-// dense). st carries the stage timings accumulated so far; assemble
-// adds the network stage and the end-to-end total from start.
-func assemble(ws geom.WeightedSet, pts []geom.Point, mode MatrixMode, view domgraph.View, matrix *domgraph.Matrix, dec chains.Decomposition, exact bool, st PrepareStats, start time.Time) *Problem {
+// construction; the Problem keeps neither view nor matrix. st carries
+// the stage timings accumulated so far; assemble adds the network
+// stage and the end-to-end total from start.
+func assemble(ws geom.WeightedSet, pts []geom.Point, mode MatrixMode, view domgraph.View, dec chains.Decomposition, exact bool, st PrepareStats, start time.Time) *Problem {
 	netStart := time.Now()
 	prep := passive.Prepare(ws, view, dec.Chains)
 	st.NetworkNS = time.Since(netStart).Nanoseconds()
@@ -351,8 +260,6 @@ func assemble(ws geom.WeightedSet, pts []geom.Point, mode MatrixMode, view domgr
 		pts:        pts,
 		dim:        ws.Dim(),
 		mode:       mode,
-		view:       view,
-		matrix:     matrix,
 		dec:        dec,
 		exactWidth: exact,
 		stats:      st,
@@ -375,24 +282,14 @@ func denseFootprint(n int) int64 {
 	return 2 * int64(n) * words * 8
 }
 
-// resolveMode rejects an explicit dense request past the memory guard;
-// ModeAuto passes through for the caller to resolve.
-func resolveMode(o Options, n int) (MatrixMode, error) {
-	if o.Mode == ModeDense {
-		if fp := denseFootprint(n); fp > o.MaxDenseBytes {
-			return 0, fmt.Errorf("problem: dense matrix over %d points needs %d bytes, above the %d-byte guard; use blocked or implicit mode", n, fp, o.MaxDenseBytes)
-		}
-	}
-	return o.Mode, nil
-}
-
 // N returns the instance size.
 func (p *Problem) N() int { return len(p.ws) }
 
 // Dim returns the dimensionality.
 func (p *Problem) Dim() int { return p.dim }
 
-// Mode returns the resolved matrix mode (never ModeAuto).
+// Mode returns the dominance representation the network was built
+// over.
 func (p *Problem) Mode() MatrixMode { return p.mode }
 
 // WeightedSet returns the instance's weighted point set, in input
@@ -411,14 +308,6 @@ func (p *Problem) Labels() []geom.Label {
 	}
 	return labels
 }
-
-// View returns the dominance representation. All modes answer exactly
-// the bits of domgraph.BuildNaive over Points.
-func (p *Problem) View() domgraph.View { return p.view }
-
-// Matrix returns the dense matrix, or nil when the mode does not
-// materialize one.
-func (p *Problem) Matrix() *domgraph.Matrix { return p.matrix }
 
 // Decomposition returns a deep copy of the chain decomposition.
 func (p *Problem) Decomposition() chains.Decomposition {
@@ -481,12 +370,10 @@ func (p *Problem) SolveWith(opts SolveOptions) (passive.Solution, error) {
 
 // Violations returns the number of (negative, positive) ordered pairs
 // where the negative point dominates the positive one — the quantity
-// domgraph.(*Matrix).CountViolations reports — computed by the
-// cheapest route the mode allows and cached: a popcount over dense
-// rows, or over blocked rows (word-level tile reads) up to
-// streamCountLimit points; the chain count otherwise, and always for
-// implicit views, whose O(d·n) scalar row reads would make streaming
-// O(d·n²).
+// domgraph.(*Matrix).CountViolations reports — computed once and
+// cached. A dense-route Problem rebuilds the matrix it dropped and
+// popcounts it; the others count through the chain cover, which needs
+// no quadratic memory.
 func (p *Problem) Violations() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -494,12 +381,9 @@ func (p *Problem) Violations() int {
 		return p.violations
 	}
 	labels := p.Labels()
-	switch {
-	case p.matrix != nil:
-		p.violations = p.matrix.CountViolations(labels)
-	case p.mode == ModeBlocked && len(p.ws) <= streamCountLimit:
-		p.violations = domgraph.ViewCountViolations(p.view, labels)
-	default:
+	if p.mode == ModeDense {
+		p.violations = domgraph.Build(p.pts).CountViolations(labels)
+	} else {
 		p.violations = chainCountViolations(p.pts, labels, p.dec.Chains)
 	}
 	p.violationsOK = true

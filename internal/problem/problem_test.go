@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"math"
 	"math/rand"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -74,14 +75,12 @@ func almostEq(a, b float64) bool {
 	return math.Abs(a-b) <= 1e-9*(1+math.Abs(b))
 }
 
-// TestPrepareModesAgree: every mode builds its network with the one
-// builder over the same cover, so dense, blocked, implicit and a
-// write/read round trip solve bit-identically; the optimum and the
-// contending set match the literal construction, and each mode counts
-// the same violations.
+// TestPrepareModesAgree: a Problem and its write/read round trip,
+// whose network is rebuilt over rank arrays from the same cover, have
+// the same edges, solve bit-identically and count the same violations;
+// both match the literal construction's optimum and contending set.
 func TestPrepareModesAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	modes := []MatrixMode{ModeAuto, ModeDense, ModeBlocked, ModeImplicit}
 	for trial := 0; trial < 25; trial++ {
 		n := 1 + rng.Intn(120)
 		d := 1 + rng.Intn(4)
@@ -95,60 +94,67 @@ func TestPrepareModesAgree(t *testing.T) {
 		}
 		wantViol := domgraph.Build(pts).CountViolations(labels)
 
-		var first passive.Solution
-		for k, mode := range modes {
-			p, err := Prepare(ws, Options{Mode: mode})
+		p, err := Prepare(ws, Options{})
+		if err != nil {
+			t.Fatalf("Prepare: %v", err)
+		}
+		if want := map[bool]MatrixMode{true: ModeDense, false: ModeImplicit}[d >= 3]; p.Mode() != want {
+			t.Fatalf("d=%d: Prepare took %v, want %v", d, p.Mode(), want)
+		}
+		var buf bytes.Buffer
+		if err := Write(&buf, p); err != nil {
+			t.Fatalf("Write: %v", err)
+		}
+		q, err := Read(&buf)
+		if err != nil {
+			t.Fatalf("Read: %v", err)
+		}
+		if q.Mode() != ModeImplicit || q.NumEdges() != p.NumEdges() {
+			t.Fatalf("round trip: %v with %d edges, prepared %v with %d", q.Mode(), q.NumEdges(), p.Mode(), p.NumEdges())
+		}
+		first, err := p.Solve()
+		if err != nil {
+			t.Fatalf("Solve: %v", err)
+		}
+		for _, prob := range []*Problem{p, q} {
+			tag := prob.Mode().String()
+			sol, err := prob.Solve()
 			if err != nil {
-				t.Fatalf("Prepare(%v): %v", mode, err)
+				t.Fatalf("Solve(%s): %v", tag, err)
 			}
-			if p.Mode() == ModeAuto {
-				t.Fatalf("Prepare(%v): mode not resolved", mode)
-			}
-			sol, err := p.Solve()
-			if err != nil {
-				t.Fatalf("Solve(%v): %v", mode, err)
-			}
-			if k == 0 {
-				first = sol
-			}
-			sameSolution(t, mode.String(), sol, first)
+			sameSolution(t, tag, sol, first)
 			if !almostEq(sol.WErr, literal.WErr) {
-				t.Fatalf("Solve(%v): WErr = %v, literal construction %v", mode, sol.WErr, literal.WErr)
+				t.Fatalf("Solve(%s): WErr = %v, literal construction %v", tag, sol.WErr, literal.WErr)
 			}
-			if !reflect.DeepEqual(p.Contending(), contending) {
-				t.Fatalf("Prepare(%v): contending set diverges from the literal construction", mode)
+			if !reflect.DeepEqual(prob.Contending(), contending) {
+				t.Fatalf("%s: contending set diverges from the literal construction", tag)
 			}
-			again, err := p.Solve()
-			if err != nil {
-				t.Fatalf("re-Solve(%v): %v", mode, err)
+			if got := prob.Decomposition(); !reflect.DeepEqual(got, wantDec) {
+				t.Fatalf("%s: decomposition diverges from chains.Decompose", tag)
 			}
-			sameSolution(t, mode.String()+" re-solve", again, sol)
-			if got := p.Decomposition(); !reflect.DeepEqual(got, wantDec) {
-				t.Fatalf("Prepare(%v): decomposition diverges from chains.Decompose", mode)
+			if !prob.ExactWidth() {
+				t.Fatalf("%s: width inexact at n=%d", tag, n)
 			}
-			if !p.ExactWidth() {
-				t.Fatalf("Prepare(%v): width inexact at n=%d", mode, n)
-			}
-			if got := p.Violations(); got != wantViol {
-				t.Fatalf("Prepare(%v): Violations = %d, want %d", mode, got, wantViol)
+			if got := prob.Violations(); got != wantViol {
+				t.Fatalf("%s: Violations = %d, want %d", tag, got, wantViol)
 			}
 		}
 	}
 }
 
-// TestSolveOneShot: the one-shot Solve, implicit at d ≤ 2 and auto
-// above, solves exactly as a dense Problem of the same instance.
+// TestSolveOneShot: the one-shot Solve solves exactly as a prepared
+// Problem of the same instance.
 func TestSolveOneShot(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	for trial := 0; trial < 12; trial++ {
 		ws := randomSet(rng, 1+rng.Intn(90), 1+rng.Intn(4))
-		p, err := Prepare(ws, Options{Mode: ModeDense})
+		p, err := Prepare(ws, Options{})
 		if err != nil {
 			t.Fatalf("Prepare: %v", err)
 		}
 		want, err := p.Solve()
 		if err != nil {
-			t.Fatalf("dense Solve: %v", err)
+			t.Fatalf("prepared Solve: %v", err)
 		}
 		got, err := Solve(ws)
 		if err != nil {
@@ -165,54 +171,42 @@ func TestPrepareErrors(t *testing.T) {
 	if _, err := Prepare(nil, Options{}); err == nil {
 		t.Fatal("Prepare accepted an empty set")
 	}
-	ws := geom.WeightedSet{{P: geom.Point{1, 2}, Label: geom.Positive, Weight: 1}}
-	if _, err := Prepare(ws, Options{Mode: ModeDense, MaxDenseBytes: 1}); err == nil {
-		t.Fatal("dense mode ignored its memory guard")
-	}
-	// Auto must fall through the guard instead of failing.
-	p, err := Prepare(ws, Options{MaxDenseBytes: 1})
-	if err != nil {
-		t.Fatalf("auto mode under a tiny guard: %v", err)
-	}
-	if p.Mode() == ModeDense {
-		t.Fatal("auto mode materialized dense past the guard")
-	}
 	bad := geom.WeightedSet{{P: geom.Point{1}, Label: geom.Positive, Weight: -1}}
 	if _, err := Prepare(bad, Options{}); err == nil {
 		t.Fatal("Prepare accepted a negative weight")
 	}
 }
 
+// TestAutoModeSelection: Prepare takes the dense route at d ≥ 3 within
+// the exact limit and rank arrays everywhere else.
 func TestAutoModeSelection(t *testing.T) {
 	ws := randomSet(rand.New(rand.NewSource(9)), 50, 3)
-	small, err := Prepare(ws, Options{})
-	if err != nil {
-		t.Fatalf("Prepare: %v", err)
-	}
-	if small.Mode() != ModeDense {
-		t.Fatalf("small auto mode = %v, want dense", small.Mode())
-	}
-	// Shrinking the dense limit below n forces the large-instance arm.
-	big3, err := Prepare(ws, Options{DenseLimit: 10})
-	if err != nil {
-		t.Fatalf("Prepare: %v", err)
-	}
-	if big3.Mode() != ModeBlocked {
-		t.Fatalf("large d=3 auto mode = %v, want blocked", big3.Mode())
-	}
 	ws2 := randomSet(rand.New(rand.NewSource(10)), 50, 2)
-	big2, err := Prepare(ws2, Options{DenseLimit: 10})
-	if err != nil {
-		t.Fatalf("Prepare: %v", err)
-	}
-	if big2.Mode() != ModeImplicit {
-		t.Fatalf("large d=2 auto mode = %v, want implicit", big2.Mode())
+	for _, c := range []struct {
+		name string
+		ws   geom.WeightedSet
+		opts Options
+		mode MatrixMode
+		path string
+	}{
+		{"d=3", ws, Options{}, ModeDense, PathExactDense},
+		// Shrinking the exact limit below n forces the greedy fallback.
+		{"d=3 past the limit", ws, Options{ExactDecomposeLimit: 10}, ModeImplicit, PathGreedyFallback},
+		{"d=2", ws2, Options{}, ModeImplicit, PathFast2D},
+	} {
+		p, err := Prepare(c.ws, c.opts)
+		if err != nil {
+			t.Fatalf("%s: Prepare: %v", c.name, err)
+		}
+		if p.Mode() != c.mode || p.Stats().DecomposePath != c.path {
+			t.Fatalf("%s: %v via %s, want %v via %s", c.name, p.Mode(), p.Stats().DecomposePath, c.mode, c.path)
+		}
 	}
 }
 
 func TestGreedyFallbackPastExactLimit(t *testing.T) {
 	ws := randomSet(rand.New(rand.NewSource(11)), 60, 3)
-	p, err := Prepare(ws, Options{Mode: ModeBlocked, ExactDecomposeLimit: 8})
+	p, err := Prepare(ws, Options{ExactDecomposeLimit: 8})
 	if err != nil {
 		t.Fatalf("Prepare: %v", err)
 	}
@@ -246,11 +240,13 @@ func TestRoundTrip(t *testing.T) {
 			// ±Inf coordinates must survive the encoding.
 			ws[rng.Intn(n)].P[rng.Intn(d)] = math.Inf(1 - 2*rng.Intn(2))
 		}
-		for _, mode := range []MatrixMode{ModeDense, ModeBlocked, ModeImplicit} {
-			p, err := Prepare(ws, Options{Mode: mode})
+		// The default route, and the greedy fallback at d ≥ 3.
+		for _, opts := range []Options{{}, {ExactDecomposeLimit: 1}} {
+			p, err := Prepare(ws, opts)
 			if err != nil {
-				t.Fatalf("Prepare(%v): %v", mode, err)
+				t.Fatalf("Prepare: %v", err)
 			}
+			mode := p.Mode()
 			var buf bytes.Buffer
 			if err := Write(&buf, p); err != nil {
 				t.Fatalf("Write(%v): %v", mode, err)
@@ -259,7 +255,7 @@ func TestRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Read(%v): %v", mode, err)
 			}
-			if q.N() != p.N() || q.Dim() != p.Dim() || q.Mode() != p.Mode() {
+			if q.N() != p.N() || q.Dim() != p.Dim() || q.Mode() != ModeImplicit {
 				t.Fatalf("round trip(%v): shape changed", mode)
 			}
 			if !reflect.DeepEqual(q.Decomposition(), p.Decomposition()) {
@@ -284,7 +280,7 @@ func TestRoundTrip(t *testing.T) {
 func TestReadRejectsCorruption(t *testing.T) {
 	ws := randomSet(rand.New(rand.NewSource(13)), 40, 3)
 	ws[0].P[0] = 0
-	p, err := Prepare(ws, Options{Mode: ModeDense})
+	p, err := Prepare(ws, Options{})
 	if err != nil {
 		t.Fatalf("Prepare: %v", err)
 	}
@@ -297,33 +293,9 @@ func TestReadRejectsCorruption(t *testing.T) {
 	cases := []struct{ name, from, to string }{
 		{"format", `"format":"monoclass-problem"`, `"format":"bogus"`},
 		{"version", `"version":1`, `"version":9`},
-		{"mode", `"mode":"dense"`, `"mode":"auto"`},
 		{"label", `"labels":[`, `"labels":[7,`},
 		// Point 0's first coordinate is 0, which null must not read as.
 		{"null coordinate", `"points":[[0,`, `"points":[[null,`},
-	}
-	// One closure bit set in the stored matrix words at a pair the
-	// points do not relate: the blob stays structurally valid
-	// (reflexive, DAG ⊆ closure), but the network would carry an ∞
-	// edge the points do not justify.
-	var pf problemFile
-	if err := json.Unmarshal(buf.Bytes(), &pf); err != nil || pf.Matrix == nil {
-		t.Fatalf("dense file carries no matrix words (%v)", err)
-	}
-	dom, err := decodeWords(pf.Matrix.Dom)
-	if err != nil {
-		t.Fatalf("decodeWords: %v", err)
-	}
-	m := p.Matrix()
-	for pair := 0; pair < m.N()*m.N(); pair++ {
-		if i, j := pair/m.N(), pair%m.N(); !m.Dominates(i, j) {
-			dom[i*m.Words()+j>>6] |= 1 << (j & 63)
-			cases = append(cases, struct{ name, from, to string }{"matrix bit", pf.Matrix.Dom, encodeWords(dom)})
-			break
-		}
-	}
-	if cases[len(cases)-1].name != "matrix bit" {
-		t.Fatal("instance is a total order; no closure bit to set")
 	}
 	for _, c := range cases {
 		mutated := bytes.Replace([]byte(good), []byte(c.from), []byte(c.to), 1)
@@ -343,6 +315,48 @@ func TestReadRejectsCorruption(t *testing.T) {
 	}
 	if _, err := Read(strings.NewReader(good + " \n\t")); err != nil {
 		t.Fatalf("trailing whitespace rejected: %v", err)
+	}
+}
+
+// TestReadOlderFiles: files older builds wrote load and solve to the
+// writer's answer — one whose mode is "blocked", and one carrying the
+// dense matrix blob, which Read ignores. Both were written from the
+// same 48-point d=3 set; solution.json holds the writer's WErr,
+// assignment and anchors.
+func TestReadOlderFiles(t *testing.T) {
+	raw, err := os.ReadFile("testdata/older/solution.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want struct {
+		WErr       float64      `json:"werr"`
+		Assignment []geom.Label `json:"assignment"`
+		Anchors    [][]float64  `json:"anchors"`
+	}
+	if err := json.Unmarshal(raw, &want); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"blocked.json", "dense-matrix.json"} {
+		f, err := os.Open("testdata/older/" + name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := Read(f)
+		f.Close()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		sol, err := p.Solve()
+		if err != nil {
+			t.Fatalf("%s: Solve: %v", name, err)
+		}
+		var anchors [][]float64
+		for _, a := range sol.Classifier.Anchors() {
+			anchors = append(anchors, a)
+		}
+		if sol.WErr != want.WErr || !reflect.DeepEqual(sol.Assignment, want.Assignment) || !reflect.DeepEqual(anchors, want.Anchors) {
+			t.Fatalf("%s: WErr %v, anchors %v; the writer had %v, %v", name, sol.WErr, anchors, want.WErr, want.Anchors)
+		}
 	}
 }
 
@@ -376,8 +390,9 @@ func FuzzProblemRoundTrip(f *testing.F) {
 	rng := rand.New(rand.NewSource(19))
 	for i := 0; i < 4; i++ {
 		ws := randomSet(rng, 1+rng.Intn(30), 1+rng.Intn(3))
-		for _, mode := range []MatrixMode{ModeDense, ModeImplicit} {
-			p, err := Prepare(ws, Options{Mode: mode})
+		// The default route, and the greedy fallback at d = 3.
+		for _, opts := range []Options{{}, {ExactDecomposeLimit: 1}} {
+			p, err := Prepare(ws, opts)
 			if err != nil {
 				f.Fatalf("seed Prepare: %v", err)
 			}

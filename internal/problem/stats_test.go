@@ -4,7 +4,11 @@ import (
 	"bytes"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
+
+	"monoclass/internal/dataset"
+	"monoclass/internal/geom"
 )
 
 // TestPrepareStatsPaths pins which DecomposePath each Prepare route
@@ -25,7 +29,7 @@ func TestPrepareStatsPaths(t *testing.T) {
 	})
 
 	t.Run("exact-dense", func(t *testing.T) {
-		p, err := Prepare(randomSet(rng, 60, 3), Options{Mode: ModeDense})
+		p, err := Prepare(randomSet(rng, 60, 3), Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -47,22 +51,8 @@ func TestPrepareStatsPaths(t *testing.T) {
 		}
 	})
 
-	t.Run("exact-transient", func(t *testing.T) {
-		p, err := Prepare(randomSet(rng, 50, 3), Options{Mode: ModeBlocked})
-		if err != nil {
-			t.Fatal(err)
-		}
-		st := p.Stats()
-		if st.DecomposePath != PathExactTransient || !st.ExactWidth {
-			t.Fatalf("stats %+v", st)
-		}
-		if p.Matrix() != nil {
-			t.Fatal("transient matrix retained")
-		}
-	})
-
 	t.Run("greedy-fallback", func(t *testing.T) {
-		p, err := Prepare(randomSet(rng, 50, 3), Options{Mode: ModeBlocked, ExactDecomposeLimit: 10})
+		p, err := Prepare(randomSet(rng, 50, 3), Options{ExactDecomposeLimit: 10})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,19 +95,17 @@ func TestPrepareStatsPaths(t *testing.T) {
 }
 
 // TestRaisedExactLimitGuard: the raised DefaultExactDecomposeLimit must
-// still respect the dense-footprint guard — a tiny MaxDenseBytes forces
-// the greedy fallback even under the limit.
+// still respect the dense-footprint guard — a limit raised past the
+// guard takes the greedy fallback, not a matrix over 2 GiB.
 func TestRaisedExactLimitGuard(t *testing.T) {
 	if DefaultExactDecomposeLimit < 65536 {
 		t.Fatalf("DefaultExactDecomposeLimit = %d, want >= 65536", DefaultExactDecomposeLimit)
 	}
-	rng := rand.New(rand.NewSource(23))
-	p, err := Prepare(randomSet(rng, 64, 3), Options{Mode: ModeBlocked, MaxDenseBytes: 128})
-	if err != nil {
-		t.Fatal(err)
+	if n := DefaultExactDecomposeLimit; !denseRoute(n, 3, n) {
+		t.Fatalf("n = %d at the default limit does not take the dense route", n)
 	}
-	if st := p.Stats(); st.DecomposePath != PathGreedyFallback {
-		t.Fatalf("tiny guard did not force fallback: %+v", st)
+	if n := 1 << 20; denseRoute(n, 3, n) {
+		t.Fatalf("n = %d under a raised limit takes the dense route: %d bytes", n, denseFootprint(n))
 	}
 }
 
@@ -127,7 +115,7 @@ func TestRaisedExactLimitGuard(t *testing.T) {
 func TestPrepareWarmStartSmoke(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	ws := randomSet(rng, 512, 3)
-	p, err := Prepare(ws, Options{Mode: ModeDense})
+	p, err := Prepare(ws, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,4 +137,40 @@ func TestPrepareWarmStartSmoke(t *testing.T) {
 	if !reflect.DeepEqual(p.Contending(), contending) {
 		t.Fatal("prepared contending set diverges from the literal construction")
 	}
+}
+
+// TestProblemRetainsNoMatrix: a prepared and solved dense-route Problem
+// holds its points, cover and network, not the dominance matrix. On a
+// planted noisy n=8192 d=3 set the matrix alone is 16 MiB; the live
+// heap the Problem holds must stay under half the dense footprint.
+func TestProblemRetainsNoMatrix(t *testing.T) {
+	const n = 8192
+	lps := dataset.Planted(rand.New(rand.NewSource(1)), dataset.PlantedParams{N: n, D: 3, Noise: 0.1})
+	ws := make(geom.WeightedSet, n)
+	for i, lp := range lps {
+		ws[i] = geom.WeightedPoint{P: lp.P, Label: lp.Label, Weight: 1}
+	}
+	liveHeap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	base := liveHeap()
+	p, err := Prepare(ws, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Solve(); err != nil {
+		t.Fatal(err)
+	}
+	held := int64(liveHeap()) - int64(base)
+	runtime.KeepAlive(p)
+	if p.Mode() != ModeDense {
+		t.Fatalf("prepared %v, want the dense route", p.Mode())
+	}
+	if limit := denseFootprint(n) / 2; held >= limit {
+		t.Fatalf("Problem holds %.1f MiB, want < %.1f MiB (half the dense footprint)", float64(held)/(1<<20), float64(limit)/(1<<20))
+	}
+	t.Logf("Problem holds %.1f MiB", float64(held)/(1<<20))
 }

@@ -283,6 +283,15 @@ func TestNaNRejectedAtEveryIngress(t *testing.T) {
 			{P: monoclass.Point{1, x}, Label: monoclass.Negative, Weight: 3},
 		}
 	}
+	// prepareIn prepares ws and requires the route to build the network
+	// over mode.
+	prepareIn := func(ws monoclass.WeightedSet, mode monoclass.MatrixMode) error {
+		p, err := monoclass.PrepareProblem(ws, monoclass.ProblemOptions{})
+		if err == nil && p.Mode() != mode {
+			err = fmt.Errorf("prepared %v, want %v", p.Mode(), mode)
+		}
+		return err
+	}
 	csvCoord := func(x float64) string {
 		return fmt.Sprintf("0,0,0,1\n2,2,1,2\n1,%v,0,3\n", x)
 	}
@@ -313,12 +322,15 @@ func TestNaNRejectedAtEveryIngress(t *testing.T) {
 			return err
 		}},
 		{"PrepareProblem/implicit", func(x float64) error {
-			_, err := monoclass.PrepareProblem(withCoord(x), monoclass.ProblemOptions{Mode: monoclass.ModeImplicit})
-			return err
+			return prepareIn(withCoord(x), monoclass.ModeImplicit)
 		}},
 		{"PrepareProblem/dense", func(x float64) error {
-			_, err := monoclass.PrepareProblem(withCoord(x), monoclass.ProblemOptions{Mode: monoclass.ModeDense})
-			return err
+			// A third coordinate sends the set down the d ≥ 3 dense route.
+			ws := withCoord(x)
+			for i := range ws {
+				ws[i].P = append(ws[i].P, 0)
+			}
+			return prepareIn(ws, monoclass.ModeDense)
 		}},
 		{"LoadProblem", func(x float64) error {
 			_, err := monoclass.LoadProblem(strings.NewReader(problemFile(x)))

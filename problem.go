@@ -8,21 +8,20 @@ import (
 	"monoclass/internal/problem"
 )
 
-// Prepared problems: one dominance representation — matrix (dense,
-// blocked, or implicit), chain decomposition, and flow network — built
-// once by PrepareProblem and shared by training (TrainPrepared),
-// auditing (AuditPrepared), online learning
-// (NewOnlineUpdaterFromProblem), and serving gates. Callers that train
-// and audit the same point set through a shared Problem pay for the
-// O(dn²) structure exactly once instead of once per entry point.
+// Prepared problems: chain decomposition and flow network, built once
+// by PrepareProblem and shared by training (TrainPrepared), auditing
+// (AuditPrepared), online learning (NewOnlineUpdaterFromProblem), and
+// serving gates. Callers that train and audit the same point set
+// through a shared Problem pay for the O(dn²) structure exactly once
+// instead of once per entry point; the Problem keeps nothing quadratic.
 type (
 	// Problem is an immutable prepared instance; see PrepareProblem.
 	Problem = problem.Problem
-	// ProblemOptions configures PrepareProblem (matrix mode, memory
-	// guard, decomposition limits).
+	// ProblemOptions configures PrepareProblem (the exact-decomposition
+	// limit).
 	ProblemOptions = problem.Options
-	// MatrixMode selects the dominance representation: ModeAuto,
-	// ModeDense, ModeBlocked, or ModeImplicit.
+	// MatrixMode names the dominance representation PrepareProblem built
+	// the network over: ModeDense or ModeImplicit.
 	MatrixMode = problem.MatrixMode
 	// PrepareStats reports how PrepareProblem built an instance:
 	// per-stage wall times, the decomposition path taken (exact
@@ -31,25 +30,18 @@ type (
 	PrepareStats = problem.PrepareStats
 )
 
-// Matrix modes.
+// Matrix modes, as (*Problem).Mode reports them.
 const (
-	// ModeAuto picks dense while the matrix fits, then blocked (d ≥ 3)
-	// or implicit (d ≤ 2).
-	ModeAuto = problem.ModeAuto
-	// ModeDense materializes the full bit-packed dominance matrix.
+	// ModeDense: the bit-packed dominance matrix, built at d ≥ 3 for
+	// the exact decomposition and dropped after the network build.
 	ModeDense = problem.ModeDense
-	// ModeBlocked materializes cache-sized row tiles on demand.
-	ModeBlocked = problem.ModeBlocked
-	// ModeImplicit answers dominance from per-dimension rank arrays.
+	// ModeImplicit: per-dimension rank arrays, at d ≤ 2 and past the
+	// exact-decomposition limit.
 	ModeImplicit = problem.ModeImplicit
 )
 
-// ParseMatrixMode parses a mode's flag spelling ("auto", "dense",
-// "blocked", "implicit").
-func ParseMatrixMode(s string) (MatrixMode, error) { return problem.ParseMode(s) }
-
-// PrepareProblem builds the prepared form of ws once: dominance
-// representation, chain decomposition, and the Theorem 4 flow network.
+// PrepareProblem builds the prepared form of ws once: chain
+// decomposition and the Theorem 4 flow network.
 // Every consumer below accepts the result, so nothing is re-derived.
 func PrepareProblem(ws WeightedSet, opts ProblemOptions) (*Problem, error) {
 	return problem.Prepare(ws, opts)
