@@ -19,6 +19,7 @@
 #   make fuzz-online       short fuzz pass over the online delta intake
 #   make fuzz-problem      short fuzz pass over problem deserialization
 #   make fuzz-serve        short differential fuzz of the classify wire codec
+#   make fuzz-classify     short differential fuzz of the anchor index vs the scalar scan
 #   make serve-stress      long hot-swap/soak stress of the serving layer
 #   make verify            everything CI gates on, in order
 #   make verify-full       verify + the benchmark regenerations
@@ -26,7 +27,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: all build vet test race conformance conformance-long conformance-mutate bench-maxflow bench-classify bench-serve bench-shard bench-online bench-problem profile-prepare ci-smoke loc fuzz-chains fuzz-passive fuzz-online fuzz-problem fuzz-serve serve-stress verify verify-full clean
+.PHONY: all build vet test race conformance conformance-long conformance-mutate bench-maxflow bench-classify bench-serve bench-shard bench-online bench-problem profile-prepare ci-smoke loc fuzz-chains fuzz-passive fuzz-online fuzz-problem fuzz-serve fuzz-classify serve-stress verify verify-full clean
 
 all: check
 
@@ -76,9 +77,8 @@ else
 endif
 
 # Machine-readable numbers for the anchor classification index: the
-# scalar anchor scan vs the indexed per-point path vs the batch sweep
-# kernel across (queries, dimension, anchors) cells (cmd/benchtab
-# -classify). Takes ~30s; add QUICK=1 for a seconds-scale smoke run
+# scalar anchor scan vs the indexed per-point path vs the batch kernel
+# across (queries, dimension, anchors) cells (cmd/benchtab -classify). Takes ~30s; add QUICK=1 for a seconds-scale smoke run
 # that overwrites nothing.
 bench-classify:
 ifdef QUICK
@@ -119,11 +119,11 @@ endif
 
 # Prepared-problem lifecycle sweep: prepare / first-solve / warm
 # re-solve wall times, per-stage prepare timings (matrix / decompose /
-# network), and peak memory across n up to 10⁶ and the three matrix
-# modes — dense rows now reach n=65536 (the raised exact-decomposition
-# limit, 1 GiB matrix) — plus the dense-guard refusal (cmd/benchtab
-# -problem). Takes a few minutes; add QUICK=1 for a seconds-scale
-# smoke run that overwrites nothing.
+# network), and peak and retained memory across n up to 10⁶ under
+# default options, one row per (n, d, shape) — the d=3 rows take the
+# dense route up to n=65536 (the exact-decomposition limit, a 1 GiB
+# transient matrix) (cmd/benchtab -problem). Takes a few minutes; add
+# QUICK=1 for a seconds-scale smoke run that overwrites nothing.
 bench-problem:
 ifdef QUICK
 	$(GO) run ./cmd/benchtab -problem /tmp/BENCH_problem.quick.json -seed 42 -quick
@@ -179,6 +179,11 @@ fuzz-problem:
 # the codec rejects), bit-identical points, byte-identical responses.
 fuzz-serve:
 	$(GO) test -run FuzzClassifyWire -fuzz FuzzClassifyWire -fuzztime 30s ./internal/serve
+
+# Differential fuzz of the anchor index (per-point and batch kernel)
+# against the scalar anchor scan, NaN and ±Inf queries included.
+fuzz-classify:
+	$(GO) test -run FuzzClassifyIndexedVsScalar -fuzz FuzzClassifyIndexedVsScalar -fuzztime 30s ./internal/classidx
 
 # Heavier serving-layer adversarial pass: the hot-swap storm and HTTP
 # soak tests with boosted iteration counts, under the race detector.

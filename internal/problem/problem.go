@@ -190,38 +190,39 @@ func Prepare(ws geom.WeightedSet, opts Options) (*Problem, error) {
 	pts := pointsOf(owned)
 	n, d := len(owned), owned.Dim()
 
-	var st PrepareStats
+	matrixStart := time.Now()
 	var view domgraph.View
-	var dec chains.Decomposition
-	mode, exact := ModeImplicit, true
+	var matrix *domgraph.Matrix
+	mode := ModeImplicit
 	if denseRoute(n, d, limit) {
-		matrixStart := time.Now()
-		m := domgraph.Build(pts)
-		st.MatrixNS = time.Since(matrixStart).Nanoseconds()
-		decStart := time.Now()
-		var dst chains.DecomposeStats
-		dec, dst = chains.DecomposeMatrixStats(pts, m)
-		st.DecomposeNS = time.Since(decStart).Nanoseconds()
-		st.DecomposePath = PathExactDense
-		st.SeedChains, st.Augmentations = dst.SeedChains, dst.Augmentations
-		st.Phases, st.CertEarlyExit = dst.Phases, dst.CertEarlyExit
-		view, mode = m, ModeDense
+		matrix = domgraph.Build(pts)
+		view, mode = matrix, ModeDense
 	} else {
-		matrixStart := time.Now()
 		view = domgraph.NewImplicit(pts)
-		st.MatrixNS = time.Since(matrixStart).Nanoseconds()
-		decStart := time.Now()
-		if d <= 2 {
-			dec = chains.Decompose(pts)
-			st.DecomposePath = PathFast2D
-		} else {
-			gc := chains.GreedyDecompose(pts)
-			dec = chains.Decomposition{Chains: gc, Width: len(gc)}
-			st.DecomposePath = PathGreedyFallback
-			exact = false
-		}
-		st.DecomposeNS = time.Since(decStart).Nanoseconds()
 	}
+	var st PrepareStats
+	st.MatrixNS = time.Since(matrixStart).Nanoseconds()
+
+	decStart := time.Now()
+	var dec chains.Decomposition
+	var dst chains.DecomposeStats
+	exact := true
+	switch {
+	case matrix != nil:
+		dec, dst = chains.DecomposeMatrixStats(pts, matrix)
+		st.DecomposePath = PathExactDense
+	case d <= 2:
+		dec = chains.Decompose(pts)
+		st.DecomposePath = PathFast2D
+	default:
+		gc := chains.GreedyDecompose(pts)
+		dec = chains.Decomposition{Chains: gc, Width: len(gc)}
+		st.DecomposePath = PathGreedyFallback
+		exact = false
+	}
+	st.DecomposeNS = time.Since(decStart).Nanoseconds()
+	st.SeedChains, st.Augmentations = dst.SeedChains, dst.Augmentations
+	st.Phases, st.CertEarlyExit = dst.Phases, dst.CertEarlyExit
 	return assemble(owned, pts, mode, view, dec, exact, st, start), nil
 }
 
