@@ -68,10 +68,11 @@ func Audit(ws geom.WeightedSet) (Report, error) {
 }
 
 // AuditProblem computes the report from a prepared Problem: the
-// violation count, decomposition profile, and optimum all come out of
-// the shared artifact, so nothing is re-derived from raw points. On a
-// Problem with an inexact (greedy) decomposition, Width is that
-// cover's chain count — an upper bound on the dominance width.
+// decomposition profile and optimum come out of the shared artifact,
+// and the violation count is Problem.Violations (cached; a dense-route
+// Problem rebuilds its matrix for it). On a Problem with an inexact
+// (greedy) decomposition, Width is that cover's chain count — an upper
+// bound on the dominance width.
 func AuditProblem(p *problem.Problem) (Report, error) {
 	ws := p.WeightedSet()
 	r := Report{

@@ -54,8 +54,9 @@ func TrainPrepared(p *Problem) (PassiveSolution, error) { return p.Solve() }
 
 // AuditPrepared computes the dataset report from the prepared
 // instance; combined with TrainPrepared it replaces the
-// OptimalPassive+AuditDataset pairing that built the dominance matrix
-// twice.
+// OptimalPassive+AuditDataset pairing that decomposed the set twice.
+// Its violation count rebuilds a dense-route Problem's dominance
+// matrix once (see Problem.Violations).
 func AuditPrepared(p *Problem) (AuditReport, error) { return audit.AuditProblem(p) }
 
 // NewOnlineUpdaterFromProblem seeds an incremental learner from a
