@@ -98,8 +98,12 @@ func TestPrepareModesAgree(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Prepare: %v", err)
 		}
-		if want := map[bool]MatrixMode{true: ModeDense, false: ModeImplicit}[d >= 3]; p.Mode() != want {
-			t.Fatalf("d=%d: Prepare took %v, want %v", d, p.Mode(), want)
+		wantMode := ModeImplicit
+		if d >= 3 {
+			wantMode = ModeDense
+		}
+		if p.Mode() != wantMode {
+			t.Fatalf("d=%d: Prepare took %v, want %v", d, p.Mode(), wantMode)
 		}
 		var buf bytes.Buffer
 		if err := Write(&buf, p); err != nil {
@@ -331,7 +335,7 @@ func TestReadOlderFiles(t *testing.T) {
 	var want struct {
 		WErr       float64      `json:"werr"`
 		Assignment []geom.Label `json:"assignment"`
-		Anchors    [][]float64  `json:"anchors"`
+		Anchors    []geom.Point `json:"anchors"`
 	}
 	if err := json.Unmarshal(raw, &want); err != nil {
 		t.Fatal(err)
@@ -350,10 +354,7 @@ func TestReadOlderFiles(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: Solve: %v", name, err)
 		}
-		var anchors [][]float64
-		for _, a := range sol.Classifier.Anchors() {
-			anchors = append(anchors, a)
-		}
+		anchors := sol.Classifier.Anchors()
 		if sol.WErr != want.WErr || !reflect.DeepEqual(sol.Assignment, want.Assignment) || !reflect.DeepEqual(anchors, want.Anchors) {
 			t.Fatalf("%s: WErr %v, anchors %v; the writer had %v, %v", name, sol.WErr, anchors, want.WErr, want.Anchors)
 		}
