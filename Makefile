@@ -11,6 +11,7 @@
 #   make bench-shard       sharded-fleet loadgen smoke (replica rows only)
 #   make bench-online      regenerate BENCH_online.json (incremental vs retrain)
 #   make bench-problem     regenerate BENCH_problem.json (prepared-problem lifecycle)
+#   make bench-active      regenerate BENCH_active.json (active pipeline phases)
 #   make profile-prepare   CPU+heap profile of the prepare-stage sweep (pprof files)
 #   make ci-smoke          one warm-started exact prepare under the race detector
 #   make loc               count non-test Go lines (the size ROADMAP tracks)
@@ -27,7 +28,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: all build vet test race conformance conformance-long conformance-mutate bench-maxflow bench-classify bench-serve bench-shard bench-online bench-problem profile-prepare ci-smoke loc fuzz-chains fuzz-passive fuzz-online fuzz-problem fuzz-serve fuzz-classify serve-stress verify verify-full clean
+.PHONY: all build vet test race conformance conformance-long conformance-mutate bench-maxflow bench-classify bench-serve bench-shard bench-online bench-problem bench-active profile-prepare ci-smoke loc fuzz-chains fuzz-passive fuzz-online fuzz-problem fuzz-serve fuzz-classify serve-stress verify verify-full clean
 
 all: check
 
@@ -131,6 +132,19 @@ else
 	$(GO) run ./cmd/benchtab -problem BENCH_problem.json -seed 42
 endif
 
+# Active pipeline (Theorems 2+3) phase by phase: decompose, probe and
+# solve(Σ) times and allocated bytes, median and range over 5 repeats,
+# on the 16-chain sets at d=2 and d=3 up to n=262,144 (d=3 past the
+# exact limit takes the greedy cover) (cmd/benchtab -active). Takes a
+# minute or two; add QUICK=1 for a seconds-scale smoke run that
+# overwrites nothing.
+bench-active:
+ifdef QUICK
+	$(GO) run ./cmd/benchtab -active /tmp/BENCH_active.quick.json -seed 42 -quick
+else
+	$(GO) run ./cmd/benchtab -active BENCH_active.json -seed 42
+endif
+
 # Profile where prepare time goes: run the lifecycle sweep (quick
 # schedule) with CPU and heap profiles enabled, then inspect with
 # `go tool pprof prepare.cpu.pprof`.
@@ -192,7 +206,7 @@ serve-stress:
 
 verify: build vet test race conformance conformance-mutate
 
-verify-full: verify bench-maxflow bench-classify bench-serve bench-online bench-problem
+verify-full: verify bench-maxflow bench-classify bench-serve bench-online bench-problem bench-active
 
 clean:
 	$(GO) clean ./...

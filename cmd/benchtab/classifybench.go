@@ -1,11 +1,8 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/rand"
-	"os"
-	"runtime"
 	"time"
 
 	"monoclass/internal/classifier"
@@ -24,14 +21,9 @@ type classifyConfig struct {
 // are what CI gates on: the indexed path must beat the scalar scan on
 // the acceptance cell (n=4096, d=3).
 type classifyReport struct {
-	GeneratedAt string             `json:"generated_at"`
-	GoVersion   string             `json:"go_version"`
-	GOOS        string             `json:"goos"`
-	GOARCH      string             `json:"goarch"`
-	NumCPU      int                `json:"num_cpu"`
-	Seed        int64              `json:"seed"`
-	Benchmarks  []benchResult      `json:"benchmarks"`
-	Speedups    map[string]float64 `json:"speedups"`
+	benchEnv
+	Benchmarks []benchResult      `json:"benchmarks"`
+	Speedups   map[string]float64 `json:"speedups"`
 }
 
 // benchAntichain draws m distinct points on the hyperplane of constant
@@ -75,13 +67,8 @@ func runClassifyBench(path string, seed int64, quick bool) error {
 
 	rng := rand.New(rand.NewSource(seed))
 	report := classifyReport{
-		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
-		GoVersion:   runtime.Version(),
-		GOOS:        runtime.GOOS,
-		GOARCH:      runtime.GOARCH,
-		NumCPU:      runtime.NumCPU(),
-		Seed:        seed,
-		Speedups:    make(map[string]float64),
+		benchEnv: newBenchEnv(seed),
+		Speedups: make(map[string]float64),
 	}
 
 	add := func(name string, fn func()) benchResult {
@@ -136,10 +123,5 @@ func runClassifyBench(path string, seed int64, quick bool) error {
 			report.Speedups["indexed_"+tag], report.Speedups["batch_"+tag])
 	}
 
-	out, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	out = append(out, '\n')
-	return os.WriteFile(path, out, 0o644)
+	return writeReport(path, report)
 }

@@ -9,6 +9,7 @@
 //	benchtab -classify FILE
 //	benchtab -online FILE
 //	benchtab -problem FILE
+//	benchtab -active FILE
 //	benchtab -conformance [-trials N] [-long] [-repro-dir DIR]
 //
 // The full run takes a few minutes; -quick shrinks workloads to
@@ -25,7 +26,9 @@
 // -problem sweeps the prepared-problem lifecycle — prepare, first
 // solve, warm re-solve, peak and retained memory — across n up to 10⁶
 // under default options, one row per (n, d, shape) (see
-// runProblemBench).
+// runProblemBench). -active times the active pipeline (Theorems 2+3)
+// phase by phase on the same 16-chain sets at d=2 and d=3, five
+// repeats a row (see runActiveBench).
 // -conformance runs the
 // differential/metamorphic
 // engine (internal/conformance) and exits non-zero on any divergence,
@@ -53,6 +56,7 @@ func main() {
 	classifyOut := flag.String("classify", "", "write classifier index benchmark JSON to this file and exit")
 	onlineOut := flag.String("online", "", "write online incremental-vs-retrain benchmark JSON to this file and exit")
 	problemOut := flag.String("problem", "", "write prepared-problem lifecycle benchmark JSON to this file and exit")
+	activeOut := flag.String("active", "", "write active-pipeline benchmark JSON to this file and exit")
 	conf := flag.Bool("conformance", false, "run the differential/metamorphic conformance engine and exit")
 	trials := flag.Int("trials", 200, "conformance trials (with -conformance)")
 	long := flag.Bool("long", false, "conformance soak mode: larger instance schedule (with -conformance)")
@@ -125,6 +129,14 @@ func main() {
 
 	if *problemOut != "" {
 		if err := runProblemBench(*problemOut, *seed, *quick); err != nil {
+			fmt.Fprintf(os.Stderr, "benchtab: %v\n", err)
+			os.Exit(1)
+		}
+		return
+	}
+
+	if *activeOut != "" {
+		if err := runActiveBench(*activeOut, *seed, *quick); err != nil {
 			fmt.Fprintf(os.Stderr, "benchtab: %v\n", err)
 			os.Exit(1)
 		}

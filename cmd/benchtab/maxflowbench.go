@@ -1,12 +1,9 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
-	"os"
-	"runtime"
 	"testing"
 	"time"
 
@@ -21,14 +18,9 @@ import (
 // largest passive-construction network, and the workspace re-solve
 // allocation count, which must be 0.
 type maxflowReport struct {
-	GeneratedAt string             `json:"generated_at"`
-	GoVersion   string             `json:"go_version"`
-	GOOS        string             `json:"goos"`
-	GOARCH      string             `json:"goarch"`
-	NumCPU      int                `json:"num_cpu"`
-	Seed        int64              `json:"seed"`
-	Benchmarks  []benchResult      `json:"benchmarks"`
-	Speedups    map[string]float64 `json:"speedups"`
+	benchEnv
+	Benchmarks []benchResult      `json:"benchmarks"`
+	Speedups   map[string]float64 `json:"speedups"`
 	// WorkspaceResolveAllocs is testing.AllocsPerRun for a
 	// Reset+SolveWith cycle on the largest passive network; the
 	// steady-state contract is exactly 0.
@@ -105,13 +97,8 @@ func runMaxflowBench(path string, seed int64, quick bool) error {
 
 	rng := rand.New(rand.NewSource(seed))
 	report := maxflowReport{
-		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
-		GoVersion:   runtime.Version(),
-		GOOS:        runtime.GOOS,
-		GOARCH:      runtime.GOARCH,
-		NumCPU:      runtime.NumCPU(),
-		Seed:        seed,
-		Speedups:    make(map[string]float64),
+		benchEnv: newBenchEnv(seed),
+		Speedups: make(map[string]float64),
 	}
 
 	type instance struct {
@@ -181,10 +168,5 @@ func runMaxflowBench(path string, seed int64, quick bool) error {
 	fmt.Printf("speedup %-32s %.2fx\n", "pushrelabelhl_vs_dinic:", report.Speedups["pushrelabelhl_vs_dinic"])
 	fmt.Printf("workspace re-solve allocs/op:            %g\n", report.WorkspaceResolveAllocs)
 
-	out, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	out = append(out, '\n')
-	return os.WriteFile(path, out, 0o644)
+	return writeReport(path, report)
 }

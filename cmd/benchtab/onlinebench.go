@@ -1,12 +1,9 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
-	"os"
-	"runtime"
 	"time"
 
 	"monoclass/internal/geom"
@@ -22,17 +19,12 @@ import (
 // (K=64) must beat per-delta full retrains by at least 5× on the
 // acceptance workload (n=4096, d=3).
 type onlineReport struct {
-	GeneratedAt string             `json:"generated_at"`
-	GoVersion   string             `json:"go_version"`
-	GOOS        string             `json:"goos"`
-	GOARCH      string             `json:"goarch"`
-	NumCPU      int                `json:"num_cpu"`
-	Seed        int64              `json:"seed"`
-	N           int                `json:"n"`
-	Dim         int                `json:"dim"`
-	Deltas      int                `json:"deltas"`
-	Benchmarks  []benchResult      `json:"benchmarks"`
-	Speedups    map[string]float64 `json:"speedups"`
+	benchEnv
+	N          int                `json:"n"`
+	Dim        int                `json:"dim"`
+	Deltas     int                `json:"deltas"`
+	Benchmarks []benchResult      `json:"benchmarks"`
+	Speedups   map[string]float64 `json:"speedups"`
 }
 
 // onlineBase generates the steady-state multiset: uniform points with
@@ -120,16 +112,11 @@ func runOnlineBench(path string, seed int64, quick bool) error {
 	trace := onlineTrace(rng, base, d, steps)
 
 	report := onlineReport{
-		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
-		GoVersion:   runtime.Version(),
-		GOOS:        runtime.GOOS,
-		GOARCH:      runtime.GOARCH,
-		NumCPU:      runtime.NumCPU(),
-		Seed:        seed,
-		N:           n,
-		Dim:         d,
-		Deltas:      steps,
-		Speedups:    make(map[string]float64),
+		benchEnv: newBenchEnv(seed),
+		N:        n,
+		Dim:      d,
+		Deltas:   steps,
+		Speedups: make(map[string]float64),
 	}
 	add := func(name string, iters int, nsPerDelta float64) {
 		report.Benchmarks = append(report.Benchmarks, benchResult{
@@ -208,10 +195,5 @@ func runOnlineBench(path string, seed int64, quick bool) error {
 	fmt.Printf("speedup %-36s exact k=1 %.2fx, lazy k=64 %.2fx\n", tag,
 		report.Speedups["incremental_k1_"+tag], report.Speedups["incremental_k64_"+tag])
 
-	out, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	out = append(out, '\n')
-	return os.WriteFile(path, out, 0o644)
+	return writeReport(path, report)
 }

@@ -1,10 +1,8 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/rand"
-	"os"
 	"runtime"
 	"sync"
 	"time"
@@ -50,13 +48,8 @@ type problemRow struct {
 
 // problemReport is the machine-readable output of -problem.
 type problemReport struct {
-	GeneratedAt string       `json:"generated_at"`
-	GoVersion   string       `json:"go_version"`
-	GOOS        string       `json:"goos"`
-	GOARCH      string       `json:"goarch"`
-	NumCPU      int          `json:"num_cpu"`
-	Seed        int64        `json:"seed"`
-	Rows        []problemRow `json:"rows"`
+	benchEnv
+	Rows []problemRow `json:"rows"`
 }
 
 // problemWorkload generates n points on w explicit dominance chains:
@@ -176,12 +169,7 @@ func runProblemBench(path string, seed int64, quick bool) error {
 	}
 
 	report := problemReport{
-		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
-		GoVersion:   runtime.Version(),
-		GOOS:        runtime.GOOS,
-		GOARCH:      runtime.GOARCH,
-		NumCPU:      runtime.NumCPU(),
-		Seed:        seed,
+		benchEnv: newBenchEnv(seed),
 	}
 
 	const width = 16
@@ -278,12 +266,7 @@ func runProblemBench(path string, seed int64, quick bool) error {
 			row.Width, row.Edges, row.DecomposePath, row.Augmentations)
 	}
 
-	out, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	out = append(out, '\n')
-	return os.WriteFile(path, out, 0o644)
+	return writeReport(path, report)
 }
 
 func min64(a, b uint64) uint64 {

@@ -1,6 +1,42 @@
 package main
 
-import "time"
+import (
+	"encoding/json"
+	"os"
+	"runtime"
+	"time"
+)
+
+// benchEnv heads every JSON report benchtab writes: when, on what, and
+// from which seed.
+type benchEnv struct {
+	GeneratedAt string `json:"generated_at"`
+	GoVersion   string `json:"go_version"`
+	GOOS        string `json:"goos"`
+	GOARCH      string `json:"goarch"`
+	NumCPU      int    `json:"num_cpu"`
+	Seed        int64  `json:"seed"`
+}
+
+func newBenchEnv(seed int64) benchEnv {
+	return benchEnv{
+		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
+		GoVersion:   runtime.Version(),
+		GOOS:        runtime.GOOS,
+		GOARCH:      runtime.GOARCH,
+		NumCPU:      runtime.NumCPU(),
+		Seed:        seed,
+	}
+}
+
+// writeReport writes a report as indented JSON to path.
+func writeReport(path string, report any) error {
+	out, err := json.MarshalIndent(report, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(out, '\n'), 0o644)
+}
 
 // benchResult is one timed benchmark row in the -classify, -maxflow
 // and -online reports.

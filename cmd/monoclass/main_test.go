@@ -106,6 +106,39 @@ func TestCLIWidthAuditHasse(t *testing.T) {
 	}
 }
 
+// TestCLIWidthPastExactLimit: one point past the exact-decomposition
+// limit at d=3, width and active report the greedy cover's chain count
+// as an upper bound, and width prints no antichain certificate.
+func TestCLIWidthPastExactLimit(t *testing.T) {
+	const chains, n = 16, 65537
+	ws := make(monoclass.WeightedSet, n)
+	for i := range ws {
+		tt, j := float64(i/chains), float64(i%chains)
+		label := monoclass.Negative
+		if tt >= n/chains/2 {
+			label = monoclass.Positive
+		}
+		ws[i] = monoclass.WeightedPoint{P: monoclass.Point{tt + j, tt + j, tt + chains - j}, Label: label, Weight: 1}
+	}
+	path := filepath.Join(t.TempDir(), "wide.csv")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := monoclass.WriteCSV(f, ws); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	out, err := run(t, "width", "-in", path)
+	if err != nil || !strings.Contains(out, "dominance width: ≤ 16 (greedy") || strings.Contains(out, "antichain") {
+		t.Errorf("width past the limit (%v):\n%s", err, out)
+	}
+	out, err = run(t, "active", "-in", path)
+	if err != nil || !strings.Contains(out, "dominance width:  ≤ 16 (greedy") {
+		t.Errorf("active past the limit (%v):\n%s", err, out)
+	}
+}
+
 func TestCLIErrors(t *testing.T) {
 	if out, err := run(t); err == nil {
 		t.Errorf("no-arg run should fail:\n%s", out)

@@ -1,6 +1,6 @@
 // Command monoshard fronts a fleet of monoserve replicas with the
 // sharding router: classify traffic spreads over the fleet by a
-// placement strategy with transparent failover, control traffic
+// consistent-hash ring with transparent failover, control traffic
 // (promotion, learning, model fetch) pins to the primary replica, and
 // promoted models replicate from the primary to every replica with
 // version-vector agreement.
@@ -8,15 +8,13 @@
 // Usage:
 //
 //	monoshard -fleet http://h1:8080,http://h2:8080 [-addr :8090]
-//	          [-primary 0] [-strategy ring|dims] [-vnodes 64]
-//	          [-dim 0] [-bounds 1.5,3,7] [-sync-interval 100ms]
+//	          [-primary 0] [-vnodes 64] [-sync-interval 100ms]
 //	          [-health-interval 250ms] [-no-sync]
 //
-// The ring strategy (default) hashes each request's point onto a
-// consistent-hash ring, so load spreads near-uniformly and fleet
-// changes move only ~1/N of the key space. The dims strategy cuts one
-// coordinate's value space at -bounds (len(fleet)-1 sorted cut points,
-// comma-separated), trading uniformity for spatial locality.
+// The ring hashes each request's point onto -vnodes virtual nodes per
+// replica, so load spreads near-uniformly and fleet changes move only
+// ~1/N of the key space. Every replica holds the whole model, so
+// placement only spreads load.
 //
 // At startup the router has no knowledge of replica state, so the
 // first sync round pushes the primary's current model to every
@@ -26,7 +24,7 @@
 //
 // Endpoints mirror monoserve's, plus fleet-level aggregation:
 //
-//	POST /classify, /classify/batch   strategy-placed replica
+//	POST /classify, /classify/batch   ring-placed replica
 //	POST /model                       primary, then immediate replication
 //	GET  /model, POST /learn          primary
 //	GET  /healthz                     aggregate fleet health + versions
@@ -39,7 +37,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -59,10 +56,7 @@ func run(args []string) error {
 	fleet := fs.String("fleet", "", "comma-separated replica base URLs (required)")
 	addr := fs.String("addr", ":8090", "router listen address (use 127.0.0.1:0 for an ephemeral port)")
 	primary := fs.Int("primary", 0, "index of the promotion-owning replica in -fleet")
-	strategy := fs.String("strategy", "ring", "placement strategy: ring (consistent hash) or dims (dimension partition)")
-	vnodes := fs.Int("vnodes", 0, "virtual nodes per replica for -strategy ring (0: default)")
-	dim := fs.Int("dim", 0, "coordinate index to partition on for -strategy dims")
-	bounds := fs.String("bounds", "", "sorted comma-separated cut points for -strategy dims (need len(fleet)-1)")
+	vnodes := fs.Int("vnodes", 0, "virtual nodes per replica on the consistent-hash ring (0: default)")
 	syncInterval := fs.Duration("sync-interval", 100*time.Millisecond, "model replication poll cadence")
 	healthInterval := fs.Duration("health-interval", 250*time.Millisecond, "replica health poll cadence")
 	noSync := fs.Bool("no-sync", false, "disable primary→replica model replication")
@@ -76,23 +70,7 @@ func run(args []string) error {
 		return fmt.Errorf("-primary %d out of range for %d replicas", *primary, len(endpoints))
 	}
 
-	var strat monoclass.ShardStrategy
-	switch *strategy {
-	case "ring":
-		strat, err = monoclass.NewRing(len(endpoints), *vnodes)
-	case "dims":
-		var cuts []float64
-		cuts, err = parseBounds(*bounds)
-		if err == nil && len(cuts) != len(endpoints)-1 {
-			err = fmt.Errorf("-strategy dims needs %d cut points for %d replicas, got %d",
-				len(endpoints)-1, len(endpoints), len(cuts))
-		}
-		if err == nil {
-			strat, err = monoclass.NewDimPartition(*dim, cuts)
-		}
-	default:
-		err = fmt.Errorf("unknown -strategy %q (want ring or dims)", *strategy)
-	}
+	strat, err := monoclass.NewRing(len(endpoints), *vnodes)
 	if err != nil {
 		return err
 	}
@@ -162,22 +140,6 @@ func parseFleet(s string) ([]string, error) {
 	}
 	if len(out) == 0 {
 		return nil, fmt.Errorf("-fleet lists no replicas")
-	}
-	return out, nil
-}
-
-// parseBounds parses the comma-separated -bounds cut points.
-func parseBounds(s string) ([]float64, error) {
-	if strings.TrimSpace(s) == "" {
-		return nil, nil
-	}
-	var out []float64
-	for _, part := range strings.Split(s, ",") {
-		v, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
-		if err != nil {
-			return nil, fmt.Errorf("-bounds %q: %v", part, err)
-		}
-		out = append(out, v)
 	}
 	return out, nil
 }

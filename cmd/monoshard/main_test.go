@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"os"
@@ -202,32 +201,11 @@ func TestRouterReplicatesPromotion(t *testing.T) {
 	}
 }
 
-func TestRouterDimsStrategy(t *testing.T) {
-	fleet := startFleet(t, 3)
-	base, stop := startRouter(t, fleet, "-strategy", "dims", "-dim", "0", "-bounds", "1.5,3.5")
-	defer stop()
-	// One point per partition bucket: every bucket's replica must answer.
-	for _, x := range []float64{0.5, 2.5, 5.5} {
-		resp, err := http.Post(base+"/classify", "application/json",
-			strings.NewReader(fmt.Sprintf(`{"point":[%g,2.5]}`, x)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != 200 {
-			t.Fatalf("classify(%g): status %d", x, resp.StatusCode)
-		}
-	}
-}
-
 func TestBadFlags(t *testing.T) {
 	for _, args := range [][]string{
 		{},
 		{"-fleet", "not-a-url"},
 		{"-fleet", "http://a:1,http://b:2", "-primary", "5"},
-		{"-fleet", "http://a:1,http://b:2", "-strategy", "dims", "-bounds", "1,2,3"},
-		{"-fleet", "http://a:1", "-strategy", "nope"},
 	} {
 		cmd := exec.Command(binary, args...)
 		if out, err := cmd.CombinedOutput(); err == nil {

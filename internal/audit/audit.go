@@ -6,6 +6,7 @@
 package audit
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"strings"
@@ -96,24 +97,26 @@ func AuditProblem(p *problem.Problem) (Report, error) {
 		}
 	}
 
-	// Duplicate conflicts: coordinate-equal groups with both labels.
-	type groupInfo struct{ pos, neg bool }
-	groups := make(map[string]*groupInfo, len(ws))
+	// Duplicate conflicts: coordinate-equal groups with both labels,
+	// keyed on the coordinates' bits — the same groups as their %g
+	// strings on NaN-free points, −0 and +0 still apart, with no
+	// formatting. A group's labels are bits 1<<label.
+	groups := make(map[string]*uint8, len(ws))
+	key := make([]byte, 0, 8*p.Dim())
 	for _, wp := range ws {
-		key := wp.P.String()
-		g := groups[key]
+		key = key[:0]
+		for _, x := range wp.P {
+			key = binary.LittleEndian.AppendUint64(key, math.Float64bits(x))
+		}
+		g := groups[string(key)]
 		if g == nil {
-			g = &groupInfo{}
-			groups[key] = g
+			g = new(uint8)
+			groups[string(key)] = g
 		}
-		if wp.Label == geom.Positive {
-			g.pos = true
-		} else {
-			g.neg = true
-		}
+		*g |= 1 << wp.Label
 	}
 	for _, g := range groups {
-		if g.pos && g.neg {
+		if *g == 3 {
 			r.DuplicateConflicts++
 		}
 	}

@@ -2,6 +2,7 @@ package audit
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -198,5 +199,25 @@ func TestHasseReachabilityEqualsDominance(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestAuditDuplicateGroupsSignedZero: duplicate groups are keyed on the
+// coordinates' bits, so −0 and +0 stay apart as their %g strings do,
+// while bit-equal points with both labels form one conflict.
+func TestAuditDuplicateGroupsSignedZero(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	ws := geom.WeightedSet{
+		{P: geom.Point{0, 1}, Label: geom.Negative, Weight: 1},
+		{P: geom.Point{negZero, 1}, Label: geom.Positive, Weight: 1},
+		{P: geom.Point{2, math.Inf(1)}, Label: geom.Negative, Weight: 1},
+		{P: geom.Point{2, math.Inf(1)}, Label: geom.Positive, Weight: 2},
+	}
+	r, err := Audit(ws)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.DuplicateConflicts != 1 {
+		t.Fatalf("DuplicateConflicts = %d, want 1 (−0 and +0 are distinct points)", r.DuplicateConflicts)
 	}
 }

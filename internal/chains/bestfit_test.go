@@ -49,7 +49,7 @@ func TestSumLexOrderIsLinearExtension(t *testing.T) {
 		}
 		for i := range pts {
 			for j := range pts {
-				if dominanceEdge(pts, i, j) && pos[i] < pos[j] {
+				if domgraph.DominanceEdge(pts, i, j) && pos[i] < pos[j] {
 					t.Fatalf("trial %d (d=%d): %v → %v, but it sorts first", trial, d, pts[i], pts[j])
 				}
 			}

@@ -12,6 +12,13 @@
 // guarantees the chain count equals the maximum antichain size, and a
 // maximum antichain is extracted from a König minimum vertex cover as a
 // certificate.
+//
+// DecomposeRoute is the one route every caller takes to a cover: the
+// O(n log n) fast paths at d ≤ 2, the construction above over a dense
+// bit matrix at d ≥ 3 within DefaultExactDecomposeLimit points (or the
+// caller's limit) and a 2 GiB footprint guard, and GreedyDecompose's
+// valid but possibly wider cover everywhere else. The route reports
+// which path it took; a greedy cover carries no antichain.
 package chains
 
 import (
@@ -20,6 +27,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"time"
 
 	"monoclass/internal/domgraph"
 	"monoclass/internal/geom"
@@ -32,38 +40,94 @@ type Decomposition struct {
 	// ascending dominance order (every point dominates all points
 	// before it in its chain).
 	Chains [][]int
-	// Width is the dominance width w of the set; always len(Chains).
+	// Width is always len(Chains): the dominance width w of the set
+	// when the cover is minimum, an upper bound on it otherwise.
 	Width int
 	// Antichain is a maximum antichain of exactly Width points,
-	// certifying (by Dilworth) that no decomposition has fewer chains.
+	// certifying (by Dilworth) that no decomposition has fewer chains;
+	// nil on a greedy cover, which has no such certificate.
 	Antichain []int
 }
 
-// dominanceEdge reports whether the DAG has the edge i -> j, meaning
-// point i sits above point j. The tiebreak for coordinate-equal
-// points (duplicates chain up by index rather than forming cycles) is
-// defined once, in the dominance kernel, and shared with the
-// bit-packed builder.
-func dominanceEdge(pts []geom.Point, i, j int) bool {
-	return domgraph.DominanceEdge(pts, i, j)
+// The paths DecomposeRoute takes, as Route.Path names them.
+const (
+	PathFast2D         = "fast-2d"         // d ≤ 2, O(n log n); exact
+	PathExactDense     = "exact-dense"     // dense matrix + warm-started matching; exact
+	PathGreedyFallback = "greedy-fallback" // GreedyDecompose; no antichain
+)
+
+const (
+	// DefaultExactDecomposeLimit is the largest n the route decomposes
+	// exactly at d ≥ 3 (1 GiB of dom+dag words at the limit).
+	DefaultExactDecomposeLimit = 65536
+	// maxDenseBytes caps the dense matrix footprint: past it the route
+	// falls back to greedy whatever the limit says.
+	maxDenseBytes = int64(2) << 30
+)
+
+// Route is one run of DecomposeRoute: the cover, the path that built
+// it, and the dense matrix when that path built one.
+type Route struct {
+	Decomposition
+	// Path names the branch taken (Path* constants).
+	Path string
+	// Matrix, the time it took to build, and the warm-start counters
+	// are PathExactDense's; problem.Prepare builds its network on the
+	// matrix. Zero on the other paths.
+	Matrix     *domgraph.Matrix
+	MatrixTime time.Duration
+	Stats      DecomposeStats
 }
 
-// Decompose computes a minimum chain decomposition of pts together
-// with a maximum antichain. Dimensions 1 and 2 dispatch to O(n log n)
-// fast paths; higher dimensions use the paper's generic
-// O(dn² + n^2.5) matching construction (DecomposeGeneric).
-func Decompose(pts []geom.Point) Decomposition {
-	if len(pts) == 0 {
-		return Decomposition{}
+// Exact reports whether Width is the dominance width: true on every
+// path but the greedy fallback.
+func (r Route) Exact() bool { return r.Path != PathGreedyFallback }
+
+// DecomposeRoute is the one Lemma 6 route every caller takes. d ≤ 2
+// takes the O(n log n) fast paths. d ≥ 3 with n ≤ exactLimit and the
+// two n×n bit relations within 2 GiB builds the dominance matrix and
+// runs the warm-started matching on it (DecomposeMatrixStats). Every
+// other input gets GreedyDecompose's cover, which carries no
+// antichain. exactLimit 0 selects DefaultExactDecomposeLimit; a
+// negative one sends every d ≥ 3 input to the greedy fallback.
+func DecomposeRoute(pts []geom.Point, exactLimit int) Route {
+	if exactLimit == 0 {
+		exactLimit = DefaultExactDecomposeLimit
 	}
-	switch len(pts[0]) {
-	case 1:
-		return Decompose1D(pts)
-	case 2:
-		return Decompose2D(pts)
+	n := len(pts)
+	if n == 0 {
+		return Route{Path: PathFast2D}
+	}
+	var r Route
+	switch d := len(pts[0]); {
+	case d == 1:
+		r.Decomposition, r.Path = Decompose1D(pts), PathFast2D
+	case d == 2:
+		r.Decomposition, r.Path = Decompose2D(pts), PathFast2D
+	case n <= exactLimit && denseFootprint(n) <= maxDenseBytes:
+		start := time.Now()
+		r.Matrix = domgraph.Build(pts)
+		r.MatrixTime = time.Since(start)
+		r.Decomposition, r.Stats = DecomposeMatrixStats(pts, r.Matrix)
+		r.Path = PathExactDense
 	default:
-		return DecomposeGeneric(pts)
+		gc := GreedyDecompose(pts)
+		r.Decomposition = Decomposition{Chains: gc, Width: len(gc)}
+		r.Path = PathGreedyFallback
 	}
+	return r
+}
+
+// denseFootprint returns the dom+dag byte cost of a dense matrix over
+// n points.
+func denseFootprint(n int) int64 { return 2 * int64(n) * int64((n+63)/64) * 8 }
+
+// Decompose is DecomposeRoute at the default limit: a minimum chain
+// decomposition with a maximum antichain, except at d ≥ 3 past
+// DefaultExactDecomposeLimit points, where it returns the greedy cover
+// (Width an upper bound, no antichain).
+func Decompose(pts []geom.Point) Decomposition {
+	return DecomposeRoute(pts, 0).Decomposition
 }
 
 // DecomposeStats reports how a matrix decomposition reached its
@@ -89,40 +153,21 @@ type DecomposeStats struct {
 	CertEarlyExit bool
 }
 
-// DecomposeGeneric is the Lemma 6 construction for any dimension:
-// dominance DAG, minimum path cover via Hopcroft–Karp, maximum
-// antichain via König. The DAG is built as a bit-packed matrix by the
-// domgraph kernel (parallel, 64 pairs per word op) and the matching
-// runs directly on the packed rows; the asymptotics stay
-// O(dn² + n^2.5) time and O(n²) bits of space, with the constant cut
-// by the word width.
-func DecomposeGeneric(pts []geom.Point) Decomposition {
-	if len(pts) == 0 {
-		return Decomposition{}
-	}
-	return DecomposeMatrix(pts, domgraph.Build(pts))
-}
-
-// DecomposeMatrix is DecomposeGeneric on a prebuilt dominance matrix,
-// for callers (passive, audit, problem) that reuse one kernel build
-// across several stages. m must have been built from pts.
-//
-// The matching is warm-started: a best-fit greedy chain cover (each
-// point above the open chain top latest in sumLexOrder that it
-// dominates; see greedySeedBitset) is built directly on the packed
-// DAG rows (O(n²/64) word scans, no scalar dominance tests) and
-// handed to Hopcroft–Karp as the seed, so only coverSize − width
-// augmentations remain instead of O(√n) phases over an empty
-// matching. When the seed's chain bottoms or tops already form an
-// antichain of matching size, that certificate proves the seed
-// optimal and the matching is skipped outright.
-func DecomposeMatrix(pts []geom.Point, m *domgraph.Matrix) Decomposition {
-	dec, _ := DecomposeMatrixStats(pts, m)
-	return dec
-}
-
-// DecomposeMatrixStats is DecomposeMatrix plus the warm-start work
-// counters.
+// DecomposeMatrixStats is the Lemma 6 construction over a prebuilt
+// dominance matrix m of pts, with its warm-start work counters. The
+// matching runs directly on the packed DAG rows, so the cost stays
+// O(dn² + n^2.5) time and O(n²) bits, with the constant cut by the word
+// width. It is warm-started: a best-fit greedy chain cover (each point
+// above the open chain top latest in sumLexOrder that it dominates;
+// see greedySeedBitset) is built on the packed rows (O(n²/64) word
+// scans, no scalar dominance tests) and handed to Hopcroft–Karp as the
+// seed, so only coverSize − width augmentations remain instead of
+// O(√n) phases over an empty matching. When the seed's chain bottoms
+// or tops already form an antichain of matching size, that
+// certificate proves the seed optimal and the matching is skipped
+// outright. DecomposeRoute calls it within its guard; code that wants
+// the dense construction on purpose (the conformance oracles, E8)
+// calls it with domgraph.Build(pts).
 func DecomposeMatrixStats(pts []geom.Point, m *domgraph.Matrix) (Decomposition, DecomposeStats) {
 	n := checkMatrix(pts, m)
 	if n == 0 {
@@ -131,7 +176,7 @@ func DecomposeMatrixStats(pts []geom.Point, m *domgraph.Matrix) (Decomposition, 
 	return decomposeSeeded(m, greedySeedBitset(pts, m))
 }
 
-// DecomposeMatrixSeeded is DecomposeMatrix warm-started from a
+// DecomposeMatrixSeeded is DecomposeMatrixStats warm-started from a
 // caller-supplied chain cover instead of the built-in greedy one. The
 // cover must partition [0, n) into valid dominance chains (ascending);
 // consecutive pairs that are not DAG edges (coordinate-equal points
@@ -368,9 +413,12 @@ func chainsFromMatching(mm matching.Matching, n int) [][]int {
 
 // DecomposeGenericScalar is the pre-kernel Lemma 6 construction —
 // adjacency lists built with one scalar dominance test per ordered
-// pair, slice-based Hopcroft–Karp. It is kept as the cross-check
+// pair (domgraph.DominanceEdge, whose tiebreak chains coordinate-equal
+// points up by index), slice-based Hopcroft–Karp. It is kept as the cross-check
 // oracle for the kernel path (tests assert identical widths and valid
-// certificates) and as the baseline of BenchmarkDecomposeGeneric.
+// certificates) and as the baseline of BenchmarkDecomposeGeneric. It
+// shares only the chain walk from a matching (chainsFromMatching) with
+// the kernel path, and every check validates the chains it walks.
 func DecomposeGenericScalar(pts []geom.Point) Decomposition {
 	n := len(pts)
 	if n == 0 {
@@ -379,30 +427,13 @@ func DecomposeGenericScalar(pts []geom.Point) Decomposition {
 	b := matching.NewBipartite(n, n)
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
-			if dominanceEdge(pts, i, j) {
+			if domgraph.DominanceEdge(pts, i, j) {
 				b.AddEdge(i, j)
 			}
 		}
 	}
 	m := matching.MaxMatching(b)
-
-	chains := make([][]int, 0, n-m.Size)
-	for v := 0; v < n; v++ {
-		if m.MatchRight[v] != -1 {
-			continue
-		}
-		var desc []int
-		for u := v; u != -1; u = m.MatchLeft[u] {
-			desc = append(desc, u)
-		}
-		for l, r := 0, len(desc)-1; l < r; l, r = l+1, r-1 {
-			desc[l], desc[r] = desc[r], desc[l]
-		}
-		chains = append(chains, desc)
-	}
-	if len(chains) != n-m.Size {
-		panic(fmt.Sprintf("chains: built %d chains, expected %d", len(chains), n-m.Size))
-	}
+	chains := chainsFromMatching(m, n)
 
 	coverL, coverR := matching.MinVertexCover(b, m)
 	var anti []int
@@ -420,6 +451,8 @@ func DecomposeGenericScalar(pts []geom.Point) Decomposition {
 
 // Width returns the dominance width of pts: the size of its largest
 // antichain, equivalently the minimum number of chains covering it.
+// At d ≥ 3 past DefaultExactDecomposeLimit points it returns the greedy
+// cover's chain count instead, an upper bound (see DecomposeRoute).
 func Width(pts []geom.Point) int {
 	if len(pts) == 0 {
 		return 0
@@ -482,8 +515,9 @@ func Width2D(pts []geom.Point) int {
 // processed in a linear extension of dominance (sorted by coordinate
 // sum, ties broken lexicographically) and appended to the first chain
 // whose current top they dominate. It uses O(dn·w') time after sorting
-// but may emit more than w chains; it exists as the ablation baseline
-// for E8 showing why the matching-based construction matters.
+// but may emit more than w chains. It is DecomposeRoute's fallback past
+// the exact limit, and E8's ablation baseline showing why the
+// matching-based construction matters.
 func GreedyDecompose(pts []geom.Point) [][]int {
 	n := len(pts)
 	if n == 0 {

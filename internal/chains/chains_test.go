@@ -239,3 +239,50 @@ func TestDecomposePlantedChains(t *testing.T) {
 		}
 	}
 }
+
+// TestRaisedExactLimitGuard: the raised DefaultExactDecomposeLimit must
+// still respect the dense-footprint guard — a limit raised past the
+// guard takes the greedy fallback, not a matrix over 2 GiB.
+func TestRaisedExactLimitGuard(t *testing.T) {
+	if DefaultExactDecomposeLimit < 65536 {
+		t.Fatalf("DefaultExactDecomposeLimit = %d, want >= 65536", DefaultExactDecomposeLimit)
+	}
+	if n := DefaultExactDecomposeLimit; denseFootprint(n) > maxDenseBytes {
+		t.Fatalf("n = %d at the default limit does not take the dense route: %d bytes", n, denseFootprint(n))
+	}
+	if n := 1 << 20; denseFootprint(n) <= maxDenseBytes {
+		t.Fatalf("n = %d under a raised limit takes the dense route: %d bytes", n, denseFootprint(n))
+	}
+}
+
+// TestDecomposeRoutePaths: the route takes the fast paths at d ≤ 2
+// whatever the limit, the dense matrix at d ≥ 3 within it, and the
+// greedy fallback — a valid cover with no antichain and no matrix —
+// past it.
+func TestDecomposeRoutePaths(t *testing.T) {
+	rng := rand.New(rand.NewSource(73))
+	for _, d := range []int{1, 2} {
+		pts := randPoints(rng, 60, d, 6)
+		r := DecomposeRoute(pts, -1)
+		if r.Path != PathFast2D || !r.Exact() || r.Matrix != nil {
+			t.Fatalf("d=%d: path %s, exact %v", d, r.Path, r.Exact())
+		}
+		checkDecomposition(t, pts, r.Decomposition)
+	}
+	pts := randPoints(rng, 60, 3, 6)
+	exact := DecomposeRoute(pts, 0)
+	if exact.Path != PathExactDense || !exact.Exact() || exact.Matrix == nil || exact.Stats.Width != exact.Width {
+		t.Fatalf("d=3 within the limit: path %s, exact %v, stats %+v", exact.Path, exact.Exact(), exact.Stats)
+	}
+	checkDecomposition(t, pts, exact.Decomposition)
+	greedy := DecomposeRoute(pts, len(pts)-1)
+	if greedy.Path != PathGreedyFallback || greedy.Exact() || greedy.Matrix != nil || greedy.Antichain != nil {
+		t.Fatalf("d=3 past the limit: path %s, exact %v, antichain %v", greedy.Path, greedy.Exact(), greedy.Antichain)
+	}
+	if err := ValidateDecomposition(pts, greedy.Chains); err != nil {
+		t.Fatal(err)
+	}
+	if greedy.Width != len(greedy.Chains) || greedy.Width < exact.Width {
+		t.Fatalf("greedy width %d over %d chains, exact width %d", greedy.Width, len(greedy.Chains), exact.Width)
+	}
+}

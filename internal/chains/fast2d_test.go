@@ -14,7 +14,7 @@ func TestDecompose2DMatchesGeneric(t *testing.T) {
 		pts := randPoints(rng, n, 2, 6)
 		fast := Decompose2D(pts)
 		checkDecomposition(t, pts, fast)
-		slow := DecomposeGeneric(pts)
+		slow := decomposeDense(pts)
 		if fast.Width != slow.Width {
 			t.Fatalf("trial %d: fast width %d != generic %d", trial, fast.Width, slow.Width)
 		}
@@ -102,7 +102,7 @@ func TestDecomposeDispatch(t *testing.T) {
 		pts := randPoints(rng, 30, d, 5)
 		dec := Decompose(pts)
 		checkDecomposition(t, pts, dec)
-		if want := DecomposeGeneric(pts).Width; dec.Width != want {
+		if want := decomposeDense(pts).Width; dec.Width != want {
 			t.Errorf("d=%d: dispatch width %d != generic %d", d, dec.Width, want)
 		}
 	}

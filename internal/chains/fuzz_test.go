@@ -85,7 +85,7 @@ func FuzzDecomposeKernelVsScalar(f *testing.F) {
 		if pts == nil {
 			return
 		}
-		kernel := DecomposeGeneric(pts)
+		kernel := decomposeDense(pts)
 		scalar := DecomposeGenericScalar(pts)
 		if len(kernel.Chains) != len(scalar.Chains) {
 			t.Fatalf("kernel width %d, scalar width %d", len(kernel.Chains), len(scalar.Chains))

@@ -20,6 +20,13 @@ func randomKernelPoints(rng *rand.Rand, n, d, gridSide int) []geom.Point {
 	return pts
 }
 
+// decomposeDense runs the dense Lemma 6 construction at any d, as
+// DecomposeRoute does at d ≥ 3 within its limit.
+func decomposeDense(pts []geom.Point) Decomposition {
+	dec, _ := DecomposeMatrixStats(pts, domgraph.Build(pts))
+	return dec
+}
+
 // TestDecomposeGenericMatchesScalar: the bitset path and the scalar
 // oracle must agree on the width and both must produce valid
 // decompositions and antichain certificates, across dimensions and
@@ -30,7 +37,7 @@ func TestDecomposeGenericMatchesScalar(t *testing.T) {
 		for trial := 0; trial < 15; trial++ {
 			n := 1 + rng.Intn(100)
 			pts := randomKernelPoints(rng, n, d, 2+rng.Intn(5))
-			fast := DecomposeGeneric(pts)
+			fast := decomposeDense(pts)
 			slow := DecomposeGenericScalar(pts)
 			if fast.Width != slow.Width {
 				t.Fatalf("d=%d n=%d: bitset width %d != scalar width %d", d, n, fast.Width, slow.Width)
@@ -51,13 +58,13 @@ func TestDecomposeGenericMatchesScalar(t *testing.T) {
 }
 
 // TestDecomposeMatrixReuse: a prebuilt matrix must give the same
-// result as the one-shot entry point.
+// result as the route, which builds its own.
 func TestDecomposeMatrixReuse(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	pts := randomKernelPoints(rng, 80, 4, 4)
 	m := domgraph.Build(pts)
-	a := DecomposeMatrix(pts, m)
-	b := DecomposeGeneric(pts)
+	a, _ := DecomposeMatrixStats(pts, m)
+	b := Decompose(pts)
 	if a.Width != b.Width {
 		t.Fatalf("width %d != %d", a.Width, b.Width)
 	}
@@ -74,7 +81,7 @@ func TestDecomposeMatrixSizeMismatchPanics(t *testing.T) {
 			t.Fatal("size mismatch must panic")
 		}
 	}()
-	DecomposeMatrix(pts, m)
+	DecomposeMatrixStats(pts, m)
 }
 
 // BenchmarkDecomposeGeneric compares the scalar Lemma 6 construction
@@ -100,7 +107,7 @@ func BenchmarkDecomposeGeneric(b *testing.B) {
 	b.Run("bitset", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if dec := DecomposeGeneric(pts); dec.Width == 0 {
+			if dec := Decompose(pts); dec.Width == 0 {
 				b.Fatal("zero width")
 			}
 		}

@@ -216,7 +216,7 @@ func TestWarmMatchesScalarOracle(t *testing.T) {
 			pts[rng.Intn(n)] = append(geom.Point(nil), pts[rng.Intn(n)]...)
 		}
 		m := domgraph.Build(pts)
-		warm := DecomposeMatrix(pts, m)
+		warm, _ := DecomposeMatrixStats(pts, m)
 		scalar := DecomposeGenericScalar(pts)
 		if warm.Width != scalar.Width {
 			t.Fatalf("trial %d: warm width %d, scalar width %d", trial, warm.Width, scalar.Width)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 
 	"monoclass/internal/chains"
 	"monoclass/internal/classifier"
@@ -39,7 +40,6 @@ func Checks() []Check {
 	return []Check{
 		{"maxflow-differential", CheckMaxflowDifferential},
 		{"domgraph-kernel-vs-naive", CheckDomgraphKernel},
-		{"chains-kernel-vs-scalar", CheckChainsDecompose},
 		{"decompose-warmstart-vs-scalar", CheckDecomposeWarmStart},
 		{"classifier-indexed-vs-scalar", CheckClassifierIndexed},
 		{"passive-differential", CheckPassiveDifferential},
@@ -500,50 +500,6 @@ func validateDecomposition(tag string, pts []geom.Point, dec chains.Decompositio
 	return nil
 }
 
-// CheckChainsDecompose cross-checks every decomposition path: the
-// bit-packed generic construction, its scalar oracle, the dimension
-// dispatcher with its 1-D/2-D fast paths, the O(n log n) 2-D width,
-// and the greedy baseline (valid but possibly wider).
-func CheckChainsDecompose(in Instance) error {
-	pts := in.Pts()
-	gen := chains.DecomposeGeneric(pts)
-	if err := validateDecomposition("generic-kernel", pts, gen); err != nil {
-		return err
-	}
-	sc := chains.DecomposeGenericScalar(pts)
-	if err := validateDecomposition("generic-scalar", pts, sc); err != nil {
-		return err
-	}
-	if gen.Width != sc.Width {
-		return fmt.Errorf("kernel width %d != scalar width %d", gen.Width, sc.Width)
-	}
-
-	disp := chains.Decompose(pts)
-	if err := validateDecomposition("dispatcher", pts, disp); err != nil {
-		return err
-	}
-	if disp.Width != gen.Width {
-		return fmt.Errorf("dispatcher width %d != generic width %d", disp.Width, gen.Width)
-	}
-	if w := chains.Width(pts); w != gen.Width {
-		return fmt.Errorf("Width %d != generic width %d", w, gen.Width)
-	}
-	if in.Dim() == 2 {
-		if w := chains.Width2D(pts); w != gen.Width {
-			return fmt.Errorf("Width2D %d != generic width %d", w, gen.Width)
-		}
-	}
-
-	greedy := chains.GreedyDecompose(pts)
-	if err := chains.ValidateDecomposition(pts, greedy); err != nil && in.N() > 0 {
-		return fmt.Errorf("greedy: %w", err)
-	}
-	if len(greedy) < gen.Width {
-		return fmt.Errorf("greedy produced %d chains, below the width %d (impossible)", len(greedy), gen.Width)
-	}
-	return nil
-}
-
 // ---------------------------------------------------------------------
 // Passive solver differential
 // ---------------------------------------------------------------------
@@ -682,7 +638,9 @@ func exhaustiveParams() core.Params {
 // CheckActiveExhaustive runs the Theorem 2+3 pipeline with exhaustive
 // probing and requires exact agreement with the passive optimum on
 // unit weights: same error, same width as the decomposition oracle,
-// every point probed exactly once.
+// every point probed exactly once. Σ, solved over P's cover restricted
+// to it, must also give problem.Solve(Σ)'s optimum and anchors bit for
+// bit: its weights are integral, so both flows are exact.
 func CheckActiveExhaustive(in Instance) error {
 	n := in.N()
 	if n == 0 {
@@ -715,8 +673,15 @@ func CheckActiveExhaustive(in Instance) error {
 	if res.Probes != n {
 		return fmt.Errorf("exhaustive mode probed %d of %d points", res.Probes, n)
 	}
-	if w := chains.Width(pts); res.Width != w {
-		return fmt.Errorf("active pipeline width %d != decomposition width %d", res.Width, w)
+	if w := chains.Width(pts); res.Width != w || !res.ExactWidth {
+		return fmt.Errorf("active pipeline width %d (exact %v) != decomposition width %d", res.Width, res.ExactWidth, w)
+	}
+	own, err := problem.Solve(res.Sigma)
+	if err != nil {
+		return fmt.Errorf("problem.Solve(Σ): %w", err)
+	}
+	if a, b := res.Classifier.Anchors(), own.Classifier.Anchors(); res.SigmaWErr != own.WErr || !reflect.DeepEqual(a, b) {
+		return fmt.Errorf("Σ on the inherited cover: optimum %v anchors %v, problem.Solve(Σ) %v anchors %v", res.SigmaWErr, a, own.WErr, b)
 	}
 	if !almostEq(res.SigmaWErr, opt.WErr) {
 		return fmt.Errorf("exhaustive surrogate optimum %g != passive optimum %g", res.SigmaWErr, opt.WErr)

@@ -78,7 +78,7 @@ func recomputeAuditReport(ws geom.WeightedSet) (audit.Report, error) {
 	r.ViolationPairs = m.CountViolations(labels)
 	var dec chains.Decomposition
 	if ws.Dim() >= 3 {
-		dec = chains.DecomposeMatrix(pts, m)
+		dec, _ = chains.DecomposeMatrixStats(pts, m)
 	} else {
 		dec = chains.Decompose(pts)
 	}

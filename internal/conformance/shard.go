@@ -119,28 +119,18 @@ func CheckShardRouted(in Instance) error {
 	if err != nil {
 		return err
 	}
-	dims, err := shard.NewDimPartition(0, shard.DimBoundsFromSample(queries, 0, replicas))
+	router, err := shard.NewRouter(urls, shard.RouterConfig{
+		Strategy:       ring,
+		HealthInterval: -1,
+		Client:         client,
+	})
 	if err != nil {
-		return err
+		return fmt.Errorf("%s: %w", ring.Name(), err)
 	}
-	for _, strat := range []shard.Strategy{ring, dims} {
-		router, err := shard.NewRouter(urls, shard.RouterConfig{
-			Strategy:       strat,
-			HealthInterval: -1,
-			Client:         client,
-		})
-		if err != nil {
-			return fmt.Errorf("%s: %w", strat.Name(), err)
-		}
-		rhs := httptest.NewServer(router.Handler())
-		err = shardCompare(client, strat.Name(), rhs.URL, urls[0], queries)
-		rhs.Close()
-		router.Close()
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	rhs := httptest.NewServer(router.Handler())
+	defer router.Close()
+	defer rhs.Close()
+	return shardCompare(client, ring.Name(), rhs.URL, urls[0], queries)
 }
 
 // shardCompare runs the routed-vs-direct differential for one strategy.

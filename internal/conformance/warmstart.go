@@ -11,21 +11,22 @@ import (
 	"monoclass/internal/matching"
 )
 
-// CheckDecomposeWarmStart holds the warm-started chain decomposition
-// to the scalar Lemma 6 oracle (chains.DecomposeGenericScalar:
-// pairwise dominance tests and slice Hopcroft–Karp, sharing no code
-// with the bitset matcher) over the kernel-built matrix and the scalar
-// BuildNaive one. The oracle must itself be a valid decomposition
-// with a certifying antichain. For each matrix the check then
-// requires: the oracle's
-// width, a valid decomposition and a certifying antichain of exactly
-// that width, warm-start accounting that balances (augmentations =
-// seed chains − width), and convergence from a caller-supplied greedy
-// cover through DecomposeMatrixSeeded. The matcher's closure rules
-// must change nothing: over the same DAG rows and the same seed — the
-// greedy cover's, and none — the transitive graph (BitsetFromDAG)
-// returns the generic graph's matching and stats, scanning no more
-// rows.
+// CheckDecomposeWarmStart holds every decomposition path to the
+// scalar Lemma 6 oracle (chains.DecomposeGenericScalar: pairwise
+// dominance tests and slice Hopcroft–Karp, sharing no code with the
+// bitset matcher), run once per instance. The oracle must itself be a
+// valid decomposition with a certifying antichain. Over the
+// kernel-built matrix and the scalar BuildNaive one, the warm-started
+// matching must give the oracle's width, a valid decomposition and a
+// certifying antichain of exactly that width, warm-start accounting
+// that balances (augmentations = seed chains − width), and
+// convergence from a caller-supplied greedy cover through
+// DecomposeMatrixSeeded. The matcher's closure rules must change
+// nothing: over the same DAG rows and the same seed — the greedy
+// cover's, and none — the transitive graph (BitsetFromDAG) returns the
+// generic graph's matching and stats, scanning no more rows. The
+// greedy cover must be valid and no narrower, and checkRoute holds the
+// route to the oracle's width.
 // ±Inf instances exercise the full differential; NaN coordinates are
 // outside the decomposition domain — geom.Dominates makes NaN points
 // mutually dominating without being Equal (NaN != NaN), so the "DAG"
@@ -57,6 +58,13 @@ func CheckDecomposeWarmStart(in Instance) error {
 	if err := validateDecomposition("scalar", pts, scalar); err != nil {
 		return err
 	}
+	greedy := chains.GreedyDecompose(pts)
+	if err := chains.ValidateDecomposition(pts, greedy); err != nil {
+		return fmt.Errorf("greedy: %w", err)
+	}
+	if len(greedy) < scalar.Width {
+		return fmt.Errorf("greedy produced %d chains, below the width %d (impossible)", len(greedy), scalar.Width)
+	}
 	for _, src := range sources {
 		warm, st := chains.DecomposeMatrixStats(pts, src.m)
 		if warm.Width != scalar.Width {
@@ -78,7 +86,6 @@ func CheckDecomposeWarmStart(in Instance) error {
 
 		// A caller-supplied greedy cover must converge identically, with
 		// the augmentation count bounded by its seed gap.
-		greedy := chains.GreedyDecompose(pts)
 		seeded, sst := chains.DecomposeMatrixSeeded(pts, src.m, greedy)
 		if seeded.Width != scalar.Width {
 			return fmt.Errorf("%s: greedy-seeded width %d != scalar width %d", src.name, seeded.Width, scalar.Width)
@@ -95,10 +102,44 @@ func CheckDecomposeWarmStart(in Instance) error {
 		}
 	}
 
-	// The generic entry point (what Prepare's exact paths call) must
-	// agree with the oracle too.
-	if gen := chains.DecomposeGeneric(pts); gen.Width != scalar.Width {
-		return fmt.Errorf("DecomposeGeneric width %d != scalar width %d", gen.Width, scalar.Width)
+	return checkRoute(in, scalar.Width)
+}
+
+// checkRoute holds the route every caller takes to the oracle's width:
+// chains.Decompose (1-D/2-D fast paths included) with a valid
+// certificate, Width and, at d=2, Width2D. Under a limit below n the
+// route must keep the fast paths at d ≤ 2 and fall back at d ≥ 3 to a
+// valid greedy cover, no narrower, with no antichain or matrix.
+func checkRoute(in Instance, width int) error {
+	pts := in.Pts()
+	route := chains.Decompose(pts)
+	if err := validateDecomposition("route", pts, route); err != nil {
+		return err
+	}
+	w2 := width
+	if in.Dim() == 2 {
+		w2 = chains.Width2D(pts)
+	}
+	if route.Width != width || chains.Width(pts) != width || w2 != width {
+		return fmt.Errorf("route width %d, Width %d, Width2D %d; scalar width %d", route.Width, chains.Width(pts), w2, width)
+	}
+	limit := in.N() - 1
+	if limit == 0 {
+		limit = -1 // 0 selects the default limit
+	}
+	r := chains.DecomposeRoute(pts, limit)
+	if in.Dim() <= 2 {
+		if r.Path != chains.PathFast2D || r.Width != width {
+			return fmt.Errorf("limited route at d=%d: path %s width %d", in.Dim(), r.Path, r.Width)
+		}
+		return nil
+	}
+	if err := chains.ValidateDecomposition(pts, r.Chains); err != nil {
+		return fmt.Errorf("limited route: %w", err)
+	}
+	if r.Path != chains.PathGreedyFallback || r.Exact() || r.Antichain != nil || r.Matrix != nil || r.Width < width {
+		return fmt.Errorf("limited route: path %s, exact %v, %d-point antichain, matrix %v, width %d (scalar %d)",
+			r.Path, r.Exact(), len(r.Antichain), r.Matrix != nil, r.Width, width)
 	}
 	return nil
 }

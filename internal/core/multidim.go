@@ -24,8 +24,16 @@ type Result struct {
 	Sigma geom.WeightedSet
 	// SigmaWErr is w-err_Σ(Classifier), the minimized surrogate.
 	SigmaWErr float64
-	// Width is the dominance width w of the input.
+	// Width is the chain count of the cover the input was probed
+	// along: the dominance width w when ExactWidth holds, an upper
+	// bound on it otherwise.
 	Width int
+	// ExactWidth reports whether the cover is minimum: false on the
+	// greedy fallback and for a caller-supplied cover.
+	ExactWidth bool
+	// Path names how the cover was built: the route's path
+	// (chains.Path*), or PathSupplied.
+	Path string
 	// Probes is the number of distinct points probed when the oracle
 	// was instrumented by this call (see ActiveLearn); -1 otherwise.
 	Probes int
@@ -33,21 +41,27 @@ type Result struct {
 	Timing Timing
 }
 
+// PathSupplied is Result.Path for a cover passed to ActiveLearnChains.
+const PathSupplied = "supplied"
+
 // Timing records wall-clock per phase of the pipeline.
 type Timing struct {
 	Decompose time.Duration // chain decomposition (Lemma 6)
 	Probe     time.Duration // per-chain 1-D runs (Section 3)
-	Solve     time.Duration // passive solve on Σ (Theorem 4)
+	Solve     time.Duration // passive solve on Σ over P's cover (Theorem 4)
 }
 
 // ActiveLearn runs the full Theorem 2+3 pipeline on the unlabeled
 // point set pts against a label oracle:
 //
-//  1. decompose pts into w chains (Lemma 6);
+//  1. decompose pts into w chains (Lemma 6) through
+//     chains.DecomposeRoute — past its limit at d ≥ 3, a greedy cover;
 //  2. run the Section 3 sampler on each chain with failure budget
 //     Delta/w, collecting Σ = ∪ Σ_i;
 //  3. solve passive weighted classification on Σ (Theorem 4) to find
-//     the monotone classifier minimizing w-err_Σ.
+//     the monotone classifier minimizing w-err_Σ, over P's cover
+//     restricted to Σ ⊆ P: a valid cover, over which the Theorem 4
+//     network is exact (problem.PrepareCover).
 //
 // With probability at least 1-Delta the result is (1+ε)-approximate:
 // err_P(h) <= (1+ε)·k*. The expected probing cost is
@@ -62,9 +76,9 @@ func ActiveLearn(pts []geom.Point, o oracle.Oracle, par Params, rng *rand.Rand) 
 
 // ActiveLearnChains is ActiveLearn with a caller-supplied chain
 // decomposition (each chain a slice of point indices in ascending
-// dominance order, jointly partitioning the input). Passing nil
-// computes the minimum decomposition as usual. A suboptimal
-// decomposition (more chains than the dominance width) is still
+// dominance order, jointly partitioning the input), along which Σ is
+// solved too. Passing nil computes the decomposition as usual. A
+// suboptimal decomposition (more chains than the dominance width) is still
 // correct — every chain run keeps its per-chain guarantee — but pays
 // proportionally more probes, which the greedy-vs-matching ablation
 // (experiment A1) quantifies.
@@ -81,41 +95,47 @@ func ActiveLearnChains(pts []geom.Point, o oracle.Oracle, par Params, rng *rand.
 	cache := oracle.NewCaching(o)
 
 	start := time.Now()
-	var dec chains.Decomposition
+	var res Result
 	if chainSets == nil {
-		dec = chains.Decompose(pts)
+		route := chains.DecomposeRoute(pts, 0)
+		chainSets, res.Path, res.ExactWidth = route.Chains, route.Path, route.Exact()
 	} else {
 		if err := chains.ValidateDecomposition(pts, chainSets); err != nil {
 			return Result{}, fmt.Errorf("core: supplied decomposition invalid: %w", err)
 		}
-		dec = chains.Decomposition{Chains: chainSets, Width: len(chainSets)}
+		res.Path = PathSupplied
 	}
-	var res Result
-	res.Width = dec.Width
+	res.Width = len(chainSets)
 	res.Timing.Decompose = time.Since(start)
 
 	// Split the failure budget evenly over the w per-chain runs (the
 	// paper uses δ = 1/(w·n²) per chain to reach 1 - 1/n² overall).
 	chainPar := par
-	chainPar.Delta = par.Delta / float64(dec.Width)
+	chainPar.Delta = par.Delta / float64(res.Width)
 
 	start = time.Now()
-	sigma, err := runChainsParallel(cache, dec.Chains, chainPar, rng)
+	sigma, err := runChainsParallel(cache, chainSets, chainPar, rng)
 	if err != nil {
 		return Result{}, err
 	}
 	res.Timing.Probe = time.Since(start)
 	res.Probes = cache.Distinct()
 
-	// Materialize Σ as a weighted point set and solve Problem 2 on it.
+	// Materialize Σ as a weighted point set and solve Problem 2 on it,
+	// over P's cover restricted to Σ.
 	ws := make(geom.WeightedSet, len(sigma))
 	for i, wl := range sigma {
 		ws[i] = geom.WeightedPoint{P: pts[wl.Item], Label: wl.Label, Weight: wl.Weight}
 	}
-	ws = ws.Coalesce()
+	ws, entry := ws.Coalesce()
 
 	start = time.Now()
-	sol, err := problem.Solve(ws)
+	cover := restrictCover(chainSets, sigma, entry, len(pts), len(ws))
+	sp, err := problem.PrepareCover(ws, chains.Decomposition{Chains: cover, Width: len(cover)}, false)
+	if err != nil {
+		return Result{}, fmt.Errorf("core: preparing Σ: %w", err)
+	}
+	sol, err := sp.Solve()
 	if err != nil {
 		return Result{}, fmt.Errorf("core: passive solve on Σ: %w", err)
 	}
@@ -124,6 +144,32 @@ func ActiveLearnChains(pts []geom.Point, o oracle.Oracle, par Params, rng *rand.
 	res.Sigma = ws
 	res.SigmaWErr = sol.WErr
 	return res, nil
+}
+
+// restrictCover restricts P's chain cover to Σ's m coalesced entries
+// (sigma[k], a P item, merged into entry[k]). Each entry takes the
+// first cover position of an item merged into it; a subsequence of a
+// chain is a chain, so the result is a valid cover of Σ.
+func restrictCover(cover [][]int, sigma []WeightedLabel, entry []int, n, m int) [][]int {
+	at := make([]int32, n) // P item → its Σ entry + 1; 0 when not sampled
+	for k, wl := range sigma {
+		at[wl.Item] = int32(entry[k]) + 1
+	}
+	taken := make([]bool, m)
+	var out [][]int
+	for _, chain := range cover {
+		var c []int
+		for _, item := range chain {
+			if e := at[item] - 1; e >= 0 && !taken[e] {
+				taken[e] = true
+				c = append(c, int(e))
+			}
+		}
+		if len(c) > 0 {
+			out = append(out, c)
+		}
+	}
+	return out
 }
 
 // Learn1D is the Lemma 9 entry point for one-dimensional inputs: it
@@ -165,7 +211,7 @@ func Learn1D(pts []geom.Point, o oracle.Oracle, par Params, rng *rand.Rand) (cla
 	for i, wl := range sigma {
 		ws[i] = geom.WeightedPoint{P: pts[wl.Item], Label: wl.Label, Weight: wl.Weight}
 	}
-	ws = ws.Coalesce()
+	ws, _ = ws.Coalesce()
 	h, _ := classifier.BestThreshold1D(ws)
 	return h, ws, nil
 }

@@ -5,10 +5,12 @@
 // a fully-labeled weighted sample Σ whose weighted error function
 // w-err_Σ tracks err_P up to a (1 ± ε/4) factor plus a shared unknown
 // offset Δ — the ε-comparison property. Section 4 (multidim.go) runs
-// that machinery on each chain of a minimum chain decomposition and
-// feeds the union of the per-chain samples to the passive solver of
-// Theorem 4, yielding a (1+ε)-approximate monotone classifier with
-// O((w/ε²)·log n·log(n/w)) probes, with high probability.
+// that machinery on each chain of chains.DecomposeRoute's cover and
+// solves Theorem 4 on the union Σ of the per-chain samples over that
+// cover restricted to Σ, yielding a (1+ε)-approximate monotone
+// classifier with O((w/ε²)·log n·log(n/w)) probes, with high
+// probability (w grows to the greedy cover's chain count past the
+// exact-decomposition limit).
 package core
 
 import (

@@ -46,7 +46,7 @@ func ChainAblation(cfg Config) Table {
 			for i, lp := range lab {
 				pts[i] = lp.P
 			}
-			dec := splitChains(coreDecompose(pts), split)
+			dec := splitChains(chains.Decompose(pts).Chains, split)
 			in := oracle.InstrumentLabeled(lab)
 			if _, err := core.ActiveLearnChains(pts, in.O, core.PracticalParams(eps, 0.05), rng, dec); err != nil {
 				panic(err)
@@ -65,11 +65,6 @@ func ChainAblation(cfg Config) Table {
 		"The probing bound is O((#chains/ε²)·polylog): a decomposition with k·w chains pays roughly k× the probes of the minimum one (slightly less, as shorter chains recurse fewer levels). Every run remains (1+ε)-correct — only the cost degrades.",
 	)
 	return t
-}
-
-// coreDecompose returns the minimum chain decomposition's chains.
-func coreDecompose(pts []geom.Point) [][]int {
-	return chains.Decompose(pts).Chains
 }
 
 // splitChains cuts every chain into k contiguous pieces.

@@ -7,6 +7,7 @@ import (
 
 	"monoclass/internal/chains"
 	"monoclass/internal/dataset"
+	"monoclass/internal/domgraph"
 	"monoclass/internal/geom"
 )
 
@@ -37,7 +38,7 @@ func ChainDecomposition(cfg Config) Table {
 					pts[i] = lp.P
 				}
 				start := time.Now()
-				gen := chains.DecomposeGeneric(pts)
+				gen, _ := chains.DecomposeMatrixStats(pts, domgraph.Build(pts))
 				genTime := time.Since(start)
 				fastTime := "-"
 				w := gen.Width

@@ -156,27 +156,32 @@ func (ws WeightedSet) TotalWeight() float64 {
 	return sum
 }
 
-// Coalesce merges duplicate (point, label) entries by summing weights.
-// It leaves ws untouched and returns a new set. Points are compared by
-// exact coordinate equality. Coalescing can shrink the max-flow
-// instance Problem 2 builds, without changing w-err of any classifier.
-func (ws WeightedSet) Coalesce() WeightedSet {
+// Coalesce merges duplicate (point, label) entries by summing weights,
+// in order of first appearance. It leaves ws untouched and returns a
+// new set, plus the entry each input merged into: ws[i] went to
+// out[entry[i]]. Points are compared by exact coordinate equality.
+// Coalescing can shrink the max-flow instance Problem 2 builds,
+// without changing w-err of any classifier.
+func (ws WeightedSet) Coalesce() (out WeightedSet, entry []int) {
 	type key struct {
 		s     string
 		label Label
 	}
 	idx := make(map[key]int, len(ws))
-	out := make(WeightedSet, 0, len(ws))
-	for _, wp := range ws {
+	out = make(WeightedSet, 0, len(ws))
+	entry = make([]int, len(ws))
+	for i, wp := range ws {
 		k := key{s: wp.P.String(), label: wp.Label}
 		if j, ok := idx[k]; ok {
 			out[j].Weight += wp.Weight
+			entry[i] = j
 			continue
 		}
 		idx[k] = len(out)
+		entry[i] = len(out)
 		out = append(out, wp)
 	}
-	return out
+	return out, entry
 }
 
 // SortLex sorts the set lexicographically by coordinates then label;

@@ -1,6 +1,7 @@
 package geom
 
 import (
+	"slices"
 	"testing"
 )
 
@@ -96,9 +97,12 @@ func TestCoalesce(t *testing.T) {
 		{P: Point{1, 2}, Label: Negative, Weight: 4}, // same point, other label: kept separate
 		{P: Point{3, 4}, Label: Positive, Weight: 8},
 	}
-	got := ws.Coalesce()
+	got, entry := ws.Coalesce()
 	if len(got) != 3 {
 		t.Fatalf("Coalesce len = %d, want 3", len(got))
+	}
+	if want := []int{0, 0, 1, 2}; !slices.Equal(entry, want) {
+		t.Fatalf("Coalesce entries = %v, want %v", entry, want)
 	}
 	if got.TotalWeight() != ws.TotalWeight() {
 		t.Error("Coalesce changed total weight")

@@ -121,7 +121,8 @@ func TestGallopLookupsPlanted(t *testing.T) {
 	}
 	pts := pointsOf(ws)
 	matrix := domgraph.Build(pts)
-	cover := chains.DecomposeMatrix(pts, matrix).Chains
+	dec, _ := chains.DecomposeMatrixStats(pts, matrix)
+	cover := dec.Chains
 	contending := contendingPoints(ws, cover)
 
 	m0, k1 := 0, 0

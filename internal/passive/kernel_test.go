@@ -39,7 +39,8 @@ func TestKernelSolveMatchesDense(t *testing.T) {
 		ws := randomWeightedSet(rng, n, d, 2+rng.Intn(3))
 		pts := pointsOf(ws)
 		m := domgraph.Build(pts)
-		fast, err := Prepare(ws, m, chains.DecomposeMatrix(pts, m).Chains).Resolve(nil)
+		dec, _ := chains.DecomposeMatrixStats(pts, m)
+		fast, err := Prepare(ws, m, dec.Chains).Resolve(nil)
 		if err != nil {
 			t.Fatalf("trial %d: kernel solve: %v", trial, err)
 		}

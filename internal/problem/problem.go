@@ -8,15 +8,15 @@
 // A Problem is immutable after Prepare: accessors never mutate it and
 // repeated Solve calls are deterministic (the one mutable piece, the
 // flow network's residual state, is reset under an internal mutex).
-// Prepare takes one route per instance. At d ≥ 3, within
-// ExactDecomposeLimit points and the dense-footprint guard, it builds
-// the bit-packed dominance matrix, runs the warm-started matching on it
-// for a minimum chain cover, builds the network over it and drops it
-// (ModeDense). Everywhere else — d ≤ 2, whose minimum cover comes from
-// an O(n log n) construction, and the greedy fallback past the limits —
-// it answers the network build's dominance lookups from per-dimension
-// rank arrays (ModeImplicit). Either way the Problem keeps nothing
-// quadratic: the points, the cover and the network.
+// Prepare decomposes through chains.DecomposeRoute, the one Lemma 6
+// route, at Options.ExactDecomposeLimit. When the route built the
+// dense dominance matrix (d ≥ 3 within the limit and the footprint
+// guard), Prepare builds the network over it and drops it (ModeDense).
+// Everywhere else — d ≤ 2 and the greedy fallback — it answers the
+// network build's dominance lookups from per-dimension rank arrays
+// (ModeImplicit). PrepareCover skips the route for a cover the caller
+// already holds, over rank arrays too. Either way the Problem keeps
+// nothing quadratic: the points, the cover and the network.
 package problem
 
 import (
@@ -56,17 +56,12 @@ func (m MatrixMode) String() string {
 	return fmt.Sprintf("MatrixMode(%d)", int(m))
 }
 
-const (
-	// DefaultExactDecomposeLimit is the largest n at which Prepare builds
-	// the dense matrix at d ≥ 3 for an exact minimum chain decomposition
-	// (1 GiB of dom+dag words at the limit); past it, GreedyDecompose
-	// supplies a valid (possibly wider) cover and Stats records the
-	// fallback.
-	DefaultExactDecomposeLimit = 65536
-	// maxDenseBytes caps the dense matrix footprint: past it Prepare
-	// takes the greedy fallback whatever ExactDecomposeLimit says.
-	maxDenseBytes = int64(2) << 30
-)
+// DefaultExactDecomposeLimit is the largest n at which Prepare builds
+// the dense matrix at d ≥ 3 for an exact minimum chain decomposition
+// (chains.DefaultExactDecomposeLimit); past it, GreedyDecompose
+// supplies a valid (possibly wider) cover and Stats records the
+// fallback.
+const DefaultExactDecomposeLimit = chains.DefaultExactDecomposeLimit
 
 // Options configures Prepare.
 type Options struct {
@@ -75,21 +70,11 @@ type Options struct {
 	ExactDecomposeLimit int
 }
 
-// Decomposition path names recorded in PrepareStats.DecomposePath.
-const (
-	// PathFast2D: the d ≤ 2 O(n log n) construction; always exact.
-	PathFast2D = "fast-2d"
-	// PathExactDense: warm-started matching over the dense matrix;
-	// exact.
-	PathExactDense = "exact-dense"
-	// PathGreedyFallback: past ExactDecomposeLimit (or the dense
-	// footprint guard) — first-fit cover, possibly wider than the true
-	// width. The one path where ExactWidth is false.
-	PathGreedyFallback = "greedy-fallback"
-	// PathLoaded: decomposition restored verbatim from a serialized
-	// Problem (problem.Read); exactness is whatever the writer recorded.
-	PathLoaded = "loaded"
-)
+// PathLoaded is PrepareStats.DecomposePath for a cover the caller
+// supplied, kept verbatim — a serialized Problem's (Read) or
+// PrepareCover's; exactness is whatever the caller claimed. Prepared
+// Problems record the route's path (chains.Path*).
+const PathLoaded = "loaded"
 
 // PrepareStats records how Prepare built a Problem and how long each
 // stage took; benchtab's problem table, monoclass prepare, and the
@@ -106,8 +91,9 @@ type PrepareStats struct {
 	// whether that is the true dominance width or a greedy upper bound.
 	Width      int  `json:"width"`
 	ExactWidth bool `json:"exact_width"`
-	// DecomposePath names which decomposition route ran (Path*
-	// constants) — the greedy fallback is no longer silent.
+	// DecomposePath names which decomposition route ran
+	// (chains.Path*, or PathLoaded) — the greedy fallback is no longer
+	// silent.
 	DecomposePath string `json:"decompose_path"`
 	// SeedChains, Augmentations, Phases, and CertEarlyExit mirror
 	// chains.DecomposeStats for the exact matrix path: the warm-start
@@ -143,14 +129,12 @@ type SolveOptions struct {
 // Problem is one prepared instance. It is immutable after Prepare /
 // Read; Solve and Violations are safe for concurrent use.
 type Problem struct {
-	ws   geom.WeightedSet // owned (Prepare clones; Read decodes fresh)
+	ws   geom.WeightedSet // owned (Prepare clones; Read and PrepareCover take the caller's)
 	pts  []geom.Point     // ws[i].P, in input order
-	dim  int
-	mode MatrixMode // the representation the network was built over
+	mode MatrixMode       // the representation the network was built over
 
-	dec        chains.Decomposition
-	exactWidth bool // dec is a minimum decomposition (width = dominance width)
-	stats      PrepareStats
+	dec   chains.Decomposition
+	stats PrepareStats // also holds Dim and ExactWidth
 
 	prep *passive.Prepared
 
@@ -172,65 +156,32 @@ type Problem struct {
 // conformance check holds them to it.
 func Prepare(ws geom.WeightedSet, opts Options) (*Problem, error) {
 	start := time.Now()
-	if len(ws) == 0 {
-		return nil, fmt.Errorf("problem: empty input set")
-	}
-	if err := ws.Validate(); err != nil {
+	if err := validate(ws); err != nil {
 		return nil, err
 	}
-	limit := opts.ExactDecomposeLimit
-	if limit == 0 {
-		limit = DefaultExactDecomposeLimit
-	}
-
 	owned := make(geom.WeightedSet, len(ws))
 	for i, wp := range ws {
 		owned[i] = geom.WeightedPoint{P: wp.P.Clone(), Label: wp.Label, Weight: wp.Weight}
 	}
 	pts := pointsOf(owned)
-	n, d := len(owned), owned.Dim()
-
-	matrixStart := time.Now()
-	var view domgraph.View
-	var matrix *domgraph.Matrix
-	mode := ModeImplicit
-	if denseRoute(n, d, limit) {
-		matrix = domgraph.Build(pts)
-		view, mode = matrix, ModeDense
-	} else {
-		view = domgraph.NewImplicit(pts)
-	}
-	var st PrepareStats
-	st.MatrixNS = time.Since(matrixStart).Nanoseconds()
 
 	decStart := time.Now()
-	var dec chains.Decomposition
-	var dst chains.DecomposeStats
-	exact := true
-	switch {
-	case matrix != nil:
-		dec, dst = chains.DecomposeMatrixStats(pts, matrix)
-		st.DecomposePath = PathExactDense
-	case d <= 2:
-		dec = chains.Decompose(pts)
-		st.DecomposePath = PathFast2D
-	default:
-		gc := chains.GreedyDecompose(pts)
-		dec = chains.Decomposition{Chains: gc, Width: len(gc)}
-		st.DecomposePath = PathGreedyFallback
-		exact = false
-	}
-	st.DecomposeNS = time.Since(decStart).Nanoseconds()
-	st.SeedChains, st.Augmentations = dst.SeedChains, dst.Augmentations
-	st.Phases, st.CertEarlyExit = dst.Phases, dst.CertEarlyExit
-	return assemble(owned, pts, mode, view, dec, exact, st, start), nil
-}
+	route := chains.DecomposeRoute(pts, opts.ExactDecomposeLimit)
+	var st PrepareStats
+	st.MatrixNS = route.MatrixTime.Nanoseconds()
+	st.DecomposeNS = time.Since(decStart).Nanoseconds() - st.MatrixNS
+	st.DecomposePath = route.Path
+	st.SeedChains, st.Augmentations = route.Stats.SeedChains, route.Stats.Augmentations
+	st.Phases, st.CertEarlyExit = route.Stats.Phases, route.Stats.CertEarlyExit
 
-// denseRoute reports whether Prepare builds the dense matrix for n
-// points in d dimensions: d ≥ 3, n within limit, and the matrix within
-// maxDenseBytes.
-func denseRoute(n, d, limit int) bool {
-	return d >= 3 && n <= limit && denseFootprint(n) <= maxDenseBytes
+	var view domgraph.View = route.Matrix
+	mode := ModeDense
+	if route.Matrix == nil {
+		implicitStart := time.Now()
+		view, mode = domgraph.NewImplicit(pts), ModeImplicit
+		st.MatrixNS = time.Since(implicitStart).Nanoseconds()
+	}
+	return assemble(owned, pts, mode, view, route.Decomposition, route.Exact(), st, start), nil
 }
 
 // Solve prepares ws and solves it once: the one-shot exact passive
@@ -241,6 +192,41 @@ func Solve(ws geom.WeightedSet) (passive.Solution, error) {
 		return passive.Solution{}, err
 	}
 	return p.Solve()
+}
+
+// PrepareCover builds a Problem over a chain cover the caller already
+// holds — a decoded file's (Read), or a superset's cover restricted to
+// a sample of it (the active pipeline's Σ) — instead of decomposing:
+// the Theorem 4 network is exact for any valid cover. It validates
+// what it trusts as Read does: ws as Prepare does; dec as a partition
+// of ws's points into ascending dominance chains with Width equal to
+// the chain count; a non-empty Antichain as pairwise incomparable, and
+// of Width points when exact claims the cover minimum. The network is
+// built over rank arrays (ModeImplicit); Stats records PathLoaded with
+// zero timings. The Problem keeps ws and dec, which the caller must
+// not modify afterwards.
+func PrepareCover(ws geom.WeightedSet, dec chains.Decomposition, exact bool) (*Problem, error) {
+	if err := validate(ws); err != nil {
+		return nil, err
+	}
+	pts := pointsOf(ws)
+	if dec.Width != len(dec.Chains) {
+		return nil, fmt.Errorf("problem: width %d but %d chains", dec.Width, len(dec.Chains))
+	}
+	if err := chains.ValidateDecomposition(pts, dec.Chains); err != nil {
+		return nil, fmt.Errorf("problem: cover: %w", err)
+	}
+	if len(dec.Antichain) > 0 {
+		if err := chains.ValidateAntichain(pts, dec.Antichain); err != nil {
+			return nil, fmt.Errorf("problem: antichain: %w", err)
+		}
+		if exact && len(dec.Antichain) != dec.Width {
+			return nil, fmt.Errorf("problem: antichain of %d points cannot certify width %d", len(dec.Antichain), dec.Width)
+		}
+	}
+	p := assemble(ws, pts, ModeImplicit, domgraph.NewImplicit(pts), dec, exact, PrepareStats{DecomposePath: PathLoaded}, time.Now())
+	p.stats.NetworkNS, p.stats.TotalNS = 0, 0
+	return p, nil
 }
 
 // assemble builds the passive network over view and dec and finishes
@@ -256,16 +242,15 @@ func assemble(ws geom.WeightedSet, pts []geom.Point, mode MatrixMode, view domgr
 	st.Contending, st.Edges = prep.NumContending(), prep.NumEdges()
 	st.Mode = mode.String()
 	st.Width, st.ExactWidth = dec.Width, exact
-	return &Problem{
-		ws:         ws,
-		pts:        pts,
-		dim:        ws.Dim(),
-		mode:       mode,
-		dec:        dec,
-		exactWidth: exact,
-		stats:      st,
-		prep:       prep,
+	return &Problem{ws: ws, pts: pts, mode: mode, dec: dec, stats: st, prep: prep}
+}
+
+// validate rejects an empty set and what ws.Validate rejects.
+func validate(ws geom.WeightedSet) error {
+	if len(ws) == 0 {
+		return fmt.Errorf("problem: empty input set")
 	}
+	return ws.Validate()
 }
 
 func pointsOf(ws geom.WeightedSet) []geom.Point {
@@ -276,18 +261,11 @@ func pointsOf(ws geom.WeightedSet) []geom.Point {
 	return pts
 }
 
-// denseFootprint returns the dom+dag byte cost of a dense matrix over
-// n points.
-func denseFootprint(n int) int64 {
-	words := int64((n + 63) / 64)
-	return 2 * int64(n) * words * 8
-}
-
 // N returns the instance size.
 func (p *Problem) N() int { return len(p.ws) }
 
 // Dim returns the dimensionality.
-func (p *Problem) Dim() int { return p.dim }
+func (p *Problem) Dim() int { return p.stats.Dim }
 
 // Mode returns the dominance representation the network was built
 // over.
@@ -329,7 +307,7 @@ func (p *Problem) Width() int { return p.dec.Width }
 
 // ExactWidth reports whether the decomposition is minimum (Dilworth
 // width) rather than a greedy valid cover.
-func (p *Problem) ExactWidth() bool { return p.exactWidth }
+func (p *Problem) ExactWidth() bool { return p.stats.ExactWidth }
 
 // Stats returns the prepare instrumentation: per-stage wall times,
 // the decomposition path taken (exact vs the greedy fallback), and the

@@ -193,10 +193,10 @@ func TestAutoModeSelection(t *testing.T) {
 		mode MatrixMode
 		path string
 	}{
-		{"d=3", ws, Options{}, ModeDense, PathExactDense},
+		{"d=3", ws, Options{}, ModeDense, chains.PathExactDense},
 		// Shrinking the exact limit below n forces the greedy fallback.
-		{"d=3 past the limit", ws, Options{ExactDecomposeLimit: 10}, ModeImplicit, PathGreedyFallback},
-		{"d=2", ws2, Options{}, ModeImplicit, PathFast2D},
+		{"d=3 past the limit", ws, Options{ExactDecomposeLimit: 10}, ModeImplicit, chains.PathGreedyFallback},
+		{"d=2", ws2, Options{}, ModeImplicit, chains.PathFast2D},
 	} {
 		p, err := Prepare(c.ws, c.opts)
 		if err != nil {

@@ -5,10 +5,8 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"time"
 
 	"monoclass/internal/chains"
-	"monoclass/internal/domgraph"
 	"monoclass/internal/geom"
 )
 
@@ -92,13 +90,13 @@ func Write(w io.Writer, p *Problem) error {
 		Format:     "monoclass-problem",
 		Version:    1,
 		Mode:       p.mode.String(),
-		Dim:        p.dim,
+		Dim:        p.stats.Dim,
 		Labels:     make([]int, len(p.ws)),
 		Weights:    make([]float64, len(p.ws)),
 		Chains:     p.dec.Chains,
 		Antichain:  p.dec.Antichain,
 		Width:      p.dec.Width,
-		ExactWidth: p.exactWidth,
+		ExactWidth: p.stats.ExactWidth,
 	}
 	for _, pt := range p.pts {
 		row := make([]jsonCoor, len(pt))
@@ -119,10 +117,10 @@ func Write(w io.Writer, p *Problem) error {
 // it trusts: one JSON value with nothing but whitespace after it,
 // format, version, shapes, labels, weights, NaN-free coordinates, the
 // chain decomposition (must be a valid partition in dominance order),
-// and the antichain certificate. The flow network is rebuilt eagerly
-// over rank arrays of the stored points (ModeImplicit), so it only
-// ever carries the points' own relation; the stored decomposition
-// makes that the cheap part.
+// and the antichain certificate — the last two through PrepareCover,
+// which rebuilds the flow network eagerly over rank arrays of the
+// stored points (ModeImplicit), so it only ever carries the points'
+// own relation; the stored decomposition makes that the cheap part.
 func Read(r io.Reader) (*Problem, error) {
 	var pf problemFile
 	dec := json.NewDecoder(r)
@@ -163,32 +161,5 @@ func Read(r io.Reader) (*Problem, error) {
 		}
 		ws[i] = geom.WeightedPoint{P: pt, Label: geom.Label(pf.Labels[i]), Weight: pf.Weights[i]}
 	}
-	if err := ws.Validate(); err != nil {
-		return nil, err
-	}
-	pts := pointsOf(ws)
-
-	if pf.Width != len(pf.Chains) {
-		return nil, fmt.Errorf("problem: width %d but %d chains", pf.Width, len(pf.Chains))
-	}
-	if err := chains.ValidateDecomposition(pts, pf.Chains); err != nil {
-		return nil, fmt.Errorf("problem: stored decomposition: %w", err)
-	}
-	if len(pf.Antichain) > 0 {
-		if err := chains.ValidateAntichain(pts, pf.Antichain); err != nil {
-			return nil, fmt.Errorf("problem: stored antichain: %w", err)
-		}
-		if pf.ExactWidth && len(pf.Antichain) != pf.Width {
-			return nil, fmt.Errorf("problem: antichain of %d points cannot certify width %d", len(pf.Antichain), pf.Width)
-		}
-	}
-	decomp := chains.Decomposition{Chains: pf.Chains, Width: pf.Width, Antichain: pf.Antichain}
-
-	// A restored Problem keeps its stored decomposition verbatim;
-	// PathLoaded with zero stage timings marks it as not freshly
-	// prepared.
-	st := PrepareStats{DecomposePath: PathLoaded}
-	p := assemble(ws, pts, ModeImplicit, domgraph.NewImplicit(pts), decomp, pf.ExactWidth, st, time.Now())
-	p.stats.NetworkNS, p.stats.TotalNS = 0, 0
-	return p, nil
+	return PrepareCover(ws, chains.Decomposition{Chains: pf.Chains, Width: pf.Width, Antichain: pf.Antichain}, pf.ExactWidth)
 }

@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"testing"
 
+	"monoclass/internal/chains"
 	"monoclass/internal/dataset"
 	"monoclass/internal/geom"
 )
@@ -23,7 +24,7 @@ func TestPrepareStatsPaths(t *testing.T) {
 			t.Fatal(err)
 		}
 		st := p.Stats()
-		if st.DecomposePath != PathFast2D || !st.ExactWidth {
+		if st.DecomposePath != chains.PathFast2D || !st.ExactWidth {
 			t.Fatalf("stats %+v", st)
 		}
 	})
@@ -34,7 +35,7 @@ func TestPrepareStatsPaths(t *testing.T) {
 			t.Fatal(err)
 		}
 		st := p.Stats()
-		if st.DecomposePath != PathExactDense || !st.ExactWidth {
+		if st.DecomposePath != chains.PathExactDense || !st.ExactWidth {
 			t.Fatalf("stats %+v", st)
 		}
 		if st.Width != p.Width() || st.Mode != "dense" || st.N != 60 || st.Dim != 3 {
@@ -57,7 +58,7 @@ func TestPrepareStatsPaths(t *testing.T) {
 			t.Fatal(err)
 		}
 		st := p.Stats()
-		if st.DecomposePath != PathGreedyFallback || st.ExactWidth || p.ExactWidth() {
+		if st.DecomposePath != chains.PathGreedyFallback || st.ExactWidth || p.ExactWidth() {
 			t.Fatalf("stats %+v exact %v", st, p.ExactWidth())
 		}
 		if st.SeedChains != 0 || st.Augmentations != 0 {
@@ -94,21 +95,6 @@ func TestPrepareStatsPaths(t *testing.T) {
 	})
 }
 
-// TestRaisedExactLimitGuard: the raised DefaultExactDecomposeLimit must
-// still respect the dense-footprint guard — a limit raised past the
-// guard takes the greedy fallback, not a matrix over 2 GiB.
-func TestRaisedExactLimitGuard(t *testing.T) {
-	if DefaultExactDecomposeLimit < 65536 {
-		t.Fatalf("DefaultExactDecomposeLimit = %d, want >= 65536", DefaultExactDecomposeLimit)
-	}
-	if n := DefaultExactDecomposeLimit; !denseRoute(n, 3, n) {
-		t.Fatalf("n = %d at the default limit does not take the dense route", n)
-	}
-	if n := 1 << 20; denseRoute(n, 3, n) {
-		t.Fatalf("n = %d under a raised limit takes the dense route: %d bytes", n, denseFootprint(n))
-	}
-}
-
 // TestPrepareWarmStartSmoke is the CI quick-smoke: one warm-started
 // exact prepare on a d=3 instance big enough to run real matching
 // phases, solved end to end. make ci-smoke runs it under -race.
@@ -120,7 +106,7 @@ func TestPrepareWarmStartSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := p.Stats()
-	if st.DecomposePath != PathExactDense || !st.ExactWidth {
+	if st.DecomposePath != chains.PathExactDense || !st.ExactWidth {
 		t.Fatalf("smoke prepare took path %q (exact %v)", st.DecomposePath, st.ExactWidth)
 	}
 	if !st.CertEarlyExit && st.Augmentations != st.SeedChains-st.Width {
@@ -169,7 +155,7 @@ func TestProblemRetainsNoMatrix(t *testing.T) {
 	if p.Mode() != ModeDense {
 		t.Fatalf("prepared %v, want the dense route", p.Mode())
 	}
-	if limit := denseFootprint(n) / 2; held >= limit {
+	if limit := int64(n) * int64((n+63)/64) * 8; held >= limit { // one n×n bit relation
 		t.Fatalf("Problem holds %.1f MiB, want < %.1f MiB (half the dense footprint)", float64(held)/(1<<20), float64(limit)/(1<<20))
 	}
 	t.Logf("Problem holds %.1f MiB", float64(held)/(1<<20))

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"monoclass/internal/chains"
 	"monoclass/internal/classifier"
 	"monoclass/internal/geom"
 	"monoclass/internal/problem"
@@ -293,7 +294,7 @@ func TestServerHealthzAndStats(t *testing.T) {
 // TestServerStatsPrepare: the prepare provenance a server is started
 // with reaches /stats "prepare", the network's size included.
 func TestServerStatsPrepare(t *testing.T) {
-	prep := &problem.PrepareStats{N: 10, Dim: 2, Width: 3, DecomposePath: problem.PathFast2D, Contending: 7, Edges: 19}
+	prep := &problem.PrepareStats{N: 10, Dim: 2, Width: 3, DecomposePath: chains.PathFast2D, Contending: 7, Edges: 19}
 	_, hs := newTestServer(t, Config{Prepare: prep})
 	var snap struct {
 		Prepare map[string]any `json:"prepare"`

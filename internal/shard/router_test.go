@@ -2,7 +2,6 @@ package shard
 
 import (
 	"fmt"
-	"math"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -123,80 +122,6 @@ func TestRingStability(t *testing.T) {
 	}
 }
 
-func TestDimPartitionOrder(t *testing.T) {
-	d, err := NewDimPartition(0, []float64{0, 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Replicas() != 3 {
-		t.Fatalf("Replicas() = %d, want 3", d.Replicas())
-	}
-	buf := make([]int, 0, 3)
-	cases := []struct {
-		v    float64
-		want int
-	}{
-		{-5, 0}, {0, 0}, {0.5, 1}, {10, 1}, {10.5, 2}, {1e308, 2},
-		{math.Inf(-1), 0}, {math.Inf(1), 2}, {math.NaN(), 0},
-	}
-	for _, c := range cases {
-		got := d.Order(buf, geom.Point{c.v})
-		if got[0] != c.want {
-			t.Errorf("Order(%g) primary = %d, want %d (order %v)", c.v, got[0], c.want, got)
-		}
-		seen := map[int]bool{}
-		for _, idx := range got {
-			seen[idx] = true
-		}
-		if len(got) != 3 || len(seen) != 3 {
-			t.Errorf("Order(%g) = %v does not cover all buckets", c.v, got)
-		}
-	}
-	if _, err := NewDimPartition(0, []float64{3, 1}); err == nil {
-		t.Error("unsorted bounds accepted")
-	}
-	if _, err := NewDimPartition(0, []float64{math.NaN()}); err == nil {
-		t.Error("NaN bound accepted")
-	}
-}
-
-func TestDimBoundsFromSample(t *testing.T) {
-	var sample []geom.Point
-	for i := 0; i < 100; i++ {
-		sample = append(sample, geom.Point{float64(i)})
-	}
-	sample = append(sample, geom.Point{math.NaN()}, geom.Point{math.Inf(1)})
-	bounds := DimBoundsFromSample(sample, 0, 4)
-	if len(bounds) != 3 {
-		t.Fatalf("got %d bounds, want 3", len(bounds))
-	}
-	for i := 1; i < len(bounds); i++ {
-		if bounds[i-1] > bounds[i] {
-			t.Fatalf("bounds unsorted: %v", bounds)
-		}
-	}
-	d, err := NewDimPartition(0, bounds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	counts := make([]int, 4)
-	buf := make([]int, 0, 4)
-	for _, p := range sample[:100] {
-		counts[d.Order(buf, p)[0]]++
-	}
-	for b, c := range counts {
-		if c < 10 {
-			t.Errorf("bucket %d got %d of 100 sample points (quantiles off: %v)", b, c, bounds)
-		}
-	}
-}
-
-// TestRouterAggregateStatsExact drives a known number of points
-// through the router and asserts the aggregate /stats totals are
-// exact: requests across replicas sum to the points sent, every
-// replica's snapshot is internally consistent (Σhist == batches), and
-// the router's routed counters sum to the HTTP calls made. This is
-// the cross-replica payoff of the serve.Stats consistency fix.
 func TestRouterAggregateStatsExact(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	urls, _ := testFleet(t, 3, thresholdModel(t, 1), serve.Config{

@@ -164,103 +164,3 @@ func (r *Ring) Order(dst []int, pt geom.Point) []int {
 	}
 	return dst
 }
-
-// ---------------------------------------------------------------------
-// Dimension-space partitioning
-// ---------------------------------------------------------------------
-
-// DimPartition is the alternative placement strategy: the value space
-// of one coordinate is cut into contiguous buckets by sorted
-// boundaries, bucket i owning (bounds[i-1], bounds[i]]. It trades the
-// ring's uniform spread for spatial locality — queries near each other
-// on the split dimension land on the same replica, which keeps that
-// replica's staircase-index search paths hot. Fallback order walks
-// outward from the owning bucket, so a dead replica's load spills to
-// its value-space neighbors.
-type DimPartition struct {
-	dim    int // coordinate index the partition splits on
-	bounds []float64
-}
-
-// NewDimPartition partitions on coordinate dim with len(bounds)+1
-// buckets (= replicas). bounds must be sorted ascending. NaN query
-// coordinates route to bucket 0.
-func NewDimPartition(dim int, bounds []float64) (*DimPartition, error) {
-	if dim < 0 {
-		return nil, fmt.Errorf("shard: partition dimension must be ≥ 0, got %d", dim)
-	}
-	for i := 1; i < len(bounds); i++ {
-		if !(bounds[i-1] <= bounds[i]) { // also rejects NaN bounds
-			return nil, fmt.Errorf("shard: partition bounds must be sorted, got %g before %g", bounds[i-1], bounds[i])
-		}
-	}
-	for _, b := range bounds {
-		if math.IsNaN(b) {
-			return nil, fmt.Errorf("shard: partition bounds must not be NaN")
-		}
-	}
-	return &DimPartition{dim: dim, bounds: append([]float64(nil), bounds...)}, nil
-}
-
-// DimBoundsFromSample computes n-1 quantile boundaries of coordinate
-// dim over a sample, for an n-way partition that balances the sample's
-// load. Non-finite sample coordinates are ignored; with too few
-// distinct finite values the surplus boundaries repeat (those buckets
-// then stay cold — the router's fallback order still covers them).
-func DimBoundsFromSample(sample []geom.Point, dim, n int) []float64 {
-	var vals []float64
-	for _, p := range sample {
-		if dim < len(p) && !math.IsNaN(p[dim]) && !math.IsInf(p[dim], 0) {
-			vals = append(vals, p[dim])
-		}
-	}
-	bounds := make([]float64, 0, n-1)
-	if len(vals) == 0 {
-		for i := 1; i < n; i++ {
-			bounds = append(bounds, float64(i)) // arbitrary but sorted
-		}
-		return bounds
-	}
-	sort.Float64s(vals)
-	for i := 1; i < n; i++ {
-		bounds = append(bounds, vals[i*len(vals)/n])
-	}
-	return bounds
-}
-
-// Name implements Strategy.
-func (d *DimPartition) Name() string { return "dims" }
-
-// Replicas implements Strategy.
-func (d *DimPartition) Replicas() int { return len(d.bounds) + 1 }
-
-// Order implements Strategy: the owning bucket first, then alternating
-// outward (right, left, right ...) until every bucket is listed.
-func (d *DimPartition) Order(dst []int, pt geom.Point) []int {
-	n := d.Replicas()
-	dst = dst[:0]
-	var v float64
-	if d.dim < len(pt) {
-		v = pt[d.dim]
-	}
-	// (lo, hi] semantics: the owning bucket is the index of the first
-	// boundary ≥ v (a value equal to a boundary belongs to the bucket
-	// below it); values above every boundary own the last bucket.
-	bucket := 0
-	if !math.IsNaN(v) {
-		bucket = sort.SearchFloat64s(d.bounds, v)
-	}
-	if bucket >= n {
-		bucket = n - 1
-	}
-	dst = append(dst, bucket)
-	for step := 1; len(dst) < n; step++ {
-		if r := bucket + step; r < n {
-			dst = append(dst, r)
-		}
-		if l := bucket - step; l >= 0 && len(dst) < n {
-			dst = append(dst, l)
-		}
-	}
-	return dst
-}

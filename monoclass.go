@@ -102,17 +102,22 @@ func IsMonotoneOn(pts []Point, h Classifier) (ok bool, p, q Point) {
 }
 
 // Decomposition is a minimum chain decomposition with its maximum
-// antichain certificate (Dilworth's theorem / Lemma 6 of the paper).
+// antichain certificate (Dilworth's theorem / Lemma 6 of the paper),
+// or past ChainDecompose's limit a greedy cover with none.
 type Decomposition = chains.Decomposition
 
 // ChainDecompose partitions pts into the minimum number of dominance
 // chains — exactly DominanceWidth(pts) of them — and returns a maximum
 // antichain of the same size as certificate. Dimensions 1 and 2 run in
-// O(n log n); higher dimensions in O(dn² + n^2.5).
+// O(n log n); higher dimensions in O(dn² + n^2.5) up to 65,536 points
+// (two n×n bit relations, 1 GiB). Past that limit it returns a greedy
+// cover, possibly wider than the width, with a nil Antichain.
 func ChainDecompose(pts []Point) Decomposition { return chains.Decompose(pts) }
 
 // DominanceWidth returns the size of the largest antichain of pts,
-// the parameter w governing active probing cost.
+// the parameter w governing active probing cost. At d ≥ 3 past
+// ChainDecompose's 65,536-point limit it returns the greedy cover's
+// chain count, an upper bound on the width.
 func DominanceWidth(pts []Point) int { return chains.Width(pts) }
 
 // BestThreshold1D exactly solves the passive problem for d = 1 in

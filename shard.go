@@ -15,8 +15,8 @@ import (
 // engine types so applications can embed the router without importing
 // internal packages.
 type (
-	// ShardStrategy places classify requests on replicas (see NewRing
-	// and NewDimPartition).
+	// ShardStrategy places classify requests on replicas (see
+	// NewRing).
 	ShardStrategy = shard.Strategy
 	// ShardRouter fronts a replica fleet: strategy-placed data plane
 	// with failover, primary-pinned control plane, aggregate /stats.
@@ -38,18 +38,6 @@ type (
 // NewRing builds the consistent-hash placement strategy over n
 // replicas (vnodes ≤ 0 selects the default virtual-node count).
 func NewRing(n, vnodes int) (ShardStrategy, error) { return shard.NewRing(n, vnodes) }
-
-// NewDimPartition builds the dimension-space placement strategy:
-// coordinate dim is cut into len(bounds)+1 contiguous buckets.
-func NewDimPartition(dim int, bounds []float64) (ShardStrategy, error) {
-	return shard.NewDimPartition(dim, bounds)
-}
-
-// DimBoundsFromSample computes quantile partition boundaries of
-// coordinate dim over a sample, for an n-way NewDimPartition.
-func DimBoundsFromSample(sample []Point, dim, n int) []float64 {
-	return shard.DimBoundsFromSample(sample, dim, n)
-}
 
 // NewShardRouter builds a router over replica base URLs.
 func NewShardRouter(endpoints []string, cfg ShardRouterConfig) (*ShardRouter, error) {
