@@ -135,9 +135,9 @@ endif
 # Active pipeline (Theorems 2+3) phase by phase: decompose, probe and
 # solve(Σ) times and allocated bytes, median and range over 5 repeats,
 # on the 16-chain sets at d=2 and d=3 up to n=262,144 (d=3 past the
-# exact limit takes the greedy cover) (cmd/benchtab -active). Takes a
-# minute or two; add QUICK=1 for a seconds-scale smoke run that
-# overwrites nothing.
+# exact limit takes the greedy cover) (cmd/benchtab -active). Takes
+# ten seconds or so and a 1 GiB transient matrix at n=65536 d=3; add
+# QUICK=1 for a seconds-scale smoke run that overwrites nothing.
 bench-active:
 ifdef QUICK
 	$(GO) run ./cmd/benchtab -active /tmp/BENCH_active.quick.json -seed 42 -quick

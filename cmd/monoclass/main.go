@@ -269,7 +269,7 @@ func runActive(args []string) error {
 	if res.ExactWidth {
 		fmt.Printf("dominance width:  %d\n", res.Width)
 	} else {
-		fmt.Printf("dominance width:  ≤ %d (greedy cover past the exact-decomposition limit; probes scale with its chains)\n", res.Width)
+		fmt.Printf("dominance width:  ≤ %d (greedy cover past the exact-decomposition limit)\n", res.Width)
 	}
 	fmt.Printf("probes:           %d (%.1f%% of n)\n", o.Distinct(), 100*float64(o.Distinct())/float64(len(pts)))
 	fmt.Printf("sample |Σ|:       %d\n", len(res.Sigma))

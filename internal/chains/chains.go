@@ -414,11 +414,12 @@ func chainsFromMatching(mm matching.Matching, n int) [][]int {
 // DecomposeGenericScalar is the pre-kernel Lemma 6 construction —
 // adjacency lists built with one scalar dominance test per ordered
 // pair (domgraph.DominanceEdge, whose tiebreak chains coordinate-equal
-// points up by index), slice-based Hopcroft–Karp. It is kept as the cross-check
-// oracle for the kernel path (tests assert identical widths and valid
-// certificates) and as the baseline of BenchmarkDecomposeGeneric. It
-// shares only the chain walk from a matching (chainsFromMatching) with
-// the kernel path, and every check validates the chains it walks.
+// points up by index), slice-based Hopcroft–Karp. It is kept as the
+// cross-check oracle for the kernel path (tests assert identical
+// widths and valid certificates) and as the baseline of
+// BenchmarkDecomposeGeneric. It shares only the chain walk from a
+// matching (chainsFromMatching) with the kernel path, and every check
+// validates the chains it walks.
 func DecomposeGenericScalar(pts []geom.Point) Decomposition {
 	n := len(pts)
 	if n == 0 {
@@ -611,6 +612,11 @@ func ValidateDecomposition(pts []geom.Point, chains [][]int) error {
 // ValidateAntichain checks that the given indices are pairwise
 // incomparable points of pts.
 func ValidateAntichain(pts []geom.Point, anti []int) error {
+	for _, i := range anti {
+		if i < 0 || i >= len(pts) {
+			return fmt.Errorf("chains: antichain index %d out of range", i)
+		}
+	}
 	for a := 0; a < len(anti); a++ {
 		for b := a + 1; b < len(anti); b++ {
 			i, j := anti[a], anti[b]

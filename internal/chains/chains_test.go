@@ -210,6 +210,11 @@ func TestValidateAntichainCatchesComparable(t *testing.T) {
 	if err := ValidateAntichain(pts, []int{1, 2}); err != nil {
 		t.Errorf("valid antichain rejected: %v", err)
 	}
+	for _, bad := range [][]int{{3}, {1, -1}} {
+		if err := ValidateAntichain(pts, bad); err == nil {
+			t.Errorf("out-of-range antichain %v accepted", bad)
+		}
+	}
 }
 
 // Dilworth sanity at scale: decomposing a set built as k interleaved

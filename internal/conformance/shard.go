@@ -37,11 +37,10 @@ type classifyWire struct {
 // direct primary serving: a fleet of three replicas starts from one
 // model, and every sampled query must come back with the same label
 // and version whether it is POSTed straight to the primary or through
-// the router — under both placement strategies (consistent-hash ring
-// and dimension-space partition), one point at a time and as a client
-// batch. Queries are restricted to finite coordinates because the JSON
-// wire format has no encoding for NaN or ±Inf in request bodies (the
-// model codec escapes infinities; requests do not).
+// the consistent-hash ring router, one point at a time and as a
+// client batch. Queries are restricted to finite coordinates because
+// the JSON wire format has no encoding for NaN or ±Inf in request
+// bodies (the model codec escapes infinities; requests do not).
 func CheckShardRouted(in Instance) error {
 	rng := rand.New(rand.NewSource(in.Seed ^ 0x73686172))
 	d := in.Dim()
@@ -133,7 +132,8 @@ func CheckShardRouted(in Instance) error {
 	return shardCompare(client, ring.Name(), rhs.URL, urls[0], queries)
 }
 
-// shardCompare runs the routed-vs-direct differential for one strategy.
+// shardCompare runs the routed-vs-direct differential through one
+// strategy's router.
 func shardCompare(client *http.Client, strat, routed, direct string, queries []geom.Point) error {
 	for _, q := range queries {
 		viaRouter, err := postClassify(client, routed, q)

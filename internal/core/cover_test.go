@@ -15,9 +15,8 @@ import (
 
 // TestActiveLearnDenseGuard: one point past the exact limit at d=3,
 // ActiveLearn takes the route's greedy fallback instead of building
-// two n×n bit relations (≈1.2 GiB allocated before the route moved
-// into chains), reports it, and probes along the cover
-// problem.Prepare builds for the same points.
+// two n×n bit relations (≈1.4 GiB allocated in all), reports it, and
+// probes along the cover problem.Prepare builds for the same points.
 func TestActiveLearnDenseGuard(t *testing.T) {
 	const width = 16
 	n := problem.DefaultExactDecomposeLimit + 1
@@ -91,9 +90,9 @@ func TestSigmaOnInheritedCover(t *testing.T) {
 	}
 }
 
-// copiesWithInf draws m distinct-or-not grid points near the diagonal
-// (some coordinates ±Inf), labels them by a noisy threshold, and
-// repeats each 1–4 times in shuffled order.
+// copiesWithInf draws m grid points near the diagonal, some equal and
+// some with ±Inf coordinates, labels them by a noisy threshold, and
+// repeats each 1–4 times (its weight, as copies) in shuffled order.
 func copiesWithInf(rng *rand.Rand, m, d int) ([]geom.Point, []geom.Label) {
 	var pts []geom.Point
 	var labels []geom.Label

@@ -45,7 +45,8 @@ type Prepared struct {
 //
 // Prepare trusts all three: ws must be non-empty, dimensionally
 // consistent, NaN-free and positively weighted. Validation happens
-// once, where input enters — internal/problem's Prepare and Read.
+// once, where input enters — internal/problem's Prepare and
+// PrepareCover, which Read calls.
 func Prepare(ws geom.WeightedSet, view domgraph.View, cover [][]int) *Prepared {
 	pp, vertex := newPrepared(ws, contendingPoints(ws, cover))
 	pp.cover = cover

@@ -127,9 +127,9 @@ type SolveOptions struct {
 }
 
 // Problem is one prepared instance. It is immutable after Prepare /
-// Read; Solve and Violations are safe for concurrent use.
+// PrepareCover; Solve and Violations are safe for concurrent use.
 type Problem struct {
-	ws   geom.WeightedSet // owned (Prepare clones; Read and PrepareCover take the caller's)
+	ws   geom.WeightedSet // Prepare's clone, or the set PrepareCover was handed
 	pts  []geom.Point     // ws[i].P, in input order
 	mode MatrixMode       // the representation the network was built over
 
