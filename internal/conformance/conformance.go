@@ -10,9 +10,11 @@
 //     no-infinite-cut-edge invariant, flow conservation;
 //   - the bit-packed dominance kernel (domgraph.Build) against its
 //     scalar oracle (domgraph.BuildNaive), bit for bit;
-//   - the kernel chain decomposition (chains.DecomposeGeneric) against
-//     the scalar construction and the 1-D/2-D fast paths — equal width,
-//     valid partitions, valid antichain certificates;
+//   - the kernel chain decomposition (chains.DecomposeMatrixStats) and
+//     the route every caller takes (chains.DecomposeRoute, with its
+//     1-D/2-D fast paths and greedy fallback) against the scalar
+//     construction — equal width, valid partitions, valid antichain
+//     certificates;
 //   - the passive optimum across the sparse network (minimum and greedy
 //     chain covers, every solver) and the literal Section 5.1
 //     construction, against the exponential NaiveSolve on small inputs;

@@ -25,8 +25,8 @@ import (
 // than through the problem package.
 
 // recomputeAuditReport derives audit.Report from scratch: fresh
-// domgraph.Build, popcount violation count, dimension-dispatched
-// decomposition, and a solve of the network over that matrix.
+// domgraph.Build, popcount violation count, the route's decomposition
+// (chains.Decompose), and a solve of the network over that matrix.
 func recomputeAuditReport(ws geom.WeightedSet) (audit.Report, error) {
 	r := audit.Report{
 		N:         len(ws),
@@ -76,12 +76,7 @@ func recomputeAuditReport(ws geom.WeightedSet) (audit.Report, error) {
 	}
 	m := domgraph.Build(pts)
 	r.ViolationPairs = m.CountViolations(labels)
-	var dec chains.Decomposition
-	if ws.Dim() >= 3 {
-		dec, _ = chains.DecomposeMatrixStats(pts, m)
-	} else {
-		dec = chains.Decompose(pts)
-	}
+	dec := chains.Decompose(pts)
 	r.Width = dec.Width
 	r.ChainLenMin, r.ChainLenMax = len(ws), 0
 	for _, c := range dec.Chains {

@@ -78,10 +78,10 @@ func ActiveLearn(pts []geom.Point, o oracle.Oracle, par Params, rng *rand.Rand) 
 // decomposition (each chain a slice of point indices in ascending
 // dominance order, jointly partitioning the input), along which Σ is
 // solved too. Passing nil computes the decomposition as usual. A
-// suboptimal decomposition (more chains than the dominance width) is still
-// correct — every chain run keeps its per-chain guarantee — but pays
-// proportionally more probes, which the greedy-vs-matching ablation
-// (experiment A1) quantifies.
+// suboptimal decomposition (more chains than the dominance width) is
+// still correct — every chain run keeps its per-chain guarantee — but
+// pays proportionally more probes, which the greedy-vs-matching
+// ablation (experiment A1) quantifies.
 func ActiveLearnChains(pts []geom.Point, o oracle.Oracle, par Params, rng *rand.Rand, chainSets [][]int) (Result, error) {
 	if err := par.validate(); err != nil {
 		return Result{}, err
