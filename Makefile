@@ -21,6 +21,9 @@
 #   make fuzz-problem      short fuzz pass over problem deserialization
 #   make fuzz-serve        short differential fuzz of the classify wire codec
 #   make fuzz-classify     short differential fuzz of the anchor index vs the scalar scan
+#   make fuzz-csv          short fuzz pass over the CSV reader
+#   make fuzz-model        short fuzz passes over the model reader and its round trip
+#   make fuzz-maxflow      short differential fuzz of the max-flow solvers
 #   make serve-stress      long hot-swap/soak stress of the serving layer
 #   make verify            everything CI gates on, in order
 #   make verify-full       verify + the benchmark regenerations
@@ -28,7 +31,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: all build vet test race conformance conformance-long conformance-mutate bench-maxflow bench-classify bench-serve bench-shard bench-online bench-problem bench-active profile-prepare ci-smoke loc fuzz-chains fuzz-passive fuzz-online fuzz-problem fuzz-serve fuzz-classify serve-stress verify verify-full clean
+.PHONY: all build vet test race conformance conformance-long conformance-mutate bench-maxflow bench-classify bench-serve bench-shard bench-online bench-problem bench-active profile-prepare ci-smoke loc fuzz-chains fuzz-passive fuzz-online fuzz-problem fuzz-serve fuzz-classify fuzz-csv fuzz-model fuzz-maxflow serve-stress verify verify-full clean
 
 all: check
 
@@ -122,8 +125,8 @@ endif
 # re-solve wall times, per-stage prepare timings (matrix / decompose /
 # network), and peak and retained memory across n up to 10⁶ under
 # default options, one row per (n, d, shape) — the d=3 rows take the
-# dense route up to n=65536 (the exact-decomposition limit, a 1 GiB
-# transient matrix) (cmd/benchtab -problem). Takes a few minutes; add
+# dense route up to n=65536 (the exact-decomposition limit, a 256 MiB
+# transient triangle) (cmd/benchtab -problem). Takes a few minutes; add
 # QUICK=1 for a seconds-scale smoke run that overwrites nothing.
 bench-problem:
 ifdef QUICK
@@ -136,7 +139,7 @@ endif
 # solve(Σ) times and allocated bytes, median and range over 5 repeats,
 # on the 16-chain sets at d=2 and d=3 up to n=262,144 (d=3 past the
 # exact limit takes the greedy cover) (cmd/benchtab -active). Takes
-# ten seconds or so and a 1 GiB transient matrix at n=65536 d=3; add
+# ten seconds or so and a 256 MiB transient triangle at n=65536 d=3; add
 # QUICK=1 for a seconds-scale smoke run that overwrites nothing.
 bench-active:
 ifdef QUICK
@@ -198,6 +201,24 @@ fuzz-serve:
 # against the scalar anchor scan, NaN and ±Inf queries included.
 fuzz-classify:
 	$(GO) test -run FuzzClassifyIndexedVsScalar -fuzz FuzzClassifyIndexedVsScalar -fuzztime 30s ./internal/classidx
+
+# Coverage-guided fuzz of the CSV ingress: arbitrary bytes through
+# ReadCSV must reject cleanly or round-trip losslessly.
+fuzz-csv:
+	$(GO) test -run FuzzReadCSV -fuzz FuzzReadCSV -fuzztime 30s ./internal/dataset
+
+# Coverage-guided fuzz of the model ingress (POST /model): arbitrary
+# bytes through the model reader, then saved models through a write/read
+# round trip. go test fuzzes one target per run, so this runs two.
+fuzz-model:
+	$(GO) test -run FuzzReadModel -fuzz FuzzReadModel -fuzztime 30s ./internal/classifier
+	$(GO) test -run FuzzModelRoundTrip -fuzz FuzzModelRoundTrip -fuzztime 30s ./internal/classifier
+
+# Differential fuzz of the max-flow solvers on byte-decoded networks:
+# the same flow value and boundedness from every solver, and min-cut
+# duality on bounded ones.
+fuzz-maxflow:
+	$(GO) test -run FuzzMaxflowSolversAgree -fuzz FuzzMaxflowSolversAgree -fuzztime 30s ./internal/maxflow
 
 # Heavier serving-layer adversarial pass: the hot-swap storm and HTTP
 # soak tests with boosted iteration counts, under the race detector.

@@ -155,7 +155,7 @@ func runProblemBench(path string, seed int64, quick bool) error {
 		{8192, 3, true}, // width ≈740, the matcher does real work
 		{16384, 3, false},
 		{65536, 2, false},  // acceptance row for re-solve speedup
-		{65536, 3, false},  // dense at the exact limit (1 GiB transient matrix)
+		{65536, 3, false},  // dense at the exact limit (256 MiB transient triangle)
 		{262144, 3, false}, // past the exact limit: greedy fallback
 		{1 << 20, 2, false},
 	}

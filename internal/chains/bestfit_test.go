@@ -35,38 +35,17 @@ func randomInfPoints(rng *rand.Rand, n, d int) []geom.Point {
 	return pts
 }
 
-// TestSumLexOrderIsLinearExtension: every DAG edge i → j (i above j,
-// duplicates by index) puts i after j, also for points holding both
-// +Inf and −Inf, whose plain coordinate sum is NaN.
-func TestSumLexOrderIsLinearExtension(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	for trial := 0; trial < 200; trial++ {
-		d := 1 + trial%4
-		pts := randomInfPoints(rng, 2+rng.Intn(60), d)
-		pos := make([]int, len(pts))
-		for r, idx := range sumLexOrder(pts) {
-			pos[idx] = r
-		}
-		for i := range pts {
-			for j := range pts {
-				if domgraph.DominanceEdge(pts, i, j) && pos[i] < pos[j] {
-					t.Fatalf("trial %d (d=%d): %v → %v, but it sorts first", trial, d, pts[i], pts[j])
-				}
-			}
-		}
-	}
-}
-
-// bestFitReference is greedySeedBitset's definition, spelled out: in
-// sumLexOrder, each point attaches above the open chain top it
-// dominates that came latest.
-func bestFitReference(pts []geom.Point, m *domgraph.Matrix) []int {
+// bestFitReference is greedySeedBitset's definition, spelled out over
+// input indices with scalar dominance tests: in SumLexOrder, each point
+// attaches above the open chain top it has a DAG edge to that came
+// latest.
+func bestFitReference(pts []geom.Point) []int {
 	seedL := make([]int, len(pts))
 	var open []int // chain tops, in processing order
-	for _, idx := range sumLexOrder(pts) {
+	for _, idx := range domgraph.SumLexOrder(pts) {
 		seedL[idx] = -1
 		for k := len(open) - 1; k >= 0; k-- {
-			if m.Edge(idx, open[k]) {
+			if domgraph.DominanceEdge(pts, idx, open[k]) {
 				seedL[idx] = open[k]
 				open = slices.Delete(open, k, k+1)
 				break
@@ -77,9 +56,9 @@ func bestFitReference(pts []geom.Point, m *domgraph.Matrix) []int {
 	return seedL
 }
 
-// TestGreedySeedBestFit: the bitset seed builder picks the reference's
-// top on planted low-width sets and on wide random grids with
-// duplicates and ±Inf.
+// TestGreedySeedBestFit: the triangle's backward word scan picks the
+// reference's top on planted low-width sets and on wide random grids
+// with duplicates and ±Inf.
 func TestGreedySeedBestFit(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	for trial := 0; trial < 60; trial++ {
@@ -90,7 +69,15 @@ func TestGreedySeedBestFit(t *testing.T) {
 			pts = randomInfPoints(rng, 1+rng.Intn(300), 2+rng.Intn(3))
 		}
 		m := domgraph.Build(pts)
-		if got, want := greedySeedBitset(pts, m), bestFitReference(pts, m); !reflect.DeepEqual(got, want) {
+		order := m.Order()
+		got := make([]int, len(pts))
+		for p, q := range greedySeedBitset(m) {
+			got[order[p]] = -1
+			if q >= 0 {
+				got[order[p]] = int(order[q])
+			}
+		}
+		if want := bestFitReference(pts); !reflect.DeepEqual(got, want) {
 			t.Fatalf("trial %d (n=%d): best-fit seed diverges from its reference", trial, len(pts))
 		}
 	}
@@ -109,9 +96,10 @@ func TestDAGRulesScanFewerRows(t *testing.T) {
 		pts[i] = lp.P
 	}
 	m := domgraph.Build(pts)
-	seed := greedySeedBitset(pts, m)
-	mg, sg := matching.MaxMatchingBitsetWarm(matching.BitsetFromRows(n, n, m.DAGBits()), seed)
-	md, sd := matching.MaxMatchingBitsetWarm(matching.BitsetFromDAG(n, m.DAGBits()), seed)
+	seed := greedySeedBitset(m)
+	rows, off := m.DAGRows()
+	mg, sg := matching.MaxMatchingBitsetWarm(matching.BitsetFromRows(n, n, rows, off), seed)
+	md, sd := matching.MaxMatchingBitsetWarm(matching.BitsetFromDAG(n, rows, off), seed)
 	if !reflect.DeepEqual(mg, md) {
 		t.Fatal("DAG matching diverges from the generic one")
 	}

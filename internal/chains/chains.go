@@ -14,17 +14,17 @@
 // certificate.
 //
 // DecomposeRoute is the one route every caller takes to a cover: the
-// O(n log n) fast paths at d ≤ 2, the construction above over a dense
-// bit matrix at d ≥ 3 within DefaultExactDecomposeLimit points (or the
-// caller's limit) and a 2 GiB footprint guard, and GreedyDecompose's
+// O(n log n) fast paths at d ≤ 2, the construction above over the
+// dense triangular bit matrix at d ≥ 3 within
+// DefaultExactDecomposeLimit points (or the caller's limit) and a
+// 2 GiB footprint guard, and GreedyDecompose's
 // valid but possibly wider cover everywhere else. The route reports
 // which path it took; a greedy cover carries no antichain.
 package chains
 
 import (
-	"cmp"
 	"fmt"
-	"math"
+	"math/bits"
 	"slices"
 	"sort"
 	"time"
@@ -58,10 +58,11 @@ const (
 
 const (
 	// DefaultExactDecomposeLimit is the largest n the route decomposes
-	// exactly at d ≥ 3 (1 GiB of dom+dag words at the limit).
+	// exactly at d ≥ 3 (a 256 MiB triangle at the limit).
 	DefaultExactDecomposeLimit = 65536
-	// maxDenseBytes caps the dense matrix footprint: past it the route
-	// falls back to greedy whatever the limit says.
+	// maxDenseBytes caps the dense matrix footprint
+	// (domgraph.Footprint): past it the route falls back to greedy
+	// whatever the limit says.
 	maxDenseBytes = int64(2) << 30
 )
 
@@ -85,7 +86,7 @@ func (r Route) Exact() bool { return r.Path != PathGreedyFallback }
 
 // DecomposeRoute is the one Lemma 6 route every caller takes. d ≤ 2
 // takes the O(n log n) fast paths. d ≥ 3 with n ≤ exactLimit and the
-// two n×n bit relations within 2 GiB builds the dominance matrix and
+// triangle within 2 GiB builds the dominance matrix and
 // runs the warm-started matching on it (DecomposeMatrixStats). Every
 // other input gets GreedyDecompose's cover, which carries no
 // antichain. exactLimit 0 selects DefaultExactDecomposeLimit; a
@@ -104,7 +105,7 @@ func DecomposeRoute(pts []geom.Point, exactLimit int) Route {
 		r.Decomposition, r.Path = Decompose1D(pts), PathFast2D
 	case d == 2:
 		r.Decomposition, r.Path = Decompose2D(pts), PathFast2D
-	case n <= exactLimit && denseFootprint(n) <= maxDenseBytes:
+	case n <= exactLimit && domgraph.Footprint(n) <= maxDenseBytes:
 		start := time.Now()
 		r.Matrix = domgraph.Build(pts)
 		r.MatrixTime = time.Since(start)
@@ -117,10 +118,6 @@ func DecomposeRoute(pts []geom.Point, exactLimit int) Route {
 	}
 	return r
 }
-
-// denseFootprint returns the dom+dag byte cost of a dense matrix over
-// n points.
-func denseFootprint(n int) int64 { return 2 * int64(n) * int64((n+63)/64) * 8 }
 
 // Decompose is DecomposeRoute at the default limit: a minimum chain
 // decomposition with a maximum antichain, except at d ≥ 3 past
@@ -155,12 +152,14 @@ type DecomposeStats struct {
 
 // DecomposeMatrixStats is the Lemma 6 construction over a prebuilt
 // dominance matrix m of pts, with its warm-start work counters. The
-// matching runs directly on the packed DAG rows, so the cost stays
-// O(dn² + n^2.5) time and O(n²) bits, with the constant cut by the word
-// width. It is warm-started: a best-fit greedy chain cover (each point
-// above the open chain top latest in sumLexOrder that it dominates;
-// see greedySeedBitset) is built on the packed rows (O(n²/64) word
-// scans, no scalar dominance tests) and handed to Hopcroft–Karp as the
+// matching runs directly on the packed triangle, in the matrix's
+// positions, so the cost stays O(dn² + n^2.5) time and O(n²) bits,
+// with the constant cut by the word width; the chains and the
+// antichain are mapped back to input indices at the end. It is
+// warm-started: a best-fit greedy chain cover (each point above the
+// open chain top latest in domgraph.SumLexOrder that it dominates; see
+// greedySeedBitset) is built on the packed rows (at most n²/128 word
+// reads, no scalar dominance tests) and handed to Hopcroft–Karp as the
 // seed, so only coverSize − width augmentations remain instead of
 // O(√n) phases over an empty matching. When the seed's chain bottoms
 // or tops already form an antichain of matching size, that
@@ -173,7 +172,7 @@ func DecomposeMatrixStats(pts []geom.Point, m *domgraph.Matrix) (Decomposition, 
 	if n == 0 {
 		return Decomposition{}, DecomposeStats{}
 	}
-	return decomposeSeeded(m, greedySeedBitset(pts, m))
+	return decomposeSeeded(m, greedySeedBitset(m))
 }
 
 // DecomposeMatrixSeeded is DecomposeMatrixStats warm-started from a
@@ -188,7 +187,7 @@ func DecomposeMatrixSeeded(pts []geom.Point, m *domgraph.Matrix, cover [][]int) 
 	if n == 0 {
 		return Decomposition{}, DecomposeStats{}
 	}
-	seedL := make([]int, n)
+	seedL := make([]int, n) // in positions, as the matching runs
 	for i := range seedL {
 		seedL[i] = -1
 	}
@@ -202,7 +201,7 @@ func DecomposeMatrixSeeded(pts []geom.Point, m *domgraph.Matrix, cover [][]int) 
 			seen[idx] = true
 			covered++
 			if k > 0 && m.Edge(idx, chain[k-1]) {
-				seedL[idx] = chain[k-1]
+				seedL[m.Position(idx)] = m.Position(chain[k-1])
 			}
 		}
 	}
@@ -221,64 +220,49 @@ func checkMatrix(pts []geom.Point, m *domgraph.Matrix) int {
 }
 
 // greedySeedBitset builds a best-fit greedy chain cover directly on
-// the packed DAG rows, returned in matching form: seedL[u] = the point
-// directly below u in its chain, or -1 at a chain bottom. Points are
-// processed in sumLexOrder, a linear extension of the DAG, and each
-// attaches above the open chain top its DAG row covers that came
-// latest in that order — the highest top it can reach, which leaves
-// the lower tops open for the lower points still to come. First-fit
-// (the lowest-index top) left ≈5% more seed chains on planted noisy
-// d=3 sets and ran a quarter more matching phases (DESIGN.md §13).
-// The open tops are kept as a list linked in processing order and
-// walked from the latest down, one bit test of the row per top, so a
-// point costs at most one test per open top and a low-width set never
-// reads a row past its few tops. With hundreds of open tops, ANDing
-// the whole row against an open-top bitset would halve the seed, but
-// that is ≈3% of a noisy train, below what the benchmark resolves
-// (bench_results.md K11). Validity needs no ordering assumption:
-// every link is a real DAG edge, so the matching always decodes into
-// disjoint ascending chains.
-func greedySeedBitset(pts []geom.Point, m *domgraph.Matrix) []int {
+// the triangle, in matching form over positions: seedL[p] = the
+// position directly below p in its chain, or -1 at a chain bottom.
+// Positions are visited in order, a linear extension of the DAG, and
+// each attaches above the open chain top its row covers that came
+// latest — the highest top it can reach, which leaves the lower tops
+// open for the points still to come. First-fit (the lowest-index top)
+// left ≈5% more seed chains on planted noisy d=3 sets and ran a
+// quarter more matching phases (DESIGN.md §13). Since a row holds
+// only positions below its own, the latest reachable top is the
+// highest set bit of row AND open tops: one backward scan over the
+// row's words that stops at the first non-zero one, so a low-width
+// set reads a word or two per point and a point that starts a new
+// chain reads its ⌈p/64⌉ words once. Validity needs no ordering
+// assumption: every link is a real DAG edge, so the matching always
+// decodes into disjoint ascending chains.
+func greedySeedBitset(m *domgraph.Matrix) []int {
+	rows, off := m.DAGRows()
 	n := m.N()
 	seedL := make([]int, n)
-	for i := range seedL {
-		seedL[i] = -1
-	}
-	prev := make([]int32, n) // the open-top list, in order; last is the latest
-	next := make([]int32, n)
-	last := int32(-1)
-	for _, idx := range sumLexOrder(pts) {
-		row := m.DAGRow(idx)
-		for v := last; v >= 0; v = prev[v] {
-			if row[v>>6]>>(uint(v)&63)&1 == 0 {
-				continue
+	open := make([]uint64, (n+63)/64) // the open chain tops
+	for p := 0; p < n; p++ {
+		seedL[p] = -1
+		row := rows[off[p]:off[p+1]]
+		for w := len(row) - 1; w >= 0; w-- {
+			if x := row[w] & open[w]; x != 0 {
+				q := w<<6 + 63 - bits.LeadingZeros64(x)
+				seedL[p] = q
+				open[w] &^= 1 << uint(q&63) // q is no longer a top
+				break
 			}
-			seedL[idx] = int(v) // v is no longer a top
-			if p := prev[v]; p >= 0 {
-				next[p] = next[v]
-			}
-			if x := next[v]; x >= 0 {
-				prev[x] = prev[v]
-			} else {
-				last = prev[v]
-			}
-			break
 		}
-		// idx tops its chain either way, and is the latest top so far.
-		prev[idx], next[idx] = last, -1
-		if last >= 0 {
-			next[last] = int32(idx)
-		}
-		last = int32(idx)
+		open[p>>6] |= 1 << uint(p&63) // p tops its chain either way
 	}
 	return seedL
 }
 
 // decomposeSeeded finishes the Lemma 6 construction from a seed
-// matching: certificate attempt, Hopcroft–Karp, chain walk, König
-// antichain.
+// matching over m's positions: certificate attempt, Hopcroft–Karp,
+// chain walk, König antichain, each result mapped back to input
+// indices.
 func decomposeSeeded(m *domgraph.Matrix, seedL []int) (Decomposition, DecomposeStats) {
 	n := m.N()
+	order := m.Order()
 	var st DecomposeStats
 
 	seedSize := 0
@@ -296,27 +280,28 @@ func decomposeSeeded(m *domgraph.Matrix, seedL []int) (Decomposition, DecomposeS
 	// entirely; a miss costs nothing beyond the single certifying BFS
 	// the matching would run anyway.
 	for _, anti := range [2][]int{seedBottoms(seedL), seedTops(seedL, n)} {
+		toIndices(anti, order)
 		if !m.IsAntichain(anti) {
 			continue
 		}
 		st.Width = st.SeedChains
 		st.CertEarlyExit = true
-		mm := matchingFromSeed(seedL, n, seedSize)
-		chainSets := chainsFromMatching(mm, n)
+		chainSets := chainsAtIndices(matchingFromSeed(seedL, n, seedSize), order)
 		sort.Ints(anti)
 		return Decomposition{Chains: chainSets, Width: len(chainSets), Antichain: anti}, st
 	}
 
 	// Bipartite reduction for minimum path cover: left copy u matched
 	// to right copy v encodes using DAG edge u -> v (u directly above v
-	// in its chain). Cover size = n - |matching|. The kernel's DAG
-	// rows are adopted as the packed adjacency without copying, marked
-	// transitive so the matcher's closure rules apply.
-	b := matching.BitsetFromDAG(n, m.DAGBits())
+	// in its chain). Cover size = n - |matching|. The kernel's
+	// triangle is adopted as the packed adjacency without copying,
+	// marked transitive so the matcher's closure rules apply.
+	rows, off := m.DAGRows()
+	b := matching.BitsetFromDAG(n, rows, off)
 	mm, mst := matching.MaxMatchingBitsetWarm(b, seedL)
 	st.Phases, st.Augmentations = mst.Phases, mst.Augmentations
 
-	chainSets := chainsFromMatching(mm, n)
+	chainSets := chainsAtIndices(mm, order)
 	st.Width = len(chainSets)
 
 	// König: complement of a minimum vertex cover is a maximum
@@ -325,9 +310,9 @@ func decomposeSeeded(m *domgraph.Matrix, seedL []int) (Decomposition, DecomposeS
 	// points are pairwise incomparable — a maximum antichain.
 	coverL, coverR := matching.MinVertexCoverBitset(b, mm)
 	var anti []int
-	for i := 0; i < n; i++ {
-		if !coverL[i] && !coverR[i] {
-			anti = append(anti, i)
+	for p := 0; p < n; p++ {
+		if !coverL[p] && !coverR[p] {
+			anti = append(anti, int(order[p]))
 		}
 	}
 	if len(anti) != len(chainSets) {
@@ -338,6 +323,30 @@ func decomposeSeeded(m *domgraph.Matrix, seedL []int) (Decomposition, DecomposeS
 	}
 	sort.Ints(anti)
 	return Decomposition{Chains: chainSets, Width: len(chainSets), Antichain: anti}, st
+}
+
+// toIndices maps positions to the input indices order holds, in
+// place.
+func toIndices(ps []int, order []int32) {
+	for k, p := range ps {
+		ps[k] = int(order[p])
+	}
+}
+
+// chainsAtIndices walks the chains of a matching over positions and
+// returns them over input indices, listed by their tops' indices as
+// the walk over indices lists them. A seed the certificate proves
+// optimal then yields the very list DecomposeGenericScalar's walk
+// would, and callers that work chain by chain — the active learner
+// draws its probes chain by chain — see the same cover whichever
+// numbering the matching ran in.
+func chainsAtIndices(mm matching.Matching, order []int32) [][]int {
+	chainSets := chainsFromMatching(mm, len(order))
+	for _, c := range chainSets {
+		toIndices(c, order)
+	}
+	slices.SortFunc(chainSets, func(a, b []int) int { return a[len(a)-1] - b[len(b)-1] })
+	return chainSets
 }
 
 // seedBottoms returns the chain bottoms of a seed matching: left
@@ -524,7 +533,7 @@ func GreedyDecompose(pts []geom.Point) [][]int {
 	if n == 0 {
 		return nil
 	}
-	order := sumLexOrder(pts)
+	order := domgraph.SumLexOrder(pts)
 	var chains [][]int
 	for _, idx := range order {
 		placed := false
@@ -541,41 +550,6 @@ func GreedyDecompose(pts []geom.Point) [][]int {
 		}
 	}
 	return chains
-}
-
-// sumLexOrder returns point indices sorted into a linear extension of
-// dominance: ascending coordinate sum, ties broken lexicographically,
-// then by index. The sum clamps ±Inf coordinates to ±MaxFloat64, so a
-// point holding both infinities sums to a number, not NaN, and since
-// rounded floating-point addition is monotone, p ⪰ q still implies
-// sum(p) ≥ sum(q). GreedyDecompose and the warm-start seed builder
-// share it; the seed reads a point's position in it as its height.
-func sumLexOrder(pts []geom.Point) []int {
-	type keyed struct {
-		sum float64
-		idx int
-	}
-	recs := make([]keyed, len(pts))
-	for i, p := range pts {
-		recs[i].idx = i
-		for _, x := range p {
-			recs[i].sum += max(-math.MaxFloat64, min(x, math.MaxFloat64))
-		}
-	}
-	slices.SortFunc(recs, func(a, b keyed) int {
-		if c := cmp.Compare(a.sum, b.sum); c != 0 {
-			return c
-		}
-		if c := slices.Compare(pts[a.idx], pts[b.idx]); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.idx, b.idx)
-	})
-	order := make([]int, len(pts))
-	for r, rec := range recs {
-		order[r] = rec.idx
-	}
-	return order
 }
 
 // ValidateDecomposition checks that chains is a partition of [0, n)

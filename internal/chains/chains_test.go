@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"monoclass/internal/domgraph"
 	"monoclass/internal/geom"
 )
 
@@ -252,11 +253,11 @@ func TestRaisedExactLimitGuard(t *testing.T) {
 	if DefaultExactDecomposeLimit < 65536 {
 		t.Fatalf("DefaultExactDecomposeLimit = %d, want >= 65536", DefaultExactDecomposeLimit)
 	}
-	if n := DefaultExactDecomposeLimit; denseFootprint(n) > maxDenseBytes {
-		t.Fatalf("n = %d at the default limit does not take the dense route: %d bytes", n, denseFootprint(n))
+	if n := DefaultExactDecomposeLimit; domgraph.Footprint(n) > maxDenseBytes {
+		t.Fatalf("n = %d at the default limit does not take the dense route: %d bytes", n, domgraph.Footprint(n))
 	}
-	if n := 1 << 20; denseFootprint(n) <= maxDenseBytes {
-		t.Fatalf("n = %d under a raised limit takes the dense route: %d bytes", n, denseFootprint(n))
+	if n := 1 << 20; domgraph.Footprint(n) <= maxDenseBytes {
+		t.Fatalf("n = %d under a raised limit takes the dense route: %d bytes", n, domgraph.Footprint(n))
 	}
 }
 

@@ -123,9 +123,10 @@ func FuzzDecomposeKernelVsScalar(f *testing.F) {
 				t.Fatalf("singletons-seeded decomposition invalid: %v", err)
 			}
 			n := len(pts)
-			gen := matching.BitsetFromRows(n, n, m.DAGBits())
-			dag := matching.BitsetFromDAG(n, m.DAGBits())
-			for _, seed := range [][]int{greedySeedBitset(pts, m), nil} {
+			rows, off := m.DAGRows()
+			gen := matching.BitsetFromRows(n, n, rows, off)
+			dag := matching.BitsetFromDAG(n, rows, off)
+			for _, seed := range [][]int{greedySeedBitset(m), nil} {
 				mg, sg := matching.MaxMatchingBitsetWarm(gen, seed)
 				md, sd := matching.MaxMatchingBitsetWarm(dag, seed)
 				if !reflect.DeepEqual(mg, md) {

@@ -148,8 +148,9 @@ func TestMatcherExaminesEachRightOncePerPhase(t *testing.T) {
 	if _, st := DecomposeMatrixStats(pts, m); st.CertEarlyExit || st.Augmentations == 0 {
 		t.Fatalf("want a certificate miss that needs augmentations, got %+v", st)
 	}
-	b := matching.BitsetFromRows(n, n, m.DAGBits())
-	for name, seed := range map[string][]int{"cold": nil, "warm": greedySeedBitset(pts, m)} {
+	rows, off := m.DAGRows()
+	b := matching.BitsetFromRows(n, n, rows, off)
+	for name, seed := range map[string][]int{"cold": nil, "warm": greedySeedBitset(m)} {
 		_, st := matching.MaxMatchingBitsetWarm(b, seed)
 		if st.Augmentations == 0 {
 			t.Fatalf("%s: no augmentations (%+v)", name, st)

@@ -146,8 +146,8 @@ func TestMutationMaxflowDetected(t *testing.T) {
 	}
 }
 
-// TestMutationDomgraphBitFlip flips a single closure bit in a built
-// dominance matrix and asserts the differ the kernel comparison rests
+// TestMutationDomgraphBitFlip flips a single bit of a built dominance
+// matrix's triangle and asserts the differ the kernel comparison rests
 // on reports it.
 func TestMutationDomgraphBitFlip(t *testing.T) {
 	in := GenerateWorkload(1, 9, false)
@@ -156,10 +156,10 @@ func TestMutationDomgraphBitFlip(t *testing.T) {
 	}
 	a := domgraph.Build(in.Pts())
 	b := domgraph.Build(in.Pts())
-	row := b.DomRow(0)
-	row[0] ^= 1 << 1 // flip dominance bit (0,1)
+	rows, off := b.DAGRows()
+	rows[off[1]] ^= 1 // flip the DAG bit from position 1 to position 0
 	if msg := domgraph.Diff(a, b); msg == "" {
-		t.Error("single flipped closure bit went undetected")
+		t.Error("single flipped triangle bit went undetected")
 	} else {
 		t.Logf("differ reported: %s", msg)
 	}

@@ -144,23 +144,25 @@ func checkRoute(in Instance, width int) error {
 	return nil
 }
 
-// checkClosureRules runs Hopcroft–Karp over m's DAG rows twice, as a
-// transitive graph and as a generic one, from cover's seed matching
-// and from an empty one, and requires identical matchings and stats
-// bar RowScans, which the transitive graph may only lower.
+// checkClosureRules runs Hopcroft–Karp over m's DAG triangle twice, as
+// a transitive graph and as a generic one, from cover's seed matching
+// (in the matrix's positions) and from an empty one, and requires
+// identical matchings and stats bar RowScans, which the transitive
+// graph may only lower.
 func checkClosureRules(m *domgraph.Matrix, cover [][]int) error {
 	n := m.N()
 	seedL := make([]int, n)
 	for _, chain := range cover {
 		for k, idx := range chain {
-			seedL[idx] = -1
+			seedL[m.Position(idx)] = -1
 			if k > 0 && m.Edge(idx, chain[k-1]) {
-				seedL[idx] = chain[k-1]
+				seedL[m.Position(idx)] = m.Position(chain[k-1])
 			}
 		}
 	}
-	gen := matching.BitsetFromRows(n, n, m.DAGBits())
-	dag := matching.BitsetFromDAG(n, m.DAGBits())
+	rows, off := m.DAGRows()
+	gen := matching.BitsetFromRows(n, n, rows, off)
+	dag := matching.BitsetFromDAG(n, rows, off)
 	for _, seed := range [][]int{seedL, nil} {
 		mg, sg := matching.MaxMatchingBitsetWarm(gen, seed)
 		md, sd := matching.MaxMatchingBitsetWarm(dag, seed)

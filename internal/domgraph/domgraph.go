@@ -8,51 +8,75 @@
 // Implicit (view.go) answers the same dominance queries from
 // per-dimension rank arrays where no matrix is built.
 //
-// Two relations are materialized side by side:
-//
-//   - the raw closure ⪰ ("dom"): bit j of row i is set iff
-//     pts[i] ⪰ pts[j], including i == j (a point dominates itself) and
-//     both directions for coordinate-equal points;
-//   - the DAG relation ("dag"): the strict order used for chain
-//     decomposition, where coordinate-equal points are ordered by index
-//     (see DominanceEdge) so duplicates chain up instead of forming
-//     cycles, and self-loops are excluded.
+// The matrix numbers the points by SumLexOrder, a linear extension of
+// dominance in which coordinate-equal points sit together in ascending
+// index order: the point at position p is Order()[p]. In that
+// numbering every edge of the chain-decomposition DAG (DominanceEdge:
+// strict dominance, with duplicates chained up by index) runs from a
+// position down to a lower one, so one strictly-lower-triangular bit
+// relation holds the whole DAG: row p has ⌈p/64⌉ words, bit q set iff
+// the DAG edge p → q. The closure ⪰ differs from the DAG only on the
+// diagonal and inside runs of duplicate points, so the matrix keeps
+// each position's run start beside the triangle and answers ⪰ from
+// both. At n points the triangle takes about n²/16 bytes, a quarter of
+// the two full n×n relations it replaced.
 //
 // The builder never tests point pairs individually. Since
-// p ⪰ q  ⇔  ∀k: p[k] >= q[k], the closure row of p is the word-wise
-// AND over dimensions of the "coordinate-k at most p[k]" bitsets.
-// Each per-dimension bitset family is produced by one sweep over the
-// points in ascending coordinate order, growing a running bitset, so
-// the whole closure costs O(d·n²/64) word operations plus d sorts —
-// 64 pairs per instruction instead of one geom.Dominates call per
-// pair. Sweeps run in parallel across row blocks: a short sequential
+// p ⪰ q  ⇔  ∀k: p[k] >= q[k], the row of p is the word-wise AND over
+// dimensions of the "coordinate-k at most p[k]" bitsets, cut to the
+// positions below p. Each per-dimension bitset family is produced by
+// one sweep over the points in ascending coordinate order, growing a
+// running bitset, and each row ANDs only its own ⌈p/64⌉ words, so the
+// triangle costs O(d·n²/128) word operations plus d + 1 sorts.
+// Sweeps run in parallel across row blocks: a short sequential
 // pre-pass snapshots the running bitset at block boundaries, then a
 // GOMAXPROCS-sized worker pool replays each block independently.
 // Every worker writes disjoint rows, so the build is race-free by
 // construction.
+//
+// The matrix is defined for NaN-free points only: a NaN coordinate
+// fails every comparison, so geom.Dominates makes a NaN point
+// dominate, and be dominated by, points on either side of it in any
+// order, and no triangle can hold that. problem.Prepare rejects NaN
+// before it builds one; Implicit handles any input.
 //
 // On top of the packed rows the package offers word-level kernels:
 // popcount-based violation counting and an O(k·n/64) antichain check.
 package domgraph
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"math/bits"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 
 	"monoclass/internal/geom"
 )
 
-// Matrix is the bit-packed dominance relation of one point set. It is
-// immutable after Build and safe for concurrent readers.
+// Matrix is the bit-packed dominance relation of one point set,
+// numbered by SumLexOrder. It is immutable after Build and safe for
+// concurrent readers.
 type Matrix struct {
 	n     int
-	words int // words per row: ceil(n/64)
-	dom   []uint64
-	dag   []uint64
+	order []int32  // order[p]: the point at position p
+	pos   []int32  // pos[i]: point i's position
+	run   []int32  // run[p]: the first position of p's duplicate run
+	tri   []uint64 // row p is tri[rowStart(p):rowStart(p+1)]; bit q set iff the DAG edge p → q
 }
+
+// rowStart returns the first word of triangle row p: the words of
+// rows 0..p-1, Σ ⌈r/64⌉ over r < p, in closed form.
+func rowStart(p int) int {
+	c, e := (p+63)>>6, (p+63)&63
+	return 32*c*(c-1) + c*e
+}
+
+// Footprint returns the triangle's bytes over n points, the quadratic
+// part of a Matrix.
+func Footprint(n int) int64 { return 8 * int64(rowStart(n)) }
 
 // DominanceEdge is the single definition of the chain-decomposition
 // DAG edge i -> j: point i strictly sits above point j under the
@@ -73,74 +97,134 @@ func DominanceEdge(pts []geom.Point, i, j int) bool {
 	return true
 }
 
+// Height is p's coordinate sum with ±Inf coordinates clamped to
+// ±MaxFloat64, so a point holding both infinities sums to a number,
+// not NaN. Rounded floating-point addition is monotone, so p ⪰ q
+// implies Height(p) ≥ Height(q) for NaN-free points.
+func Height(p geom.Point) float64 {
+	h := 0.0
+	for _, x := range p {
+		h += max(-math.MaxFloat64, min(x, math.MaxFloat64))
+	}
+	return h
+}
+
+// SumLexOrder returns point indices sorted into a linear extension of
+// dominance: ascending Height, ties broken lexicographically, then by
+// index. Coordinate-equal points have equal heights and equal
+// lexicographic keys, so they sit together in ascending index order,
+// and every DominanceEdge points from a later point to an earlier one.
+// The matrix numbers its points by it; GreedyDecompose processes them
+// in it.
+func SumLexOrder(pts []geom.Point) []int {
+	type keyed struct {
+		sum float64
+		idx int
+	}
+	recs := make([]keyed, len(pts))
+	for i, p := range pts {
+		recs[i] = keyed{Height(p), i}
+	}
+	slices.SortFunc(recs, func(a, b keyed) int {
+		if c := cmp.Compare(a.sum, b.sum); c != 0 {
+			return c
+		}
+		if c := slices.Compare(pts[a.idx], pts[b.idx]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.idx, b.idx)
+	})
+	order := make([]int, len(pts))
+	for r, rec := range recs {
+		order[r] = rec.idx
+	}
+	return order
+}
+
 // Build constructs the matrix with a worker pool sized to
 // runtime.GOMAXPROCS. The points must be dimensionally consistent
-// (geom.Dominates panics otherwise).
+// (geom.Dominates panics otherwise) and NaN-free (see the package
+// comment).
 func Build(pts []geom.Point) *Matrix {
 	return build(pts, runtime.GOMAXPROCS(0))
 }
 
-// BuildNaive is the scalar reference builder: one geom.Dominates call
-// per ordered pair, no bit-parallel sweeps, no concurrency. It is the
-// cross-check oracle for tests and the baseline for the kernel
-// benchmarks.
+// BuildNaive is the scalar reference builder: one DominanceEdge call
+// (so one geom.Dominates call) per ordered pair, no bit-parallel
+// sweeps, no concurrency. It tests the pairs above the diagonal too
+// and panics if any DAG edge points up, so it also checks that the
+// triangle loses nothing. It is the cross-check oracle for tests and
+// the baseline for the kernel benchmarks.
 func BuildNaive(pts []geom.Point) *Matrix {
-	n := len(pts)
-	m := newMatrix(n)
-	for i := 0; i < n; i++ {
-		domRow := m.dom[i*m.words : (i+1)*m.words]
-		dagRow := m.dag[i*m.words : (i+1)*m.words]
-		for j := 0; j < n; j++ {
-			if i == j {
-				domRow[j>>6] |= 1 << uint(j&63)
+	m := newMatrix(pts)
+	for p := 0; p < m.n; p++ {
+		row, i := m.row(p), int(m.order[p])
+		for q := 0; q < m.n; q++ {
+			if !DominanceEdge(pts, i, int(m.order[q])) {
 				continue
 			}
-			if !geom.Dominates(pts[i], pts[j]) {
-				continue
+			if q >= p {
+				panic(fmt.Sprintf("domgraph: DAG edge %d → %d points up the order", i, m.order[q]))
 			}
-			domRow[j>>6] |= 1 << uint(j&63)
-			if DominanceEdge(pts, i, j) {
-				dagRow[j>>6] |= 1 << uint(j&63)
-			}
+			row[q>>6] |= 1 << uint(q&63)
 		}
 	}
 	return m
 }
 
-func newMatrix(n int) *Matrix {
-	m := &Matrix{n: n, words: (n + 63) / 64}
-	m.dom = make([]uint64, n*m.words)
-	m.dag = make([]uint64, n*m.words)
+// newMatrix numbers pts by SumLexOrder, marks the duplicate runs and
+// allocates an empty triangle.
+func newMatrix(pts []geom.Point) *Matrix {
+	n := len(pts)
+	m := &Matrix{
+		n:     n,
+		order: make([]int32, n),
+		pos:   make([]int32, n),
+		run:   make([]int32, n),
+		tri:   make([]uint64, rowStart(n)),
+	}
+	for p, i := range SumLexOrder(pts) {
+		m.order[p], m.pos[i], m.run[p] = int32(i), int32(p), int32(p)
+		if p > 0 && pts[i].Equal(pts[m.order[p-1]]) {
+			m.run[p] = m.run[p-1]
+		}
+	}
 	return m
 }
+
+func (m *Matrix) row(p int) []uint64 { return m.tri[rowStart(p):rowStart(p+1)] }
 
 // rowsPerBlock is the unit of parallel work: one block of rows per
 // worker dispatch, with one boundary snapshot per block.
 const rowsPerBlock = 256
 
 func build(pts []geom.Point, workers int) *Matrix {
-	n := len(pts)
-	m := newMatrix(n)
-	if n == 0 {
+	m := newMatrix(pts)
+	if m.n == 0 {
 		return m
 	}
-	if workers < 1 {
-		workers = 1
-	}
 	if len(pts[0]) == 0 {
-		// Zero-dimensional points vacuously all dominate each other.
-		full := make([]uint64, m.words)
-		for j := 0; j < n; j++ {
-			full[j>>6] |= 1 << uint(j&63)
+		// Zero-dimensional points vacuously all dominate each other:
+		// one duplicate run, every bit below the diagonal set.
+		for p := 1; p < m.n; p++ {
+			row := m.row(p)
+			for w := range row {
+				row[w] = ^uint64(0)
+			}
+			maskTail(row, p)
 		}
-		for i := 0; i < n; i++ {
-			copy(m.dom[i*m.words:(i+1)*m.words], full)
-		}
-	} else {
-		m.fillClosure(pts, workers)
+		return m
 	}
-	m.fillDAG(pts, workers)
+	m.fillTriangle(pts, max(workers, 1))
 	return m
+}
+
+// maskTail clears the bits at and above position p in row p's last
+// word.
+func maskTail(row []uint64, p int) {
+	if r := p & 63; r != 0 {
+		row[len(row)-1] &= 1<<uint(r) - 1
+	}
 }
 
 // parallelBlocks runs fn(block) for every block index on a worker
@@ -173,216 +257,157 @@ func parallelBlocks(numBlocks, workers int, fn func(blk int)) {
 	wg.Wait()
 }
 
-// fillClosure fills the ⪰ rows: for each dimension k, points are
+// fillTriangle fills the rows: for each dimension k, positions are
 // visited in ascending k-coordinate order while a running bitset
-// accumulates every point whose k-coordinate is at most the current
-// one (ties included, so the relation stays reflexive); the visit
-// intersects the running bitset into the point's row. After all d
-// sweeps a row holds exactly the AND of its d "at most me" sets — its
-// dominated set.
-func (m *Matrix) fillClosure(pts []geom.Point, workers int) {
-	n, words, d := m.n, m.words, len(pts[0])
+// accumulates every position whose k-coordinate is at most the
+// current one (ties included); the visit intersects the running bitset
+// into the position's row, over the row's own words only. After all d
+// sweeps row p holds exactly the positions below p that p dominates.
+// Inside a duplicate run those are the run's lower positions, which
+// hold lower indices: DominanceEdge's tiebreak, with no fix-up pass.
+func (m *Matrix) fillTriangle(pts []geom.Point, workers int) {
+	n, words, d := m.n, (m.n+63)/64, len(pts[0])
 	numBlocks := (n + rowsPerBlock - 1) / rowsPerBlock
 
-	order := make([]int, n)
+	// Contiguous (value, position) records: the sweep reads them in
+	// order without chasing pts.
+	type valPos struct {
+		v float64
+		p int32
+	}
+	sorted := make([]valPos, n)
 	run := make([]uint64, words)
 	seeds := make([]uint64, numBlocks*words)
 	ptrs := make([]int, numBlocks)
 
 	for k := 0; k < d; k++ {
-		for i := range order {
-			order[i] = i
+		for p, i := range m.order {
+			sorted[p] = valPos{pts[i][k], int32(p)}
 		}
-		kk := k
-		sort.Slice(order, func(a, b int) bool { return pts[order[a]][kk] < pts[order[b]][kk] })
+		slices.SortFunc(sorted, func(a, b valPos) int { return cmp.Compare(a.v, b.v) })
 
 		// Sequential pre-pass: replay the sweep cheaply (bit sets only)
 		// to snapshot the running bitset and candidate pointer at each
 		// block boundary.
-		for w := range run {
-			run[w] = 0
-		}
+		clear(run)
 		ptr := 0
-		for pos := 0; pos < n; pos++ {
-			if pos%rowsPerBlock == 0 {
-				b := pos / rowsPerBlock
+		for s := 0; s < n; s++ {
+			if s%rowsPerBlock == 0 {
+				b := s / rowsPerBlock
 				copy(seeds[b*words:(b+1)*words], run)
 				ptrs[b] = ptr
 			}
-			c := pts[order[pos]][k]
-			for ptr < n && pts[order[ptr]][k] <= c {
-				j := order[ptr]
-				run[j>>6] |= 1 << uint(j&63)
-				ptr++
+			for c := sorted[s].v; ptr < n && sorted[ptr].v <= c; ptr++ {
+				q := sorted[ptr].p
+				run[q>>6] |= 1 << uint(q&63)
 			}
 		}
 
 		// Parallel phase: each block replays its slice of the sweep
 		// from the boundary snapshot and folds the running bitset into
-		// its rows (copy on the first dimension, AND afterwards).
+		// its rows (copy and cut on the first dimension, AND
+		// afterwards).
 		parallelBlocks(numBlocks, workers, func(blk int) {
 			local := make([]uint64, words)
 			copy(local, seeds[blk*words:(blk+1)*words])
 			ptr := ptrs[blk]
-			lo, hi := blk*rowsPerBlock, (blk+1)*rowsPerBlock
-			if hi > n {
-				hi = n
-			}
-			for pos := lo; pos < hi; pos++ {
-				i := order[pos]
-				c := pts[i][k]
-				for ptr < n && pts[order[ptr]][k] <= c {
-					j := order[ptr]
-					local[j>>6] |= 1 << uint(j&63)
-					ptr++
+			for s := blk * rowsPerBlock; s < min((blk+1)*rowsPerBlock, n); s++ {
+				for c := sorted[s].v; ptr < n && sorted[ptr].v <= c; ptr++ {
+					q := sorted[ptr].p
+					local[q>>6] |= 1 << uint(q&63)
 				}
-				row := m.dom[i*words : (i+1)*words]
+				p := int(sorted[s].p)
+				row := m.row(p)
 				if k == 0 {
 					copy(row, local)
-				} else {
-					for w := range row {
-						row[w] &= local[w]
+					if len(row) > 0 {
+						maskTail(row, p)
 					}
+					continue
+				}
+				for w := range row {
+					row[w] &= local[w]
 				}
 			}
 		})
 	}
 }
 
-// fillDAG derives the DAG rows from the closure: clear self-loops,
-// then break the mutual edges of coordinate-equal groups down to the
-// high-index -> low-index direction (DominanceEdge's tiebreak).
-// Mutual dominance implies coordinate equality, so the only bits to
-// fix live inside exact-duplicate groups.
-func (m *Matrix) fillDAG(pts []geom.Point, workers int) {
-	n, words := m.n, m.words
-	numBlocks := (n + rowsPerBlock - 1) / rowsPerBlock
-	parallelBlocks(numBlocks, workers, func(blk int) {
-		lo, hi := blk*rowsPerBlock, (blk+1)*rowsPerBlock
-		if hi > n {
-			hi = n
-		}
-		for i := lo; i < hi; i++ {
-			row := m.dag[i*words : (i+1)*words]
-			copy(row, m.dom[i*words:(i+1)*words])
-			row[i>>6] &^= 1 << uint(i&63)
-		}
-	})
-
-	mask := make([]uint64, words)
-	for _, g := range duplicateGroups(pts) {
-		// Walk members from highest to lowest index; mask holds the
-		// higher members, whose bits must leave the current row.
-		for t := len(g) - 1; t >= 0; t-- {
-			i := g[t]
-			if t < len(g)-1 {
-				row := m.dag[i*words : (i+1)*words]
-				for w := range row {
-					row[w] &^= mask[w]
-				}
-			}
-			mask[i>>6] |= 1 << uint(i&63)
-		}
-		for _, i := range g {
-			mask[i>>6] &^= 1 << uint(i&63)
-		}
-	}
-}
-
-// duplicateGroups returns the index groups of coordinate-equal points
-// (only groups of size >= 2), each sorted ascending.
-func duplicateGroups(pts []geom.Point) [][]int {
-	n := len(pts)
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		pa, pb := pts[order[a]], pts[order[b]]
-		for k := range pa {
-			if pa[k] != pb[k] {
-				return pa[k] < pb[k]
-			}
-		}
-		return false
-	})
-	var groups [][]int
-	for lo := 0; lo < n; {
-		hi := lo + 1
-		for hi < n && pts[order[hi]].Equal(pts[order[lo]]) {
-			hi++
-		}
-		if hi-lo > 1 {
-			g := append([]int(nil), order[lo:hi]...)
-			sort.Ints(g)
-			groups = append(groups, g)
-		}
-		lo = hi
-	}
-	return groups
-}
-
 // N returns the number of points.
 func (m *Matrix) N() int { return m.n }
 
-// Words returns the number of 64-bit words per row.
-func (m *Matrix) Words() int { return m.words }
+// Order returns the points in position order: Order()[p] is the point
+// at position p. The slice aliases the matrix; callers must not modify
+// it.
+func (m *Matrix) Order() []int32 { return m.order }
+
+// Position returns point i's position.
+func (m *Matrix) Position(i int) int { return int(m.pos[i]) }
 
 // Dominates reports pts[i] ⪰ pts[j] (reflexive; true in both
 // directions for coordinate-equal points).
 func (m *Matrix) Dominates(i, j int) bool {
-	return m.dom[i*m.words+j>>6]>>(uint(j)&63)&1 == 1
+	return m.DominatesAt(int(m.pos[i]), int(m.pos[j]))
+}
+
+// DominatesAt is Dominates over positions: whether the point at
+// position a dominates the point at position b. Below the diagonal it
+// reads the triangle; at or above it only a's own duplicate run
+// qualifies.
+func (m *Matrix) DominatesAt(a, b int) bool {
+	if a > b {
+		return m.tri[rowStart(a)+b>>6]>>(uint(b)&63)&1 == 1
+	}
+	return int(m.run[b]) <= a
 }
 
 // Edge reports the chain-DAG edge i -> j (see DominanceEdge).
 func (m *Matrix) Edge(i, j int) bool {
-	return m.dag[i*m.words+j>>6]>>(uint(j)&63)&1 == 1
+	a, b := int(m.pos[i]), int(m.pos[j])
+	return a > b && m.tri[rowStart(a)+b>>6]>>(uint(b)&63)&1 == 1
 }
 
-// DomRow returns row i of the ⪰ closure. The slice aliases the
-// matrix; callers must not modify it.
-func (m *Matrix) DomRow(i int) []uint64 {
-	return m.dom[i*m.words : (i+1)*m.words]
-}
-
-// DAGRow returns row i of the DAG relation, aliasing the matrix.
-func (m *Matrix) DAGRow(i int) []uint64 {
-	return m.dag[i*m.words : (i+1)*m.words]
-}
-
-// DAGBits returns the flat row-major DAG bitset (n rows × Words()
-// words), aliasing the matrix. It is the adjacency input for
-// matching.BitsetFromRows; callers must treat it as read-only.
-func (m *Matrix) DAGBits() []uint64 { return m.dag }
-
-// labelMask packs the positions carrying label l into a bitset.
-func (m *Matrix) labelMask(labels []geom.Label, l geom.Label) []uint64 {
-	if len(labels) != m.n {
-		panic(fmt.Sprintf("domgraph: %d labels for %d points", len(labels), m.n))
+// DAGRows returns the triangle and its row offsets: row p, the DAG
+// edges out of position p, is rows[off[p]:off[p+1]], ⌈p/64⌉ words.
+// It is the adjacency matching.BitsetFromDAG adopts. rows aliases the
+// matrix; callers must treat it as read-only.
+func (m *Matrix) DAGRows() (rows []uint64, off []int) {
+	off = make([]int, m.n+1)
+	for p := range off {
+		off[p] = rowStart(p)
 	}
-	mask := make([]uint64, m.words)
-	for i, li := range labels {
-		if li == l {
-			mask[i>>6] |= 1 << uint(i&63)
-		}
-	}
-	return mask
+	return m.tri, off
 }
 
 // CountViolations counts ordered pairs (i, j) with pts[i] ⪰ pts[j],
 // label(i) = 0 and label(j) = 1 — the popcount kernel behind
 // geom.MonotoneViolations. Zero means a perfect monotone classifier
-// exists.
+// exists. A pair with i above j in the order is a triangle bit; one
+// with i below j lies inside a duplicate run, which is counted
+// directly.
 func (m *Matrix) CountViolations(labels []geom.Label) int {
-	pos := m.labelMask(labels, geom.Positive)
-	count := 0
-	for i, l := range labels {
-		if l != geom.Negative {
-			continue
+	if len(labels) != m.n {
+		panic(fmt.Sprintf("domgraph: %d labels for %d points", len(labels), m.n))
+	}
+	ones := make([]uint64, (m.n+63)/64)
+	for p, i := range m.order {
+		if labels[i] == geom.Positive {
+			ones[p>>6] |= 1 << uint(p&63)
 		}
-		row := m.DomRow(i)
-		for w, bitsW := range row {
-			count += bits.OnesCount64(bitsW & pos[w])
+	}
+	count, zeros := 0, 0 // zeros: label-0 points so far in the current run
+	for p, i := range m.order {
+		if int(m.run[p]) == p {
+			zeros = 0
+		}
+		switch labels[i] {
+		case geom.Negative:
+			for w, x := range m.row(p) {
+				count += bits.OnesCount64(x & ones[w])
+			}
+			zeros++
+		case geom.Positive:
+			count += zeros
 		}
 	}
 	return count
@@ -393,28 +418,20 @@ func (m *Matrix) CountViolations(labels []geom.Label) int {
 // indices in idx make it trivially false (a point is comparable to
 // itself through another slot).
 func (m *Matrix) IsAntichain(idx []int) bool {
-	mask := make([]uint64, m.words)
-	dup := false
+	mask := make([]uint64, (m.n+63)/64)
 	for _, i := range idx {
-		if mask[i>>6]>>(uint(i)&63)&1 == 1 {
-			dup = true
+		p := m.pos[i]
+		if mask[p>>6]>>(uint(p)&63)&1 == 1 {
+			return false
 		}
-		mask[i>>6] |= 1 << uint(i&63)
+		mask[p>>6] |= 1 << uint(p&63)
 	}
-	if dup {
-		return false
-	}
-	// Every comparable pair i ⪰ j inside the set shows up on row i
-	// (both orientations are covered because every member is scanned).
+	// Every comparable pair inside the set is a DAG edge from the later
+	// member's row to the earlier one, so scanning each member's row
+	// covers both orientations.
 	for _, i := range idx {
-		row := m.DomRow(i)
-		self := i >> 6
-		for w, bitsW := range row {
-			v := bitsW & mask[w]
-			if w == self {
-				v &^= 1 << uint(i&63)
-			}
-			if v != 0 {
+		for w, x := range m.row(int(m.pos[i])) {
+			if x&mask[w] != 0 {
 				return false
 			}
 		}
@@ -422,37 +439,21 @@ func (m *Matrix) IsAntichain(idx []int) bool {
 	return true
 }
 
-// Diff compares two matrices bit for bit and describes the first
-// difference, or returns "" when they are identical. It is the
-// differential-testing primitive the conformance harness uses to hold
-// Build and BuildNaive to exact agreement.
+// Diff compares two matrices over the same points bit for bit and
+// describes the first difference, or returns "" when they are
+// identical. It is the differential-testing primitive the conformance
+// harness uses to hold Build and BuildNaive to exact agreement.
 func Diff(a, b *Matrix) string {
 	if a.n != b.n {
 		return fmt.Sprintf("point counts differ: %d vs %d", a.n, b.n)
 	}
-	for i := 0; i < a.n; i++ {
-		for w, wa := range a.DomRow(i) {
-			if wb := b.DomRow(i)[w]; wa != wb {
-				j := w<<6 + bits.TrailingZeros64(wa^wb)
-				return fmt.Sprintf("closure bit (%d,%d): %v vs %v", i, j, a.Dominates(i, j), b.Dominates(i, j))
-			}
-		}
-		for w, wa := range a.DAGRow(i) {
-			if wb := b.DAGRow(i)[w]; wa != wb {
-				j := w<<6 + bits.TrailingZeros64(wa^wb)
+	for p := 1; p < a.n; p++ {
+		for w, x := range a.row(p) {
+			if y := b.row(p)[w]; x != y {
+				i, j := int(a.order[p]), int(a.order[w<<6+bits.TrailingZeros64(x^y)])
 				return fmt.Sprintf("dag bit (%d,%d): %v vs %v", i, j, a.Edge(i, j), b.Edge(i, j))
 			}
 		}
 	}
 	return ""
-}
-
-// CountEdges returns the number of DAG edges (a measure of poset
-// density, popcounted word-wise).
-func (m *Matrix) CountEdges() int {
-	count := 0
-	for _, w := range m.dag {
-		count += bits.OnesCount64(w)
-	}
-	return count
 }

@@ -2,6 +2,8 @@ package domgraph
 
 import (
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 
 	"monoclass/internal/geom"
@@ -61,19 +63,55 @@ func TestBuildMatchesBuildNaive(t *testing.T) {
 		want := BuildNaive(pts)
 		for _, workers := range []int{1, 2, 3, 7} {
 			got := build(pts, workers)
-			if got.n != want.n || got.words != want.words {
-				t.Fatalf("n=%d workers=%d: shape (%d,%d) != (%d,%d)",
-					n, workers, got.n, got.words, want.n, want.words)
+			if !slices.Equal(got.order, want.order) || !slices.Equal(got.run, want.run) || len(got.tri) != len(want.tri) {
+				t.Fatalf("n=%d workers=%d: order, runs or triangle size differ", n, workers)
 			}
-			for w := range want.dom {
-				if got.dom[w] != want.dom[w] {
-					t.Fatalf("n=%d workers=%d: dom word %d: %#x != %#x", n, workers, w, got.dom[w], want.dom[w])
-				}
-				if got.dag[w] != want.dag[w] {
-					t.Fatalf("n=%d workers=%d: dag word %d: %#x != %#x", n, workers, w, got.dag[w], want.dag[w])
+			for w := range want.tri {
+				if got.tri[w] != want.tri[w] {
+					t.Fatalf("n=%d workers=%d: triangle word %d: %#x != %#x", n, workers, w, got.tri[w], want.tri[w])
 				}
 			}
 		}
+	}
+}
+
+// TestSumLexOrderIsLinearExtension: every DAG edge i → j (i above j,
+// duplicates by index) puts i after j, also for points holding both
+// +Inf and −Inf, whose plain coordinate sum is NaN — the property the
+// triangle rests on.
+func TestSumLexOrderIsLinearExtension(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for trial := 0; trial < 200; trial++ {
+		d := 1 + trial%4
+		pts := randomViewPoints(rng, 2+rng.Intn(60), d, true)
+		pos := make([]int, len(pts))
+		for r, idx := range SumLexOrder(pts) {
+			pos[idx] = r
+		}
+		for i := range pts {
+			for j := range pts {
+				if DominanceEdge(pts, i, j) && pos[i] < pos[j] {
+					t.Fatalf("trial %d (d=%d): %v → %v, but it sorts first", trial, d, pts[i], pts[j])
+				}
+			}
+		}
+	}
+}
+
+// TestBuildAllocatesTriangle: Build at n=8192 d=3 allocates the
+// triangle (4 MiB) and little else — under 6 MiB in all, where the two
+// full relations it replaced took 16 MiB.
+func TestBuildAllocatesTriangle(t *testing.T) {
+	pts := benchPoints(8192, 3)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	m := Build(pts)
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(m)
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("Build allocated %.2f MiB (triangle %.2f MiB)", float64(got)/(1<<20), float64(Footprint(8192))/(1<<20))
+	if got >= 6<<20 {
+		t.Fatalf("Build allocated %.2f MiB, want < 6 MiB", float64(got)/(1<<20))
 	}
 }
 
@@ -136,14 +174,5 @@ func TestIsAntichain(t *testing.T) {
 	}
 	if !m.IsAntichain(nil) || !m.IsAntichain([]int{4}) {
 		t.Fatal("empty and singleton sets are antichains")
-	}
-}
-
-func TestCountEdges(t *testing.T) {
-	pts := []geom.Point{{0}, {1}, {2}}
-	m := Build(pts)
-	// Total order: edges 2->1, 2->0, 1->0.
-	if got := m.CountEdges(); got != 3 {
-		t.Fatalf("CountEdges = %d, want 3", got)
 	}
 }

@@ -11,9 +11,10 @@ import (
 // View answers dominance queries over an indexed point set — the one
 // question the Theorem 4 network builder (passive.Prepare) asks — so
 // the builder runs against a dense Matrix or a rank-array Implicit
-// view without caring which. Every implementation answers exactly the
-// bits BuildNaive would produce over the same points: the closure ⪰
-// is reflexive (bit (i,i) is always set, NaN coordinates included).
+// view without caring which. Both answer geom.Dominates(pts[i],
+// pts[j]), reflexively (bit (i,i) is always set): Implicit for any
+// input, NaN coordinates and zero-dimensional points included, and
+// Matrix for the NaN-free input it is defined on.
 //
 // All implementations are safe for concurrent readers.
 type View interface {
@@ -23,9 +24,10 @@ type View interface {
 
 // scalarOnly reports whether rank comparisons are unusable for the
 // point set: NaN coordinates have no place in a sorted order (a NaN
-// point dominates nothing, and nothing dominates it), and
-// zero-dimensional points have no coordinate to rank. Views fall back
-// to per-pair geom.Dominates — exactly BuildNaive's definition.
+// coordinate fails every comparison, so geom.Dominates ignores it in
+// both directions, and an all-NaN point dominates, and is dominated
+// by, every point), and zero-dimensional points have no coordinate to
+// rank. Views fall back to per-pair geom.Dominates.
 func scalarOnly(pts []geom.Point) bool {
 	if len(pts) > 0 && len(pts[0]) == 0 {
 		return true

@@ -33,13 +33,12 @@ func randomViewPoints(rng *rand.Rand, n, d int, withInf bool) []geom.Point {
 }
 
 // checkViewAgainstNaive holds one View's Dominates to exact agreement
-// with the BuildNaive oracle on every ordered pair.
+// with the scalar definition, geom.Dominates, on every ordered pair.
 func checkViewAgainstNaive(t *testing.T, tag string, v View, pts []geom.Point) {
 	t.Helper()
-	naive := BuildNaive(pts)
 	for i := range pts {
 		for j := range pts {
-			if got, want := v.Dominates(i, j), naive.Dominates(i, j); got != want {
+			if got, want := v.Dominates(i, j), geom.Dominates(pts[i], pts[j]); got != want {
 				t.Fatalf("%s: Dominates(%d,%d) = %v, want %v (pts %v vs %v)", tag, i, j, got, want, pts[i], pts[j])
 			}
 		}
@@ -57,8 +56,12 @@ func TestViewsMatchNaiveRandom(t *testing.T) {
 	}
 }
 
+// TestViewsMatchNaiveAdversarial runs hand-built corner sets through
+// both views: Implicit through every case, the dense Matrix (defined
+// on NaN-free points only) through the NaN-free ones, where Build must
+// also equal BuildNaive bit for bit.
 func TestViewsMatchNaiveAdversarial(t *testing.T) {
-	nan, pinf, ninf := math.NaN(), math.Inf(1), math.Inf(-1)
+	nan, pinf, ninf, nzero := math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1)
 	cases := [][]geom.Point{
 		// NaN everywhere it can hide: alone, with duplicates, mixed.
 		{{nan, 1}, {1, 1}, {1, nan}, {nan, nan}, {1, 1}},
@@ -72,8 +75,20 @@ func TestViewsMatchNaiveAdversarial(t *testing.T) {
 		{{}, {}, {}},
 		// Mixed NaN + Inf + duplicates.
 		{{nan, pinf}, {pinf, nan}, {pinf, pinf}, {pinf, pinf}, {ninf, ninf}, {nan, nan}},
+		// −0 and +0 are equal coordinates, so points that differ only
+		// in a zero's sign are duplicates.
+		{{nzero, 1}, {0, 1}, {0, nzero}, {nzero, nzero}, {1, 0}, {nzero, 0}, {0, 0}},
 	}
 	for ci, pts := range cases {
-		checkViewAgainstNaive(t, "implicit case "+string(rune('A'+ci)), NewImplicit(pts), pts)
+		tag := "case " + string(rune('A'+ci))
+		checkViewAgainstNaive(t, "implicit "+tag, NewImplicit(pts), pts)
+		if scalarOnly(pts) && len(pts[0]) > 0 {
+			continue // NaN: outside the matrix's domain
+		}
+		m := Build(pts)
+		checkViewAgainstNaive(t, "dense "+tag, m, pts)
+		if d := Diff(m, BuildNaive(pts)); d != "" {
+			t.Fatalf("dense %s: Build vs BuildNaive: %s", tag, d)
+		}
 	}
 }

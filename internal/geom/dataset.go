@@ -1,7 +1,9 @@
 package geom
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -159,25 +161,26 @@ func (ws WeightedSet) TotalWeight() float64 {
 // Coalesce merges duplicate (point, label) entries by summing weights,
 // in order of first appearance. It leaves ws untouched and returns a
 // new set, plus the entry each input merged into: ws[i] went to
-// out[entry[i]]. Points are compared by exact coordinate equality.
-// Coalescing can shrink the max-flow instance Problem 2 builds,
-// without changing w-err of any classifier.
+// out[entry[i]]. Points merge when their coordinates have the same
+// float64 bits, so −0 and +0 stay apart, as they did when points were
+// keyed by their %g strings. Coalescing can shrink the max-flow
+// instance Problem 2 builds, without changing w-err of any classifier.
 func (ws WeightedSet) Coalesce() (out WeightedSet, entry []int) {
-	type key struct {
-		s     string
-		label Label
-	}
-	idx := make(map[key]int, len(ws))
+	idx := make(map[string]int, len(ws))
 	out = make(WeightedSet, 0, len(ws))
 	entry = make([]int, len(ws))
+	var key []byte
 	for i, wp := range ws {
-		k := key{s: wp.P.String(), label: wp.Label}
-		if j, ok := idx[k]; ok {
+		key = append(key[:0], byte(wp.Label))
+		for _, x := range wp.P {
+			key = binary.LittleEndian.AppendUint64(key, math.Float64bits(x))
+		}
+		if j, ok := idx[string(key)]; ok {
 			out[j].Weight += wp.Weight
 			entry[i] = j
 			continue
 		}
-		idx[k] = len(out)
+		idx[string(key)] = len(out)
 		entry[i] = len(out)
 		out = append(out, wp)
 	}

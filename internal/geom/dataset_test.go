@@ -1,6 +1,7 @@
 package geom
 
 import (
+	"math"
 	"slices"
 	"testing"
 )
@@ -112,6 +113,22 @@ func TestCoalesce(t *testing.T) {
 	allNeg := func(Point) Label { return Negative }
 	if WErr(ws, allPos) != WErr(got, allPos) || WErr(ws, allNeg) != WErr(got, allNeg) {
 		t.Error("Coalesce changed w-err")
+	}
+	// −0 and +0 are equal coordinates but distinct entries, as their
+	// %g strings were.
+	nz := math.Copysign(0, -1)
+	signed := WeightedSet{
+		{P: Point{0, 1}, Label: Positive, Weight: 1},
+		{P: Point{nz, 1}, Label: Positive, Weight: 2},
+		{P: Point{0, 1}, Label: Positive, Weight: 4},
+		{P: Point{nz, 1}, Label: Positive, Weight: 8},
+	}
+	got, entry = signed.Coalesce()
+	if want := []int{0, 1, 0, 1}; !slices.Equal(entry, want) || len(got) != 2 || got[0].Weight != 5 || got[1].Weight != 10 {
+		t.Fatalf("signed zeros: entries %v, set %v; want %v and weights 5, 10", entry, got, want)
+	}
+	if math.Signbit(got[0].P[0]) || !math.Signbit(got[1].P[0]) {
+		t.Fatal("signed zeros: an entry lost its zero's sign")
 	}
 }
 

@@ -6,45 +6,60 @@ import (
 )
 
 // BitsetBipartite is a bipartite graph whose left-side adjacency is a
-// packed bit matrix: row u holds one bit per right vertex. It is the
-// dense-graph companion of Bipartite, built for the chain
-// decomposition's dominance DAG, where the adjacency is produced as a
-// bit matrix by the domgraph kernel and materializing O(n²) adjacency
-// lists would dwarf every other cost.
+// packed bit matrix: row u holds one bit per right vertex, up to the
+// row's own length. It is the dense-graph companion of Bipartite,
+// built for the chain decomposition's dominance DAG, where the
+// adjacency is produced as a bit matrix by the domgraph kernel and
+// materializing O(n²) adjacency lists would dwarf every other cost.
 type BitsetBipartite struct {
 	nLeft, nRight int
-	words         int // words per row: ceil(nRight/64)
+	words         int // the longest a row may be: ceil(nRight/64)
 	adj           []uint64
+	off           []int // row u is adj[off[u]:off[u+1]]
 	// dag marks the path-cover graph of a transitive, irreflexive
 	// relation (BitsetFromDAG): left u and right u are one point, and
 	// u → v implies row(v) ⊆ row(u).
 	dag bool
 }
 
-// NewBitsetBipartite creates an empty packed bipartite graph.
+// NewBitsetBipartite creates an empty packed bipartite graph whose
+// rows all take ceil(nRight/64) words.
 func NewBitsetBipartite(nLeft, nRight int) *BitsetBipartite {
 	if nLeft < 0 || nRight < 0 {
 		panic(fmt.Sprintf("matching: negative vertex count (%d, %d)", nLeft, nRight))
 	}
 	words := (nRight + 63) / 64
-	return &BitsetBipartite{nLeft: nLeft, nRight: nRight, words: words, adj: make([]uint64, nLeft*words)}
+	off := make([]int, nLeft+1)
+	for u := range off {
+		off[u] = u * words
+	}
+	return &BitsetBipartite{nLeft: nLeft, nRight: nRight, words: words, adj: make([]uint64, nLeft*words), off: off}
 }
 
-// BitsetFromRows adopts a flat row-major adjacency bitset (nLeft rows
-// of ceil(nRight/64) words) without copying; the caller must not
-// mutate it while the graph is in use. Bits at positions >= nRight
-// within a row's tail word must be zero.
-func BitsetFromRows(nLeft, nRight int, rows []uint64) *BitsetBipartite {
+// BitsetFromRows adopts packed adjacency rows without copying; the
+// caller must not mutate them while the graph is in use. Row u is
+// rows[off[u]:off[u+1]], at most ceil(nRight/64) words: bit v of it
+// is the edge (u, v), and right vertices past the row's end have no
+// edge to u. Rows may differ in length, and the matcher scans only
+// each row's own words. Bits at positions >= nRight within a row's
+// tail word must be zero.
+func BitsetFromRows(nLeft, nRight int, rows []uint64, off []int) *BitsetBipartite {
 	words := (nRight + 63) / 64
-	if len(rows) != nLeft*words {
-		panic(fmt.Sprintf("matching: adjacency has %d words, want %d×%d", len(rows), nLeft, words))
+	if len(off) != nLeft+1 || off[0] != 0 || off[nLeft] != len(rows) {
+		panic(fmt.Sprintf("matching: %d row offsets over %d words for %d rows", len(off), len(rows), nLeft))
 	}
-	return &BitsetBipartite{nLeft: nLeft, nRight: nRight, words: words, adj: rows}
+	for u := 0; u < nLeft; u++ {
+		if l := off[u+1] - off[u]; l < 0 || l > words {
+			panic(fmt.Sprintf("matching: row %d has %d words, want 0..%d", u, l, words))
+		}
+	}
+	return &BitsetBipartite{nLeft: nLeft, nRight: nRight, words: words, adj: rows, off: off}
 }
 
 // BitsetFromDAG adopts rows like BitsetFromRows as the path-cover
 // graph of a transitive, irreflexive relation on n points — the
-// dominance DAG rows of internal/domgraph. Left vertex u and right
+// dominance DAG triangle of internal/domgraph, whose row u holds only
+// the points below u in a linear extension. Left vertex u and right
 // vertex u are the same point, and row u holds the points u relates
 // to. Transitivity means u → v implies row(v) ⊆ row(u), and the
 // matcher and the König pass use that to skip rows that provably hold
@@ -53,8 +68,8 @@ func BitsetFromRows(nLeft, nRight int, rows []uint64) *BitsetBipartite {
 // RowScans, which can only fall. Rows that are not transitive make
 // the results wrong, not just slow: only the caller can vouch for
 // the relation.
-func BitsetFromDAG(n int, rows []uint64) *BitsetBipartite {
-	b := BitsetFromRows(n, n, rows)
+func BitsetFromDAG(n int, rows []uint64, off []int) *BitsetBipartite {
+	b := BitsetFromRows(n, n, rows, off)
 	b.dag = true
 	return b
 }
@@ -67,12 +82,17 @@ func (b *BitsetBipartite) SetEdge(u, v int) {
 	if v < 0 || v >= b.nRight {
 		panic(fmt.Sprintf("matching: right vertex %d out of range [0,%d)", v, b.nRight))
 	}
-	b.adj[u*b.words+v>>6] |= 1 << uint(v&63)
+	row := b.row(u)
+	if v>>6 >= len(row) {
+		panic(fmt.Sprintf("matching: right vertex %d lies past row %d's %d words", v, u, len(row)))
+	}
+	row[v>>6] |= 1 << uint(v&63)
 }
 
 // HasEdge reports whether the edge (u, v) is present.
 func (b *BitsetBipartite) HasEdge(u, v int) bool {
-	return b.adj[u*b.words+v>>6]>>(uint(v)&63)&1 == 1
+	row := b.row(u)
+	return v>>6 < len(row) && row[v>>6]>>(uint(v)&63)&1 == 1
 }
 
 // NumLeft returns the number of left vertices.
@@ -82,7 +102,7 @@ func (b *BitsetBipartite) NumLeft() int { return b.nLeft }
 func (b *BitsetBipartite) NumRight() int { return b.nRight }
 
 func (b *BitsetBipartite) row(u int) []uint64 {
-	return b.adj[u*b.words : (u+1)*b.words]
+	return b.adj[b.off[u]:b.off[u+1]]
 }
 
 // has reports whether bitset set holds u.
@@ -126,7 +146,8 @@ type MatchingStats struct {
 // candidate it tests: the partner dead-ends, or the augmenting path
 // takes the vertex. Each right vertex is tested at most once, so a
 // phase costs O(V²/64) word operations plus O(V) bit tests, not O(E)
-// bit visits.
+// bit visits. Every scan reads only the row's own words, so over a
+// triangular adjacency (BitsetFromDAG's) the word count halves.
 //
 // On a BitsetFromDAG graph two closure rules skip rows without
 // changing any layer, mask or augmenting path. The BFS does not expand
@@ -136,6 +157,10 @@ type MatchingStats struct {
 // a DFS from u returns false at once when u is in its layer's union,
 // because a failed a at that layer with a → u tested and cleared every
 // candidate in row(a) ⊇ row(u), and masks only shrink within a phase.
+// Both the BFS and the phase's DFS loop start from the free left
+// vertices highest index first: on the triangle, numbered by a linear
+// extension, that puts an a above u before u, where the rules can
+// fire.
 func MaxMatchingBitset(b *BitsetBipartite) Matching {
 	m, _ := MaxMatchingBitsetWarm(b, nil)
 	return m
@@ -198,7 +223,7 @@ func MaxMatchingBitsetWarm(b *BitsetBipartite, seedL []int) (Matching, MatchingS
 
 	bfs := func() bool {
 		queue = queue[:0]
-		for u := 0; u < b.nLeft; u++ {
+		for u := b.nLeft - 1; u >= 0; u-- {
 			if matchL[u] == unmatched {
 				dist[u] = 0
 				queue = append(queue, u)
@@ -263,14 +288,14 @@ func MaxMatchingBitsetWarm(b *BitsetBipartite, seedL []int) (Matching, MatchingS
 		}
 		st.RowScans++
 		row := b.row(u)
-		free := masks[:words]
-		layer := masks[(dist[u]+1)*words : (dist[u]+2)*words]
-		for w := 0; w < words; w++ {
+		free := masks[:len(row)]
+		layer := masks[(dist[u]+1)*words:][:len(row)]
+		for w, rw := range row {
 			mask := free[w] | layer[w]
 			if mask == 0 {
 				continue
 			}
-			for cand := row[w] & mask; cand != 0; cand &= cand - 1 {
+			for cand := rw & mask; cand != 0; cand &= cand - 1 {
 				bit := cand & -cand
 				v := w<<6 + bits.TrailingZeros64(cand)
 				st.Examined++
@@ -289,8 +314,10 @@ func MaxMatchingBitsetWarm(b *BitsetBipartite, seedL []int) (Matching, MatchingS
 				return true
 			}
 		}
-		for w, bw := range deadU {
-			deadU[w] = bw | row[w]
+		if b.dag {
+			for w, rw := range row {
+				deadU[w] |= rw
+			}
 		}
 		return false
 	}
@@ -301,7 +328,7 @@ func MaxMatchingBitsetWarm(b *BitsetBipartite, seedL []int) (Matching, MatchingS
 		if !bfs() {
 			break
 		}
-		for u := 0; u < b.nLeft; u++ {
+		for u := b.nLeft - 1; u >= 0; u-- {
 			if matchL[u] == unmatched && dfs(u) {
 				size++
 				st.Augmentations++
@@ -318,7 +345,8 @@ func MaxMatchingBitsetWarm(b *BitsetBipartite, seedL []int) (Matching, MatchingS
 // right copy is visited is not expanded, because the a that visited it
 // has a → u and left no bit of row(a) ⊇ row(u) unvisited — a's own
 // matched partner included, since visiting that partner is what
-// queued a.
+// queued a. Like the matching BFS it queues the free left vertices
+// highest index first.
 func MinVertexCoverBitset(b *BitsetBipartite, m Matching) (coverLeft, coverRight []bool) {
 	visitedL := make([]bool, b.nLeft)
 	visitedR := make([]bool, b.nRight)
@@ -330,7 +358,7 @@ func MinVertexCoverBitset(b *BitsetBipartite, m Matching) (coverLeft, coverRight
 		unvis[b.words-1] = 1<<uint(tail) - 1
 	}
 	var queue []int
-	for u := 0; u < b.nLeft; u++ {
+	for u := b.nLeft - 1; u >= 0; u-- {
 		if m.MatchLeft[u] == unmatched {
 			visitedL[u] = true
 			queue = append(queue, u)

@@ -115,16 +115,34 @@ func TestBitsetWordBoundaries(t *testing.T) {
 func TestBitsetFromRowsAdoptsBacking(t *testing.T) {
 	// 2x2 complete graph, rows packed by hand.
 	rows := []uint64{0b11, 0b11}
-	bb := BitsetFromRows(2, 2, rows)
+	bb := BitsetFromRows(2, 2, rows, []int{0, 1, 2})
 	if m := MaxMatchingBitset(bb); m.Size != 2 {
 		t.Fatalf("complete 2x2: size %d, want 2", m.Size)
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("wrong-length rows must panic")
-		}
-	}()
-	BitsetFromRows(3, 2, rows)
+	// Ragged rows: left 0 has no words, so no edge, and left 1 keeps
+	// both of its.
+	ragged := BitsetFromRows(2, 2, rows[:1], []int{0, 0, 1})
+	if ragged.HasEdge(0, 0) || !ragged.HasEdge(1, 0) || !ragged.HasEdge(1, 1) {
+		t.Fatal("ragged rows misread")
+	}
+	if m := MaxMatchingBitset(ragged); m.Size != 1 {
+		t.Fatalf("ragged 2x2: size %d, want 1", m.Size)
+	}
+	for name, off := range map[string][]int{
+		"too few offsets":   {0, 1},
+		"offsets past rows": {0, 1, 2, 3},
+		"row too long":      {0, 2, 2},
+		"offsets backwards": {0, 2, 1},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic", name)
+				}
+			}()
+			BitsetFromRows(len(off)-1, 2, rows, off)
+		}()
+	}
 }
 
 func TestBitsetEmptyGraphs(t *testing.T) {

@@ -1,6 +1,9 @@
 package passive
 
 import (
+	"cmp"
+	"slices"
+
 	"monoclass/internal/domgraph"
 	"monoclass/internal/geom"
 )
@@ -81,42 +84,63 @@ import (
 // dominated by some label-0 point iff the highest label-0 member of
 // some chain dominates it. This holds for any valid cover, minimum or
 // not. The at most 2w extremes are copied into two flat coordinate
-// arrays, which stay cache-resident for the whole scan.
+// arrays, which stay cache-resident for the whole scan, lowest
+// members by ascending domgraph.Height and highest ones by descending:
+// a point dominates only points no higher than itself, so each scan
+// tries the likeliest extremes first and stops at the first one out of
+// reach, whatever order the cover lists its chains in.
 func contendingPoints(ws geom.WeightedSet, cover [][]int) []bool {
-	var lows, highs []float64 // per chain: lowest label-1, highest label-0 member
+	type extreme struct {
+		height float64
+		p      geom.Point
+	}
+	var lows, highs []extreme // per chain: lowest label-1, highest label-0 member
 	for _, chain := range cover {
 		for _, idx := range chain {
-			if ws[idx].Label == geom.Positive {
-				lows = append(lows, ws[idx].P...)
+			if p := ws[idx].P; ws[idx].Label == geom.Positive {
+				lows = append(lows, extreme{domgraph.Height(p), p})
 				break
 			}
 		}
 		for k := len(chain) - 1; k >= 0; k-- {
-			if ws[chain[k]].Label == geom.Negative {
-				highs = append(highs, ws[chain[k]].P...)
+			if p := ws[chain[k]].P; ws[chain[k]].Label == geom.Negative {
+				highs = append(highs, extreme{domgraph.Height(p), p})
 				break
 			}
 		}
 	}
+	slices.SortFunc(lows, func(a, b extreme) int { return cmp.Compare(a.height, b.height) })
+	slices.SortFunc(highs, func(a, b extreme) int { return cmp.Compare(b.height, a.height) })
+	flatten := func(es []extreme) (flat, heights []float64) {
+		for _, e := range es {
+			flat, heights = append(flat, e.p...), append(heights, e.height)
+		}
+		return flat, heights
+	}
+	lowFlat, lowHeights := flatten(lows)
+	highFlat, highHeights := flatten(highs)
 	out := make([]bool, len(ws))
 	for i := range ws {
 		p := ws[i].P
 		if ws[i].Label == geom.Negative {
-			out[i] = dominatesAny(p, lows)
+			out[i] = dominatesAny(p, lowFlat, lowHeights)
 		} else {
-			out[i] = dominatedByAny(p, highs)
+			out[i] = dominatedByAny(p, highFlat, highHeights)
 		}
 	}
 	return out
 }
 
 // dominatesAny reports whether p dominates one of the len(p)-dimensional
-// points packed back to back in flat.
-func dominatesAny(p geom.Point, flat []float64) bool {
-	d := len(p)
+// points packed back to back in flat, whose heights ascend.
+func dominatesAny(p geom.Point, flat, heights []float64) bool {
+	d, h := len(p), domgraph.Height(p)
 next:
-	for off := 0; off < len(flat); off += d {
-		q := flat[off : off+d]
+	for j, hq := range heights {
+		if hq > h {
+			return false
+		}
+		q := flat[j*d : j*d+d]
 		for k, v := range p {
 			if v < q[k] {
 				continue next
@@ -128,12 +152,15 @@ next:
 }
 
 // dominatedByAny reports whether one of the len(p)-dimensional points
-// packed back to back in flat dominates p.
-func dominatedByAny(p geom.Point, flat []float64) bool {
-	d := len(p)
+// packed back to back in flat, whose heights descend, dominates p.
+func dominatedByAny(p geom.Point, flat, heights []float64) bool {
+	d, h := len(p), domgraph.Height(p)
 next:
-	for off := 0; off < len(flat); off += d {
-		q := flat[off : off+d]
+	for j, hq := range heights {
+		if hq < h {
+			return false
+		}
+		q := flat[j*d : j*d+d]
 		for k, v := range p {
 			if q[k] < v {
 				continue next
@@ -173,41 +200,70 @@ next:
 // pair as the walk finds them; no caller depends on the edge order,
 // since the minimal minimum cut Resolve decodes is the same whatever
 // order the network's edges were added in.
+//
+// A dense Matrix stores its relation by position, so over a matrix
+// the halves hold positions, looked up once per member, and the walk
+// asks DominatesAt instead of paying the translation on each of its
+// lookups; links map back to point indices as they are emitted. Every
+// view answers the same lookups the same way, so every view emits the
+// same edges in the same order.
 func infinityEdges(view domgraph.View, ws geom.WeightedSet, cover [][]int, contending []bool, m int, emit func(from, to int)) {
-	flat := make([]int, 0, m)
-	var halves [2][][]int // per label: the chains' non-empty halves
+	dominates, key, index := view.Dominates, func(i int) int { return i }, func(k int) int { return k }
+	if mat, ok := view.(*domgraph.Matrix); ok {
+		order := mat.Order()
+		dominates, key, index = mat.DominatesAt, mat.Position, func(p int) int { return int(order[p]) }
+	}
+	// A half's height is its top's domgraph.Height on label 0, its
+	// bottom's on label 1.
+	type half struct {
+		keys   []int
+		height float64
+	}
+	flat := make([]int, 0, m) // the halves' members as view keys; never reallocated
+	var halves [2][]half      // per label: the chains' non-empty halves
 	for _, chain := range cover {
 		for _, label := range [...]geom.Label{geom.Negative, geom.Positive} {
-			start := len(flat)
+			start, below := len(flat), -1
 			for _, idx := range chain {
 				if contending[idx] && ws[idx].Label == label {
-					flat = append(flat, idx)
+					if below >= 0 {
+						emit(idx, below)
+					}
+					flat = append(flat, key(idx))
+					below = idx
 				}
 			}
-			half := flat[start:]
-			for k := 1; k < len(half); k++ {
-				emit(half[k], half[k-1])
-			}
-			if len(half) > 0 {
-				halves[label] = append(halves[label], half)
+			if below >= 0 {
+				edge := below
+				if label == geom.Positive {
+					edge = index(flat[start])
+				}
+				halves[label] = append(halves[label], half{flat[start:], domgraph.Height(ws[edge].P)})
 			}
 		}
 	}
-	for _, zero := range halves[geom.Negative] {
+	for _, z := range halves[geom.Negative] {
+		zero := z.keys
 		top := zero[len(zero)-1]
-		for _, one := range halves[geom.Positive] {
-			if !view.Dominates(top, one[0]) {
+		for _, o := range halves[geom.Positive] {
+			// top ⪰ bottom needs height(top) ≥ height(bottom): a float
+			// comparison rules most pairs out before any lookup.
+			if o.height > z.height {
+				continue
+			}
+			one := o.keys
+			if !dominates(top, one[0]) {
 				continue
 			}
 			for pos, p := 0, 0; p < len(one); pos++ {
-				if pos = gallop(view, zero, pos, one[p]); pos == len(zero) {
+				if pos = gallop(dominates, zero, pos, one[p]); pos == len(zero) {
 					break
 				}
 				p++
-				for p < len(one) && view.Dominates(zero[pos], one[p]) {
+				for p < len(one) && dominates(zero[pos], one[p]) {
 					p++
 				}
-				emit(zero[pos], one[p-1])
+				emit(index(zero[pos]), index(one[p-1]))
 			}
 		}
 	}
@@ -218,15 +274,15 @@ func infinityEdges(view domgraph.View, ws geom.WeightedSet, cover [][]int, conte
 // members that dominate target form a suffix of the half, so it probes
 // from, from+1, from+3, from+7, … and bisects the last gap: O(log g)
 // lookups for an answer g positions up.
-func gallop(view domgraph.View, half []int, from, target int) int {
+func gallop(dominates func(a, b int) bool, half []int, from, target int) int {
 	lo, hi := from, from // every position below lo fails
-	for step := 1; hi < len(half) && !view.Dominates(half[hi], target); step *= 2 {
+	for step := 1; hi < len(half) && !dominates(half[hi], target); step *= 2 {
 		lo = hi + 1
 		hi += step
 	}
 	hi = min(hi, len(half))
 	for lo < hi {
-		if mid := int(uint(lo+hi) >> 1); view.Dominates(half[mid], target) {
+		if mid := int(uint(lo+hi) >> 1); dominates(half[mid], target) {
 			hi = mid
 		} else {
 			lo = mid + 1

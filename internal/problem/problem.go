@@ -21,6 +21,7 @@ package problem
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 	"time"
 
@@ -350,9 +351,10 @@ func (p *Problem) SolveWith(opts SolveOptions) (passive.Solution, error) {
 // Violations returns the number of (negative, positive) ordered pairs
 // where the negative point dominates the positive one — the quantity
 // domgraph.(*Matrix).CountViolations reports — computed once and
-// cached. A dense-route Problem rebuilds the matrix it dropped and
-// popcounts it; the others count through the chain cover, which needs
-// no quadratic memory.
+// cached. It takes the cheaper of two methods for the Problem's shape
+// (rebuildCheaper), whatever route built it: rebuild the dominance
+// triangle and popcount it, or count through the chain cover, which
+// needs no quadratic memory.
 func (p *Problem) Violations() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -360,13 +362,22 @@ func (p *Problem) Violations() int {
 		return p.violations
 	}
 	labels := p.Labels()
-	if p.mode == ModeDense {
+	if rebuildCheaper(len(p.pts), p.Dim(), p.dec.Width) {
 		p.violations = domgraph.Build(p.pts).CountViolations(labels)
 	} else {
 		p.violations = chainCountViolations(p.pts, labels, p.dec.Chains)
 	}
 	p.violationsOK = true
 	return p.violations
+}
+
+// rebuildCheaper reports whether rebuilding the dominance triangle of
+// n d-dimensional points, about d·n²/128 word operations, costs less
+// than counting through w chains, about n·w·log₂n dominance tests.
+// Past DefaultExactDecomposeLimit points it never rebuilds, which caps
+// the transient triangle at 256 MiB.
+func rebuildCheaper(n, d, w int) bool {
+	return n <= DefaultExactDecomposeLimit && d*n/128 < w*bits.Len(uint(n))
 }
 
 // chainCountViolations counts dominance violations through the chain

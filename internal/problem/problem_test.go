@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"monoclass/internal/chains"
+	"monoclass/internal/dataset"
 	"monoclass/internal/domgraph"
 	"monoclass/internal/geom"
 	"monoclass/internal/passive"
@@ -383,6 +384,70 @@ func TestChainCountViolations(t *testing.T) {
 			if got := chainCountViolations(pts, labels, chainSets); got != want {
 				t.Fatalf("trial %d: %s cover: chainCountViolations = %d, want %d", trial, cover, got, want)
 			}
+		}
+	}
+}
+
+// TestViolationsMethodByCost: Violations picks its method by the
+// Problem's shape, not by its route — the chain count on a dense-route
+// two-chain set, the rebuilt triangle on a loaded noisy set hundreds of
+// chains wide — and both methods equal geom.MonotoneViolations on
+// each.
+func TestViolationsMethodByCost(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	narrow := make(geom.WeightedSet, 4096)
+	for i := range narrow {
+		j, x := float64(i%2), rng.Float64()*64
+		label := geom.Negative
+		if (x > 32) != (rng.Intn(10) == 0) {
+			label = geom.Positive
+		}
+		narrow[i] = geom.WeightedPoint{P: geom.Point{x + j, x + j, x + 2 - j}, Label: label, Weight: 1}
+	}
+	var wide geom.WeightedSet
+	for _, lp := range dataset.Planted(rng, dataset.PlantedParams{N: 2048, D: 3, Noise: 0.1}) {
+		wide = append(wide, geom.WeightedPoint{P: lp.P, Label: lp.Label, Weight: 1})
+	}
+	for _, c := range []struct {
+		name    string
+		ws      geom.WeightedSet
+		loaded  bool
+		mode    MatrixMode
+		rebuild bool
+	}{
+		{"dense two-chain", narrow, false, ModeDense, false},
+		{"loaded noisy", wide, true, ModeImplicit, true},
+	} {
+		p, err := Prepare(c.ws, Options{})
+		if err != nil {
+			t.Fatalf("%s: Prepare: %v", c.name, err)
+		}
+		if c.loaded {
+			var buf bytes.Buffer
+			if err := Write(&buf, p); err != nil {
+				t.Fatalf("%s: Write: %v", c.name, err)
+			}
+			if p, err = Read(&buf); err != nil {
+				t.Fatalf("%s: Read: %v", c.name, err)
+			}
+		}
+		if rebuild := rebuildCheaper(p.N(), p.Dim(), p.Width()); p.Mode() != c.mode || rebuild != c.rebuild {
+			t.Fatalf("%s: mode %v, width %d, rebuild %v; want mode %v, rebuild %v",
+				c.name, p.Mode(), p.Width(), rebuild, c.mode, c.rebuild)
+		}
+		labeled := make([]geom.LabeledPoint, p.N())
+		for i, wp := range p.WeightedSet() {
+			labeled[i] = geom.LabeledPoint{P: wp.P, Label: wp.Label}
+		}
+		want := geom.MonotoneViolations(labeled)
+		if want == 0 {
+			t.Fatalf("%s: no violations; the check compares nothing", c.name)
+		}
+		labels := p.Labels()
+		rebuilt := domgraph.Build(p.Points()).CountViolations(labels)
+		counted := chainCountViolations(p.Points(), labels, p.Decomposition().Chains)
+		if got := p.Violations(); rebuilt != want || counted != want || got != want {
+			t.Fatalf("%s: rebuilt %d, chain count %d, Violations %d; MonotoneViolations %d", c.name, rebuilt, counted, got, want)
 		}
 	}
 }

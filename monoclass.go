@@ -110,7 +110,7 @@ type Decomposition = chains.Decomposition
 // chains — exactly DominanceWidth(pts) of them — and returns a maximum
 // antichain of the same size as certificate. Dimensions 1 and 2 run in
 // O(n log n); higher dimensions in O(dn² + n^2.5) up to 65,536 points
-// (two n×n bit relations, 1 GiB). Past that limit it returns a greedy
+// (a 256 MiB bit triangle at the limit). Past that limit it returns a greedy
 // cover, possibly wider than the width, with a nil Antichain.
 func ChainDecompose(pts []Point) Decomposition { return chains.Decompose(pts) }
 
