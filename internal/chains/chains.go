@@ -261,34 +261,39 @@ func greedySeedBitset(m *domgraph.Matrix) []int {
 // chain walk, König antichain, each result mapped back to input
 // indices.
 func decomposeSeeded(m *domgraph.Matrix, seedL []int) (Decomposition, DecomposeStats) {
-	n := m.N()
-	order := m.Order()
-	var st DecomposeStats
-
-	seedSize := 0
-	for _, v := range seedL {
-		if v != -1 {
-			seedSize++
-		}
+	n, order := m.N(), m.Order()
+	// The seed as a matching. Its chain bottoms (free on the left) and
+	// chain tops (free on the right) hold one point per chain each.
+	mm := matching.Matching{MatchLeft: seedL, MatchRight: make([]int, n)}
+	for v := range mm.MatchRight {
+		mm.MatchRight[v] = -1
 	}
-	st.SeedChains = n - seedSize
-	// Optimality certificate: the seed's c chains are minimum iff some
-	// antichain has c points (Dilworth). The chain bottoms and chain
-	// tops are the natural candidates — one point per chain, free on
-	// the left resp. right side of the matching — and each costs only
-	// an O(c·n/64) incomparability check. A hit skips Hopcroft–Karp
-	// entirely; a miss costs nothing beyond the single certifying BFS
-	// the matching would run anyway.
-	for _, anti := range [2][]int{seedBottoms(seedL), seedTops(seedL, n)} {
-		toIndices(anti, order)
-		if !m.IsAntichain(anti) {
+	var bottoms, tops []int
+	for u, v := range seedL {
+		if v == -1 {
+			bottoms = append(bottoms, int(order[u]))
 			continue
 		}
-		st.Width = st.SeedChains
-		st.CertEarlyExit = true
-		chainSets := chainsAtIndices(matchingFromSeed(seedL, n, seedSize), order)
-		sort.Ints(anti)
-		return Decomposition{Chains: chainSets, Width: len(chainSets), Antichain: anti}, st
+		mm.MatchRight[v] = u
+		mm.Size++
+	}
+	for v, u := range mm.MatchRight {
+		if u == -1 {
+			tops = append(tops, int(order[v]))
+		}
+	}
+	st := DecomposeStats{SeedChains: n - mm.Size}
+	// Optimality certificate: the seed's c chains are minimum iff some
+	// antichain has c points (Dilworth). The bottoms and the tops are
+	// the natural candidates, and each costs only an O(c·n/64)
+	// incomparability check. A hit skips Hopcroft–Karp entirely; a
+	// miss costs nothing beyond the single certifying BFS the matching
+	// would run anyway.
+	for _, anti := range [2][]int{bottoms, tops} {
+		if m.IsAntichain(anti) {
+			st.Width, st.CertEarlyExit = st.SeedChains, true
+			return decomposition(mm, order, anti), st
+		}
 	}
 
 	// Bipartite reduction for minimum path cover: left copy u matched
@@ -299,10 +304,7 @@ func decomposeSeeded(m *domgraph.Matrix, seedL []int) (Decomposition, DecomposeS
 	rows, off := m.DAGRows()
 	b := matching.BitsetFromDAG(n, rows, off)
 	mm, mst := matching.MaxMatchingBitsetWarm(b, seedL)
-	st.Phases, st.Augmentations = mst.Phases, mst.Augmentations
-
-	chainSets := chainsAtIndices(mm, order)
-	st.Width = len(chainSets)
+	st.Phases, st.Augmentations, st.Width = mst.Phases, mst.Augmentations, n-mm.Size
 
 	// König: complement of a minimum vertex cover is a maximum
 	// independent set; a point outside the cover on both sides has no
@@ -315,85 +317,33 @@ func decomposeSeeded(m *domgraph.Matrix, seedL []int) (Decomposition, DecomposeS
 			anti = append(anti, int(order[p]))
 		}
 	}
-	if len(anti) != len(chainSets) {
-		panic(fmt.Sprintf("chains: antichain size %d != chain count %d", len(anti), len(chainSets)))
+	if len(anti) != st.Width {
+		panic(fmt.Sprintf("chains: antichain size %d != chain count %d", len(anti), st.Width))
 	}
 	if !m.IsAntichain(anti) {
 		panic("chains: extracted certificate is not an antichain")
 	}
-	sort.Ints(anti)
-	return Decomposition{Chains: chainSets, Width: len(chainSets), Antichain: anti}, st
+	return decomposition(mm, order, anti), st
 }
 
-// toIndices maps positions to the input indices order holds, in
-// place.
-func toIndices(ps []int, order []int32) {
-	for k, p := range ps {
-		ps[k] = int(order[p])
-	}
-}
-
-// chainsAtIndices walks the chains of a matching over positions and
-// returns them over input indices, listed by their tops' indices as
-// the walk over indices lists them. A seed the certificate proves
-// optimal then yields the very list DecomposeGenericScalar's walk
-// would, and callers that work chain by chain — the active learner
-// draws its probes chain by chain — see the same cover whichever
-// numbering the matching ran in.
-func chainsAtIndices(mm matching.Matching, order []int32) [][]int {
+// decomposition walks the chains of a matching over positions and
+// returns them over input indices with the antichain anti, sorted.
+// The chains are listed by their tops' indices, as the walk over
+// indices lists them: a seed the certificate proves optimal then
+// yields the very list DecomposeGenericScalar's walk would, and
+// callers that work chain by chain — the active learner draws its
+// probes chain by chain — see the same cover whichever numbering the
+// matching ran in.
+func decomposition(mm matching.Matching, order []int32, anti []int) Decomposition {
 	chainSets := chainsFromMatching(mm, len(order))
 	for _, c := range chainSets {
-		toIndices(c, order)
+		for k, p := range c {
+			c[k] = int(order[p])
+		}
 	}
 	slices.SortFunc(chainSets, func(a, b []int) int { return a[len(a)-1] - b[len(b)-1] })
-	return chainSets
-}
-
-// seedBottoms returns the chain bottoms of a seed matching: left
-// copies with nothing below them.
-func seedBottoms(seedL []int) []int {
-	var bottoms []int
-	for u, v := range seedL {
-		if v == -1 {
-			bottoms = append(bottoms, u)
-		}
-	}
-	return bottoms
-}
-
-// seedTops returns the chain tops: right copies with nothing above
-// them.
-func seedTops(seedL []int, n int) []int {
-	below := make([]bool, n)
-	for _, v := range seedL {
-		if v != -1 {
-			below[v] = true
-		}
-	}
-	var tops []int
-	for v := 0; v < n; v++ {
-		if !below[v] {
-			tops = append(tops, v)
-		}
-	}
-	return tops
-}
-
-// matchingFromSeed materializes a full Matching from a seed the
-// certificate proved optimal, without touching Hopcroft–Karp.
-func matchingFromSeed(seedL []int, n, size int) matching.Matching {
-	matchL := make([]int, n)
-	matchR := make([]int, n)
-	for i := range matchR {
-		matchR[i] = -1
-	}
-	copy(matchL, seedL)
-	for u, v := range seedL {
-		if v != -1 {
-			matchR[v] = u
-		}
-	}
-	return matching.Matching{MatchLeft: matchL, MatchRight: matchR, Size: size}
+	sort.Ints(anti)
+	return Decomposition{Chains: chainSets, Width: len(chainSets), Antichain: anti}
 }
 
 // chainsFromMatching walks chains from their maximal elements (right

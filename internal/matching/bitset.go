@@ -22,20 +22,6 @@ type BitsetBipartite struct {
 	dag bool
 }
 
-// NewBitsetBipartite creates an empty packed bipartite graph whose
-// rows all take ceil(nRight/64) words.
-func NewBitsetBipartite(nLeft, nRight int) *BitsetBipartite {
-	if nLeft < 0 || nRight < 0 {
-		panic(fmt.Sprintf("matching: negative vertex count (%d, %d)", nLeft, nRight))
-	}
-	words := (nRight + 63) / 64
-	off := make([]int, nLeft+1)
-	for u := range off {
-		off[u] = u * words
-	}
-	return &BitsetBipartite{nLeft: nLeft, nRight: nRight, words: words, adj: make([]uint64, nLeft*words), off: off}
-}
-
 // BitsetFromRows adopts packed adjacency rows without copying; the
 // caller must not mutate them while the graph is in use. Row u is
 // rows[off[u]:off[u+1]], at most ceil(nRight/64) words: bit v of it
@@ -72,21 +58,6 @@ func BitsetFromDAG(n int, rows []uint64, off []int) *BitsetBipartite {
 	b := BitsetFromRows(n, n, rows, off)
 	b.dag = true
 	return b
-}
-
-// SetEdge adds the edge (u, v); setting it twice is harmless.
-func (b *BitsetBipartite) SetEdge(u, v int) {
-	if u < 0 || u >= b.nLeft {
-		panic(fmt.Sprintf("matching: left vertex %d out of range [0,%d)", u, b.nLeft))
-	}
-	if v < 0 || v >= b.nRight {
-		panic(fmt.Sprintf("matching: right vertex %d out of range [0,%d)", v, b.nRight))
-	}
-	row := b.row(u)
-	if v>>6 >= len(row) {
-		panic(fmt.Sprintf("matching: right vertex %d lies past row %d's %d words", v, u, len(row)))
-	}
-	row[v>>6] |= 1 << uint(v&63)
 }
 
 // HasEdge reports whether the edge (u, v) is present.
@@ -134,10 +105,18 @@ type MatchingStats struct {
 	RowScans int
 }
 
-// MaxMatchingBitset is Hopcroft–Karp over the packed adjacency from an
-// empty matching. The phase structure (and therefore the O(√V) phase
-// bound) is identical to MaxMatching, but both halves of a phase work
-// a word at a time. The BFS keeps an unvisited-right bitset, so each
+// MaxMatchingBitsetWarm is Hopcroft–Karp over the packed adjacency,
+// warm-started from a seed matching: seedL[u] is the right vertex
+// initially matched to left vertex u, or -1, and a nil seedL means a
+// cold start. Every seeded pair must be an edge of b and no right
+// vertex may be seeded twice (the function panics otherwise — seeds
+// come from trusted chain covers, not user input). Hopcroft–Karp
+// converges to a maximum matching from any valid initial matching;
+// since each phase augments at least once, the whole run costs at most
+// (max − |seed|) + 1 BFS phases, and a cold start keeps
+// MaxMatching's O(√V) phase bound.
+//
+// Both halves of a phase work a word at a time. The BFS keeps an unvisited-right bitset, so each
 // row scan is one AND per word and every right vertex is expanded at
 // most once. It also files every right vertex it reaches into a mask:
 // the free-right mask, or the mask of layer k when its partner sits at
@@ -160,23 +139,8 @@ type MatchingStats struct {
 // Both the BFS and the phase's DFS loop start from the free left
 // vertices highest index first: on the triangle, numbered by a linear
 // extension, that puts an a above u before u, where the rules can
-// fire.
-func MaxMatchingBitset(b *BitsetBipartite) Matching {
-	m, _ := MaxMatchingBitsetWarm(b, nil)
-	return m
-}
-
-// MaxMatchingBitsetWarm is MaxMatchingBitset warm-started from a seed
-// matching: seedL[u] is the right vertex initially matched to left
-// vertex u, or -1. A nil seedL means a cold start. Every seeded pair
-// must be an edge of b and no right vertex may be seeded twice (the
-// function panics otherwise — seeds come from trusted chain covers,
-// not user input). Hopcroft–Karp converges to a maximum matching from
-// any valid initial matching; since each phase augments at least once,
-// the whole run costs at most (max − |seed|) + 1 BFS phases. On a
-// BitsetFromDAG graph the closure rules described at MaxMatchingBitset
-// apply, and of the returned stats only RowScans differs from the
-// generic graph's over the same rows and seed.
+// fire. Of the returned stats only RowScans differs from the generic
+// graph's over the same rows and seed.
 func MaxMatchingBitsetWarm(b *BitsetBipartite, seedL []int) (Matching, MatchingStats) {
 	matchL := make([]int, b.nLeft)
 	matchR := make([]int, b.nRight)

@@ -8,12 +8,12 @@ import (
 // randomPair builds the same random graph in both representations.
 func randomPair(rng *rand.Rand, nLeft, nRight int, p float64) (*Bipartite, *BitsetBipartite) {
 	b := NewBipartite(nLeft, nRight)
-	bb := NewBitsetBipartite(nLeft, nRight)
+	bb := newBitsetGraph(nLeft, nRight)
 	for u := 0; u < nLeft; u++ {
 		for v := 0; v < nRight; v++ {
 			if rng.Float64() < p {
 				b.AddEdge(u, v)
-				bb.SetEdge(u, v)
+				bb.setEdge(u, v)
 			}
 		}
 	}
@@ -51,7 +51,7 @@ func TestMaxMatchingBitsetMatchesSlice(t *testing.T) {
 		p := []float64{0.02, 0.1, 0.5, 0.9}[rng.Intn(4)]
 		b, bb := randomPair(rng, nLeft, nRight, p)
 		want := MaxMatching(b)
-		got := MaxMatchingBitset(bb)
+		got := coldMatching(bb)
 		if got.Size != want.Size {
 			t.Fatalf("trial %d (%dx%d p=%g): bitset size %d != slice size %d",
 				trial, nLeft, nRight, p, got.Size, want.Size)
@@ -69,7 +69,7 @@ func TestMinVertexCoverBitset(t *testing.T) {
 		nRight := rng.Intn(70)
 		p := []float64{0.05, 0.3, 0.8}[rng.Intn(3)]
 		_, bb := randomPair(rng, nLeft, nRight, p)
-		m := MaxMatchingBitset(bb)
+		m := coldMatching(bb)
 		coverL, coverR := MinVertexCoverBitset(bb, m)
 		size := 0
 		for _, c := range coverL {
@@ -100,11 +100,11 @@ func TestMinVertexCoverBitset(t *testing.T) {
 func TestBitsetWordBoundaries(t *testing.T) {
 	for _, nRight := range []int{1, 63, 64, 65, 127, 128, 129} {
 		// Perfect matching on a permutation graph.
-		bb := NewBitsetBipartite(nRight, nRight)
+		bb := newBitsetGraph(nRight, nRight)
 		for u := 0; u < nRight; u++ {
-			bb.SetEdge(u, (u+3)%nRight)
+			bb.setEdge(u, (u+3)%nRight)
 		}
-		m := MaxMatchingBitset(bb)
+		m := coldMatching(bb)
 		if m.Size != nRight {
 			t.Fatalf("nRight=%d: permutation matching size %d, want %d", nRight, m.Size, nRight)
 		}
@@ -116,7 +116,7 @@ func TestBitsetFromRowsAdoptsBacking(t *testing.T) {
 	// 2x2 complete graph, rows packed by hand.
 	rows := []uint64{0b11, 0b11}
 	bb := BitsetFromRows(2, 2, rows, []int{0, 1, 2})
-	if m := MaxMatchingBitset(bb); m.Size != 2 {
+	if m := coldMatching(bb); m.Size != 2 {
 		t.Fatalf("complete 2x2: size %d, want 2", m.Size)
 	}
 	// Ragged rows: left 0 has no words, so no edge, and left 1 keeps
@@ -125,7 +125,7 @@ func TestBitsetFromRowsAdoptsBacking(t *testing.T) {
 	if ragged.HasEdge(0, 0) || !ragged.HasEdge(1, 0) || !ragged.HasEdge(1, 1) {
 		t.Fatal("ragged rows misread")
 	}
-	if m := MaxMatchingBitset(ragged); m.Size != 1 {
+	if m := coldMatching(ragged); m.Size != 1 {
 		t.Fatalf("ragged 2x2: size %d, want 1", m.Size)
 	}
 	for name, off := range map[string][]int{
@@ -146,14 +146,14 @@ func TestBitsetFromRowsAdoptsBacking(t *testing.T) {
 }
 
 func TestBitsetEmptyGraphs(t *testing.T) {
-	if m := MaxMatchingBitset(NewBitsetBipartite(0, 0)); m.Size != 0 {
+	if m := coldMatching(newBitsetGraph(0, 0)); m.Size != 0 {
 		t.Fatal("empty graph must have empty matching")
 	}
-	if m := MaxMatchingBitset(NewBitsetBipartite(5, 0)); m.Size != 0 {
+	if m := coldMatching(newBitsetGraph(5, 0)); m.Size != 0 {
 		t.Fatal("no right vertices must give empty matching")
 	}
-	bb := NewBitsetBipartite(3, 4)
-	m := MaxMatchingBitset(bb) // edgeless
+	bb := newBitsetGraph(3, 4)
+	m := coldMatching(bb) // edgeless
 	if m.Size != 0 {
 		t.Fatal("edgeless graph must give empty matching")
 	}

@@ -50,11 +50,11 @@ func TestDAGRulesMatchGeneric(t *testing.T) {
 		rows, off := domgraph.Build(randomDAGPoints(rng, n, d)).DAGRows()
 		gen := BitsetFromRows(n, n, rows, off)
 		dag := BitsetFromDAG(n, rows, off)
-		full := NewBitsetBipartite(n, n)
+		full := newBitsetGraph(n, n)
 		for u := 0; u < n; u++ {
 			for v := 0; v < n; v++ {
 				if gen.HasEdge(u, v) {
-					full.SetEdge(u, v)
+					full.setEdge(u, v)
 				}
 			}
 		}

@@ -8,11 +8,11 @@ import (
 // randomBitsetGraph builds a random packed bipartite graph with edge
 // probability p.
 func randomBitsetGraph(rng *rand.Rand, nLeft, nRight int, p float64) *BitsetBipartite {
-	b := NewBitsetBipartite(nLeft, nRight)
+	b := newBitsetGraph(nLeft, nRight)
 	for u := 0; u < nLeft; u++ {
 		for v := 0; v < nRight; v++ {
 			if rng.Float64() < p {
-				b.SetEdge(u, v)
+				b.setEdge(u, v)
 			}
 		}
 	}
@@ -46,7 +46,7 @@ func TestWarmMatchesColdSize(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		nL, nR := 1+rng.Intn(60), 1+rng.Intn(60)
 		b := randomBitsetGraph(rng, nL, nR, []float64{0.02, 0.1, 0.4}[trial%3])
-		cold := MaxMatchingBitset(b)
+		cold := coldMatching(b)
 		seed := greedySeed(b)
 		warm, st := MaxMatchingBitsetWarm(b, seed)
 		if warm.Size != cold.Size {
@@ -82,7 +82,7 @@ func TestWarmMatchesColdSize(t *testing.T) {
 func TestWarmPerfectSeedOnePhase(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	b := randomBitsetGraph(rng, 50, 50, 0.2)
-	cold := MaxMatchingBitset(b)
+	cold := coldMatching(b)
 	warm, st := MaxMatchingBitsetWarm(b, cold.MatchLeft)
 	if warm.Size != cold.Size {
 		t.Fatalf("warm size %d != cold size %d", warm.Size, cold.Size)
@@ -100,7 +100,7 @@ func TestWarmPerfectSeedOnePhase(t *testing.T) {
 func TestWarmNilSeedIsCold(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	b := randomBitsetGraph(rng, 40, 35, 0.15)
-	cold := MaxMatchingBitset(b)
+	cold := coldMatching(b)
 	warm, st := MaxMatchingBitsetWarm(b, nil)
 	if warm.Size != cold.Size || st.SeedSize != 0 {
 		t.Fatalf("nil seed diverged: size %d vs %d, seed %d", warm.Size, cold.Size, st.SeedSize)
@@ -115,9 +115,9 @@ func TestWarmNilSeedIsCold(t *testing.T) {
 // TestWarmSeedValidation: invalid seeds must panic loudly rather than
 // silently corrupt the matching invariants.
 func TestWarmSeedValidation(t *testing.T) {
-	b := NewBitsetBipartite(3, 3)
-	b.SetEdge(0, 1)
-	b.SetEdge(2, 1)
+	b := newBitsetGraph(3, 3)
+	b.setEdge(0, 1)
+	b.setEdge(2, 1)
 	cases := map[string][]int{
 		"wrong length":     {1, -1},
 		"out of range":     {3, -1, -1},

@@ -55,7 +55,9 @@ import (
 // Lookup bound: the builder walks each pair of a label-0 half a₀ and a
 // label-1 half c₁ once. One lookup, top(a₀) ⪰ bottom(c₁), rules the
 // pair out when it fails: any a₀ member dominating any c₁ member would
-// make the top dominate the bottom. A pair that passes and emits L
+// make the top dominate the bottom. Before it, a comparison of their
+// domgraph.Height values rules out, with no lookup, the pairs whose
+// bottom sits higher than the top. A pair that passes and emits L
 // links costs at most |c₁| lookups advancing its c₁ pointer (one
 // success per member passed beyond a link's first, at most one
 // failure per link) plus at most
@@ -234,11 +236,11 @@ func infinityEdges(view domgraph.View, ws geom.WeightedSet, cover [][]int, conte
 				}
 			}
 			if below >= 0 {
-				edge := below
+				end := below // the half's top on label 0
 				if label == geom.Positive {
-					edge = index(flat[start])
+					end = index(flat[start]) // its bottom on label 1
 				}
-				halves[label] = append(halves[label], half{flat[start:], domgraph.Height(ws[edge].P)})
+				halves[label] = append(halves[label], half{flat[start:], domgraph.Height(ws[end].P)})
 			}
 		}
 	}
