@@ -55,9 +55,7 @@ import (
 // Lookup bound: the builder walks each pair of a label-0 half a₀ and a
 // label-1 half c₁ once. One lookup, top(a₀) ⪰ bottom(c₁), rules the
 // pair out when it fails: any a₀ member dominating any c₁ member would
-// make the top dominate the bottom. Before it, a comparison of their
-// domgraph.Height values rules out, with no lookup, the pairs whose
-// bottom sits higher than the top. A pair that passes and emits L
+// make the top dominate the bottom. A pair that passes and emits L
 // links costs at most |c₁| lookups advancing its c₁ pointer (one
 // success per member passed beyond a link's first, at most one
 // failure per link) plus at most
@@ -215,14 +213,8 @@ func infinityEdges(view domgraph.View, ws geom.WeightedSet, cover [][]int, conte
 		order := mat.Order()
 		dominates, key, index = mat.DominatesAt, mat.Position, func(p int) int { return int(order[p]) }
 	}
-	// A half's height is its top's domgraph.Height on label 0, its
-	// bottom's on label 1.
-	type half struct {
-		keys   []int
-		height float64
-	}
 	flat := make([]int, 0, m) // the halves' members as view keys; never reallocated
-	var halves [2][]half      // per label: the chains' non-empty halves
+	var halves [2][][]int     // per label: the chains' non-empty halves
 	for _, chain := range cover {
 		for _, label := range [...]geom.Label{geom.Negative, geom.Positive} {
 			start, below := len(flat), -1
@@ -235,25 +227,14 @@ func infinityEdges(view domgraph.View, ws geom.WeightedSet, cover [][]int, conte
 					below = idx
 				}
 			}
-			if below >= 0 {
-				end := below // the half's top on label 0
-				if label == geom.Positive {
-					end = index(flat[start]) // its bottom on label 1
-				}
-				halves[label] = append(halves[label], half{flat[start:], domgraph.Height(ws[end].P)})
+			if half := flat[start:]; len(half) > 0 {
+				halves[label] = append(halves[label], half)
 			}
 		}
 	}
-	for _, z := range halves[geom.Negative] {
-		zero := z.keys
+	for _, zero := range halves[geom.Negative] {
 		top := zero[len(zero)-1]
-		for _, o := range halves[geom.Positive] {
-			// top ⪰ bottom needs height(top) ≥ height(bottom): a float
-			// comparison rules most pairs out before any lookup.
-			if o.height > z.height {
-				continue
-			}
-			one := o.keys
+		for _, one := range halves[geom.Positive] {
 			if !dominates(top, one[0]) {
 				continue
 			}
