@@ -15,8 +15,7 @@ import (
 
 // TestActiveLearnDenseGuard: one point past the exact limit at d=3,
 // ActiveLearn takes the route's greedy fallback instead of building
-// the dense matrix (≈1.4 GiB allocated in all when that was two n×n
-// bit relations, 256 MiB for the triangle alone now), reports it, and
+// the dense matrix (a 256 MiB triangle at this n), reports it, and
 // probes along the cover problem.Prepare builds for the same points.
 func TestActiveLearnDenseGuard(t *testing.T) {
 	const width = 16

@@ -19,7 +19,8 @@
 // diagonal and inside runs of duplicate points, so the matrix keeps
 // each position's run start beside the triangle and answers ⪰ from
 // both. At n points the triangle takes about n²/16 bytes, a quarter of
-// the two full n×n relations it replaced.
+// what a closure and a DAG relation held as full n×n bit matrices
+// take.
 //
 // The builder never tests point pairs individually. Since
 // p ⪰ q  ⇔  ∀k: p[k] >= q[k], the row of p is the word-wise AND over

@@ -99,8 +99,8 @@ func TestSumLexOrderIsLinearExtension(t *testing.T) {
 }
 
 // TestBuildAllocatesTriangle: Build at n=8192 d=3 allocates the
-// triangle (4 MiB) and little else — under 6 MiB in all, where the two
-// full relations it replaced took 16 MiB.
+// triangle (4 MiB) and little else — under 6 MiB in all, where a full
+// n×n closure and DAG relation would take 16 MiB.
 func TestBuildAllocatesTriangle(t *testing.T) {
 	pts := benchPoints(8192, 3)
 	var before, after runtime.MemStats

@@ -162,9 +162,9 @@ func (ws WeightedSet) TotalWeight() float64 {
 // in order of first appearance. It leaves ws untouched and returns a
 // new set, plus the entry each input merged into: ws[i] went to
 // out[entry[i]]. Points merge when their coordinates have the same
-// float64 bits, so −0 and +0 stay apart, as they did when points were
-// keyed by their %g strings. Coalescing can shrink the max-flow
-// instance Problem 2 builds, without changing w-err of any classifier.
+// float64 bits, so −0 and +0 stay apart. Coalescing can shrink the
+// max-flow instance Problem 2 builds, without changing w-err of any
+// classifier.
 func (ws WeightedSet) Coalesce() (out WeightedSet, entry []int) {
 	idx := make(map[string]int, len(ws))
 	out = make(WeightedSet, 0, len(ws))

@@ -114,8 +114,7 @@ func TestCoalesce(t *testing.T) {
 	if WErr(ws, allPos) != WErr(got, allPos) || WErr(ws, allNeg) != WErr(got, allNeg) {
 		t.Error("Coalesce changed w-err")
 	}
-	// −0 and +0 are equal coordinates but distinct entries, as their
-	// %g strings were.
+	// −0 and +0 are equal coordinates but distinct entries.
 	nz := math.Copysign(0, -1)
 	signed := WeightedSet{
 		{P: Point{0, 1}, Label: Positive, Weight: 1},

@@ -128,9 +128,8 @@ func TestPrepareWarmStartSmoke(t *testing.T) {
 // TestProblemRetainsNoMatrix: a prepared and solved dense-route Problem
 // holds its points, cover and network, not the dominance matrix. On a
 // planted noisy n=8192 d=3 set the live heap the Problem holds must
-// stay under one n×n bit relation (8 MiB), half the footprint of the
-// two relations the dense route used to build; it holds ≈5.6 MiB, so
-// keeping even the 4 MiB triangle it builds now would cross the bound.
+// stay under one full n×n bit relation (8 MiB); it holds ≈5.6 MiB, so
+// keeping the 4 MiB triangle would cross the bound.
 func TestProblemRetainsNoMatrix(t *testing.T) {
 	const n = 8192
 	lps := dataset.Planted(rand.New(rand.NewSource(1)), dataset.PlantedParams{N: n, D: 3, Noise: 0.1})
