@@ -9,6 +9,7 @@
 package monoclass_test
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 
@@ -103,6 +104,69 @@ func BenchmarkChainDecompose2D50000(b *testing.B) {
 		dec := monoclass.ChainDecompose(pts)
 		if dec.Width != 16 {
 			b.Fatalf("width %d", dec.Width)
+		}
+	}
+}
+
+// chains16CSV encodes n points of the 16-chain d=2 workload as CSV:
+// points on 16 parallel diagonals, labeled by a threshold on the
+// diagonal parameter with coin flips in a band of ≈2,048 expected
+// points around it, weights 1–4 — the shape of benchtab's problem
+// table and of perfbench's train-chains-d2 sets.
+func chains16CSV(b *testing.B, n int) []byte {
+	const w, span, theta = 16, 64.0, 32.0
+	rng := rand.New(rand.NewSource(5))
+	half := min(span*1024/float64(n), span/4)
+	ws := make(monoclass.WeightedSet, n)
+	for i := range ws {
+		t, j := rng.Float64()*span, float64(rng.Intn(w))
+		label := monoclass.Negative
+		if t > theta {
+			label = monoclass.Positive
+		}
+		if t > theta-half && t < theta+half && rng.Intn(2) == 0 {
+			label = 1 - label
+		}
+		ws[i] = monoclass.WeightedPoint{P: monoclass.Point{t + j, t + w - j}, Label: label, Weight: float64(1 + rng.Intn(4))}
+	}
+	var buf bytes.Buffer
+	if err := monoclass.WriteCSV(&buf, ws); err != nil {
+		b.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// BenchmarkReadCSV parses an n=81,920 d=2 set from CSV bytes.
+func BenchmarkReadCSV(b *testing.B) {
+	csv := chains16CSV(b, 81920)
+	b.ReportAllocs()
+	b.SetBytes(int64(len(csv)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := monoclass.ReadCSV(bytes.NewReader(csv)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkTrainCSV2D is one d=2 train from CSV bytes, n=81,920:
+// ReadCSV, PrepareProblem (rank arrays, patience pass, network) and
+// TrainPrepared (the first max-flow solve).
+func BenchmarkTrainCSV2D(b *testing.B) {
+	csv := chains16CSV(b, 81920)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ws, err := monoclass.ReadCSV(bytes.NewReader(csv))
+		if err != nil {
+			b.Fatal(err)
+		}
+		p, err := monoclass.PrepareProblem(ws, monoclass.ProblemOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := monoclass.TrainPrepared(p); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -67,15 +67,18 @@ const (
 )
 
 // Route is one run of DecomposeRoute: the cover, the path that built
-// it, and the dense matrix when that path built one.
+// it, and the dominance structure that path built.
 type Route struct {
 	Decomposition
 	// Path names the branch taken (Path* constants).
 	Path string
-	// Matrix, the time it took to build, and the warm-start counters
-	// are PathExactDense's; problem.Prepare builds its network on the
-	// matrix. Zero on the other paths.
+	// Matrix is PathExactDense's dense matrix and Implicit PathFast2D's
+	// rank arrays; problem.Prepare builds its network over whichever
+	// is set. MatrixTime is the time that structure took to build, and
+	// the warm-start counters are PathExactDense's. All are zero on the
+	// greedy fallback.
 	Matrix     *domgraph.Matrix
+	Implicit   *domgraph.Implicit
 	MatrixTime time.Duration
 	Stats      DecomposeStats
 }
@@ -85,7 +88,9 @@ type Route struct {
 func (r Route) Exact() bool { return r.Path != PathGreedyFallback }
 
 // DecomposeRoute is the one Lemma 6 route every caller takes. d ≤ 2
-// takes the O(n log n) fast paths. d ≥ 3 with n ≤ exactLimit and the
+// builds the rank arrays (domgraph.NewImplicit), whose radix sort
+// leaves the points in (x, y, index) order, and runs the O(n log n)
+// fast path over that order. d ≥ 3 with n ≤ exactLimit and the
 // triangle within 2 GiB builds the dominance matrix and
 // runs the warm-started matching on it (DecomposeMatrixStats). Every
 // other input gets GreedyDecompose's cover, which carries no
@@ -101,10 +106,16 @@ func DecomposeRoute(pts []geom.Point, exactLimit int) Route {
 	}
 	var r Route
 	switch d := len(pts[0]); {
-	case d == 1:
-		r.Decomposition, r.Path = Decompose1D(pts), PathFast2D
-	case d == 2:
-		r.Decomposition, r.Path = Decompose2D(pts), PathFast2D
+	case d == 1 || d == 2:
+		start := time.Now()
+		r.Implicit = domgraph.NewImplicit(pts)
+		r.MatrixTime = time.Since(start)
+		if d == 1 {
+			r.Decomposition = decompose1D(r.Implicit)
+		} else {
+			r.Decomposition = decompose2D(r.Implicit)
+		}
+		r.Path = PathFast2D
 	case n <= exactLimit && domgraph.Footprint(n) <= maxDenseBytes:
 		start := time.Now()
 		r.Matrix = domgraph.Build(pts)
@@ -410,65 +421,12 @@ func DecomposeGenericScalar(pts []geom.Point) Decomposition {
 }
 
 // Width returns the dominance width of pts: the size of its largest
-// antichain, equivalently the minimum number of chains covering it.
-// At d ≥ 3 past DefaultExactDecomposeLimit points it returns the greedy
-// cover's chain count instead, an upper bound (see DecomposeRoute).
+// antichain, equivalently the minimum number of chains covering it —
+// the route's chain count. At d ≥ 3 past DefaultExactDecomposeLimit
+// points it is the greedy cover's chain count instead, an upper bound
+// (see DecomposeRoute).
 func Width(pts []geom.Point) int {
-	if len(pts) == 0 {
-		return 0
-	}
-	if len(pts[0]) == 2 {
-		return Width2D(pts)
-	}
 	return Decompose(pts).Width
-}
-
-// Width2D computes the dominance width of a 2-D point set in
-// O(n log n) time: after sorting by (x asc, y asc), a maximum antichain
-// is exactly a longest strictly-decreasing subsequence of y values
-// (two 2-D points are incomparable iff one is strictly left of and
-// strictly above the other; equal-x points are always comparable).
-func Width2D(pts []geom.Point) int {
-	n := len(pts)
-	if n == 0 {
-		return 0
-	}
-	if len(pts[0]) != 2 {
-		panic(fmt.Sprintf("chains: Width2D on %d-dimensional points", len(pts[0])))
-	}
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		pa, pb := pts[order[a]], pts[order[b]]
-		if pa[0] != pb[0] {
-			return pa[0] < pb[0]
-		}
-		return pa[1] < pb[1]
-	})
-	// Longest strictly decreasing subsequence of y == longest strictly
-	// increasing subsequence of -y, via patience sorting.
-	tails := make([]float64, 0, n) // tails[k] = max(-y) achievable ending a length-k+1 subsequence... (min tail)
-	for _, idx := range order {
-		v := -pts[idx][1]
-		// Find first tail >= v (strict increase required).
-		lo, hi := 0, len(tails)
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if tails[mid] < v {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		if lo == len(tails) {
-			tails = append(tails, v)
-		} else {
-			tails[lo] = v
-		}
-	}
-	return len(tails)
 }
 
 // GreedyDecompose is the classic first-fit heuristic: points are

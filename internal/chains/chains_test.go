@@ -119,29 +119,6 @@ func TestDecomposeMatchesBruteForce(t *testing.T) {
 	}
 }
 
-func TestWidth2DMatchesGeneric(t *testing.T) {
-	rng := rand.New(rand.NewSource(43))
-	for trial := 0; trial < 150; trial++ {
-		n := 1 + rng.Intn(40)
-		pts := randPoints(rng, n, 2, 8)
-		if got, want := Width2D(pts), Decompose(pts).Width; got != want {
-			t.Fatalf("trial %d: Width2D %d != Decompose %d", trial, got, want)
-		}
-	}
-	if Width2D(nil) != 0 {
-		t.Error("empty Width2D should be 0")
-	}
-}
-
-func TestWidth2DPanicsOnWrongDim(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	Width2D([]geom.Point{{1, 2, 3}})
-}
-
 func TestWidthDispatch(t *testing.T) {
 	if Width(nil) != 0 {
 		t.Error("empty width should be 0")

@@ -1,38 +1,41 @@
 package chains
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 	"sort"
 
+	"monoclass/internal/domgraph"
 	"monoclass/internal/geom"
 )
 
 // Decompose1D decomposes a totally ordered (1-D) point set: a single
-// chain sorted by coordinate, with any one point as the maximum
-// antichain.
+// chain in ascending coordinate order, ties by index, with any one
+// point as the maximum antichain.
 func Decompose1D(pts []geom.Point) Decomposition {
-	n := len(pts)
-	if n == 0 {
+	if len(pts) == 0 {
 		return Decomposition{}
 	}
-	chain := make([]int, n)
-	for i := range chain {
-		chain[i] = i
+	return decompose1D(domgraph.NewImplicit(pts))
+}
+
+func decompose1D(v *domgraph.Implicit) Decomposition {
+	order := v.Order()
+	chain := make([]int, len(order))
+	for p, idx := range order {
+		chain[p] = int(idx)
 	}
-	sort.Slice(chain, func(a, b int) bool { return pts[chain[a]][0] < pts[chain[b]][0] })
 	return Decomposition{Chains: [][]int{chain}, Width: 1, Antichain: []int{chain[0]}}
 }
 
 // Decompose2D computes a minimum chain decomposition of a 2-D point
 // set in O(n log n) time by patience sorting, instead of the generic
 // O(dn² + n^2.5) matching construction. Points are processed in
-// (x asc, y asc) order; each goes to the leftmost pile whose top has
-// y >= its own y (equivalently the classic patience rule on v = -y),
-// so every pile is a dominance chain. The pile count equals the length
-// of the longest strictly-decreasing-y subsequence — the maximum
-// antichain — which back-pointers recover as the certificate.
+// (x asc, y asc, index asc) order; each goes to the leftmost pile
+// whose top has y >= its own y (equivalently the classic patience
+// rule on v = -y), so every pile is a dominance chain and exact
+// duplicates sit in one pile in input order. The pile count equals
+// the length of the longest strictly-decreasing-y subsequence — the
+// maximum antichain — which back-pointers recover as the certificate.
 func Decompose2D(pts []geom.Point) Decomposition {
 	n := len(pts)
 	if n == 0 {
@@ -41,39 +44,28 @@ func Decompose2D(pts []geom.Point) Decomposition {
 	if len(pts[0]) != 2 {
 		panic(fmt.Sprintf("chains: Decompose2D on %d-dimensional points", len(pts[0])))
 	}
-	// Sort contiguous (x, y, index) records rather than an index slice
-	// that chases pts on every comparison; exact duplicates fall back
-	// to input order, so the piles do not depend on the sort algorithm.
-	type xyIdx struct {
-		x, y float64
-		i    int
-	}
-	order := make([]xyIdx, n)
-	for i, p := range pts {
-		order[i] = xyIdx{p[0], p[1], i}
-	}
-	slices.SortFunc(order, func(a, b xyIdx) int {
-		if c := cmp.Compare(a.x, b.x); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(a.y, b.y); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.i, b.i)
-	})
+	return decompose2D(domgraph.NewImplicit(pts))
+}
 
+// decompose2D is Decompose2D's patience pass over v's rank arrays: it
+// walks v.Order(), the (x, y, index) order the radix build left
+// behind, and compares y ranks, which order exactly as the y values
+// do, so no sort and no float comparison remains.
+func decompose2D(v *domgraph.Implicit) Decomposition {
+	order, ry := v.Order(), v.Rank(1)
 	var (
-		piles [][]int          // pile i = chain members in placement order
-		tops  []float64        // v = -y of each pile's top; ascending across piles
-		ptr   = make([]int, n) // back-pointer to a point on the previous pile, or -1
+		piles [][]int                   // pile i = chain members in placement order
+		tops  []int32                   // -(y rank) of each pile's top; ascending across piles
+		ptr   = make([]int, len(order)) // back-pointer to a point on the previous pile, or -1
 	)
-	for _, r := range order {
-		idx, v := r.i, -r.y
-		// Leftmost pile whose top >= v.
+	for _, i32 := range order {
+		idx := int(i32)
+		y := -ry[idx]
+		// Leftmost pile whose top >= y.
 		lo, hi := 0, len(tops)
 		for lo < hi {
-			mid := (lo + hi) / 2
-			if tops[mid] < v {
+			mid := int(uint(lo+hi) >> 1)
+			if tops[mid] < y {
 				lo = mid + 1
 			} else {
 				hi = mid
@@ -90,7 +82,7 @@ func Decompose2D(pts []geom.Point) Decomposition {
 			ptr[idx] = -1
 		}
 		piles[lo] = append(piles[lo], idx)
-		tops[lo] = v
+		tops[lo] = y
 	}
 
 	// Antichain: walk back-pointers from the top of the last pile.

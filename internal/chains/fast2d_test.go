@@ -1,7 +1,12 @@
 package chains
 
 import (
+	"cmp"
+	"math"
 	"math/rand"
+	"reflect"
+	"slices"
+	"sort"
 	"testing"
 
 	"monoclass/internal/geom"
@@ -31,9 +36,6 @@ func TestDecompose2DContinuousCoordinates(t *testing.T) {
 		}
 		dec := Decompose2D(pts)
 		checkDecomposition(t, pts, dec)
-		if got := Width2D(pts); got != dec.Width {
-			t.Fatalf("trial %d: width mismatch %d vs %d", trial, dec.Width, got)
-		}
 	}
 }
 
@@ -123,7 +125,108 @@ func TestDecompose2DLargeScale(t *testing.T) {
 	if err := ValidateAntichain(pts, dec.Antichain); err != nil {
 		t.Fatal(err)
 	}
-	if dec.Width != Width2D(pts) {
-		t.Errorf("width mismatch at scale")
+	if len(dec.Antichain) != dec.Width {
+		t.Errorf("antichain of %d points for width %d", len(dec.Antichain), dec.Width)
+	}
+}
+
+// patience2DSorted is the comparator-sort reference for Decompose2D:
+// (x, y, index) records sorted by cmp.Compare, then the patience pass
+// on -y values.
+func patience2DSorted(pts []geom.Point) Decomposition {
+	type xyIdx struct {
+		x, y float64
+		i    int
+	}
+	order := make([]xyIdx, len(pts))
+	for i, p := range pts {
+		order[i] = xyIdx{p[0], p[1], i}
+	}
+	slices.SortFunc(order, func(a, b xyIdx) int {
+		if c := cmp.Compare(a.x, b.x); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(a.y, b.y); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.i, b.i)
+	})
+	var (
+		piles [][]int
+		tops  []float64
+		ptr   = make([]int, len(pts))
+	)
+	for _, r := range order {
+		idx, v := r.i, -r.y
+		lo, hi := 0, len(tops)
+		for lo < hi {
+			mid := (lo + hi) / 2
+			if tops[mid] < v {
+				lo = mid + 1
+			} else {
+				hi = mid
+			}
+		}
+		if lo == len(tops) {
+			piles = append(piles, nil)
+			tops = append(tops, 0)
+		}
+		ptr[idx] = -1
+		if lo > 0 {
+			prev := piles[lo-1]
+			ptr[idx] = prev[len(prev)-1]
+		}
+		piles[lo] = append(piles[lo], idx)
+		tops[lo] = v
+	}
+	var anti []int
+	last := piles[len(piles)-1]
+	for cur := last[len(last)-1]; cur != -1; cur = ptr[cur] {
+		anti = append(anti, cur)
+	}
+	sort.Ints(anti)
+	return Decomposition{Chains: piles, Width: len(piles), Antichain: anti}
+}
+
+// sixteenChains draws n points on 16 parallel diagonals, the
+// train-chains-d2 benchmark's shape: point (t+j, t+16-j) for a uniform
+// t in [0, 64) and chain j.
+func sixteenChains(rng *rand.Rand, n int) []geom.Point {
+	pts := make([]geom.Point, n)
+	for i := range pts {
+		t, j := rng.Float64()*64, float64(rng.Intn(16))
+		pts[i] = geom.Point{t + j, t + 16 - j}
+	}
+	return pts
+}
+
+// TestDecompose2DMatchesComparatorOrder: walking the radix build's
+// order over y ranks yields the very piles and antichain the
+// comparator-sorted patience pass did, on the 16-chain shape, an
+// integer grid full of duplicates, and sets where −0 and +0 tie.
+func TestDecompose2DMatchesComparatorOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(79))
+	nzero := math.Copysign(0, -1)
+	var sets [][]geom.Point
+	for _, n := range []int{1, 64, 1000, 20000} {
+		sets = append(sets, sixteenChains(rng, n), randPoints(rng, n, 2, 9))
+	}
+	for trial := 0; trial < 20; trial++ {
+		pts := make([]geom.Point, 1+rng.Intn(200))
+		for i := range pts {
+			c := [4]float64{nzero, 0, -1, 1}
+			pts[i] = geom.Point{c[rng.Intn(4)], c[rng.Intn(4)]}
+		}
+		sets = append(sets, pts)
+	}
+	for si, pts := range sets {
+		got, want := Decompose2D(pts), patience2DSorted(pts)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("set %d (n=%d): radix-order piles differ from the sorted run's", si, len(pts))
+		}
+		route := DecomposeRoute(pts, 0)
+		if !reflect.DeepEqual(route.Decomposition, want) || route.Implicit == nil || route.Matrix != nil {
+			t.Fatalf("set %d: the route's fast path differs from the sorted run's", si)
+		}
 	}
 }

@@ -14,8 +14,9 @@ import (
 // grid: the first byte fixes the dimension (1..4), then every d bytes
 // form one point with coordinates in 0..7 (small grid → dense ties and
 // duplicates, the regime where kernel and scalar paths can disagree),
-// except that byte 0xff decodes to +Inf and 0xfe to −Inf, so a point
-// can hold both and sum to NaN. Up to 130 points decode, so a matrix
+// except that byte 0xff decodes to +Inf, 0xfe to −Inf and 0xfd to −0
+// (a tie with the 0 that bytes ≡ 0 mod 8 decode to), so a point can
+// hold both infinities and sum to NaN. Up to 130 points decode, so a matrix
 // row spans three 64-bit words and the matcher's per-word masks meet
 // both word boundaries.
 func decodePoints(data []byte) []geom.Point {
@@ -37,6 +38,8 @@ func decodePoints(data []byte) []geom.Point {
 				p[k] = math.Inf(1)
 			case 0xfe:
 				p[k] = math.Inf(-1)
+			case 0xfd:
+				p[k] = math.Copysign(0, -1)
 			default:
 				p[k] = float64(b % 8)
 			}
@@ -56,7 +59,9 @@ func decodePoints(data []byte) []geom.Point {
 // reach the same width. The matcher's closure rules must change
 // nothing: from the best-fit seed and from an empty one, the DAG graph
 // returns the generic graph's matching, stats and König cover over
-// the same rows, scanning no more rows.
+// the same rows, scanning no more rows. The route every caller takes
+// (Decompose, the rank-array fast paths at d ≤ 2) must return valid
+// chains and an antichain of the scalar width.
 func FuzzDecomposeKernelVsScalar(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4})                   // 1-d chain
 	f.Add([]byte{1, 0, 7, 1, 6, 2, 5, 3, 4})       // 2-d antichain
@@ -75,7 +80,8 @@ func FuzzDecomposeKernelVsScalar(f *testing.F) {
 	// 3-d points holding both +Inf and −Inf: their plain coordinate
 	// sums are NaN.
 	f.Add([]byte{2, 0xff, 0xfe, 3, 0xfe, 0xff, 1, 2, 2, 2, 0xff, 0xff, 0xff, 0xfe, 0xfe, 0xfe, 0xff, 0xfe, 0xfe})
-	wide := []byte{2} // 130 3-d points: rows span three words
+	f.Add([]byte{1, 0xfd, 0, 0, 0xfd, 0xfd, 0xfd, 0, 0, 1, 0xfd, 0xfd, 1}) // 2-d −0/+0 ties
+	wide := []byte{2}                                                      // 130 3-d points: rows span three words
 	for i := 0; i < 3*130; i++ {
 		wide = append(wide, byte(i*37%61))
 	}
@@ -92,6 +98,16 @@ func FuzzDecomposeKernelVsScalar(f *testing.F) {
 		}
 		if w := Width(pts); w != len(kernel.Chains) {
 			t.Fatalf("decomposition width %d, Width() says %d", len(kernel.Chains), w)
+		}
+		route := Decompose(pts)
+		if err := ValidateDecomposition(pts, route.Chains); err != nil {
+			t.Fatalf("route decomposition invalid: %v", err)
+		}
+		if route.Width != scalar.Width || len(route.Antichain) != scalar.Width {
+			t.Fatalf("route width %d with a %d-point antichain, scalar width %d", route.Width, len(route.Antichain), scalar.Width)
+		}
+		if err := ValidateAntichain(pts, route.Antichain); err != nil {
+			t.Fatalf("route certificate invalid: %v", err)
 		}
 		if err := ValidateDecomposition(pts, kernel.Chains); err != nil {
 			t.Fatalf("kernel decomposition invalid: %v", err)

@@ -107,7 +107,7 @@ func CheckDecomposeWarmStart(in Instance) error {
 
 // checkRoute holds the route every caller takes to the oracle's width:
 // chains.Decompose (1-D/2-D fast paths included) with a valid
-// certificate, Width and, at d=2, Width2D. Under a limit below n the
+// certificate, and Width. Under a limit below n the
 // route must keep the fast paths at d ≤ 2 and fall back at d ≥ 3 to a
 // valid greedy cover, no narrower, with no antichain or matrix.
 func checkRoute(in Instance, width int) error {
@@ -116,12 +116,8 @@ func checkRoute(in Instance, width int) error {
 	if err := validateDecomposition("route", pts, route); err != nil {
 		return err
 	}
-	w2 := width
-	if in.Dim() == 2 {
-		w2 = chains.Width2D(pts)
-	}
-	if route.Width != width || chains.Width(pts) != width || w2 != width {
-		return fmt.Errorf("route width %d, Width %d, Width2D %d; scalar width %d", route.Width, chains.Width(pts), w2, width)
+	if route.Width != width || chains.Width(pts) != width {
+		return fmt.Errorf("route width %d, Width %d; scalar width %d", route.Width, chains.Width(pts), width)
 	}
 	limit := in.N() - 1
 	if limit == 0 {

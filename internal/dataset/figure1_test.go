@@ -71,8 +71,8 @@ func TestFigure1Width(t *testing.T) {
 	if dec.Width != 6 {
 		t.Fatalf("width = %d, paper says 6", dec.Width)
 	}
-	if got := chains.Width2D(raw); got != 6 {
-		t.Fatalf("Width2D = %d, paper says 6", got)
+	if got := chains.Width(raw); got != 6 {
+		t.Fatalf("Width = %d, paper says 6", got)
 	}
 	if err := chains.ValidateAntichain(raw, Figure1Antichain()); err != nil {
 		t.Fatalf("paper's antichain invalid on fixture: %v", err)

@@ -2,12 +2,87 @@ package dataset
 
 import (
 	"bytes"
+	"encoding/csv"
+	"fmt"
+	"io"
+	"math"
+	"strconv"
 	"strings"
 	"testing"
+
+	"monoclass/internal/geom"
 )
 
+// readCSVReference is the encoding/csv reference for ReadCSV: records
+// from csv.Reader (no field count enforced), then ReadCSV's checks
+// row by row. FuzzReadCSV holds ReadCSV to it.
+func readCSVReference(r io.Reader) (geom.WeightedSet, error) {
+	cr := csv.NewReader(r)
+	cr.FieldsPerRecord = -1
+	var out geom.WeightedSet
+	dim := -1
+	line := 0
+	for {
+		row, err := cr.Read()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, err
+		}
+		line++
+		if len(row) < 3 {
+			return nil, fmt.Errorf("line %d has %d columns", line, len(row))
+		}
+		d := len(row) - 2
+		if dim == -1 {
+			dim = d
+		} else if d != dim {
+			return nil, fmt.Errorf("line %d has %d coordinates, want %d", line, d, dim)
+		}
+		pt := make(geom.Point, d)
+		for k := 0; k < d; k++ {
+			if pt[k], err = strconv.ParseFloat(row[k], 64); err != nil {
+				return nil, err
+			}
+		}
+		labelInt, err := strconv.Atoi(row[d])
+		if err != nil || (labelInt != 0 && labelInt != 1) {
+			return nil, fmt.Errorf("line %d: invalid label %q", line, row[d])
+		}
+		weight, err := strconv.ParseFloat(row[d+1], 64)
+		if err != nil {
+			return nil, err
+		}
+		wp := geom.WeightedPoint{P: pt, Label: geom.Label(labelInt), Weight: weight}
+		if err := wp.Validate(); err != nil {
+			return nil, err
+		}
+		out = append(out, wp)
+	}
+	return out, nil
+}
+
+// writeCSVReference is the encoding/csv reference for WriteCSV.
+func writeCSVReference(ws geom.WeightedSet) string {
+	var buf bytes.Buffer
+	cw := csv.NewWriter(&buf)
+	for _, wp := range ws {
+		var row []string
+		for _, c := range wp.P {
+			row = append(row, strconv.FormatFloat(c, 'g', -1, 64))
+		}
+		cw.Write(append(row, wp.Label.String(), strconv.FormatFloat(wp.Weight, 'g', -1, 64)))
+	}
+	cw.Flush()
+	return buf.String()
+}
+
 // FuzzReadCSV feeds arbitrary bytes to the CSV reader: it must never
-// panic, and everything it accepts must round-trip losslessly.
+// panic, it must accept exactly what the encoding/csv reference
+// accepts, with bit-identical coordinates, labels and weights, and
+// everything it accepts must round-trip losslessly through WriteCSV,
+// which must write encoding/csv's bytes.
 func FuzzReadCSV(f *testing.F) {
 	f.Add("1,2,0,1\n3,4,1,2\n")
 	f.Add("")
@@ -20,10 +95,49 @@ func FuzzReadCSV(f *testing.F) {
 	var sample bytes.Buffer
 	WriteCSV(&sample, Figure1Weighted())
 	f.Add(sample.String())
+	// Quoting, line ends and number syntax, where a hand-written
+	// splitter could part ways with encoding/csv.
+	f.Add("\"1.5\",2,0,1\n")
+	f.Add("\"1\"\"5\",2,0,1\n")             // "" escape: the field holds a quote, rejected
+	f.Add("\"\",2,0,1\n")                   // an empty quoted field
+	f.Add("\"1\n\",2,0,1\n")                // a quoted field spanning a newline
+	f.Add("\"1\r\n2\",3,0,1\n")             // ... a CRLF one
+	f.Add("1,2,\"0\"\n3,4,\"1\"\r\n")       // quoted labels, a quote closing before CRLF
+	f.Add("\"1\"x,2,0,1\n")                 // text after a closing quote
+	f.Add("1\"2,3,0,1\n")                   // a bare quote
+	f.Add("\"1,2,0,1\n")                    // an unterminated quote
+	f.Add("1,2,0,1\r\n3,4,1,2\r\n")         // CRLF
+	f.Add("\n\n1,2,0,1\n\r\n\n3,4,1,2\n\n") // blank lines
+	f.Add("1,2,0,1\r3,4,1,2\n")             // a bare \r mid-line
+	f.Add("1,2,0,1\r")                      // a trailing \r at the end of input
+	f.Add(" 1,2,0,1\n")                     // a leading space
+	f.Add(" \"1\",2,0,1\n")                 // a leading space before a quote
+	f.Add("1,2,0,1,\n")                     // a trailing comma
+	f.Add("0x1p-2,0x1.8p3,0,1\n")           // hex floats
+	f.Add("-0,0,1,0x1p-1\n")                // −0, a hex weight
+	f.Add("+Inf,1e400,1,1\n")               // +Inf and an out-of-range coordinate
+	f.Add("1_0,2,0,1\n")                    // an underscore
+	f.Add("1,2,+1,1\n1,3,-0,2\n")           // signed labels
 	f.Fuzz(func(t *testing.T, data string) {
 		ws, err := ReadCSV(strings.NewReader(data))
+		ref, refErr := readCSVReference(strings.NewReader(data))
+		if (err == nil) != (refErr == nil) {
+			t.Fatalf("ReadCSV error %v, encoding/csv reference error %v", err, refErr)
+		}
 		if err != nil {
 			return
+		}
+		if len(ws) != len(ref) {
+			t.Fatalf("ReadCSV read %d rows, the reference %d", len(ws), len(ref))
+		}
+		for i := range ws {
+			if !sameBits(ws[i].P, ref[i].P) || ws[i].Label != ref[i].Label ||
+				math.Float64bits(ws[i].Weight) != math.Float64bits(ref[i].Weight) {
+				t.Fatalf("row %d: ReadCSV %v, reference %v", i, ws[i], ref[i])
+			}
+			if cap(ws[i].P) != len(ws[i].P) {
+				t.Fatalf("row %d: point cap %d > len %d", i, cap(ws[i].P), len(ws[i].P))
+			}
 		}
 		if err := ws.Validate(); err != nil {
 			t.Fatalf("accepted set fails validation: %v", err)
@@ -31,6 +145,9 @@ func FuzzReadCSV(f *testing.F) {
 		var buf bytes.Buffer
 		if err := WriteCSV(&buf, ws); err != nil {
 			t.Fatalf("accepted set fails to serialize: %v", err)
+		}
+		if want := writeCSVReference(ws); buf.String() != want {
+			t.Fatalf("WriteCSV wrote %q, encoding/csv %q", buf.String(), want)
 		}
 		back, err := ReadCSV(&buf)
 		if err != nil {
@@ -45,4 +162,16 @@ func FuzzReadCSV(f *testing.F) {
 			}
 		}
 	})
+}
+
+func sameBits(p, q geom.Point) bool {
+	if len(p) != len(q) {
+		return false
+	}
+	for k := range p {
+		if math.Float64bits(p[k]) != math.Float64bits(q[k]) {
+			return false
+		}
+	}
+	return true
 }

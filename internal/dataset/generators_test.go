@@ -85,7 +85,7 @@ func TestWidthControlledExactWidth(t *testing.T) {
 		for i, lp := range pts {
 			raw[i] = lp.P
 		}
-		if got := chains.Width2D(raw); got != w {
+		if got := chains.Width(raw); got != w {
 			t.Errorf("w=%d: measured width %d", w, got)
 		}
 	}

@@ -1,8 +1,11 @@
 package domgraph
 
 import (
+	"cmp"
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"monoclass/internal/geom"
@@ -90,5 +93,108 @@ func TestViewsMatchNaiveAdversarial(t *testing.T) {
 		if d := Diff(m, BuildNaive(pts)); d != "" {
 			t.Fatalf("dense %s: Build vs BuildNaive: %s", tag, d)
 		}
+	}
+}
+
+// sortRanks is the comparator-sort reference for NewImplicit's ranks:
+// (value, index) records sorted by cmp.Compare, dense ranks over
+// distinct values.
+func sortRanks(pts []geom.Point, k int) []int32 {
+	type valIdx struct {
+		v float64
+		i int32
+	}
+	order := make([]valIdx, len(pts))
+	for i, p := range pts {
+		order[i] = valIdx{p[k], int32(i)}
+	}
+	slices.SortFunc(order, func(a, b valIdx) int { return cmp.Compare(a.v, b.v) })
+	rk := make([]int32, len(pts))
+	r := int32(0)
+	for pos, e := range order {
+		if pos > 0 && e.v != order[pos-1].v {
+			r++
+		}
+		rk[e.i] = r
+	}
+	return rk
+}
+
+// sortOrder is the (x1, …, xd, index) order by a comparator sort.
+func sortOrder(pts []geom.Point) []int32 {
+	order := make([]int32, len(pts))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortStableFunc(order, func(a, b int32) int {
+		for k := range pts[a] {
+			if c := cmp.Compare(pts[a][k], pts[b][k]); c != 0 {
+				return c
+			}
+		}
+		return 0
+	})
+	return order
+}
+
+// TestImplicitRanksMatchSort holds the radix ranks and order to the
+// comparator sort on columns built to trip an order-preserving key:
+// signed zeros, infinities, subnormals, the largest finite values,
+// all-equal and heavily duplicated columns, at sizes around a word
+// and past the int16 range. NaN input answers through the scalar
+// fallback.
+func TestImplicitRanksMatchSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	special := []float64{
+		math.Copysign(0, -1), 0, math.Inf(1), math.Inf(-1),
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+		math.Float64frombits(0x000fffffffffffff), -math.Float64frombits(0x000fffffffffffff),
+		math.MaxFloat64, -math.MaxFloat64, 1, -1, 0.5, -0.5,
+	}
+	columns := map[string]func(i int) float64{
+		"special":  func(int) float64 { return special[rng.Intn(len(special))] },
+		"uniform":  func(int) float64 { return rng.NormFloat64() * math.Pow(2, float64(rng.Intn(40)-20)) },
+		"equal":    func(int) float64 { return 3.25 },
+		"dup":      func(int) float64 { return float64(rng.Intn(3)) - 1 },
+		"signbits": func(i int) float64 { return math.Float64frombits(rng.Uint64()) },
+		"index":    func(i int) float64 { return float64(i % 97) },
+	}
+	names := []string{"dup", "equal", "index", "signbits", "special", "uniform"}
+	for _, n := range []int{1, 2, 63, 64, 65, 4096, 70000} {
+		for _, a := range names {
+			for _, b := range names {
+				if n > 65 && b != "dup" && b != "special" {
+					continue // large sets pair each column with heavy ties only
+				}
+				pts := make([]geom.Point, n)
+				for i := range pts {
+					pts[i] = geom.Point{columns[a](i), columns[b](i)}
+					if math.IsNaN(pts[i][1]) {
+						pts[i][1] = 0 // "signbits" draws NaN now and then
+					}
+					if math.IsNaN(pts[i][0]) {
+						pts[i][0] = 0
+					}
+				}
+				v := NewImplicit(pts)
+				for k := 0; k < 2; k++ {
+					if got, want := v.Rank(k), sortRanks(pts, k); !slices.Equal(got, want) {
+						t.Fatalf("n=%d %s×%s: dimension %d ranks differ from the sort's", n, a, b, k)
+					}
+				}
+				if !slices.Equal(v.Order(), sortOrder(pts)) {
+					t.Fatalf("n=%d %s×%s: order differs from the sort's", n, a, b)
+				}
+				if n <= 65 {
+					checkViewAgainstNaive(t, fmt.Sprintf("n=%d %s×%s", n, a, b), v, pts)
+				}
+			}
+		}
+	}
+	nan := math.NaN()
+	pts := []geom.Point{{nan, 1}, {1, 1}, {0, nan}, {2, 2}, {nan, nan}}
+	checkViewAgainstNaive(t, "nan", NewImplicit(pts), pts)
+	if got, want := NewImplicit(pts).Order(), sortOrder(pts); !slices.Equal(got, want) {
+		t.Fatalf("NaN order %v, sort's %v", got, want)
 	}
 }

@@ -39,7 +39,7 @@ type Stats struct {
 	N          int     // input points
 	Contending int     // |P^con|
 	GraphEdges int     // edges of the constructed network
-	FlowValue  float64 // max-flow value == optimal weighted error
+	FlowValue  float64 // max-flow value: the optimal weighted error, rounded in the solver's order
 	Solver     string  // flow solver used: "pushrelabelhl-pooled" (default) or "custom"
 }
 
@@ -48,7 +48,9 @@ type Solution struct {
 	// Classifier is an optimal monotone classifier, represented by its
 	// minimal positive anchors; it is total on R^d.
 	Classifier *classifier.AnchorSet
-	// WErr is the optimal weighted error w-err_P(Classifier).
+	// WErr is the optimal weighted error w-err_P(Classifier): the
+	// weights of the misclassified points summed in input order, bit
+	// for bit what geom.WErr rescoring Classifier returns.
 	WErr float64
 	// Assignment holds the classifier's value on each input point, in
 	// input order.

@@ -169,9 +169,19 @@ func (pp *Prepared) Resolve(solver FlowSolver) (Solution, error) {
 		// indicates a solver bug and must surface loudly.
 		return Solution{}, fmt.Errorf("passive: cut assignment not monotone: %w", err)
 	}
+	// WErr is summed over the assignment in input order, as geom.WErr
+	// rescoring the classifier sums it: the flow value equals it in
+	// exact arithmetic, but its float64 rounding follows the order the
+	// solver pushed flow along the ∞ edges.
+	var werr float64
+	for i, wp := range pp.ws {
+		if assign[i] != wp.Label {
+			werr += wp.Weight
+		}
+	}
 	return Solution{
 		Classifier: h,
-		WErr:       flowValue,
+		WErr:       werr,
 		Assignment: assign,
 		Stats: Stats{
 			N:          n,

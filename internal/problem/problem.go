@@ -14,7 +14,8 @@
 // guard), Prepare builds the network over it and drops it (ModeDense).
 // Everywhere else — d ≤ 2 and the greedy fallback — it answers the
 // network build's dominance lookups from per-dimension rank arrays
-// (ModeImplicit). PrepareCover skips the route for a cover the caller
+// (ModeImplicit): at d ≤ 2 the very arrays the route's fast path
+// walked, built once. PrepareCover skips the route for a cover the caller
 // already holds, over rank arrays too. Either way the Problem keeps
 // nothing quadratic: the points, the cover and the network.
 package problem
@@ -113,7 +114,8 @@ type PrepareStats struct {
 	Edges      int `json:"edges"`
 	// Per-stage wall times: dominance representation build, chain
 	// decomposition, flow-network construction, and the whole Prepare
-	// call end to end.
+	// call end to end. At d ≤ 2 MatrixNS is the rank-array build and
+	// DecomposeNS the patience pass over its order.
 	MatrixNS    int64 `json:"matrix_ns"`
 	DecomposeNS int64 `json:"decompose_ns"`
 	NetworkNS   int64 `json:"network_ns"`
@@ -160,10 +162,7 @@ func Prepare(ws geom.WeightedSet, opts Options) (*Problem, error) {
 	if err := validate(ws); err != nil {
 		return nil, err
 	}
-	owned := make(geom.WeightedSet, len(ws))
-	for i, wp := range ws {
-		owned[i] = geom.WeightedPoint{P: wp.P.Clone(), Label: wp.Label, Weight: wp.Weight}
-	}
+	owned := clone(ws)
 	pts := pointsOf(owned)
 
 	decStart := time.Now()
@@ -175,11 +174,16 @@ func Prepare(ws geom.WeightedSet, opts Options) (*Problem, error) {
 	st.SeedChains, st.Augmentations = route.Stats.SeedChains, route.Stats.Augmentations
 	st.Phases, st.CertEarlyExit = route.Stats.Phases, route.Stats.CertEarlyExit
 
-	var view domgraph.View = route.Matrix
-	mode := ModeDense
-	if route.Matrix == nil {
+	var view domgraph.View
+	mode := ModeImplicit
+	switch {
+	case route.Matrix != nil:
+		view, mode = route.Matrix, ModeDense
+	case route.Implicit != nil:
+		view = route.Implicit
+	default:
 		implicitStart := time.Now()
-		view, mode = domgraph.NewImplicit(pts), ModeImplicit
+		view = domgraph.NewImplicit(pts)
 		st.MatrixNS = time.Since(implicitStart).Nanoseconds()
 	}
 	return assemble(owned, pts, mode, view, route.Decomposition, route.Exact(), st, start), nil
@@ -244,6 +248,20 @@ func assemble(ws geom.WeightedSet, pts []geom.Point, mode MatrixMode, view domgr
 	st.Mode = mode.String()
 	st.Width, st.ExactWidth = dec.Width, exact
 	return &Problem{ws: ws, pts: pts, mode: mode, dec: dec, stats: st, prep: prep}
+}
+
+// clone copies a validated ws with every point carved from one
+// coordinate backing, cap == len.
+func clone(ws geom.WeightedSet) geom.WeightedSet {
+	d := ws.Dim()
+	coords := make([]float64, len(ws)*d)
+	owned := make(geom.WeightedSet, len(ws))
+	for i, wp := range ws {
+		p := coords[i*d : (i+1)*d : (i+1)*d]
+		copy(p, wp.P)
+		owned[i] = geom.WeightedPoint{P: p, Label: wp.Label, Weight: wp.Weight}
+	}
+	return owned
 }
 
 // validate rejects an empty set and what ws.Validate rejects.

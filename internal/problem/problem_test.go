@@ -14,6 +14,7 @@ import (
 	"monoclass/internal/dataset"
 	"monoclass/internal/domgraph"
 	"monoclass/internal/geom"
+	"monoclass/internal/maxflow"
 	"monoclass/internal/passive"
 )
 
@@ -356,8 +357,52 @@ func TestReadOlderFiles(t *testing.T) {
 			t.Fatalf("%s: Solve: %v", name, err)
 		}
 		anchors := sol.Classifier.Anchors()
-		if sol.WErr != want.WErr || !reflect.DeepEqual(sol.Assignment, want.Assignment) || !reflect.DeepEqual(anchors, want.Anchors) {
-			t.Fatalf("%s: WErr %v, anchors %v; the writer had %v, %v", name, sol.WErr, anchors, want.WErr, want.Anchors)
+		if !reflect.DeepEqual(sol.Assignment, want.Assignment) || !reflect.DeepEqual(anchors, want.Anchors) {
+			t.Fatalf("%s: anchors %v; the writer had %v", name, anchors, want.Anchors)
+		}
+		// The writer stored the flow value as werr; WErr is now summed
+		// over the assignment in input order.
+		if sol.Stats.FlowValue != want.WErr {
+			t.Fatalf("%s: flow value %v, the writer had %v", name, sol.Stats.FlowValue, want.WErr)
+		}
+		var sum float64
+		for i, wp := range p.WeightedSet() {
+			if want.Assignment[i] != wp.Label {
+				sum += wp.Weight
+			}
+		}
+		if sol.WErr != sum {
+			t.Fatalf("%s: WErr %v, input-order sum over the stored assignment %v", name, sol.WErr, sum)
+		}
+	}
+}
+
+// TestWErrIsInputOrderSum: with non-dyadic weights, whose float sums
+// depend on their order, WErr is bit for bit what rescoring the model
+// with geom.WErr gives, whichever solver pushed the flow, while the
+// flow value only agrees to rounding.
+func TestWErrIsInputOrderSum(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for trial := 0; trial < 40; trial++ {
+		ws := randomSet(rng, 20+rng.Intn(200), 1+rng.Intn(3))
+		for i := range ws {
+			ws[i].Weight = float64(1+rng.Intn(9)) / 3 * (1 + rng.Float64()/7)
+		}
+		p, err := Prepare(ws, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, solver := range []passive.FlowSolver{nil, maxflow.Dinic} {
+			sol, err := p.SolveWith(SolveOptions{Solver: solver})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := geom.WErr(ws, sol.Classifier.Classify); sol.WErr != want {
+				t.Fatalf("trial %d: WErr %v, geom.WErr %v", trial, sol.WErr, want)
+			}
+			if math.Abs(sol.WErr-sol.Stats.FlowValue) > 1e-9*math.Max(1, sol.WErr) {
+				t.Fatalf("trial %d: WErr %v, flow value %v", trial, sol.WErr, sol.Stats.FlowValue)
+			}
 		}
 	}
 }
