@@ -116,26 +116,12 @@ func ReadCSV(r io.Reader) (geom.WeightedSet, error) {
 // readAll reads r to the end into one buffer, sized up front when r
 // reports what is left (bytes.Reader, strings.Reader, bytes.Buffer).
 func readAll(r io.Reader) ([]byte, error) {
-	size := 0
+	var buf bytes.Buffer
 	if lr, ok := r.(interface{ Len() int }); ok {
-		size = lr.Len()
+		buf.Grow(lr.Len() + bytes.MinRead)
 	}
-	// One spare byte lets the read that reports io.EOF land without
-	// growing the buffer.
-	buf := make([]byte, 0, size+1)
-	for {
-		if len(buf) == cap(buf) {
-			buf = append(buf, 0)[:len(buf)]
-		}
-		n, err := r.Read(buf[len(buf):cap(buf)])
-		buf = buf[:len(buf)+n]
-		if err == io.EOF {
-			return buf, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
+	_, err := buf.ReadFrom(r)
+	return buf.Bytes(), err
 }
 
 var (
