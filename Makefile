@@ -202,8 +202,9 @@ fuzz-serve:
 fuzz-classify:
 	$(GO) test -run FuzzClassifyIndexedVsScalar -fuzz FuzzClassifyIndexedVsScalar -fuzztime 30s ./internal/classidx
 
-# Coverage-guided fuzz of the CSV ingress: arbitrary bytes through
-# ReadCSV must reject cleanly or round-trip losslessly.
+# Differential fuzz of the CSV ingress: arbitrary bytes through
+# ReadCSV must get the encoding/csv reference's verdict and values,
+# and what it accepts must round-trip losslessly.
 fuzz-csv:
 	$(GO) test -run FuzzReadCSV -fuzz FuzzReadCSV -fuzztime 30s ./internal/dataset
 

@@ -16,9 +16,9 @@ import (
 // duplicates, the regime where kernel and scalar paths can disagree),
 // except that byte 0xff decodes to +Inf, 0xfe to −Inf and 0xfd to −0
 // (a tie with the 0 that bytes ≡ 0 mod 8 decode to), so a point can
-// hold both infinities and sum to NaN. Up to 130 points decode, so a matrix
-// row spans three 64-bit words and the matcher's per-word masks meet
-// both word boundaries.
+// hold both infinities and sum to NaN. Up to 130 points decode, so a
+// matrix row spans three 64-bit words and the matcher's per-word
+// masks meet both word boundaries.
 func decodePoints(data []byte) []geom.Point {
 	if len(data) < 1 {
 		return nil
