@@ -20,6 +20,7 @@
 #   make fuzz-online       short fuzz pass over the online delta intake
 #   make fuzz-problem      short fuzz pass over problem deserialization
 #   make fuzz-serve        short differential fuzz of the classify wire codec
+#   make fuzz-learn        short differential fuzz of the /learn body
 #   make fuzz-classify     short differential fuzz of the anchor index vs the scalar scan
 #   make fuzz-csv          short fuzz pass over the CSV reader
 #   make fuzz-model        short fuzz passes over the model reader and its round trip
@@ -31,7 +32,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: all build vet test race conformance conformance-long conformance-mutate bench-maxflow bench-classify bench-serve bench-shard bench-online bench-problem bench-active profile-prepare ci-smoke loc fuzz-chains fuzz-passive fuzz-online fuzz-problem fuzz-serve fuzz-classify fuzz-csv fuzz-model fuzz-maxflow serve-stress verify verify-full clean
+.PHONY: all build vet test race conformance conformance-long conformance-mutate bench-maxflow bench-classify bench-serve bench-shard bench-online bench-problem bench-active profile-prepare ci-smoke loc fuzz-chains fuzz-passive fuzz-online fuzz-problem fuzz-serve fuzz-learn fuzz-classify fuzz-csv fuzz-model fuzz-maxflow serve-stress verify verify-full clean
 
 all: check
 
@@ -196,6 +197,12 @@ fuzz-problem:
 # the codec rejects), bit-identical points, byte-identical responses.
 fuzz-serve:
 	$(GO) test -run FuzzClassifyWire -fuzz FuzzClassifyWire -fuzztime 30s ./internal/serve
+
+# Differential fuzz of the /learn ingress: arbitrary bodies through a
+# fresh server's handler must get an encoding/json reference's status,
+# and a 202 must apply exactly the reference's inserts and deletes.
+fuzz-learn:
+	$(GO) test -run FuzzLearnBody -fuzz FuzzLearnBody -fuzztime 30s ./internal/serve
 
 # Differential fuzz of the anchor index (per-point and batch kernel)
 # against the scalar anchor scan, NaN and ±Inf queries included.

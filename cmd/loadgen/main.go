@@ -1,6 +1,6 @@
 // Command loadgen replays datagen-style synthetic workloads against
 // the monoserve HTTP service and records throughput and latency, one
-// row per batching configuration, as machine-readable JSON
+// row per configuration, as machine-readable JSON
 // (BENCH_serve.json at the repo root).
 //
 // By default it spins up an in-process server per configuration — so
@@ -12,14 +12,13 @@
 //	loadgen -out /tmp/q.json -quick               # seconds-scale smoke
 //	loadgen -url http://host:8080 -out out.json   # external server
 //
-// Configurations are "SPEC[@PROCS][+rN]" entries. SPEC is either
-// "MAXBATCH" — single-point /classify requests through the server's
-// batcher, which dispatches on arrival and takes at most MAXBATCH
-// queued requests per batch ("1" never coalesces) — or "bN" —
-// client-side batches of N points per /classify/batch request, where
-// -requests counts points and throughput_rps reports classifications
-// per second. An optional "@PROCS" suffix pins runtime.GOMAXPROCS for
-// that row ("32@2"), and an optional "+rN" suffix serves the row
+// Configurations are "SPEC[@PROCS][+rN]" entries. SPEC is either "p"
+// — single-point /classify requests through the server's batcher,
+// which answers one request per worker turn — or "bN" — client-side
+// batches of N points per /classify/batch request, where -requests
+// counts points and throughput_rps reports classifications per
+// second. An optional "@PROCS" suffix pins runtime.GOMAXPROCS for
+// that row ("p@2"), and an optional "+rN" suffix serves the row
 // through an in-process replica fleet of N servers behind the sharding
 // router ("b512@2+r2"): requests scale by N so per-replica work stays
 // comparable, throughput_rps aggregates the whole fleet, and
@@ -76,12 +75,11 @@ type report struct {
 	Rows        []configRow `json:"configs"`
 }
 
-// configRow is one batching configuration's measurements. For
-// client-batch rows (ClientBatch > 0) Requests counts points and
-// ThroughputRPS is classifications per second; the server-side batcher
-// is bypassed, so MaxBatch is zero.
+// configRow is one configuration's measurements. For client-batch
+// rows (ClientBatch > 0) Requests counts points and ThroughputRPS is
+// classifications per second; single-point rows (ClientBatch 0) go
+// through the server-side batcher.
 type configRow struct {
-	MaxBatch    int `json:"max_batch"`
 	ClientBatch int `json:"client_batch"`
 	// Replicas > 0 marks a sharded row: the requests were served by a
 	// replica fleet of this size behind the consistent-hash router, and
@@ -138,8 +136,8 @@ func main() {
 	flag.Float64Var(&opt.noise, "noise", 0.1, "label-flip probability")
 	flag.IntVar(&opt.requests, "requests", 20000, "requests per configuration")
 	flag.IntVar(&opt.concurrency, "concurrency", 32, "concurrent client goroutines")
-	flag.StringVar(&opt.configs, "configs", "1@1,8@1,32@1,32@2,b64@1,b512@1,b512@2,b512@2+r2,b2048@2+r2,b4096@2+r2,b4096@2+r3",
-		"comma-separated SPEC[@PROCS][+rN] configurations (SPEC = MAXBATCH for single points or bN for client batches; +rN serves through an N-replica fleet)")
+	flag.StringVar(&opt.configs, "configs", "p@1,p@2,b64@1,b512@1,b512@2,b512@2+r2,b2048@2+r2,b4096@2+r2,b4096@2+r3",
+		"comma-separated SPEC[@PROCS][+rN] configurations (SPEC = p for single points or bN for client batches; +rN serves through an N-replica fleet)")
 	flag.StringVar(&opt.url, "url", "", "replay against an external server instead of in-process (single row)")
 	flag.StringVar(&opt.shardAddrs, "shard-addrs", "",
 		"comma-separated external replica base URLs; loadgen fronts them with a local sharding router and replays through it (single row)")
@@ -235,8 +233,8 @@ func run(opt options, logw io.Writer) error {
 				fmt.Fprintf(logw, "loadgen: client-batch=%d procs=%d%s → %.0f classifications/s, p50=%.0fµs p99=%.0fµs\n",
 					bc.clientBatch, row.GOMAXPROCS, tag, row.ThroughputRPS, row.P50Micros, row.P99Micros)
 			} else {
-				fmt.Fprintf(logw, "loadgen: max-batch=%d procs=%d%s → %.0f req/s, p50=%.0fµs p99=%.0fµs (mean batch %.2f)\n",
-					bc.batcher.MaxBatch, row.GOMAXPROCS, tag, row.ThroughputRPS, row.P50Micros, row.P99Micros, row.MeanBatch)
+				fmt.Fprintf(logw, "loadgen: single points procs=%d%s → %.0f req/s, p50=%.0fµs p99=%.0fµs (mean batch %.2f)\n",
+					row.GOMAXPROCS, tag, row.ThroughputRPS, row.P50Micros, row.P99Micros, row.MeanBatch)
 			}
 			if opt.learnEvery > 0 {
 				fmt.Fprintf(logw, "loadgen:   learn: %d posted, %d accepted, %d rejected\n",
@@ -294,18 +292,16 @@ type learnDelta struct {
 	Weight float64   `json:"weight"`
 }
 
-// benchConfig is one parsed configuration row: either a server-side
-// batching shape (batcher) or a client-batch size, optionally pinned
-// to a GOMAXPROCS value.
+// benchConfig is one parsed configuration row: single points or a
+// client-batch size, optionally pinned to a GOMAXPROCS value.
 type benchConfig struct {
 	spec        string // as written, for messages
-	batcher     monoclass.BatcherConfig
-	clientBatch int // > 0: bN mode, /classify/batch with N points per call
-	procs       int // > 0: runtime.GOMAXPROCS for the row's duration
-	replicas    int // > 1: +rN mode, an in-process replica fleet behind the sharding router
+	clientBatch int    // > 0: bN mode, /classify/batch with N points per call; 0: p mode
+	procs       int    // > 0: runtime.GOMAXPROCS for the row's duration
+	replicas    int    // > 1: +rN mode, an in-process replica fleet behind the sharding router
 }
 
-// parseConfigs parses "32,1,b512,32@2,b512@2+r2" into benchmark
+// parseConfigs parses "p,b512,p@2,b512@2+r2" into benchmark
 // configurations.
 func parseConfigs(s string) ([]benchConfig, error) {
 	var out []benchConfig
@@ -323,7 +319,7 @@ func parseConfigs(s string) ([]benchConfig, error) {
 		if i := strings.IndexByte(part, '@'); i >= 0 {
 			procs, err := strconv.Atoi(part[i+1:])
 			if err != nil || procs < 1 {
-				return nil, fmt.Errorf("invalid procs suffix in %q (want SPEC@PROCS, e.g. 32@2)", part)
+				return nil, fmt.Errorf("invalid procs suffix in %q (want SPEC@PROCS, e.g. p@2)", part)
 			}
 			bc.procs = procs
 			part = part[:i]
@@ -334,17 +330,9 @@ func parseConfigs(s string) ([]benchConfig, error) {
 				return nil, fmt.Errorf("invalid client-batch config %q (want bN, e.g. b512)", part)
 			}
 			bc.clientBatch = n
-			out = append(out, bc)
-			continue
+		} else if part != "p" {
+			return nil, fmt.Errorf("invalid config %q (want p[@PROCS][+rN] for single points or bN[@PROCS][+rN] for client batches, e.g. p@2 or b512)", bc.spec)
 		}
-		if strings.Contains(part, "x") {
-			return nil, fmt.Errorf("config %q: the batcher no longer holds batches open, so the MAXBATCHxMAXWAIT form is gone; write MAXBATCH[@PROCS][+rN], e.g. 32@2", bc.spec)
-		}
-		mb, err := strconv.Atoi(part)
-		if err != nil || mb < 1 {
-			return nil, fmt.Errorf("invalid config %q (want MAXBATCH[@PROCS][+rN] or bN[@PROCS][+rN], e.g. 32@2 or b512)", bc.spec)
-		}
-		bc.batcher = monoclass.BatcherConfig{MaxBatch: mb, QueueCap: 8192}
 		out = append(out, bc)
 	}
 	if len(out) == 0 {
@@ -360,7 +348,7 @@ func runRow(bc benchConfig, model *monoclass.AnchorSet, pts []monoclass.Point, o
 		prev := runtime.GOMAXPROCS(bc.procs)
 		defer runtime.GOMAXPROCS(prev)
 	}
-	cfg := monoclass.ServeConfig{Batch: bc.batcher}
+	cfg := monoclass.ServeConfig{Batch: monoclass.BatcherConfig{QueueCap: 8192}}
 	if opt.learnEvery > 0 {
 		// Start the online updater cold (empty multiset): the loaded
 		// model serves while incremental deltas stream in, so the row
@@ -388,9 +376,6 @@ func runRow(bc benchConfig, model *monoclass.AnchorSet, pts []monoclass.Point, o
 	}
 	row.GOMAXPROCS = runtime.GOMAXPROCS(0)
 	row.ClientBatch = bc.clientBatch
-	if bc.clientBatch == 0 {
-		row.MaxBatch = bc.batcher.MaxBatch
-	}
 	return row, nil
 }
 
@@ -427,9 +412,6 @@ func runClusterRow(bc benchConfig, model *monoclass.AnchorSet, cfg monoclass.Ser
 	row.GOMAXPROCS = runtime.GOMAXPROCS(0)
 	row.ClientBatch = bc.clientBatch
 	row.Replicas = bc.replicas
-	if bc.clientBatch == 0 {
-		row.MaxBatch = bc.batcher.MaxBatch
-	}
 	return row, nil
 }
 

@@ -31,7 +31,7 @@ func TestRunWritesReport(t *testing.T) {
 		noise:       0.1,
 		requests:    200,
 		concurrency: 8,
-		configs:     "1,16",
+		configs:     "p,b16",
 	}
 	if err := run(opt, &log); err != nil {
 		t.Fatalf("run: %v\n%s", err, log.String())
@@ -65,8 +65,12 @@ func TestRunWritesReport(t *testing.T) {
 			t.Errorf("row %d: load parameters %+v not recorded", i, row)
 		}
 	}
-	if rep.Rows[0].MaxBatch != 1 || rep.Rows[1].MaxBatch != 16 {
+	if rep.Rows[0].ClientBatch != 0 || rep.Rows[1].ClientBatch != 16 {
 		t.Errorf("config order not preserved: %+v", rep.Rows)
+	}
+	// Single points are answered one per worker turn.
+	if rep.Rows[0].Batches != 200 || rep.Rows[0].MeanBatch != 1 {
+		t.Errorf("single-point row: %d batches, mean %g; want 200 batches of 1", rep.Rows[0].Batches, rep.Rows[0].MeanBatch)
 	}
 	if !strings.Contains(log.String(), "wrote "+out) {
 		t.Errorf("log output %q never announced the report", log.String())
@@ -86,7 +90,7 @@ func TestRunQuickCapsWork(t *testing.T) {
 		n:           1 << 20, // clamped to 1024
 		requests:    1 << 20, // clamped to 2000
 		concurrency: 4,
-		configs:     "4",
+		configs:     "p",
 	}
 	var log bytes.Buffer
 	start := time.Now()
@@ -113,45 +117,42 @@ func TestRunQuickCapsWork(t *testing.T) {
 }
 
 func TestParseConfigs(t *testing.T) {
-	got, err := parseConfigs(" 1, 32 ,b512, 32@2 ,b64@3,b512@2+r2,16+r3")
+	got, err := parseConfigs(" p ,b512, p@2 ,b64@3,b512@2+r2,p+r3")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 7 {
-		t.Fatalf("got %d configs, want 7", len(got))
+	if len(got) != 6 {
+		t.Fatalf("got %d configs, want 6", len(got))
 	}
-	if got[0].batcher.MaxBatch != 1 || got[0].clientBatch != 0 || got[0].spec != "1" {
-		t.Errorf("1 → %+v", got[0])
+	if got[0].clientBatch != 0 || got[0].procs != 0 || got[0].spec != "p" {
+		t.Errorf("p → %+v", got[0])
 	}
-	if got[1].batcher.MaxBatch != 32 || got[1].procs != 0 {
-		t.Errorf("32 → %+v", got[1])
+	if got[1].clientBatch != 512 || got[1].procs != 0 {
+		t.Errorf("b512 → %+v", got[1])
 	}
-	if got[2].clientBatch != 512 || got[2].procs != 0 {
-		t.Errorf("b512 → %+v", got[2])
+	if got[2].clientBatch != 0 || got[2].procs != 2 {
+		t.Errorf("p@2 → %+v", got[2])
 	}
-	if got[3].batcher.MaxBatch != 32 || got[3].procs != 2 || got[3].clientBatch != 0 {
-		t.Errorf("32@2 → %+v", got[3])
+	if got[3].clientBatch != 64 || got[3].procs != 3 {
+		t.Errorf("b64@3 → %+v", got[3])
 	}
-	if got[4].clientBatch != 64 || got[4].procs != 3 {
-		t.Errorf("b64@3 → %+v", got[4])
+	if got[4].clientBatch != 512 || got[4].procs != 2 || got[4].replicas != 2 {
+		t.Errorf("b512@2+r2 → %+v", got[4])
 	}
-	if got[5].clientBatch != 512 || got[5].procs != 2 || got[5].replicas != 2 {
-		t.Errorf("b512@2+r2 → %+v", got[5])
+	if got[5].clientBatch != 0 || got[5].procs != 0 || got[5].replicas != 3 {
+		t.Errorf("p+r3 → %+v", got[5])
 	}
-	if got[6].batcher.MaxBatch != 16 || got[6].procs != 0 || got[6].replicas != 3 {
-		t.Errorf("16+r3 → %+v", got[6])
-	}
-	for _, bad := range []string{"", "0", "-1", "3.5", "bogus", "b0", "bx", "32@0", "b512@x", "b512+r1", "b512+rx", "+r2"} {
+	for _, bad := range []string{"", "0", "-1", "3.5", "bogus", "b0", "bx", "p@0", "b512@x", "b512+r1", "b512+rx", "+r2", "pp", "p2"} {
 		if _, err := parseConfigs(bad); err == nil {
 			t.Errorf("parseConfigs(%q) accepted", bad)
 		}
 	}
-	// The retired MAXBATCHxMAXWAIT form is refused with a pointer to
-	// the form that replaced it.
-	for _, old := range []string{"32x2ms", "1x0s", "32x2ms@2", "16x1ms+r3"} {
+	// The retired MAXBATCH and MAXBATCHxMAXWAIT forms are refused with
+	// a pointer to the form that replaced them.
+	for _, old := range []string{"1", "32", "32@2", "16+r3", "32x2ms", "1x0s", "32x2ms@2", "16x1ms+r3"} {
 		_, err := parseConfigs(old)
-		if err == nil || !strings.Contains(err.Error(), "MAXBATCH[@PROCS][+rN]") {
-			t.Errorf("parseConfigs(%q) = %v, want an error naming MAXBATCH[@PROCS][+rN]", old, err)
+		if err == nil || !strings.Contains(err.Error(), "p[@PROCS][+rN]") {
+			t.Errorf("parseConfigs(%q) = %v, want an error naming p[@PROCS][+rN]", old, err)
 		}
 	}
 }
@@ -191,9 +192,6 @@ func TestRunClientBatch(t *testing.T) {
 	row := rep.Rows[0]
 	if row.ClientBatch != 64 || row.GOMAXPROCS != 1 {
 		t.Errorf("row %+v lost client_batch/gomaxprocs", row)
-	}
-	if row.MaxBatch != 0 {
-		t.Errorf("client-batch row %+v reports server batching", row)
 	}
 	if row.Requests != 512 || row.Errors != 0 || row.ThroughputRPS <= 0 {
 		t.Errorf("implausible client-batch row %+v", row)
@@ -254,7 +252,7 @@ func TestRunReplicaRow(t *testing.T) {
 }
 
 func TestRunRejectsBadFlags(t *testing.T) {
-	if err := run(options{kind: "nope", configs: "1", out: os.DevNull}, &bytes.Buffer{}); err == nil {
+	if err := run(options{kind: "nope", configs: "p", out: os.DevNull}, &bytes.Buffer{}); err == nil {
 		t.Error("unknown kind accepted")
 	}
 	if err := run(options{kind: "1d", n: 8, configs: "garbage", out: os.DevNull}, &bytes.Buffer{}); err == nil {
@@ -297,7 +295,7 @@ func TestRunFailsOnErrors(t *testing.T) {
 			out := filepath.Join(t.TempDir(), "bench.json")
 			err := run(options{
 				out: out, seed: 1, kind: "1d", n: 64,
-				requests: 40, concurrency: 1, configs: "1", url: hs.URL,
+				requests: 40, concurrency: 1, configs: "p", url: hs.URL,
 			}, &bytes.Buffer{})
 			if tc.wantErrors > 0 && (err == nil || !strings.Contains(err.Error(), "requests failed")) {
 				t.Errorf("run = %v, want a failure naming the failed requests", err)

@@ -43,15 +43,11 @@
 //	    Sweep score-quantization levels, reporting the dominance
 //	    width (labeling-cost driver) against the optimal error k*.
 //
-//	monoclass serve -model model.json [-addr :8080]
-//	monoclass serve -in data.csv [-addr :8080]
-//	    Serve the model over HTTP (/classify and /classify/batch with
-//	    hot swaps via POST /model); with -in, train it first with the
-//	    passive solver. Thin front-end to cmd/monoserve's engine.
+// Serving a saved model (or one trained from a CSV) over HTTP is
+// cmd/monoserve's job.
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"math/rand"
@@ -86,8 +82,6 @@ func main() {
 		err = runHasse(os.Args[2:])
 	case "tradeoff":
 		err = runTradeoff(os.Args[2:])
-	case "serve":
-		err = runServe(os.Args[2:])
 	default:
 		usage()
 		os.Exit(2)
@@ -99,7 +93,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: monoclass <passive|active|eval|width|audit|prepare|hasse|tradeoff|serve> [flags]")
+	fmt.Fprintln(os.Stderr, "usage: monoclass <passive|active|eval|width|audit|prepare|hasse|tradeoff> [flags]")
 	fmt.Fprintln(os.Stderr, "run 'monoclass <subcommand> -h' for flags")
 }
 
@@ -443,52 +437,4 @@ func runTradeoff(args []string) error {
 		fmt.Printf("%-8d %-8d %g\n", s.Levels, s.Width, s.KStar)
 	}
 	return nil
-}
-
-func runServe(args []string) error {
-	fs := flag.NewFlagSet("serve", flag.ExitOnError)
-	model := fs.String("model", "", "trained model JSON to serve")
-	in := fs.String("in", "", "labeled CSV to train on (passive solver) when no -model is given")
-	addr := fs.String("addr", ":8080", "listen address (127.0.0.1:0 for an ephemeral port)")
-	maxBatch := fs.Int("max-batch", 32, "largest batch a worker takes from the queued backlog")
-	queue := fs.Int("queue", 1024, "bounded intake queue capacity")
-	spotAudit := fs.Bool("spot-audit", false, "re-check monotonicity of candidate models before promotion")
-	fs.Parse(args)
-	if (*model == "") == (*in == "") {
-		return fmt.Errorf("exactly one of -model or -in is required")
-	}
-
-	var h *monoclass.AnchorSet
-	if *model != "" {
-		f, err := os.Open(*model)
-		if err != nil {
-			return err
-		}
-		h, err = monoclass.LoadModel(f)
-		f.Close()
-		if err != nil {
-			return err
-		}
-	} else {
-		ws, err := loadCSV(*in)
-		if err != nil {
-			return err
-		}
-		sol, err := monoclass.OptimalPassive(ws)
-		if err != nil {
-			return err
-		}
-		h = sol.Classifier
-		fmt.Printf("trained on %d points, optimal weighted error %g\n", len(ws), sol.WErr)
-	}
-
-	cfg := monoclass.ServeConfig{
-		Batch: monoclass.BatcherConfig{MaxBatch: *maxBatch, QueueCap: *queue},
-	}
-	if *spotAudit {
-		cfg.Audit = monoclass.SpotAudit(nil)
-	}
-	return monoclass.Serve(context.Background(), *addr, h, cfg, func(bound string) {
-		fmt.Printf("serving dim-%d model (%d anchors) on %s\n", h.Dim(), len(h.Anchors()), bound)
-	})
 }

@@ -1,16 +1,11 @@
 package main
 
 import (
-	"bufio"
-	"encoding/json"
-	"io"
-	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"monoclass"
 )
@@ -154,82 +149,6 @@ func TestCLIErrors(t *testing.T) {
 	}
 	if out, err := run(t, "eval", "-in", figureCSV(t), "-model", "/nonexistent.json"); err == nil {
 		t.Errorf("missing model should fail:\n%s", out)
-	}
-}
-
-// TestCLIServeSmoke trains from CSV, serves on an ephemeral port,
-// classifies one point over HTTP, and shuts down cleanly on SIGINT.
-func TestCLIServeSmoke(t *testing.T) {
-	cmd := exec.Command(binary, "serve", "-in", figureCSV(t), "-addr", "127.0.0.1:0")
-	stdout, err := cmd.StdoutPipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cmd.Stderr = os.Stderr
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer cmd.Process.Kill()
-
-	// The "serving ... on ADDR" banner carries the bound address as its
-	// last token; a training summary line may precede it.
-	var url string
-	bannerCh := make(chan string, 1)
-	go func() {
-		sc := bufio.NewScanner(stdout)
-		for sc.Scan() {
-			if strings.Contains(sc.Text(), "serving") {
-				bannerCh <- sc.Text()
-				break
-			}
-		}
-		io.Copy(io.Discard, stdout)
-	}()
-	select {
-	case banner := <-bannerCh:
-		fields := strings.Fields(banner)
-		url = "http://" + fields[len(fields)-1]
-	case <-time.After(30 * time.Second):
-		t.Fatal("serve never announced its address")
-	}
-
-	resp, err := http.Post(url+"/classify", "application/json", strings.NewReader(`{"point":[20,20]}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var res struct {
-		Label   int   `json:"label"`
-		Version int64 `json:"version"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&res); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if res.Label != 1 || res.Version != 1 {
-		t.Errorf("classify(20,20) = %+v, want label 1 version 1", res)
-	}
-
-	if err := cmd.Process.Signal(os.Interrupt); err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- cmd.Wait() }()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Errorf("serve exited uncleanly: %v", err)
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("serve did not exit on SIGINT")
-	}
-}
-
-func TestCLIServeFlagErrors(t *testing.T) {
-	if out, err := run(t, "serve"); err == nil {
-		t.Errorf("serve with neither -model nor -in accepted:\n%s", out)
-	}
-	if out, err := run(t, "serve", "-in", figureCSV(t), "-model", "x.json"); err == nil {
-		t.Errorf("serve with both -model and -in accepted:\n%s", out)
 	}
 }
 

@@ -5,11 +5,11 @@
 //
 // Usage:
 //
-//	monoserve -model model.json [-addr :8080] [-max-batch 32]
+//	monoserve -model model.json [-addr :8080]
 //	          [-queue 1024] [-workers N]
 //	          [-holdout data.csv -max-werr 120] [-spot-audit]
 //	          [-learn] [-train data.csv] [-rebuild-every 64]
-//	          [-max-drift W] [-learn-queue 1024] [-no-interim]
+//	          [-max-drift W] [-learn-queue 1024]
 //	          [-replicas N -sync-interval 100ms]
 //	          [-cpuprofile FILE] [-memprofile FILE]
 //
@@ -66,7 +66,6 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("monoserve", flag.ExitOnError)
 	model := fs.String("model", "", "trained model JSON (required)")
 	addr := fs.String("addr", ":8080", "listen address (use 127.0.0.1:0 for an ephemeral port)")
-	maxBatch := fs.Int("max-batch", 32, "largest batch a worker takes from the queued backlog")
 	queue := fs.Int("queue", 1024, "bounded intake queue capacity (backpressure beyond it)")
 	workers := fs.Int("workers", 0, "dispatcher goroutines (0: GOMAXPROCS)")
 	holdout := fs.String("holdout", "", "labeled CSV; candidate models must fit it within -max-werr to be promoted")
@@ -77,7 +76,6 @@ func run(args []string) error {
 	rebuildEvery := fs.Int("rebuild-every", 64, "exact re-solve after this many deltas (1: every delta)")
 	maxDrift := fs.Float64("max-drift", 0, "force an exact re-solve when the drift bound exceeds this weight (0: no cap)")
 	learnQueue := fs.Int("learn-queue", 1024, "bounded delta queue capacity (backpressure beyond it)")
-	noInterim := fs.Bool("no-interim", false, "disable cheap interim models between exact re-solves")
 	replicas := fs.Int("replicas", 1, "serve through an in-process replica fleet of this size behind a sharding router (1: single server)")
 	syncInterval := fs.Duration("sync-interval", 100*time.Millisecond, "model replication poll cadence with -replicas > 1")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile (training + serving) to this file")
@@ -176,7 +174,6 @@ func run(args []string) error {
 	}
 	cfg := monoclass.ServeConfig{
 		Batch: monoclass.BatcherConfig{
-			MaxBatch: *maxBatch,
 			QueueCap: *queue,
 			Workers:  *workers,
 		},
@@ -187,11 +184,10 @@ func run(args []string) error {
 	}
 	if *learn || *train != "" {
 		cfg.Online = &monoclass.ServeOnlineConfig{
-			Initial:        trainSet, // empty with -model: cold updater
-			RebuildEvery:   *rebuildEvery,
-			MaxDrift:       *maxDrift,
-			DisableInterim: *noInterim,
-			QueueCap:       *learnQueue,
+			Initial:      trainSet, // empty with -model: cold updater
+			RebuildEvery: *rebuildEvery,
+			MaxDrift:     *maxDrift,
+			QueueCap:     *learnQueue,
 		}
 	}
 

@@ -52,6 +52,21 @@ func writeModel(t *testing.T) string {
 	return path
 }
 
+// figureCSV writes the Figure 1 fixture to a temp CSV.
+func figureCSV(t *testing.T) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "f1.csv")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if err := monoclass.WriteCSV(f, monoclass.Figure1Weighted()); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
 // startServer launches the binary on an ephemeral port and returns the
 // base URL plus a stopper that interrupts it and asserts clean exit.
 func startServer(t *testing.T, args ...string) (string, func()) {
@@ -65,12 +80,16 @@ func startServer(t *testing.T, args ...string) (string, func()) {
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
-	// The banner line carries the bound address as its last token.
+	// The "serving ... on ADDR" banner carries the bound address as its
+	// last token; with -train a training summary line precedes it.
 	sc := bufio.NewScanner(stdout)
 	bannerCh := make(chan string, 1)
 	go func() {
-		if sc.Scan() {
-			bannerCh <- sc.Text()
+		for sc.Scan() {
+			if strings.Contains(sc.Text(), "serving") {
+				bannerCh <- sc.Text()
+				break
+			}
 		}
 		io.Copy(io.Discard, stdout)
 	}()
@@ -169,20 +188,32 @@ func TestServeClassifySwapShutdown(t *testing.T) {
 	}
 }
 
-func TestServeHoldoutGate(t *testing.T) {
-	// Holdout = Figure 1 with its optimum (104); a budget of 104 lets
-	// equally-good models in but rejects the constant classifiers.
-	csv := filepath.Join(t.TempDir(), "holdout.csv")
-	f, err := os.Create(csv)
+// TestServeTrainSmoke trains the initial model from a CSV, classifies
+// one point over HTTP, and shuts down cleanly on SIGINT.
+func TestServeTrainSmoke(t *testing.T) {
+	url, stop := startServer(t, "-train", figureCSV(t))
+	defer stop()
+	resp, err := http.Post(url+"/classify", "application/json", strings.NewReader(`{"point":[20,20]}`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := monoclass.WriteCSV(f, monoclass.Figure1Weighted()); err != nil {
+	var res struct {
+		Label   int   `json:"label"`
+		Version int64 `json:"version"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&res); err != nil {
 		t.Fatal(err)
 	}
-	f.Close()
+	resp.Body.Close()
+	if res.Label != 1 || res.Version != 1 {
+		t.Errorf("classify(20,20) = %+v, want label 1 version 1", res)
+	}
+}
 
-	url, stop := startServer(t, "-model", writeModel(t), "-holdout", csv, "-max-werr", "104")
+func TestServeHoldoutGate(t *testing.T) {
+	// Holdout = Figure 1 with its optimum (104); a budget of 104 lets
+	// equally-good models in but rejects the constant classifiers.
+	url, stop := startServer(t, "-model", writeModel(t), "-holdout", figureCSV(t), "-max-werr", "104")
 	defer stop()
 
 	cp, _ := monoclass.NewAnchorSet(2, []monoclass.Point{{-1e18, -1e18}})
@@ -206,6 +237,10 @@ func TestServeFlagErrors(t *testing.T) {
 	out, err := exec.Command(binary).CombinedOutput()
 	if err == nil {
 		t.Errorf("no -model accepted:\n%s", out)
+	}
+	out, err = exec.Command(binary, "-model", writeModel(t), "-train", figureCSV(t)).CombinedOutput()
+	if err == nil || !bytes.Contains(out, []byte("exactly one of -model or -train")) {
+		t.Errorf("-model with -train accepted (%v):\n%s", err, out)
 	}
 	out, err = exec.Command(binary, "-model", "/nonexistent.json").CombinedOutput()
 	if err == nil {

@@ -45,7 +45,7 @@ func startFleet(t *testing.T, n int) []string {
 	urls := make([]string, n)
 	for i := range urls {
 		srv, err := monoclass.NewServer(sol.Classifier, monoclass.ServeConfig{
-			Batch: monoclass.BatcherConfig{MaxBatch: 8, QueueCap: 256},
+			Batch: monoclass.BatcherConfig{QueueCap: 256},
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -588,7 +588,7 @@ func CheckPassiveDifferential(in Instance) error {
 	// registry additions are covered without touching this file.
 	for name, solver := range maxflow.Solvers() {
 		variants = append(variants, solveVariant{name, func() (passive.Solution, error) {
-			return p.SolveWith(problem.SolveOptions{Solver: passive.FlowSolver(solver)})
+			return p.SolveWith(problem.SolveOptions{Solver: solver})
 		}})
 	}
 	for _, v := range variants {

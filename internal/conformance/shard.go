@@ -102,7 +102,7 @@ func CheckShardRouted(in Instance) error {
 	}()
 	for i := range fleet {
 		srv, err := serve.NewServer(model, serve.Config{
-			Batch: serve.BatcherConfig{MaxBatch: 16, QueueCap: 256, Workers: 1},
+			Batch: serve.BatcherConfig{QueueCap: 256, Workers: 1},
 		})
 		if err != nil {
 			return fmt.Errorf("replica %d: %w", i, err)

@@ -34,7 +34,7 @@ func TestShardCompareDetectsDivergence(t *testing.T) {
 			t.Fatal(err)
 		}
 		srv, err := serve.NewServer(model, serve.Config{
-			Batch: serve.BatcherConfig{MaxBatch: 8, QueueCap: 64, Workers: 1},
+			Batch: serve.BatcherConfig{QueueCap: 64, Workers: 1},
 		})
 		if err != nil {
 			t.Fatal(err)

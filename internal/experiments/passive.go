@@ -131,7 +131,7 @@ func MaxflowSolvers(cfg Config) Table {
 		vals := make([]float64, len(names))
 		for i, name := range names {
 			start := time.Now()
-			sol, err := p.SolveWith(problem.SolveOptions{Solver: passive.FlowSolver(impls[name])})
+			sol, err := p.SolveWith(problem.SolveOptions{Solver: impls[name]})
 			if err != nil {
 				panic(err)
 			}

@@ -1,73 +1,51 @@
 package online
 
-import (
-	"errors"
-	"sync"
-)
+import "monoclass/internal/intake"
 
 // Pipeline errors surfaced to callers (mapped to HTTP statuses by the
-// serving layer: ErrQueueFull → 429, ErrClosed → 503).
+// serving layer: ErrQueueFull → 429, ErrClosed → 503). They are the
+// intake queue's own sentinels.
 var (
 	// ErrQueueFull means the bounded delta queue was full; the caller
 	// should back off and retry.
-	ErrQueueFull = errors.New("online: learn queue full")
+	ErrQueueFull = intake.ErrFull
 	// ErrClosed means the pipeline has begun (or finished) shutdown.
-	ErrClosed = errors.New("online: pipeline closed")
+	ErrClosed = intake.ErrClosed
 )
 
 // PipelineConfig tunes the asynchronous delta intake. The zero value
-// gets defaults from normalize.
+// gets the default capacity.
 type PipelineConfig struct {
 	// QueueCap bounds the intake queue; Enqueue fails fast with
 	// ErrQueueFull beyond it (default 1024).
 	QueueCap int
-	// MaxBatch caps how many queued deltas the worker coalesces into
-	// one ApplyBatch lock hold (default 256). Coalescing matters under
-	// bursts: the rebuild policy counts deltas, not batches, so one
-	// long lock hold applies many cheap deltas between exact solves
-	// instead of paying lock churn per delta.
-	MaxBatch int
 }
 
-func (c *PipelineConfig) normalize() {
-	if c.QueueCap <= 0 {
-		c.QueueCap = 1024
-	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 256
-	}
-}
+// maxApply caps how many queued deltas the worker applies under one
+// ApplyBatch lock hold. Deltas that queue up behind an exact re-solve
+// are applied together instead of paying lock churn per delta;
+// ApplyBatch applies each delta as Apply would, so the cap changes no
+// model.
+const maxApply = 256
 
 // Pipeline is the asynchronous front of an Updater: a bounded delta
-// queue drained by one worker goroutine that coalesces bursts,
-// mirroring the classify batcher's backpressure discipline (fail-fast
-// intake, lossless drain on Close). One worker is the right number —
-// deltas serialize on the updater mutex anyway, and a single drainer
-// preserves arrival order, which delete-matching (FIFO among
-// duplicates) depends on.
+// queue (package intake, shared with the classify batcher) drained by
+// one worker goroutine, with fail-fast intake and a lossless drain on
+// Close. One worker is the right number — deltas serialize on the
+// updater mutex anyway, and a single drainer preserves arrival order,
+// which delete-matching (FIFO among duplicates) depends on.
 type Pipeline struct {
-	u    *Updater
-	cfg  PipelineConfig
-	done chan struct{}
-
-	queue chan Delta
-	// mu guards the Enqueue-vs-Close race: Enqueue sends on queue only
-	// while closed=false under the read lock, so Close can safely
-	// close the channel under the write lock.
-	mu     sync.RWMutex
-	closed bool
+	u *Updater
+	q *intake.Queue[Delta]
 }
 
 // NewPipeline starts the worker goroutine over u.
 func NewPipeline(u *Updater, cfg PipelineConfig) *Pipeline {
-	cfg.normalize()
-	p := &Pipeline{
-		u:     u,
-		cfg:   cfg,
-		queue: make(chan Delta, cfg.QueueCap),
-		done:  make(chan struct{}),
+	if cfg.QueueCap <= 0 {
+		cfg.QueueCap = 1024
 	}
-	go p.worker()
+	p := &Pipeline{u: u}
+	p.q = intake.New(cfg.QueueCap, 1, maxApply, p.apply)
 	return p
 }
 
@@ -75,10 +53,10 @@ func NewPipeline(u *Updater, cfg PipelineConfig) *Pipeline {
 func (p *Pipeline) Updater() *Updater { return p.u }
 
 // QueueDepth reports how many deltas are waiting (a gauge for /stats).
-func (p *Pipeline) QueueDepth() int { return len(p.queue) }
+func (p *Pipeline) QueueDepth() int { return p.q.Len() }
 
 // QueueCap reports the bounded queue's capacity.
-func (p *Pipeline) QueueCap() int { return p.cfg.QueueCap }
+func (p *Pipeline) QueueCap() int { return p.q.Cap() }
 
 // Enqueue validates d synchronously (so malformed requests fail at
 // intake with a useful error, not silently inside the worker) and
@@ -91,17 +69,8 @@ func (p *Pipeline) Enqueue(d Delta) error {
 	if err := p.u.Validate(d); err != nil {
 		return err
 	}
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	if p.closed {
-		return ErrClosed
-	}
-	select {
-	case p.queue <- d:
-		return nil
-	default:
-		return ErrQueueFull
-	}
+	_, err := p.q.Put(d)
+	return err
 }
 
 // EnqueueBatch validates every delta first (all-or-nothing on
@@ -114,19 +83,7 @@ func (p *Pipeline) EnqueueBatch(ds []Delta) (int, error) {
 			return 0, &BatchError{Index: i, Err: err}
 		}
 	}
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	if p.closed {
-		return 0, ErrClosed
-	}
-	for i, d := range ds {
-		select {
-		case p.queue <- d:
-		default:
-			return i, ErrQueueFull
-		}
-	}
-	return len(ds), nil
+	return p.q.Put(ds...)
 }
 
 // BatchError reports which delta of an EnqueueBatch failed validation.
@@ -142,55 +99,18 @@ func (e *BatchError) Unwrap() error { return e.Err }
 
 // Close stops intake and drains: every delta already queued is still
 // applied before Close returns. Safe to call more than once.
-func (p *Pipeline) Close() {
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		<-p.done
-		return
-	}
-	p.closed = true
-	p.mu.Unlock()
-	// No Enqueue can be sending now (they check closed under RLock
-	// while holding the send), so closing queue is safe; the worker
-	// drains the buffered remainder before exiting.
-	close(p.queue)
-	<-p.done
-}
+func (p *Pipeline) Close() { p.q.Close() }
 
-// worker drains the queue: block for a first delta, greedily coalesce
-// whatever else is already queued (up to MaxBatch), apply under one
-// lock hold. Soft per-delta failures (delete misses, racing
-// validation) skip the offending delta and continue — they are
-// counted in the updater stats, never fatal to the stream.
-func (p *Pipeline) worker() {
-	defer close(p.done)
-	batch := make([]Delta, 0, p.cfg.MaxBatch)
-	for {
-		first, ok := <-p.queue
-		if !ok {
+// apply applies one worker turn's deltas under one lock hold. Soft
+// per-delta failures (delete misses, racing validation) skip the
+// offending delta and continue — they are counted in the updater
+// stats, never fatal to the stream.
+func (p *Pipeline) apply(batch []Delta) {
+	for len(batch) > 0 {
+		n, err := p.u.ApplyBatch(batch)
+		if err == nil {
 			return
 		}
-		batch = append(batch[:0], first)
-	fill:
-		for len(batch) < p.cfg.MaxBatch {
-			select {
-			case d, ok := <-p.queue:
-				if !ok {
-					break fill
-				}
-				batch = append(batch, d)
-			default:
-				break fill
-			}
-		}
-		rest := batch
-		for len(rest) > 0 {
-			n, err := p.u.ApplyBatch(rest)
-			if err == nil {
-				break
-			}
-			rest = rest[n+1:] // skip the failed delta, keep the stream alive
-		}
+		batch = batch[n+1:] // skip the failed delta, keep the stream alive
 	}
 }

@@ -50,7 +50,7 @@ func TestPipelineDrainEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := NewPipeline(async, PipelineConfig{QueueCap: 64, MaxBatch: 8})
+	p := NewPipeline(async, PipelineConfig{QueueCap: 64})
 	for _, d := range trace {
 		for {
 			err := p.Enqueue(d)
@@ -116,7 +116,7 @@ func TestPipelineBackpressure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := NewPipeline(u, PipelineConfig{QueueCap: 2, MaxBatch: 1})
+	p := NewPipeline(u, PipelineConfig{QueueCap: 2})
 	ins := func(x float64) Delta {
 		return Delta{Op: OpInsert, Point: geom.Point{x}, Label: geom.Positive, Weight: 1}
 	}

@@ -1,10 +1,10 @@
 // Package online turns the static passive solver into an incremental
 // learning pipeline (DESIGN.md §11): an Updater accepts labeled-point
 // deltas (insert/delete) over a live multiset, re-solves it exactly
-// every RebuildEvery deltas — a retrain through problem.Prepare, with
-// the flow computed on a persistent maxflow.Workspace — and between
-// exact solves maintains a cheap interim model whose weighted error is
-// provably within DriftBound of optimal.
+// every RebuildEvery deltas — a retrain through problem.Prepare and
+// the default flow solve — and between exact solves maintains a cheap
+// interim model whose weighted error is provably within DriftBound of
+// optimal.
 //
 // The correctness contract, enforced differentially by the
 // conformance checks and FuzzOnlineTrace: at every step the
@@ -32,7 +32,6 @@ import (
 
 	"monoclass/internal/classifier"
 	"monoclass/internal/geom"
-	"monoclass/internal/maxflow"
 	"monoclass/internal/problem"
 )
 
@@ -82,10 +81,6 @@ type Config struct {
 	// the knob that turns the drift invariant into a hard quality
 	// budget: the published model's werr never exceeds k* + MaxDrift.
 	MaxDrift float64
-	// DisableInterim turns off the cheap anchor-graft models between
-	// exact solves; the previous exact model is served unchanged until
-	// the next rebuild.
-	DisableInterim bool
 	// Publish, when non-nil, is called with every new model (exact or
 	// interim) under the updater lock. The serving layer wires it to
 	// Registry.Swap so the existing SpotAudit/HoldoutAudit gates vet
@@ -131,7 +126,6 @@ type Updater struct {
 	// of slots with assign[i] != labels[i].
 	assign []geom.Label
 
-	ws    *maxflow.Workspace // persistent flow scratch for exact solves
 	model *classifier.AnchorSet
 	werr  float64
 	drift float64 // Σ delta weights since last exact solve
@@ -191,7 +185,6 @@ func newUpdater(dim int, initial geom.WeightedSet, cfg Config) (*Updater, error)
 	u := &Updater{
 		cfg:     cfg,
 		dim:     dim,
-		ws:      maxflow.NewWorkspace(),
 		pts:     make([]geom.Point, len(initial)),
 		labels:  make([]geom.Label, len(initial)),
 		weights: make([]float64, len(initial)),
@@ -312,7 +305,7 @@ func (u *Updater) applyLocked(d Delta) error {
 	if u.since >= u.cfg.RebuildEvery || (u.cfg.MaxDrift > 0 && u.drift > u.cfg.MaxDrift) {
 		return u.resolveLocked(true)
 	}
-	if !u.cfg.DisableInterim && d.Op == OpInsert {
+	if d.Op == OpInsert {
 		u.tryInterimLocked()
 	}
 	return nil
@@ -414,11 +407,10 @@ func (u *Updater) resolveLocked(publish bool) error {
 }
 
 // solveLocked solves prob, a Problem over the live multiset in slot
-// order, on the persistent workspace and installs the exact model.
+// order, with the default flow solver a retrain uses, and installs the
+// exact model.
 func (u *Updater) solveLocked(prob *problem.Problem, publish bool) error {
-	sol, err := prob.SolveWith(problem.SolveOptions{
-		Solver: func(g *maxflow.Network) maxflow.Result { return maxflow.SolveWith(u.ws, g) },
-	})
+	sol, err := prob.Solve()
 	if err != nil {
 		u.stats.applyErrors++
 		return fmt.Errorf("online: exact re-solve: %w", err)

@@ -26,12 +26,7 @@ package passive
 import (
 	"monoclass/internal/classifier"
 	"monoclass/internal/geom"
-	"monoclass/internal/maxflow"
 )
-
-// FlowSolver is a max-flow algorithm; any of the solvers in the
-// maxflow package qualifies.
-type FlowSolver func(*maxflow.Network) maxflow.Result
 
 // Stats reports instance measurements from a Resolve call, used by the
 // experiment harness.

@@ -23,7 +23,7 @@ func pointsOf(ws geom.WeightedSet) []geom.Point {
 // solve builds ws's network over the dense matrix and a minimum chain
 // cover, as internal/problem does in dense mode, and solves it with
 // solver (the default engine when nil).
-func solve(ws geom.WeightedSet, solver FlowSolver) (Solution, error) {
+func solve(ws geom.WeightedSet, solver maxflow.Solver) (Solution, error) {
 	pts := pointsOf(ws)
 	return Prepare(ws, domgraph.Build(pts), chains.Decompose(pts).Chains).Resolve(solver)
 }
@@ -179,7 +179,7 @@ func TestSolveAllSolversAgree(t *testing.T) {
 		ws := randWeightedSet(rng, 3+rng.Intn(20), 2, 5, true)
 		var vals []float64
 		for _, name := range maxflow.SolverNames() {
-			sol, err := solve(ws, FlowSolver(impls[name]))
+			sol, err := solve(ws, impls[name])
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}

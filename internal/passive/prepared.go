@@ -126,7 +126,7 @@ func (pp *Prepared) Network() *maxflow.Network {
 // (resetting residual capacities first, so repeated calls are
 // idempotent) and decodes the min cut into a Solution. A nil solver
 // uses the default workspace-pooled push-relabel engine.
-func (pp *Prepared) Resolve(solver FlowSolver) (Solution, error) {
+func (pp *Prepared) Resolve(solver maxflow.Solver) (Solution, error) {
 	solverName := "custom"
 	if solver == nil {
 		solver = maxflow.PushRelabelHLPooled

@@ -126,7 +126,7 @@ type PrepareStats struct {
 type SolveOptions struct {
 	// Solver is the max-flow algorithm; the default workspace-pooled
 	// push-relabel engine when nil.
-	Solver passive.FlowSolver
+	Solver maxflow.Solver
 }
 
 // Problem is one prepared instance. It is immutable after Prepare /

@@ -392,7 +392,7 @@ func TestWErrIsInputOrderSum(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, solver := range []passive.FlowSolver{nil, maxflow.Dinic} {
+		for _, solver := range []maxflow.Solver{nil, maxflow.Dinic} {
 			sol, err := p.SolveWith(SolveOptions{Solver: solver})
 			if err != nil {
 				t.Fatal(err)

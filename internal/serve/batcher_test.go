@@ -28,7 +28,7 @@ func (f funcClassifier) Classify(p geom.Point) geom.Label { return f(p) }
 func TestBatcherClassifiesCorrectly(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	h := thresholdModel(t, 5)
-	b := NewBatcher(fixedSource(h, 7), BatcherConfig{MaxBatch: 4}, nil)
+	b := NewBatcher(fixedSource(h, 7), BatcherConfig{}, nil)
 	defer b.Close()
 	for _, tc := range []struct {
 		x    float64
@@ -47,156 +47,12 @@ func TestBatcherClassifiesCorrectly(t *testing.T) {
 	}
 }
 
-// TestBatcherCoalesces: park the single worker on a plug request, pile
-// a backlog into the queue, release — the backlog must drain in full
-// MaxBatch-sized batches, visible in the size histogram.
-func TestBatcherCoalesces(t *testing.T) {
-	testutil.CheckGoroutines(t)
-	stats := &Stats{}
-	release := make(chan struct{})
-	started := make(chan struct{})
-	var once sync.Once
-	h := funcClassifier(func(p geom.Point) geom.Label {
-		once.Do(func() { close(started) })
-		<-release
-		return geom.Negative
-	})
-	b := NewBatcher(fixedSource(h, 1), BatcherConfig{
-		MaxBatch: 8, QueueCap: 64, Workers: 1,
-	}, stats)
-	defer b.Close()
-
-	var wg sync.WaitGroup
-	submit := func() {
-		defer wg.Done()
-		if _, err := b.Submit(context.Background(), geom.Point{0}); err != nil {
-			t.Errorf("Submit: %v", err)
-		}
-	}
-	// Plug: the queue is empty when the worker picks this up, so it
-	// classifies a batch of exactly 1 and parks on release.
-	wg.Add(1)
-	go submit()
-	<-started
-
-	const backlog = 16
-	wg.Add(backlog)
-	for i := 0; i < backlog; i++ {
-		go submit()
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for b.QueueDepth() < backlog && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if b.QueueDepth() != backlog {
-		t.Fatalf("queue depth = %d, want %d", b.QueueDepth(), backlog)
-	}
-	close(release)
-	wg.Wait()
-
-	var snap StatsSnapshot
-	stats.snapshotCounters(&snap)
-	if snap.BatchPoints != backlog+1 {
-		t.Fatalf("batch points = %d, want %d", snap.BatchPoints, backlog+1)
-	}
-	// 1 plug + 16 queued = batches of 1, 8, 8.
-	if snap.Batches != 3 {
-		t.Errorf("batches = %d (hist %v), want 3", snap.Batches, snap.BatchSizeHist)
-	}
-	if snap.BatchSizeHist["8"] != 2 || snap.BatchSizeHist["1"] != 1 {
-		t.Errorf("histogram %v, want {1:1 8:2}", snap.BatchSizeHist)
-	}
-	if snap.MeanBatch < 5 || snap.MeanBatch > 6 {
-		t.Errorf("mean batch = %g, want 17/3", snap.MeanBatch)
-	}
-}
-
-// kernelCounter wraps a model and counts its batch-kernel calls.
-type kernelCounter struct {
-	*classifier.AnchorSet
-	calls atomic.Int64
-}
-
-func (k *kernelCounter) ClassifyBatchInto(dst []geom.Label, pts []geom.Point) {
-	k.calls.Add(1)
-	k.AnchorSet.ClassifyBatchInto(dst, pts)
-}
-
-// TestBatcherBatchKernel: when the model implements
-// classifier.BatchClassifier (AnchorSet does), a coalesced batch must
-// be scored through the batch kernel with per-slot answers intact. The
-// source parks the single worker on its first read, so a full batch
-// queues up behind that plug request.
-func TestBatcherBatchKernel(t *testing.T) {
-	testutil.CheckGoroutines(t)
-	stats := &Stats{}
-	h := &kernelCounter{AnchorSet: thresholdModel(t, 5)}
-	release := make(chan struct{})
-	parked := make(chan struct{})
-	var once sync.Once
-	src := func() (classifier.Classifier, int64) {
-		once.Do(func() {
-			close(parked)
-			<-release
-		})
-		return h, 3
-	}
-	const n = 8
-	b := NewBatcher(src, BatcherConfig{MaxBatch: n, QueueCap: 64, Workers: 1}, stats)
-	defer b.Close()
-	unpark := sync.OnceFunc(func() { close(release) })
-	defer unpark()
-
-	var wg sync.WaitGroup
-	submit := func(x float64) {
-		defer wg.Done()
-		res, err := b.Submit(context.Background(), geom.Point{x})
-		if err != nil {
-			t.Errorf("Submit(%g): %v", x, err)
-			return
-		}
-		if want := h.Classify(geom.Point{x}); res.Label != want || res.Version != 3 {
-			t.Errorf("Submit(%g) = (%v, v%d), want (%v, v3)", x, res.Label, res.Version, want)
-		}
-	}
-	wg.Add(1)
-	go submit(1)
-	<-parked
-
-	xs := []float64{4.9, 5, 100, -3, 5.1, 0, 4.999, 7}
-	wg.Add(n)
-	for _, x := range xs {
-		go submit(x)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for b.QueueDepth() < n && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if b.QueueDepth() != n {
-		t.Fatalf("queue depth = %d, want %d", b.QueueDepth(), n)
-	}
-	unpark()
-	wg.Wait()
-
-	var snap StatsSnapshot
-	stats.snapshotCounters(&snap)
-	if snap.BatchPoints != n+1 || snap.BatchSizeHist["1"] != 1 || snap.BatchSizeHist["8"] != 1 {
-		t.Errorf("batch points %d, histogram %v; want %d points as {1:1 8:1}", snap.BatchPoints, snap.BatchSizeHist, n+1)
-	}
-	// The plug went through Classify; the backlog batch is the one
-	// kernel call.
-	if got := h.calls.Load(); got != 1 {
-		t.Errorf("batch kernel calls = %d, want 1", got)
-	}
-}
-
 // TestBatcherLoneRequest: a worker never holds a request back for
-// company, so a lone Submit at MaxBatch 1024 is answered as a batch of
-// one.
+// company, so a lone Submit is answered at once as a batch of one.
 func TestBatcherLoneRequest(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	stats := &Stats{}
-	b := NewBatcher(fixedSource(thresholdModel(t, 0), 1), BatcherConfig{MaxBatch: 1024, Workers: 1}, stats)
+	b := NewBatcher(fixedSource(thresholdModel(t, 0), 1), BatcherConfig{Workers: 1}, stats)
 	defer b.Close()
 	res, err := b.Submit(context.Background(), geom.Point{1})
 	if err != nil {
@@ -227,7 +83,7 @@ func TestBatcherQueueFull(t *testing.T) {
 		return geom.Negative
 	})
 	b := NewBatcher(fixedSource(h, 1), BatcherConfig{
-		MaxBatch: 1, QueueCap: 2, Workers: 1,
+		QueueCap: 2, Workers: 1,
 	}, nil)
 	defer b.Close()
 	unpark := sync.OnceFunc(func() { close(release) })
@@ -271,7 +127,7 @@ func TestBatcherDrainOnClose(t *testing.T) {
 		return geom.Positive
 	})
 	b := NewBatcher(fixedSource(h, 1), BatcherConfig{
-		MaxBatch: 4, QueueCap: 256, Workers: 2,
+		QueueCap: 256, Workers: 2,
 	}, nil)
 
 	const n = 100
@@ -319,7 +175,7 @@ func TestBatcherContextCancel(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	release := make(chan struct{})
 	h := funcClassifier(func(geom.Point) geom.Label { <-release; return geom.Negative })
-	b := NewBatcher(fixedSource(h, 1), BatcherConfig{MaxBatch: 1, QueueCap: 8, Workers: 1}, nil)
+	b := NewBatcher(fixedSource(h, 1), BatcherConfig{QueueCap: 8, Workers: 1}, nil)
 	defer func() {
 		close(release)
 		b.Close()
@@ -347,7 +203,7 @@ func TestBatcherDefaults(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	b := NewBatcher(fixedSource(thresholdModel(t, 0), 1), BatcherConfig{}, nil)
 	defer b.Close()
-	if b.cfg.MaxBatch != 32 || b.cfg.QueueCap != 1024 || b.cfg.Workers != runtime.GOMAXPROCS(0) {
+	if b.cfg.QueueCap != 1024 || b.cfg.Workers != runtime.GOMAXPROCS(0) || b.QueueCap() != 1024 {
 		t.Errorf("normalized config = %+v", b.cfg)
 	}
 	if _, err := b.Submit(context.Background(), geom.Point{1}); err != nil {

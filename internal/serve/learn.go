@@ -20,15 +20,13 @@ type OnlineConfig struct {
 	// be empty for a cold start (the initial model — ConstNegative for
 	// a blank slate — still fixes the dimensionality).
 	Initial geom.WeightedSet
-	// RebuildEvery, MaxDrift, DisableInterim tune the rebuild policy
-	// (see online.Config).
-	RebuildEvery   int
-	MaxDrift       float64
-	DisableInterim bool
-	// QueueCap and MaxBatch tune the delta intake queue (see
+	// RebuildEvery and MaxDrift tune the rebuild policy (see
+	// online.Config).
+	RebuildEvery int
+	MaxDrift     float64
+	// QueueCap bounds the delta intake queue (see
 	// online.PipelineConfig).
 	QueueCap int
-	MaxBatch int
 }
 
 // newLearner builds the updater and pipeline for a server whose
@@ -43,9 +41,8 @@ func (s *Server) newLearner(oc *OnlineConfig) error {
 		}
 	}
 	u, err := online.NewUpdater(dim, oc.Initial, online.Config{
-		RebuildEvery:   oc.RebuildEvery,
-		MaxDrift:       oc.MaxDrift,
-		DisableInterim: oc.DisableInterim,
+		RebuildEvery: oc.RebuildEvery,
+		MaxDrift:     oc.MaxDrift,
 		Publish: func(m *classifier.AnchorSet) error {
 			_, err := s.reg.Swap(m)
 			return err
@@ -54,7 +51,7 @@ func (s *Server) newLearner(oc *OnlineConfig) error {
 	if err != nil {
 		return err
 	}
-	s.pipe = online.NewPipeline(u, online.PipelineConfig{QueueCap: oc.QueueCap, MaxBatch: oc.MaxBatch})
+	s.pipe = online.NewPipeline(u, online.PipelineConfig{QueueCap: oc.QueueCap})
 	return nil
 }
 
@@ -65,9 +62,11 @@ func (s *Server) Learner() *online.Pipeline { return s.pipe }
 // ---- wire types ----
 
 type learnDelta struct {
-	Op     string     `json:"op"` // "insert" or "delete"
-	Point  learnPoint `json:"point"`
-	Label  int        `json:"label"`
+	Op    string     `json:"op"` // "insert" or "delete"
+	Point learnPoint `json:"point"`
+	// Label decodes as a byte, so a label outside 0–255 is a decode
+	// error rather than wrapping onto 0 or 1.
+	Label  geom.Label `json:"label"`
 	Weight float64    `json:"weight,omitempty"` // insert only
 }
 
@@ -130,7 +129,7 @@ func (s *Server) handleLearn(w http.ResponseWriter, r *http.Request) {
 			s.badRequest(w, fmt.Sprintf("delta %d: unknown op %q", i, ld.Op))
 			return
 		}
-		ds[i] = online.Delta{Op: op, Point: geom.Point(ld.Point), Label: geom.Label(ld.Label), Weight: ld.Weight}
+		ds[i] = online.Delta{Op: op, Point: geom.Point(ld.Point), Label: ld.Label, Weight: ld.Weight}
 	}
 	accepted, err := s.pipe.EnqueueBatch(ds)
 	switch {

@@ -301,7 +301,7 @@ func TestLearnAuditGate(t *testing.T) {
 func TestLearnChurnStorm(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	srv, err := NewServer(classifier.ConstNegative(2), Config{
-		Batch:  BatcherConfig{MaxBatch: 32, QueueCap: 4096, Workers: 2},
+		Batch:  BatcherConfig{QueueCap: 4096, Workers: 2},
 		Online: &OnlineConfig{RebuildEvery: 16, QueueCap: 4096},
 	})
 	if err != nil {

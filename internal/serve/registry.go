@@ -10,12 +10,10 @@
 // by an audit hook (monotonicity spot-check, holdout error budget)
 // before a candidate model is promoted.
 //
-// The batcher dispatches single-point requests on arrival: a worker
-// takes the first queued request plus whatever else is already
-// waiting (at most MaxBatch), classifies that batch against one
-// snapshot, and never holds a request back for company. Its bounded
-// queue applies backpressure by rejecting work when full. See
-// DESIGN.md §9 for the architecture rationale.
+// The batcher dispatches single-point requests on arrival, one request
+// per worker turn against one snapshot. Its bounded queue (the same
+// intake queue /learn uses) applies backpressure by rejecting work
+// when full. See DESIGN.md §9 for the architecture rationale.
 package serve
 
 import (

@@ -330,7 +330,7 @@ func TestServerBackpressure(t *testing.T) {
 		return snap.Model, snap.Version
 	}
 	srv.bat.Close()
-	srv.bat = NewBatcher(parkingSrc, BatcherConfig{MaxBatch: 1, QueueCap: 1, Workers: 1}, srv.stats)
+	srv.bat = NewBatcher(parkingSrc, BatcherConfig{QueueCap: 1, Workers: 1}, srv.stats)
 
 	hs := httptest.NewServer(srv.Handler())
 	defer func() {

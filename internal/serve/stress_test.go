@@ -52,7 +52,7 @@ func TestHotSwapStorm(t *testing.T) {
 		snap := reg.Snapshot()
 		return snap.Model, snap.Version
 	}
-	b := NewBatcher(src, BatcherConfig{MaxBatch: 64, QueueCap: 4096, Workers: 4}, stats)
+	b := NewBatcher(src, BatcherConfig{QueueCap: 4096, Workers: 4}, stats)
 
 	const (
 		classifiers = 64
@@ -176,7 +176,7 @@ func TestHTTPSoak(t *testing.T) {
 	}
 
 	srv, err := NewServer(thresholdModel(t, 1), Config{
-		Batch: BatcherConfig{MaxBatch: 32, QueueCap: 2048, Workers: 2},
+		Batch: BatcherConfig{QueueCap: 2048, Workers: 2},
 	})
 	if err != nil {
 		t.Fatal(err)

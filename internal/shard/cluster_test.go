@@ -21,7 +21,7 @@ func TestClusterEndToEnd(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	c, err := NewCluster(thresholdModel(t, 1), ClusterConfig{
 		Replicas:     3,
-		Serve:        serve.Config{Batch: serve.BatcherConfig{MaxBatch: 8, QueueCap: 256}},
+		Serve:        serve.Config{Batch: serve.BatcherConfig{QueueCap: 256}},
 		SyncInterval: 2 * time.Millisecond,
 	})
 	if err != nil {

@@ -125,7 +125,7 @@ func TestRingStability(t *testing.T) {
 func TestRouterAggregateStatsExact(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	urls, _ := testFleet(t, 3, thresholdModel(t, 1), serve.Config{
-		Batch: serve.BatcherConfig{MaxBatch: 8, QueueCap: 1024, Workers: 2},
+		Batch: serve.BatcherConfig{QueueCap: 1024, Workers: 2},
 	})
 	router, err := NewRouter(urls, RouterConfig{HealthInterval: -1})
 	if err != nil {
@@ -215,7 +215,7 @@ func TestRouterAggregateStatsExact(t *testing.T) {
 func TestRouterPassThrough(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	urls, srvs := testFleet(t, 2, thresholdModel(t, 1), serve.Config{
-		Batch:          serve.BatcherConfig{MaxBatch: 4, QueueCap: 64},
+		Batch:          serve.BatcherConfig{QueueCap: 64},
 		MaxClientBatch: 8,
 	})
 	router, err := NewRouter(urls, RouterConfig{HealthInterval: -1})
@@ -286,7 +286,7 @@ func TestRouterPassThrough(t *testing.T) {
 func TestRouterHealthzAggregate(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	urls, _ := testFleet(t, 2, thresholdModel(t, 1), serve.Config{
-		Batch: serve.BatcherConfig{MaxBatch: 4, QueueCap: 64},
+		Batch: serve.BatcherConfig{QueueCap: 64},
 	})
 	// Third endpoint points nowhere: unhealthy after the first poll.
 	dead := httptest.NewServer(nil)

@@ -59,7 +59,7 @@ func TestShardSwapStorm(t *testing.T) {
 		promotions = 25
 	)
 	urls, srvs := testFleet(t, replicas, thresholdModel(t, 1), serve.Config{
-		Batch: serve.BatcherConfig{MaxBatch: 16, QueueCap: 4096, Workers: 2},
+		Batch: serve.BatcherConfig{QueueCap: 4096, Workers: 2},
 	})
 	primaryReg := srvs[0].Registry()
 

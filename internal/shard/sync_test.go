@@ -107,7 +107,7 @@ func promote(t *testing.T, primary *serve.Server, tau float64) int64 {
 func TestSyncerReconvergesThroughPushFailures(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	urls, srvs := testFleet(t, 2, thresholdModel(t, 1), serve.Config{
-		Batch: serve.BatcherConfig{MaxBatch: 4, QueueCap: 64},
+		Batch: serve.BatcherConfig{QueueCap: 64},
 	})
 	proxy, proxyURL := newFaultProxy(t, urls[1])
 	proxy.failPosts.Store(3)
@@ -150,7 +150,7 @@ func TestSyncerReconvergesThroughPushFailures(t *testing.T) {
 func TestSyncerReconvergesAfterOutage(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	urls, srvs := testFleet(t, 2, thresholdModel(t, 1), serve.Config{
-		Batch: serve.BatcherConfig{MaxBatch: 4, QueueCap: 64},
+		Batch: serve.BatcherConfig{QueueCap: 64},
 	})
 	proxy, proxyURL := newFaultProxy(t, urls[1])
 	syncer := NewSyncer(urls[0], []string{proxyURL}, SyncConfig{
@@ -192,7 +192,7 @@ func TestSyncerReconvergesAfterOutage(t *testing.T) {
 func TestSyncerDelayedPushStaysMonotone(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	urls, srvs := testFleet(t, 2, thresholdModel(t, 1), serve.Config{
-		Batch: serve.BatcherConfig{MaxBatch: 4, QueueCap: 64},
+		Batch: serve.BatcherConfig{QueueCap: 64},
 	})
 	proxy, proxyURL := newFaultProxy(t, urls[1])
 	proxy.delayNs.Store(int64(10 * time.Millisecond))
@@ -247,7 +247,7 @@ func TestSyncerDelayedPushStaysMonotone(t *testing.T) {
 func TestRouterRoutesAroundOutage(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	urls, _ := testFleet(t, 2, thresholdModel(t, 1), serve.Config{
-		Batch: serve.BatcherConfig{MaxBatch: 8, QueueCap: 1024},
+		Batch: serve.BatcherConfig{QueueCap: 1024},
 	})
 	proxy, proxyURL := newFaultProxy(t, urls[1])
 	router, err := NewRouter([]string{urls[0], proxyURL}, RouterConfig{
@@ -325,7 +325,7 @@ func TestRouterRoutesAroundOutage(t *testing.T) {
 func TestRouterPrimaryDownFailsControlPlane(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	urls, _ := testFleet(t, 2, thresholdModel(t, 1), serve.Config{
-		Batch: serve.BatcherConfig{MaxBatch: 4, QueueCap: 64},
+		Batch: serve.BatcherConfig{QueueCap: 64},
 	})
 	proxy, proxyURL := newFaultProxy(t, urls[0])
 	router, err := NewRouter([]string{proxyURL, urls[1]}, RouterConfig{
@@ -373,7 +373,7 @@ func TestRouterPrimaryDownFailsControlPlane(t *testing.T) {
 func TestSyncerUnseeded(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	urls, _ := testFleet(t, 2, thresholdModel(t, 1), serve.Config{
-		Batch: serve.BatcherConfig{MaxBatch: 4, QueueCap: 64},
+		Batch: serve.BatcherConfig{QueueCap: 64},
 	})
 	syncer := NewSyncer(urls[0], []string{urls[1]}, SyncConfig{Client: fastClient()})
 	if err := syncer.SyncOnce(context.Background()); err != nil {

@@ -25,7 +25,6 @@ func TestServeWrappers(t *testing.T) {
 
 	srv, err := monoclass.NewServer(sol.Classifier, monoclass.ServeConfig{
 		Audit: monoclass.SpotAudit(nil),
-		Batch: monoclass.BatcherConfig{MaxBatch: 8},
 	})
 	if err != nil {
 		t.Fatal(err)
