@@ -3,6 +3,7 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -238,10 +239,6 @@ func TestServeFlagErrors(t *testing.T) {
 	if err == nil {
 		t.Errorf("no -model accepted:\n%s", out)
 	}
-	out, err = exec.Command(binary, "-model", writeModel(t), "-train", figureCSV(t)).CombinedOutput()
-	if err == nil || !bytes.Contains(out, []byte("exactly one of -model or -train")) {
-		t.Errorf("-model with -train accepted (%v):\n%s", err, out)
-	}
 	out, err = exec.Command(binary, "-model", "/nonexistent.json").CombinedOutput()
 	if err == nil {
 		t.Errorf("missing model file accepted:\n%s", out)
@@ -254,6 +251,23 @@ func TestServeFlagErrors(t *testing.T) {
 	}
 	if !bytes.Contains(out, []byte("monoserve:")) {
 		t.Errorf("error output %q lacks the monoserve prefix", out)
+	}
+}
+
+// TestServeTrainFlagErrors checks that the initial model comes from
+// exactly one source: neither -model nor -train, or both, is refused.
+// A binary that accepted the flags would start serving, so each run is
+// killed after a deadline and then fails the check.
+func TestServeTrainFlagErrors(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	out, err := exec.CommandContext(ctx, binary, "-addr", "127.0.0.1:0").CombinedOutput()
+	if err == nil || !bytes.Contains(out, []byte("exactly one of -model or -train")) {
+		t.Errorf("neither -model nor -train accepted (%v):\n%s", err, out)
+	}
+	out, err = exec.CommandContext(ctx, binary, "-addr", "127.0.0.1:0", "-model", writeModel(t), "-train", figureCSV(t)).CombinedOutput()
+	if err == nil || !bytes.Contains(out, []byte("exactly one of -model or -train")) {
+		t.Errorf("-model with -train accepted (%v):\n%s", err, out)
 	}
 }
 
