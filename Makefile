@@ -23,6 +23,7 @@
 #   make fuzz-learn        short differential fuzz of the /learn body
 #   make fuzz-classify     short differential fuzz of the anchor index vs the scalar scan
 #   make fuzz-csv          short fuzz pass over the CSV reader
+#   make fuzz-train        short fuzz of CSV → Prepare → Solve against the exhaustive optimum
 #   make fuzz-model        short fuzz passes over the model reader and its round trip
 #   make fuzz-maxflow      short differential fuzz of the max-flow solvers
 #   make serve-stress      long hot-swap/soak stress of the serving layer
@@ -32,7 +33,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: all build vet test race conformance conformance-long conformance-mutate bench-maxflow bench-classify bench-serve bench-shard bench-online bench-problem bench-active profile-prepare ci-smoke loc fuzz-chains fuzz-passive fuzz-online fuzz-problem fuzz-serve fuzz-learn fuzz-classify fuzz-csv fuzz-model fuzz-maxflow serve-stress verify verify-full clean
+.PHONY: all build vet test race conformance conformance-long conformance-mutate bench-maxflow bench-classify bench-serve bench-shard bench-online bench-problem bench-active profile-prepare ci-smoke loc fuzz-chains fuzz-passive fuzz-online fuzz-problem fuzz-serve fuzz-learn fuzz-classify fuzz-csv fuzz-train fuzz-model fuzz-maxflow serve-stress verify verify-full clean
 
 all: check
 
@@ -214,6 +215,13 @@ fuzz-classify:
 # and what it accepts must round-trip losslessly.
 fuzz-csv:
 	$(GO) test -run FuzzReadCSV -fuzz FuzzReadCSV -fuzztime 30s ./internal/dataset
+
+# End-to-end fuzz of the training path: any CSV of at most 12 records
+# that ReadCSV accepts must prepare and solve into a model that is
+# monotone on its points, reaches passive.NaiveSolve's optimum and
+# rescores to the error it reports.
+fuzz-train:
+	$(GO) test -run FuzzTrainCSV -fuzz FuzzTrainCSV -fuzztime 30s ./internal/problem
 
 # Coverage-guided fuzz of the model ingress (POST /model): arbitrary
 # bytes through the model reader, then saved models through a write/read

@@ -561,7 +561,6 @@ func replay(url string, pts []monoclass.Point, requests, concurrency, clientBatc
 		errors.Add(1)
 		firstOnce.Do(func() { firstErr = err })
 	}
-	per := (calls + concurrency - 1) / concurrency
 	transport := &http.Transport{MaxIdleConnsPerHost: concurrency}
 	defer transport.CloseIdleConnections()
 
@@ -572,6 +571,12 @@ func replay(url string, pts []monoclass.Point, requests, concurrency, clientBatc
 		go func(c int) {
 			defer wg.Done()
 			client := &http.Client{Transport: transport, Timeout: 30 * time.Second}
+			// The calls are dealt out evenly: the first calls%concurrency
+			// clients make one more than the rest.
+			per := calls / concurrency
+			if c < calls%concurrency {
+				per++
+			}
 			lat := make([]time.Duration, 0, per)
 			idx := c
 			for i := 0; i < per; i++ {

@@ -158,43 +158,49 @@ func TestParseConfigs(t *testing.T) {
 }
 
 // TestRunClientBatch drives a bN configuration end to end: requests
-// count points, the batch endpoint answers them, and the row records
+// count points, the batch endpoint answers them in ⌈requests/batch⌉
+// calls however they divide among the clients, and the row records
 // the client batch size and effective GOMAXPROCS.
 func TestRunClientBatch(t *testing.T) {
 	testutil.CheckGoroutines(t)
-	out := filepath.Join(t.TempDir(), "bench.json")
-	var log bytes.Buffer
-	opt := options{
-		out:         out,
-		seed:        7,
-		kind:        "planted",
-		n:           128,
-		dim:         3,
-		noise:       0.1,
-		requests:    512,
-		concurrency: 4,
-		configs:     "b64@1",
-	}
-	if err := run(opt, &log); err != nil {
-		t.Fatalf("run: %v\n%s", err, log.String())
-	}
-	raw, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep report
-	if err := json.Unmarshal(raw, &rep); err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Rows) != 1 {
-		t.Fatalf("got %d rows, want 1", len(rep.Rows))
-	}
-	row := rep.Rows[0]
-	if row.ClientBatch != 64 || row.GOMAXPROCS != 1 {
-		t.Errorf("row %+v lost client_batch/gomaxprocs", row)
-	}
-	if row.Requests != 512 || row.Errors != 0 || row.ThroughputRPS <= 0 {
-		t.Errorf("implausible client-batch row %+v", row)
+	for _, requests := range []int{512, 576} { // 8 calls over 4 clients, and 9
+		out := filepath.Join(t.TempDir(), "bench.json")
+		var log bytes.Buffer
+		opt := options{
+			out:         out,
+			seed:        7,
+			kind:        "planted",
+			n:           128,
+			dim:         3,
+			noise:       0.1,
+			requests:    requests,
+			concurrency: 4,
+			configs:     "b64@1",
+		}
+		if err := run(opt, &log); err != nil {
+			t.Fatalf("run: %v\n%s", err, log.String())
+		}
+		raw, err := os.ReadFile(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rep report
+		if err := json.Unmarshal(raw, &rep); err != nil {
+			t.Fatal(err)
+		}
+		if len(rep.Rows) != 1 {
+			t.Fatalf("got %d rows, want 1", len(rep.Rows))
+		}
+		row := rep.Rows[0]
+		if row.ClientBatch != 64 || row.GOMAXPROCS != 1 {
+			t.Errorf("row %+v lost client_batch/gomaxprocs", row)
+		}
+		if row.Requests != requests || row.Errors != 0 || row.ThroughputRPS <= 0 {
+			t.Errorf("implausible client-batch row %+v", row)
+		}
+		if want := int64((requests + 63) / 64); row.Batches != want {
+			t.Errorf("%d requests in batches of 64: the server saw %d batches, want %d", requests, row.Batches, want)
+		}
 	}
 }
 

@@ -6,7 +6,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
+	"runtime"
 	"strconv"
+	"sync"
 
 	"monoclass/internal/geom"
 )
@@ -40,7 +43,8 @@ func WriteCSV(w io.Writer, ws geom.WeightedSet) error {
 // ReadCSV parses rows written by WriteCSV. Every row must have the
 // same column count (at least 3: one coordinate, label, weight);
 // coordinates must not be NaN (±Inf is fine), labels must be 0 or 1
-// and weights positive and finite.
+// and weights positive and finite. An error names the line its record
+// starts on, as encoding/csv's ParseError.StartLine does.
 //
 // Records are split as encoding/csv's default Reader splits them
 // (RFC 4180 quoting, CRLF line ends, blank lines skipped; see
@@ -48,77 +52,198 @@ func WriteCSV(w io.Writer, ws geom.WeightedSet) error {
 // same checks accepts, with bit-identical values. The input is read
 // once into one buffer and parsed in place, and every point is carved
 // from one coordinate backing with cap == len, so a whole set costs a
-// handful of allocations instead of several per row.
+// handful of allocations instead of several per row. When nothing
+// past the first record holds a quote, the rest is parsed on up to
+// GOMAXPROCS goroutines, each taking at least parseGrain bytes (see
+// parseCSV); the set and the error are the same at every count.
 func ReadCSV(r io.Reader) (geom.WeightedSet, error) {
 	buf, err := readAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("dataset: reading CSV: %w", err)
 	}
+	return parseCSV(buf, min(runtime.GOMAXPROCS(0), len(buf)/parseGrain))
+}
+
+// parseGrain is the fewest input bytes ReadCSV gives a chunk. On two
+// CPUs, 8 or 16 KiB of input parse no faster in two chunks than in
+// one, since starting and waking the second goroutine costs what the
+// split saves; from 32 KiB two chunks save 12–45%. The grain keeps the
+// smallest split, 64 KiB, one step past that first win
+// (BenchmarkParseCSVGrain, bench_results.md K17).
+const parseGrain = 32 << 10
+
+// parseCSV parses buf in place, in up to chunks pieces at once. The
+// first record fixes the dimension, and with it the slots the rest
+// needs (see cutCSV). Each chunk stores its records in its own run of
+// slots in the one set and the one coordinate backing, so no chunk
+// writes where another does; the runs are then closed up in input
+// order, and the first chunk with an error reports it.
+func parseCSV(buf []byte, chunks int) (geom.WeightedSet, error) {
 	s := csvScanner{buf: buf}
-	var (
-		out    geom.WeightedSet
-		coords []float64
-		fields = make([][]byte, 0, 8)
-		dim    = -1
-	)
-	for line := 1; ; line++ {
-		fields, err = s.record(fields)
-		if err == io.EOF {
-			break
+	first, line, err := s.record(make([][]byte, 0, 8))
+	if err == io.EOF {
+		return nil, nil
+	}
+	if err != nil {
+		return nil, fmt.Errorf("dataset: reading CSV: line %d: %w", line, err)
+	}
+	if len(first) < 3 {
+		return nil, columnsError(line, len(first))
+	}
+	dim := len(first) - 2
+	parts, slots := cutCSV(buf, s.pos, s.lines+1, chunks, dim)
+	out := make(geom.WeightedSet, slots)
+	coords := make([]float64, slots*dim)
+	if err := putRecord(out, coords, 0, first, dim, line); err != nil {
+		return nil, err
+	}
+	var wg sync.WaitGroup
+	for k := 1; k < len(parts); k++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c := &parts[k]
+			c.n, c.err = c.parse(buf, out, coords, dim)
+		}()
+	}
+	if len(parts) > 0 {
+		c := &parts[0]
+		c.n, c.err = c.parse(buf, out, coords, dim)
+	}
+	wg.Wait()
+
+	n := 1
+	for _, c := range parts {
+		if c.err != nil {
+			return nil, c.err
 		}
-		if err != nil {
-			return nil, fmt.Errorf("dataset: reading CSV: record %d: %w", line, err)
-		}
-		if len(fields) < 3 {
-			return nil, fmt.Errorf("dataset: line %d has %d columns, need at least 3", line, len(fields))
-		}
-		d := len(fields) - 2
-		if dim == -1 {
-			dim = d
-			// Records never outnumber lines, and an accepted record
-			// spends at least 2d+3 bytes (d+2 non-empty fields and
-			// their commas), so blank lines cannot inflate the sizing.
-			rows := min(bytes.Count(buf, []byte{'\n'})+1, len(buf)/(2*d+3)+1)
-			out = make(geom.WeightedSet, 0, rows)
-			coords = make([]float64, 0, rows*d)
-		} else if d != dim {
-			return nil, fmt.Errorf("dataset: line %d has %d coordinates, want %d", line, d, dim)
-		}
-		for k := 0; k < d; k++ {
-			v, err := strconv.ParseFloat(string(fields[k]), 64)
-			if err != nil {
-				return nil, fmt.Errorf("dataset: line %d column %d: %w", line, k+1, err)
+		if c.base != n {
+			copy(out[n:], out[c.base:c.base+c.n])
+			copy(coords[n*dim:], coords[c.base*dim:(c.base+c.n)*dim])
+			for i := n; i < n+c.n; i++ {
+				out[i].P = coords[i*dim : (i+1)*dim : (i+1)*dim]
 			}
-			coords = append(coords, v)
 		}
-		labelInt, err := strconv.Atoi(string(fields[d]))
-		if err != nil || (labelInt != 0 && labelInt != 1) {
-			return nil, fmt.Errorf("dataset: line %d: invalid label %q", line, fields[d])
+		n += c.n
+	}
+	return out[:n], nil
+}
+
+// cutCSV cuts buf[from:], whose first line is number line, into up to
+// chunks pieces, and returns them with the slots a set needs for them
+// and one record before them. If the piece holds a quote it is not
+// cut. Otherwise every '\n' in it ends a record, so each cut falls
+// just after the first '\n' past an even share of its bytes. A chunk
+// gets a slot per line, and never more than its bytes could hold
+// accepted records: each record starts a line of its own and spends
+// at least 2d+3 bytes (d+2 non-empty fields and their commas), so no
+// record, accepted or not, lands past its chunk's last slot.
+func cutCSV(buf []byte, from, line, chunks, dim int) ([]csvChunk, int) {
+	if chunks < 1 || bytes.IndexByte(buf[from:], '"') >= 0 {
+		chunks = 1
+	}
+	parts := make([]csvChunk, 0, chunks)
+	slots := 1
+	for lo, k := from, 1; lo < len(buf); k++ {
+		hi := len(buf)
+		if k < chunks {
+			at := max(lo, from+k*(len(buf)-from)/chunks)
+			if e := bytes.IndexByte(buf[at:], '\n'); e >= 0 {
+				hi = at + e + 1
+			}
 		}
-		weight, err := strconv.ParseFloat(string(fields[d+1]), 64)
+		breaks := bytes.Count(buf[lo:hi], []byte{'\n'})
+		lines := breaks
+		if buf[hi-1] != '\n' {
+			lines++
+		}
+		parts = append(parts, csvChunk{lo: lo, hi: hi, line: line, base: slots})
+		slots += min(lines, (hi-lo)/(2*dim+3)+1)
+		line += breaks
+		lo = hi
+	}
+	return parts, slots
+}
+
+// csvChunk is one piece of parseCSV's input, buf[lo:hi], whose first
+// line is number line and whose records go to the slots from base on;
+// n and err are what its parse returned.
+type csvChunk struct {
+	lo, hi, line, base, n int
+	err                   error
+}
+
+// parse stores the chunk's records and returns how many it stored, or
+// the first error.
+func (c *csvChunk) parse(buf []byte, out geom.WeightedSet, coords []float64, dim int) (int, error) {
+	s := csvScanner{buf: buf[c.lo:c.hi], lines: c.line - 1}
+	fields := make([][]byte, 0, dim+2)
+	for slot := c.base; ; slot++ {
+		var line int
+		var err error
+		fields, line, err = s.record(fields)
+		if err == io.EOF {
+			return slot - c.base, nil
+		}
 		if err != nil {
-			return nil, fmt.Errorf("dataset: line %d: invalid weight %q", line, fields[d+1])
+			return 0, fmt.Errorf("dataset: reading CSV: line %d: %w", line, err)
 		}
-		wp := geom.WeightedPoint{P: coords[len(coords)-d:], Label: geom.Label(labelInt), Weight: weight}
-		if err := wp.Validate(); err != nil {
-			return nil, fmt.Errorf("dataset: line %d: %w", line, err)
+		if err := putRecord(out, coords, slot, fields, dim, line); err != nil {
+			return 0, err
 		}
-		out = append(out, wp)
 	}
-	// coords may have moved while it grew, so the points are carved
-	// once it is final.
-	for i := range out {
-		out[i].P = coords[i*dim : (i+1)*dim : (i+1)*dim]
+}
+
+func columnsError(line, columns int) error {
+	return fmt.Errorf("dataset: line %d has %d columns, need at least 3", line, columns)
+}
+
+// putRecord checks the fields of the record that starts on line and
+// stores its point in out[slot], carved from coords.
+func putRecord(out geom.WeightedSet, coords []float64, slot int, fields [][]byte, dim, line int) error {
+	if len(fields) < 3 {
+		return columnsError(line, len(fields))
 	}
-	return out, nil
+	d := len(fields) - 2
+	if d != dim {
+		return fmt.Errorf("dataset: line %d has %d coordinates, want %d", line, d, dim)
+	}
+	p := coords[slot*d : (slot+1)*d : (slot+1)*d]
+	for k := range p {
+		v, err := strconv.ParseFloat(string(fields[k]), 64)
+		if err != nil {
+			return fmt.Errorf("dataset: line %d column %d: %w", line, k+1, err)
+		}
+		p[k] = v
+	}
+	labelInt, err := strconv.Atoi(string(fields[d]))
+	if err != nil || (labelInt != 0 && labelInt != 1) {
+		return fmt.Errorf("dataset: line %d: invalid label %q", line, fields[d])
+	}
+	weight, err := strconv.ParseFloat(string(fields[d+1]), 64)
+	if err != nil {
+		return fmt.Errorf("dataset: line %d: invalid weight %q", line, fields[d+1])
+	}
+	wp := geom.WeightedPoint{P: p, Label: geom.Label(labelInt), Weight: weight}
+	if err := wp.Validate(); err != nil {
+		return fmt.Errorf("dataset: line %d: %w", line, err)
+	}
+	out[slot] = wp
+	return nil
 }
 
 // readAll reads r to the end into one buffer, sized up front when r
-// reports what is left (bytes.Reader, strings.Reader, bytes.Buffer).
+// reports what is left (bytes.Reader, strings.Reader, bytes.Buffer)
+// or is a regular file, whose size Stat reports (os.File).
 func readAll(r io.Reader) ([]byte, error) {
 	var buf bytes.Buffer
-	if lr, ok := r.(interface{ Len() int }); ok {
-		buf.Grow(lr.Len() + bytes.MinRead)
+	switch r := r.(type) {
+	case interface{ Len() int }:
+		buf.Grow(r.Len() + bytes.MinRead)
+	case interface{ Stat() (fs.FileInfo, error) }:
+		if fi, err := r.Stat(); err == nil && fi.Mode().IsRegular() {
+			buf.Grow(int(fi.Size()) + bytes.MinRead)
+		}
 	}
 	_, err := buf.ReadFrom(r)
 	return buf.Bytes(), err
@@ -140,8 +265,9 @@ var (
 // are unescaped in place — the write cursor never passes the read
 // cursor — so every field is a slice of the buffer.
 type csvScanner struct {
-	buf []byte
-	pos int // the first byte of the next line
+	buf   []byte
+	pos   int // the first byte of the next line
+	lines int // lines read, counting any before buf: the last is number lines
 }
 
 // line returns the bounds of the next line's content, or ok false at
@@ -155,6 +281,7 @@ func (s *csvScanner) line() (start, end int, ok bool) {
 		end = start + n
 	}
 	s.pos = min(end+1, len(s.buf))
+	s.lines++
 	if end > start && s.buf[end-1] == '\r' {
 		end--
 	}
@@ -162,20 +289,22 @@ func (s *csvScanner) line() (start, end int, ok bool) {
 }
 
 // record returns the fields of the next record, appended to
-// fields[:0], or io.EOF past the last one.
-func (s *csvScanner) record(fields [][]byte) ([][]byte, error) {
+// fields[:0], and the number of the line it starts on, or io.EOF past
+// the last one.
+func (s *csvScanner) record(fields [][]byte) ([][]byte, int, error) {
 	fields = fields[:0]
 	var i, end int
 	for {
 		start, e, ok := s.line()
 		if !ok {
-			return nil, io.EOF
+			return nil, 0, io.EOF
 		}
 		if e > start {
 			i, end = start, e
 			break
 		}
 	}
+	first := s.lines
 	for {
 		if i == end || s.buf[i] != '"' {
 			j := end
@@ -183,11 +312,11 @@ func (s *csvScanner) record(fields [][]byte) ([][]byte, error) {
 				j = i + c
 			}
 			if bytes.IndexByte(s.buf[i:j], '"') >= 0 {
-				return nil, errBareQuote
+				return nil, first, errBareQuote
 			}
 			fields = append(fields, s.buf[i:j])
 			if j == end {
-				return fields, nil
+				return fields, first, nil
 			}
 			i = j + 1
 			continue
@@ -199,7 +328,7 @@ func (s *csvScanner) record(fields [][]byte) ([][]byte, error) {
 				w += copy(s.buf[w:], s.buf[i:end])
 				start, e, ok := s.line()
 				if !ok {
-					return nil, errQuote
+					return nil, first, errQuote
 				}
 				s.buf[w] = '\n'
 				w, i, end = w+1, start, e
@@ -213,10 +342,10 @@ func (s *csvScanner) record(fields [][]byte) ([][]byte, error) {
 				continue
 			}
 			if i == end {
-				return append(fields, s.buf[from:w]), nil
+				return append(fields, s.buf[from:w]), first, nil
 			}
 			if s.buf[i] != ',' {
-				return nil, errQuote
+				return nil, first, errQuote
 			}
 			fields = append(fields, s.buf[from:w])
 			i++

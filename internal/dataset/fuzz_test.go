@@ -3,9 +3,11 @@ package dataset
 import (
 	"bytes"
 	"encoding/csv"
+	"errors"
 	"fmt"
 	"io"
 	"math"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
@@ -15,52 +17,57 @@ import (
 
 // readCSVReference is the encoding/csv reference for ReadCSV: records
 // from csv.Reader (no field count enforced), then ReadCSV's checks
-// row by row. FuzzReadCSV holds ReadCSV to it.
-func readCSVReference(r io.Reader) (geom.WeightedSet, error) {
+// row by row. It also returns the line its first bad record starts
+// on, from ParseError.StartLine or FieldPos. FuzzReadCSV holds
+// ReadCSV to it.
+func readCSVReference(r io.Reader) (geom.WeightedSet, int, error) {
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = -1
 	var out geom.WeightedSet
 	dim := -1
-	line := 0
 	for {
 		row, err := cr.Read()
 		if err == io.EOF {
 			break
 		}
-		if err != nil {
-			return nil, err
+		var pe *csv.ParseError
+		if errors.As(err, &pe) {
+			return nil, pe.StartLine, err
 		}
-		line++
+		if err != nil {
+			return nil, 0, err
+		}
+		line, _ := cr.FieldPos(0)
 		if len(row) < 3 {
-			return nil, fmt.Errorf("line %d has %d columns", line, len(row))
+			return nil, line, fmt.Errorf("line %d has %d columns", line, len(row))
 		}
 		d := len(row) - 2
 		if dim == -1 {
 			dim = d
 		} else if d != dim {
-			return nil, fmt.Errorf("line %d has %d coordinates, want %d", line, d, dim)
+			return nil, line, fmt.Errorf("line %d has %d coordinates, want %d", line, d, dim)
 		}
 		pt := make(geom.Point, d)
 		for k := 0; k < d; k++ {
 			if pt[k], err = strconv.ParseFloat(row[k], 64); err != nil {
-				return nil, err
+				return nil, line, err
 			}
 		}
 		labelInt, err := strconv.Atoi(row[d])
 		if err != nil || (labelInt != 0 && labelInt != 1) {
-			return nil, fmt.Errorf("line %d: invalid label %q", line, row[d])
+			return nil, line, fmt.Errorf("line %d: invalid label %q", line, row[d])
 		}
 		weight, err := strconv.ParseFloat(row[d+1], 64)
 		if err != nil {
-			return nil, err
+			return nil, line, err
 		}
 		wp := geom.WeightedPoint{P: pt, Label: geom.Label(labelInt), Weight: weight}
 		if err := wp.Validate(); err != nil {
-			return nil, err
+			return nil, line, err
 		}
 		out = append(out, wp)
 	}
-	return out, nil
+	return out, 0, nil
 }
 
 // writeCSVReference is the encoding/csv reference for WriteCSV.
@@ -78,11 +85,16 @@ func writeCSVReference(ws geom.WeightedSet) string {
 	return buf.String()
 }
 
+// errLine reads the line number out of a ReadCSV error.
+var errLine = regexp.MustCompile(`^dataset: (?:reading CSV: )?line (\d+)\b`)
+
 // FuzzReadCSV feeds arbitrary bytes to the CSV reader: it must never
 // panic, it must accept exactly what the encoding/csv reference
 // accepts, with bit-identical coordinates, labels and weights, and
-// everything it accepts must round-trip losslessly through WriteCSV,
-// which must write encoding/csv's bytes.
+// reject at the line the reference's first bad record starts on. It
+// must read the same set, or the same error, with the input cut into
+// 1, 2 or 3 chunks. Everything it accepts must round-trip losslessly
+// through WriteCSV, which must write encoding/csv's bytes.
 func FuzzReadCSV(f *testing.F) {
 	f.Add("1,2,0,1\n3,4,1,2\n")
 	f.Add("")
@@ -118,26 +130,39 @@ func FuzzReadCSV(f *testing.F) {
 	f.Add("+Inf,1e400,1,1\n")               // +Inf and an out-of-range coordinate
 	f.Add("1_0,2,0,1\n")                    // an underscore
 	f.Add("1,2,+1,1\n1,3,-0,2\n")           // signed labels
+	// Shapes the chunked parse cuts.
+	f.Add("1,2,0,1\n\n3,4,1,2\r\n5,6,0,1\n\n\n7,8,1,1")    // blank lines, CRLF, no final newline
+	f.Add("\"1\",2,0,1\n3,4,1,2\n5,6,7,1\n7,8,1,zero\n")   // a quote in the first record only; two errors
+	f.Add("1,2,0,1\n3,4,0,1\n5,\"6\",1,1\n7,8,1,1\n")      // a quote past the first record
+	f.Add("1,2,0,1\n3,4,0,1,5\n\n6,7,1,1\n8,9,1,1\n1,2\n") // a wrong column count early, a short record last
 	f.Fuzz(func(t *testing.T, data string) {
 		ws, err := ReadCSV(strings.NewReader(data))
-		ref, refErr := readCSVReference(strings.NewReader(data))
+		ref, refLine, refErr := readCSVReference(strings.NewReader(data))
 		if (err == nil) != (refErr == nil) {
 			t.Fatalf("ReadCSV error %v, encoding/csv reference error %v", err, refErr)
 		}
+		for chunks := 1; chunks <= 3; chunks++ {
+			got, gotErr := parseCSV([]byte(data), chunks)
+			if fmt.Sprint(gotErr) != fmt.Sprint(err) {
+				t.Fatalf("%d chunks: error %v, ReadCSV's %v", chunks, gotErr, err)
+			}
+			if !sameSet(got, ws) {
+				t.Fatalf("%d chunks: read %v, ReadCSV %v", chunks, got, ws)
+			}
+			for i := range got {
+				if cap(got[i].P) != len(got[i].P) {
+					t.Fatalf("%d chunks: row %d: point cap %d > len %d", chunks, i, cap(got[i].P), len(got[i].P))
+				}
+			}
+		}
 		if err != nil {
+			if m := errLine.FindStringSubmatch(err.Error()); m == nil || m[1] != strconv.Itoa(refLine) {
+				t.Fatalf("ReadCSV error %q, encoding/csv reference's bad record starts on line %d", err, refLine)
+			}
 			return
 		}
-		if len(ws) != len(ref) {
-			t.Fatalf("ReadCSV read %d rows, the reference %d", len(ws), len(ref))
-		}
-		for i := range ws {
-			if !sameBits(ws[i].P, ref[i].P) || ws[i].Label != ref[i].Label ||
-				math.Float64bits(ws[i].Weight) != math.Float64bits(ref[i].Weight) {
-				t.Fatalf("row %d: ReadCSV %v, reference %v", i, ws[i], ref[i])
-			}
-			if cap(ws[i].P) != len(ws[i].P) {
-				t.Fatalf("row %d: point cap %d > len %d", i, cap(ws[i].P), len(ws[i].P))
-			}
+		if !sameSet(ws, ref) {
+			t.Fatalf("ReadCSV read %v, reference %v", ws, ref)
 		}
 		if err := ws.Validate(); err != nil {
 			t.Fatalf("accepted set fails validation: %v", err)
@@ -162,6 +187,21 @@ func FuzzReadCSV(f *testing.F) {
 			}
 		}
 	})
+}
+
+// sameSet reports whether a and b hold the same points, labels and
+// weights, bit for bit.
+func sameSet(a, b geom.WeightedSet) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !sameBits(a[i].P, b[i].P) || a[i].Label != b[i].Label ||
+			math.Float64bits(a[i].Weight) != math.Float64bits(b[i].Weight) {
+			return false
+		}
+	}
+	return true
 }
 
 func sameBits(p, q geom.Point) bool {

@@ -150,18 +150,29 @@ func TestCSVRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReadCSVErrors pins each rejection's text, with the number of
+// the line the bad record starts on: blank lines and CRLF line ends
+// count as lines, and a quoted field that spans a newline leaves its
+// record on the line it started on.
 func TestReadCSVErrors(t *testing.T) {
-	cases := []string{
-		"1,2\n",            // too few columns
-		"1,2,0,1\n3,4,0\n", // inconsistent dimensions
-		"x,0,1\n",          // bad coordinate
-		"1,2,7,1\n",        // bad label
-		"1,2,0,zero\n",     // bad weight
-		"1,2,0,-5\n",       // non-positive weight
+	cases := []struct{ in, want string }{
+		{"1,2\n", "dataset: line 1 has 2 columns, need at least 3"},
+		{"1,2,0,1\n3,4,0\n", "dataset: line 2 has 1 coordinates, want 2"},
+		{"x,0,1\n", `dataset: line 1 column 1: strconv.ParseFloat: parsing "x": invalid syntax`},
+		{"1,2,7,1\n", `dataset: line 1: invalid label "7"`},
+		{"1,2,0,zero\n", `dataset: line 1: invalid weight "zero"`},
+		{"1,2,0,-5\n", "dataset: line 1: geom: weight must be positive and finite, got -5"},
+		{"\n\n1,2,0,1\n3,4,1\n", "dataset: line 4 has 1 coordinates, want 2"},
+		{"\n1,2,0,1\n\n\n3,4,7,1\n", `dataset: line 5: invalid label "7"`},
+		{"1,2,0,1\r\n3,4,0,1\r\n\r\nx,4,0,1\r\n", `dataset: line 4 column 1: strconv.ParseFloat: parsing "x": invalid syntax`},
+		{"1,2,0,1\n\"3\n4\",5,0,1\n", `dataset: line 2 column 1: strconv.ParseFloat: parsing "3\n4": invalid syntax`},
+		{"1,2,0,1\n\n\"3,4,0,1\n5,6,0,1\n", `dataset: reading CSV: line 3: extraneous or missing " in quoted field`},
+		{"1,2,0,1\r\n\r\n3\"4,5,0,1\r\n", `dataset: reading CSV: line 3: bare " in non-quoted field`},
 	}
-	for i, c := range cases {
-		if _, err := ReadCSV(strings.NewReader(c)); err == nil {
-			t.Errorf("case %d: malformed CSV accepted", i)
+	for _, c := range cases {
+		_, err := ReadCSV(strings.NewReader(c.in))
+		if err == nil || err.Error() != c.want {
+			t.Errorf("ReadCSV(%q) = %v, want %s", c.in, err, c.want)
 		}
 	}
 	empty, err := ReadCSV(strings.NewReader(""))
