@@ -13,7 +13,7 @@
 #   make bench-problem     regenerate BENCH_problem.json (prepared-problem lifecycle)
 #   make bench-active      regenerate BENCH_active.json (active pipeline phases)
 #   make profile-prepare   CPU+heap profile of the prepare-stage sweep (pprof files)
-#   make ci-smoke          one warm-started exact prepare under the race detector
+#   make ci-smoke          one seed-cover prepare and one warm-started matching under the race detector
 #   make loc               count non-test Go lines (the size ROADMAP tracks)
 #   make fuzz-chains       short differential fuzz of the chain decomposition
 #   make fuzz-passive      short fuzz of the ∞-edge builder vs the literal network
@@ -158,9 +158,11 @@ profile-prepare:
 		-cpuprofile prepare.cpu.pprof -memprofile prepare.mem.pprof
 	@echo "wrote prepare.cpu.pprof and prepare.mem.pprof (go tool pprof <file>)"
 
-# CI quick gate: one warm-started exact-decomposition prepare (dense,
-# d=3) under the race detector, asserting the solve matches the literal
-# Section 5.1 construction.
+# CI quick gate under the race detector, at n=512 d=3: one Prepare on
+# the dense route's seed cover, whose solve must match the literal
+# Section 5.1 construction, and one chains.DecomposeRoute warm-started
+# matching on the same points, whose minimum cover must solve to the
+# same optimum.
 ci-smoke:
 	$(GO) test -race -run TestPrepareWarmStartSmoke -count=1 -v ./internal/problem
 
@@ -189,7 +191,8 @@ fuzz-online:
 
 # Coverage-guided fuzz of problem deserialization: arbitrary bytes
 # through Read must reject cleanly or yield a solvable problem that
-# survives a second round trip bit-for-bit.
+# survives a second round trip bit-for-bit; one of at most 12 points
+# must also solve to passive.NaiveSolve's optimum.
 fuzz-problem:
 	$(GO) test -run FuzzProblemRoundTrip -fuzz FuzzProblemRoundTrip -fuzztime 30s ./internal/problem
 

@@ -28,12 +28,14 @@
 //	    contending points, k*, width, and chain profile.
 //
 //	monoclass prepare -in data.csv -out problem.json [-exact-decompose-limit N]
-//	    Build the prepared problem artifact (chain decomposition and
-//	    flow network) once and save it; passive and audit accept it
-//	    via -problem, skipping the rebuild. The output reports the
-//	    dominance representation and decomposition path taken
-//	    (warm-started exact vs greedy fallback) with per-stage
-//	    timings, and warns when the width is only an upper bound.
+//	    Build the prepared problem artifact (chain cover and flow
+//	    network) once and save it; passive and audit accept it via
+//	    -problem, skipping the rebuild. The output reports the
+//	    dominance representation and cover path taken (the dense
+//	    matrix's seed cover vs the greedy fallback) with per-stage
+//	    timings, and the cover's chain count, which is the dominance
+//	    width only when an antichain certifies it; 'monoclass width'
+//	    computes the width.
 //
 //	monoclass hasse -in data.csv > out.dot
 //	    Render the dominance Hasse diagram as Graphviz DOT (small
@@ -43,6 +45,9 @@
 //	    Sweep score-quantization levels, reporting the dominance
 //	    width (labeling-cost driver) against the optimal error k*.
 //
+// Files written by -save and -out replace the old file only once the
+// new one is complete: a failed write leaves the old one as it was.
+//
 // Serving a saved model (or one trained from a CSV) over HTTP is
 // cmd/monoserve's job.
 package main
@@ -50,8 +55,10 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"time"
@@ -167,7 +174,7 @@ func runPrepare(args []string) error {
 	in := fs.String("in", "", "input CSV (x1..xd,label,weight)")
 	out := fs.String("out", "", "write the prepared problem JSON to this path")
 	exactLimit := fs.Int("exact-decompose-limit", 0,
-		"largest n decomposed exactly before falling back to greedy (0: library default)")
+		"largest n at which d ≥ 3 input takes the dense matrix's seed cover before falling back to greedy (0: library default)")
 	fs.Parse(args)
 	if *out == "" {
 		return fmt.Errorf("-out is required")
@@ -177,18 +184,17 @@ func runPrepare(args []string) error {
 	if err != nil {
 		return err
 	}
-	f, err := os.Create(*out)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := monoclass.SaveProblem(f, p); err != nil {
+	if err := writeFileAtomic(*out, func(w io.Writer) error { return monoclass.SaveProblem(w, p) }); err != nil {
 		return err
 	}
 	st := p.Stats()
 	fmt.Printf("points:      %d (dim %d)\n", p.N(), p.Dim())
 	fmt.Printf("matrix mode: %s\n", p.Mode())
-	fmt.Printf("width:       %d (exact: %v)\n", p.Width(), p.ExactWidth())
+	if p.ExactWidth() {
+		fmt.Printf("cover:       %d chains (the dominance width, certified by an antichain)\n", p.Width())
+	} else {
+		fmt.Printf("cover:       %d chains (at least the dominance width; 'monoclass width' computes it)\n", p.Width())
+	}
 	fmt.Printf("decompose:   %s (seed %d chains, %d augmentations, %d phases)\n",
 		st.DecomposePath, st.SeedChains, st.Augmentations, st.Phases)
 	fmt.Printf("network:     %d contending points, %d edges\n", st.Contending, st.Edges)
@@ -196,10 +202,6 @@ func runPrepare(args []string) error {
 		time.Duration(st.MatrixNS).Round(time.Millisecond),
 		time.Duration(st.DecomposeNS).Round(time.Millisecond),
 		time.Duration(st.NetworkNS).Round(time.Millisecond))
-	if !p.ExactWidth() {
-		fmt.Printf("warning:     exact decomposition skipped; width %d is an upper bound "+
-			"(raise -exact-decompose-limit to force exact)\n", p.Width())
-	}
 	fmt.Printf("prepare:     %s\n", time.Since(start).Round(time.Millisecond))
 	fmt.Printf("problem saved to %s\n", *out)
 	return nil
@@ -210,16 +212,40 @@ func saveModel(path string, h *monoclass.AnchorSet) error {
 	if path == "" {
 		return nil
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := monoclass.SaveModel(f, h); err != nil {
+	if err := writeFileAtomic(path, func(w io.Writer) error { return monoclass.SaveModel(w, h) }); err != nil {
 		return err
 	}
 	fmt.Printf("model saved to %s\n", path)
 	return nil
+}
+
+// writeFileAtomic writes path through a temporary file in the same
+// directory: write, Sync, Close, then Rename over path. A failure at
+// any step removes the temporary file and leaves whatever path held
+// before untouched. The file gets mode 0644.
+func writeFileAtomic(path string, write func(io.Writer) error) error {
+	f, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+".tmp*")
+	if err != nil {
+		return err
+	}
+	tmp := f.Name()
+	err = write(f)
+	if err == nil {
+		err = f.Chmod(0o644)
+	}
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		_ = os.Remove(tmp) // best effort: the write's error is the one to report
+	}
+	return err
 }
 
 func runActive(args []string) error {

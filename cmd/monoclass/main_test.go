@@ -1,6 +1,9 @@
 package main
 
 import (
+	"bytes"
+	"errors"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -163,4 +166,125 @@ func TestCLITradeoff(t *testing.T) {
 	if out, err := run(t, "tradeoff", "-in", figureCSV(t), "-levels", "zero"); err == nil {
 		t.Errorf("bad levels accepted:\n%s", out)
 	}
+}
+
+// cubeCSV writes the unit cube's eight corners at d = 3 to a temp CSV:
+// width 3, but a best-fit seed cover of 4 chains that no antichain
+// certifies.
+func cubeCSV(t *testing.T) string {
+	t.Helper()
+	var ws monoclass.WeightedSet
+	for c := 0; c < 8; c++ {
+		p := monoclass.Point{float64(c >> 2), float64(c >> 1 & 1), float64(c & 1)}
+		ws = append(ws, monoclass.WeightedPoint{P: p, Label: monoclass.Label(c % 2), Weight: 1})
+	}
+	path := filepath.Join(t.TempDir(), "cube.csv")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if err := monoclass.WriteCSV(f, ws); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestCLIPrepareCover: prepare prints the cover's chain count, says
+// whether an antichain certifies it as the width, and points to
+// 'monoclass width' when none does; it no longer advises raising
+// -exact-decompose-limit. A second prepare into the same path
+// replaces the file and leaves no temporary file beside it.
+func TestCLIPrepareCover(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "problem.json")
+	got, err := run(t, "prepare", "-in", cubeCSV(t), "-out", out)
+	if err != nil {
+		t.Fatalf("%v\n%s", err, got)
+	}
+	for _, want := range []string{
+		"cover:       4 chains (at least the dominance width; 'monoclass width' computes it)\n",
+		"decompose:   seed-dense (seed 4 chains, 0 augmentations, 0 phases)\n",
+	} {
+		if !strings.Contains(got, want) {
+			t.Errorf("prepare output lacks %q:\n%s", want, got)
+		}
+	}
+	if strings.Contains(got, "exact-decompose-limit") {
+		t.Errorf("prepare still advises raising the limit:\n%s", got)
+	}
+	if got, err := run(t, "width", "-in", cubeCSV(t)); err != nil || !strings.Contains(got, "dominance width: 3\n") {
+		t.Errorf("width (%v):\n%s", err, got)
+	}
+
+	got, err = run(t, "prepare", "-in", figureCSV(t), "-out", out)
+	if err != nil {
+		t.Fatalf("%v\n%s", err, got)
+	}
+	if want := "cover:       6 chains (the dominance width, certified by an antichain)\n"; !strings.Contains(got, want) {
+		t.Errorf("prepare output lacks %q:\n%s", want, got)
+	}
+	entries, err := os.ReadDir(filepath.Dir(out))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != "problem.json" {
+		t.Fatalf("output directory holds %v, want problem.json alone", entries)
+	}
+	f, err := os.Open(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if p, err := monoclass.LoadProblem(f); err != nil || p.N() != 16 {
+		t.Fatalf("rewritten problem file: %v", err)
+	}
+}
+
+// TestWriteFileAtomic: a writer that fails partway leaves the previous
+// file byte for byte and no temporary file behind; one that succeeds
+// replaces it with mode 0644.
+func TestWriteFileAtomic(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "model.json")
+	old := []byte(`{"previous":true}`)
+	if err := os.WriteFile(path, old, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	failing := func(w io.Writer) error {
+		if _, err := io.WriteString(w, `{"half`); err != nil {
+			return err
+		}
+		return errors.New("encoder failed")
+	}
+	if err := writeFileAtomic(path, failing); err == nil || err.Error() != "encoder failed" {
+		t.Fatalf("failing encoder: error %v", err)
+	}
+	checkDir := func(want []byte) {
+		t.Helper()
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(entries) != 1 || entries[0].Name() != "model.json" {
+			t.Fatalf("directory holds %v, want model.json alone", entries)
+		}
+		if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("file holds %q (%v), want %q", got, err, want)
+		}
+	}
+	checkDir(old)
+
+	fresh := []byte(`{"fresh":true}`)
+	if err := writeFileAtomic(path, func(w io.Writer) error { _, err := w.Write(fresh); return err }); err != nil {
+		t.Fatal(err)
+	}
+	checkDir(fresh)
+	if info, err := os.Stat(path); err != nil || info.Mode().Perm() != 0o644 {
+		t.Fatalf("mode %v (%v), want 0644", info.Mode().Perm(), err)
+	}
+	// A directory that does not exist fails before anything is written.
+	if err := writeFileAtomic(filepath.Join(dir, "missing", "m.json"), failing); err == nil {
+		t.Fatal("write into a missing directory succeeded")
+	}
+	checkDir(fresh)
 }

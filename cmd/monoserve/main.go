@@ -142,7 +142,7 @@ func run(args []string) error {
 		st := p.Stats()
 		prepStats = &st
 		h = sol.Classifier
-		fmt.Printf("monoserve: trained on %d points, optimal weighted error %g (width %d, exact %v, prepare %s)\n",
+		fmt.Printf("monoserve: trained on %d points, optimal weighted error %g (cover %d chains, exact width %v, prepare %s)\n",
 			len(trainSet), sol.WErr, st.Width, st.ExactWidth, time.Duration(st.TotalNS).Round(time.Millisecond))
 	} else {
 		f, err := os.Open(*model)

@@ -11,6 +11,7 @@ import (
 	"math"
 	"strings"
 
+	"monoclass/internal/chains"
 	"monoclass/internal/geom"
 	"monoclass/internal/problem"
 )
@@ -69,11 +70,13 @@ func Audit(ws geom.WeightedSet) (Report, error) {
 }
 
 // AuditProblem computes the report from a prepared Problem: the
-// decomposition profile and optimum come out of the shared artifact,
-// and the violation count is Problem.Violations (cached; a dense-route
-// Problem rebuilds its matrix for it). On a Problem with an inexact
-// (greedy) decomposition, Width is that cover's chain count — an upper
-// bound on the dominance width.
+// optimum comes out of the shared artifact, and the violation count is
+// Problem.Violations (cached; it may rebuild the matrix for it). Width
+// and the chain profile are the dominance width's: the Problem's own
+// cover when it is certified minimum, otherwise chains.Decompose's
+// over its points, since Prepare builds its network over a cover that
+// may be wider (the seed cover at d ≥ 3). Past the exact limit that is
+// the greedy cover, and Width its chain count, an upper bound.
 func AuditProblem(p *problem.Problem) (Report, error) {
 	ws := p.WeightedSet()
 	r := Report{
@@ -124,6 +127,9 @@ func AuditProblem(p *problem.Problem) (Report, error) {
 	r.ViolationPairs = p.Violations()
 
 	dec := p.Decomposition()
+	if !p.ExactWidth() {
+		dec = chains.Decompose(p.Points())
+	}
 	r.Width = dec.Width
 	r.ChainLenMin, r.ChainLenMax = p.N(), 0
 	for _, c := range dec.Chains {

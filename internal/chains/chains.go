@@ -13,13 +13,19 @@
 // maximum antichain is extracted from a König minimum vertex cover as a
 // certificate.
 //
-// DecomposeRoute is the one route every caller takes to a cover: the
-// O(n log n) fast paths at d ≤ 2, the construction above over the
-// dense triangular bit matrix at d ≥ 3 within
-// DefaultExactDecomposeLimit points (or the caller's limit) and a
-// 2 GiB footprint guard, and GreedyDecompose's
-// valid but possibly wider cover everywhere else. The route reports
-// which path it took; a greedy cover carries no antichain.
+// DecomposeRoute is the one route to a minimum cover: the O(n log n)
+// fast paths at d ≤ 2, the construction above over the dense
+// triangular bit matrix at d ≥ 3 within DefaultExactDecomposeLimit
+// points (or the caller's limit) and a 2 GiB footprint guard, and
+// GreedyDecompose's valid but possibly wider cover everywhere else.
+// CoverRoute is the same route stopped before the matching: at d ≥ 3
+// within the guard it returns the best-fit seed cover the matching
+// would start from, exact only when the seed's bottoms or tops certify
+// it. Theorem 4's network is exact over any valid cover, so
+// problem.Prepare takes CoverRoute; the readers of the width itself
+// (the active learner's probe budget, Width, the CLI's width report)
+// take DecomposeRoute. Each route reports which path it took; a cover
+// that is not known to be minimum carries no antichain.
 package chains
 
 import (
@@ -49,10 +55,11 @@ type Decomposition struct {
 	Antichain []int
 }
 
-// The paths DecomposeRoute takes, as Route.Path names them.
+// The paths the routes take, as Route.Path names them.
 const (
 	PathFast2D         = "fast-2d"         // d ≤ 2, O(n log n); exact
-	PathExactDense     = "exact-dense"     // dense matrix + warm-started matching; exact
+	PathSeedDense      = "seed-dense"      // dense matrix + best-fit seed cover (CoverRoute); exact when certified
+	PathExactDense     = "exact-dense"     // dense matrix + warm-started matching (DecomposeRoute); exact
 	PathGreedyFallback = "greedy-fallback" // GreedyDecompose; no antichain
 )
 
@@ -66,37 +73,52 @@ const (
 	maxDenseBytes = int64(2) << 30
 )
 
-// Route is one run of DecomposeRoute: the cover, the path that built
-// it, and the dominance structure that path built.
+// Route is one run of DecomposeRoute or CoverRoute: the cover, the
+// path that built it, and the dominance structure that path built.
 type Route struct {
 	Decomposition
 	// Path names the branch taken (Path* constants).
 	Path string
-	// Matrix is PathExactDense's dense matrix and Implicit PathFast2D's
-	// rank arrays; problem.Prepare builds its network over whichever
-	// is set. MatrixTime is the time that structure took to build, and
-	// the warm-start counters are PathExactDense's. All are zero on the
-	// greedy fallback.
+	// Matrix is the dense paths' matrix and Implicit PathFast2D's rank
+	// arrays; problem.Prepare builds its network over whichever is set.
+	// MatrixTime is the time that structure took to build, and the
+	// seed and matching counters are the dense paths'. All are zero on
+	// the greedy fallback.
 	Matrix     *domgraph.Matrix
 	Implicit   *domgraph.Implicit
 	MatrixTime time.Duration
 	Stats      DecomposeStats
 }
 
-// Exact reports whether Width is the dominance width: true on every
-// path but the greedy fallback.
-func (r Route) Exact() bool { return r.Path != PathGreedyFallback }
+// Exact reports whether Width is the dominance width: the cover
+// carries an antichain of Width points, which by Dilworth no cover
+// beats. DecomposeRoute's covers are exact on every path but the
+// greedy fallback; CoverRoute's seed cover only when certified.
+func (r Route) Exact() bool { return len(r.Antichain) == r.Width }
 
-// DecomposeRoute is the one Lemma 6 route every caller takes. d ≤ 2
-// builds the rank arrays (domgraph.NewImplicit), whose radix sort
-// leaves the points in (x, y, index) order, and runs the O(n log n)
-// fast path over that order. d ≥ 3 with n ≤ exactLimit and the
-// triangle within 2 GiB builds the dominance matrix and
-// runs the warm-started matching on it (DecomposeMatrixStats). Every
+// DecomposeRoute is the Lemma 6 route to a minimum cover. d ≤ 2 builds
+// the rank arrays (domgraph.NewImplicit), whose radix sort leaves the
+// points in (x, y, index) order, and runs the O(n log n) fast path
+// over that order. d ≥ 3 with n ≤ exactLimit and the triangle within
+// 2 GiB builds the dominance matrix, its best-fit seed cover and the
+// warm-started matching on top, as DecomposeMatrixStats does. Every
 // other input gets GreedyDecompose's cover, which carries no
 // antichain. exactLimit 0 selects DefaultExactDecomposeLimit; a
 // negative one sends every d ≥ 3 input to the greedy fallback.
 func DecomposeRoute(pts []geom.Point, exactLimit int) Route {
+	return route(pts, exactLimit, true)
+}
+
+// CoverRoute is DecomposeRoute without the matching: on the dense
+// path it returns the best-fit seed cover (PathSeedDense), which is
+// valid but may hold more chains than the width, and keeps the seed's
+// antichain certificate only when its bottoms or tops prove it minimum.
+// The d ≤ 2 and greedy paths are DecomposeRoute's.
+func CoverRoute(pts []geom.Point, exactLimit int) Route {
+	return route(pts, exactLimit, false)
+}
+
+func route(pts []geom.Point, exactLimit int, minimum bool) Route {
 	if exactLimit == 0 {
 		exactLimit = DefaultExactDecomposeLimit
 	}
@@ -120,8 +142,14 @@ func DecomposeRoute(pts []geom.Point, exactLimit int) Route {
 		start := time.Now()
 		r.Matrix = domgraph.Build(pts)
 		r.MatrixTime = time.Since(start)
-		r.Decomposition, r.Stats = DecomposeMatrixStats(pts, r.Matrix)
-		r.Path = PathExactDense
+		s := newSeed(r.Matrix, greedySeedBitset(r.Matrix))
+		if minimum {
+			r.Decomposition, r.Stats = s.minimum()
+			r.Path = PathExactDense
+		} else {
+			r.Decomposition, r.Stats = s.cover(), s.st
+			r.Path = PathSeedDense
+		}
 	default:
 		gc := GreedyDecompose(pts)
 		r.Decomposition = Decomposition{Chains: gc, Width: len(gc)}
@@ -139,21 +167,22 @@ func Decompose(pts []geom.Point) Decomposition {
 }
 
 // DecomposeStats reports how a matrix decomposition reached its
-// minimum chain cover; the warm-start conformance check and the
-// prepare-stage instrumentation (problem.PrepareStats) consume it.
+// cover; the warm-start conformance check and the prepare-stage
+// instrumentation (problem.PrepareStats) consume it.
 type DecomposeStats struct {
-	// SeedChains is the chain count of the warm-start cover the
-	// matching was seeded from.
+	// SeedChains is the chain count of the best-fit seed cover (the one
+	// the matching was seeded from, when it ran).
 	SeedChains int
-	// Width is the final minimum chain count.
+	// Width is the returned cover's chain count: the minimum after the
+	// matching, SeedChains on CoverRoute's seed cover.
 	Width int
 	// Augmentations is the number of Hopcroft–Karp augmenting paths
 	// applied on top of the seed — exactly SeedChains − Width when
-	// seeded, the paper-adjacent width-bounded work claim.
+	// seeded, the paper-adjacent width-bounded work claim; 0 when no
+	// matching ran.
 	Augmentations int
 	// Phases is the number of BFS layerings run, including the final
-	// empty one; 0 when the antichain certificate skipped matching
-	// entirely.
+	// empty one; 0 when no matching ran.
 	Phases int
 	// CertEarlyExit reports that a maximum antichain of size equal to
 	// the seed's chain count proved the seed optimal with zero
@@ -175,15 +204,15 @@ type DecomposeStats struct {
 // O(√n) phases over an empty matching. When the seed's chain bottoms
 // or tops already form an antichain of matching size, that
 // certificate proves the seed optimal and the matching is skipped
-// outright. DecomposeRoute calls it within its guard; code that wants
-// the dense construction on purpose (the conformance oracles, E8)
+// outright. DecomposeRoute runs the same construction within its
+// guard; code that wants it on purpose (the conformance oracles, E8)
 // calls it with domgraph.Build(pts).
 func DecomposeMatrixStats(pts []geom.Point, m *domgraph.Matrix) (Decomposition, DecomposeStats) {
 	n := checkMatrix(pts, m)
 	if n == 0 {
 		return Decomposition{}, DecomposeStats{}
 	}
-	return decomposeSeeded(m, greedySeedBitset(m))
+	return newSeed(m, greedySeedBitset(m)).minimum()
 }
 
 // DecomposeMatrixSeeded is DecomposeMatrixStats warm-started from a
@@ -219,7 +248,7 @@ func DecomposeMatrixSeeded(pts []geom.Point, m *domgraph.Matrix, cover [][]int) 
 	if covered != n {
 		panic(fmt.Sprintf("chains: seed cover holds %d of %d points", covered, n))
 	}
-	return decomposeSeeded(m, seedL)
+	return newSeed(m, seedL).minimum()
 }
 
 func checkMatrix(pts []geom.Point, m *domgraph.Matrix) int {
@@ -267,17 +296,28 @@ func greedySeedBitset(m *domgraph.Matrix) []int {
 	return seedL
 }
 
-// decomposeSeeded finishes the Lemma 6 construction from a seed
-// matching over m's positions: certificate attempt, Hopcroft–Karp,
-// chain walk, König antichain, each result mapped back to input
-// indices.
-func decomposeSeeded(m *domgraph.Matrix, seedL []int) (Decomposition, DecomposeStats) {
+// seed is a chain cover over m's positions in matching form, with the
+// outcome of its antichain certificate.
+type seed struct {
+	m    *domgraph.Matrix
+	mm   matching.Matching // MatchLeft is the seed: the position below each, or -1
+	anti []int             // the certifying bottoms or tops (input indices); nil if neither
+	st   DecomposeStats
+}
+
+// newSeed turns seedL, a cover over m's positions in matching form,
+// into a matching and tries its certificate: the seed's c chains are
+// minimum iff some antichain has c points (Dilworth). Its chain
+// bottoms (free on the left) and chain tops (free on the right) hold
+// one point per chain each, so they are the natural candidates, and
+// each costs only an O(c·n/64) incomparability check. A hit leaves
+// the matching nothing to do; a miss costs nothing beyond the single
+// certifying BFS the matching would run anyway.
+func newSeed(m *domgraph.Matrix, seedL []int) seed {
 	n, order := m.N(), m.Order()
-	// The seed as a matching. Its chain bottoms (free on the left) and
-	// chain tops (free on the right) hold one point per chain each.
-	mm := matching.Matching{MatchLeft: seedL, MatchRight: make([]int, n)}
-	for v := range mm.MatchRight {
-		mm.MatchRight[v] = -1
+	s := seed{m: m, mm: matching.Matching{MatchLeft: seedL, MatchRight: make([]int, n)}}
+	for v := range s.mm.MatchRight {
+		s.mm.MatchRight[v] = -1
 	}
 	var bottoms, tops []int
 	for u, v := range seedL {
@@ -285,27 +325,40 @@ func decomposeSeeded(m *domgraph.Matrix, seedL []int) (Decomposition, DecomposeS
 			bottoms = append(bottoms, int(order[u]))
 			continue
 		}
-		mm.MatchRight[v] = u
-		mm.Size++
+		s.mm.MatchRight[v] = u
+		s.mm.Size++
 	}
-	for v, u := range mm.MatchRight {
+	for v, u := range s.mm.MatchRight {
 		if u == -1 {
 			tops = append(tops, int(order[v]))
 		}
 	}
-	st := DecomposeStats{SeedChains: n - mm.Size}
-	// Optimality certificate: the seed's c chains are minimum iff some
-	// antichain has c points (Dilworth). The bottoms and the tops are
-	// the natural candidates, and each costs only an O(c·n/64)
-	// incomparability check. A hit skips Hopcroft–Karp entirely; a
-	// miss costs nothing beyond the single certifying BFS the matching
-	// would run anyway.
+	s.st = DecomposeStats{SeedChains: n - s.mm.Size, Width: n - s.mm.Size}
 	for _, anti := range [2][]int{bottoms, tops} {
 		if m.IsAntichain(anti) {
-			st.Width, st.CertEarlyExit = st.SeedChains, true
-			return decomposition(mm, order, anti), st
+			s.anti, s.st.CertEarlyExit = anti, true
+			break
 		}
 	}
+	return s
+}
+
+// cover decodes the seed itself: its chains over input indices, with
+// the certificate when it held.
+func (s seed) cover() Decomposition {
+	return decomposition(s.mm, s.m.Order(), s.anti)
+}
+
+// minimum finishes the Lemma 6 construction from the seed: nothing
+// more when the certificate held, otherwise Hopcroft–Karp warm-started
+// from it, the chain walk and the König antichain, each result mapped
+// back to input indices.
+func (s seed) minimum() (Decomposition, DecomposeStats) {
+	if s.st.CertEarlyExit {
+		return s.cover(), s.st
+	}
+	m, st := s.m, s.st
+	n, order := m.N(), m.Order()
 
 	// Bipartite reduction for minimum path cover: left copy u matched
 	// to right copy v encodes using DAG edge u -> v (u directly above v
@@ -314,7 +367,7 @@ func decomposeSeeded(m *domgraph.Matrix, seedL []int) (Decomposition, DecomposeS
 	// marked transitive so the matcher's closure rules apply.
 	rows, off := m.DAGRows()
 	b := matching.BitsetFromDAG(n, rows, off)
-	mm, mst := matching.MaxMatchingBitsetWarm(b, seedL)
+	mm, mst := matching.MaxMatchingBitsetWarm(b, s.mm.MatchLeft)
 	st.Phases, st.Augmentations, st.Width = mst.Phases, mst.Augmentations, n-mm.Size
 
 	// König: complement of a minimum vertex cover is a maximum

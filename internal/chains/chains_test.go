@@ -2,6 +2,7 @@ package chains
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"monoclass/internal/domgraph"
@@ -241,7 +242,9 @@ func TestRaisedExactLimitGuard(t *testing.T) {
 // TestDecomposeRoutePaths: the route takes the fast paths at d ≤ 2
 // whatever the limit, the dense matrix at d ≥ 3 within it, and the
 // greedy fallback — a valid cover with no antichain and no matrix —
-// past it.
+// past it. CoverRoute takes the same paths but stops the dense one at
+// the seed cover: valid, no narrower than the minimum, the matching's
+// own seed, and exact only when certified.
 func TestDecomposeRoutePaths(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	for _, d := range []int{1, 2} {
@@ -251,6 +254,9 @@ func TestDecomposeRoutePaths(t *testing.T) {
 			t.Fatalf("d=%d: path %s, exact %v", d, r.Path, r.Exact())
 		}
 		checkDecomposition(t, pts, r.Decomposition)
+		if c := CoverRoute(pts, -1); c.Path != PathFast2D || !reflect.DeepEqual(c.Decomposition, r.Decomposition) {
+			t.Fatalf("d=%d: cover route took %s or another cover", d, c.Path)
+		}
 	}
 	pts := randPoints(rng, 60, 3, 6)
 	exact := DecomposeRoute(pts, 0)
@@ -258,6 +264,24 @@ func TestDecomposeRoutePaths(t *testing.T) {
 		t.Fatalf("d=3 within the limit: path %s, exact %v, stats %+v", exact.Path, exact.Exact(), exact.Stats)
 	}
 	checkDecomposition(t, pts, exact.Decomposition)
+	seed := CoverRoute(pts, 0)
+	if seed.Path != PathSeedDense || seed.Exact() || seed.Antichain != nil || seed.Matrix == nil {
+		t.Fatalf("d=3 cover route: path %s, exact %v, antichain %v", seed.Path, seed.Exact(), seed.Antichain)
+	}
+	if err := ValidateDecomposition(pts, seed.Chains); err != nil {
+		t.Fatal(err)
+	}
+	if st := seed.Stats; seed.Width != len(seed.Chains) || seed.Width <= exact.Width || st.Width != seed.Width ||
+		st.SeedChains != exact.Stats.SeedChains || st.SeedChains != seed.Width || st.Augmentations != 0 || st.Phases != 0 {
+		t.Fatalf("seed cover of %d chains (width %d), stats %+v, matching's %+v", len(seed.Chains), seed.Width, st, exact.Stats)
+	}
+	chain := make([]geom.Point, 40)
+	for i := range chain {
+		chain[i] = geom.Point{float64(i), float64(i), float64(i)}
+	}
+	if c := CoverRoute(chain, 0); c.Path != PathSeedDense || !c.Exact() || !c.Stats.CertEarlyExit || !reflect.DeepEqual(c.Decomposition, Decompose(chain)) {
+		t.Fatalf("certified seed cover: path %s, exact %v, %+v", c.Path, c.Exact(), c.Decomposition)
+	}
 	greedy := DecomposeRoute(pts, len(pts)-1)
 	if greedy.Path != PathGreedyFallback || greedy.Exact() || greedy.Matrix != nil || greedy.Antichain != nil {
 		t.Fatalf("d=3 past the limit: path %s, exact %v, antichain %v", greedy.Path, greedy.Exact(), greedy.Antichain)

@@ -14,20 +14,27 @@ import (
 	"monoclass/internal/problem"
 )
 
-// Problem-artifact conformance: a prepared Problem — the dense route at
-// d ≥ 3, rank arrays at d ≤ 2 — and its serialization round trip,
-// whose network is rebuilt over rank arrays from the same stored
-// cover, must have the same edges, solve bit-identically, and give the
-// same decomposition, violation count and audit report. The optimum
-// and the contending set are held to the literal Section 5.1
-// construction. The audit report is recomputed inline from the points
-// (matrix build, decomposition, network over the fresh matrix) rather
-// than through the problem package.
+// Problem-artifact conformance: a prepared Problem — the dense route's
+// seed cover at d ≥ 3, rank arrays at d ≤ 2 — and its serialization
+// round trip, whose network is rebuilt over rank arrays from the same
+// stored cover, must have the same edges, solve bit-identically, and
+// give the same cover, violation count and audit report. The cover is
+// held to its contract: a partition into chains no smaller than
+// chains.Decompose's minimum cover, exact iff it carries an antichain
+// of Width points, and then that very cover. Theorem 4's network is
+// exact over any valid cover, so the Problem's solve must equal the
+// network over the minimum cover in assignment, anchors and WErr; the
+// workloads' weights are dyadic, so both flows are exact and the cut
+// canonical. The optimum and the contending set are held to the
+// literal Section 5.1 construction. The audit report is recomputed
+// inline from the points (matrix build, minimum decomposition, network
+// over the fresh matrix) rather than through the problem package.
 
 // recomputeAuditReport derives audit.Report from scratch: fresh
-// domgraph.Build, popcount violation count, the route's decomposition
-// (chains.Decompose), and a solve of the network over that matrix.
-func recomputeAuditReport(ws geom.WeightedSet) (audit.Report, error) {
+// domgraph.Build, popcount violation count, the route's minimum
+// decomposition (chains.Decompose), and a solve of the network over
+// that matrix and cover, which it also returns.
+func recomputeAuditReport(ws geom.WeightedSet) (audit.Report, passive.Solution, error) {
 	r := audit.Report{
 		N:         len(ws),
 		Dim:       ws.Dim(),
@@ -89,12 +96,12 @@ func recomputeAuditReport(ws geom.WeightedSet) (audit.Report, error) {
 	}
 	sol, err := passive.Prepare(ws, m, dec.Chains).Resolve(nil)
 	if err != nil {
-		return audit.Report{}, err
+		return audit.Report{}, passive.Solution{}, err
 	}
 	r.KStar = sol.WErr
 	r.KStarFraction = sol.WErr / r.WeightTotal
 	r.Contending = sol.Stats.Contending
-	return r, nil
+	return r, sol, nil
 }
 
 func sameSolutions(tag string, got, want passive.Solution) error {
@@ -109,6 +116,30 @@ func sameSolutions(tag string, got, want passive.Solution) error {
 	}
 	if got.Stats != want.Stats {
 		return fmt.Errorf("%s: stats %+v, want %+v", tag, got.Stats, want.Stats)
+	}
+	return nil
+}
+
+// checkCover holds a Problem's cover to its contract against the
+// minimum cover chains.Decompose gives: a valid partition into
+// ascending chains, Width the chain count and at least the minimum's,
+// exact iff an antichain of Width points comes with it, and a
+// certified cover the minimum cover itself.
+func checkCover(pts []geom.Point, got chains.Decomposition, exact bool, minimum chains.Decomposition) error {
+	if err := chains.ValidateDecomposition(pts, got.Chains); err != nil {
+		return fmt.Errorf("cover: %w", err)
+	}
+	if got.Width != len(got.Chains) || got.Width < minimum.Width {
+		return fmt.Errorf("cover width %d over %d chains, minimum %d", got.Width, len(got.Chains), minimum.Width)
+	}
+	if exact != (len(got.Antichain) == got.Width) {
+		return fmt.Errorf("exact %v with an antichain of %d points and width %d", exact, len(got.Antichain), got.Width)
+	}
+	if err := chains.ValidateAntichain(pts, got.Antichain); err != nil {
+		return err
+	}
+	if exact && !reflect.DeepEqual(got, minimum) {
+		return fmt.Errorf("certified cover diverges from chains.Decompose")
 	}
 	return nil
 }
@@ -131,8 +162,9 @@ func CheckProblemModesAgree(in Instance) error {
 	if err != nil {
 		return fmt.Errorf("literal solve: %w", err)
 	}
-	wantDec := chains.Decompose(in.Pts())
-	wantRep, err := recomputeAuditReport(ws)
+	pts := in.Pts()
+	wantDec := chains.Decompose(pts)
+	wantRep, minSol, err := recomputeAuditReport(ws)
 	if err != nil {
 		return fmt.Errorf("audit recompute: %w", err)
 	}
@@ -156,6 +188,11 @@ func CheckProblemModesAgree(in Instance) error {
 	if err != nil {
 		return fmt.Errorf("Solve: %w", err)
 	}
+	if first.WErr != minSol.WErr || !reflect.DeepEqual(first.Assignment, minSol.Assignment) ||
+		!reflect.DeepEqual(first.Classifier.Anchors(), minSol.Classifier.Anchors()) {
+		return fmt.Errorf("solve over the %s cover (WErr %v) diverges from the network over the minimum cover (WErr %v)",
+			p.Stats().DecomposePath, first.WErr, minSol.WErr)
+	}
 	for _, c := range []struct {
 		tag  string
 		prob *problem.Problem
@@ -173,8 +210,12 @@ func CheckProblemModesAgree(in Instance) error {
 		if !reflect.DeepEqual(c.prob.Contending(), literal.Contending()) {
 			return fmt.Errorf("%s: contending set diverges from the literal construction", c.tag)
 		}
-		if got := c.prob.Decomposition(); !reflect.DeepEqual(got, wantDec) {
-			return fmt.Errorf("%s: decomposition diverges from chains.Decompose", c.tag)
+		got := c.prob.Decomposition()
+		if !reflect.DeepEqual(got, p.Decomposition()) {
+			return fmt.Errorf("%s: cover diverges from the prepared one", c.tag)
+		}
+		if err := checkCover(pts, got, c.prob.ExactWidth(), wantDec); err != nil {
+			return fmt.Errorf("%s: %w", c.tag, err)
 		}
 		rep, err := audit.AuditProblem(c.prob)
 		if err != nil {

@@ -28,7 +28,9 @@
 // positions below p. Each per-dimension bitset family is produced by
 // one sweep over the points in ascending coordinate order, growing a
 // running bitset, and each row ANDs only its own ⌈p/64⌉ words, so the
-// triangle costs O(d·n²/128) word operations plus d + 1 sorts.
+// triangle costs O(d·n²/128) word operations plus one comparator sort
+// (SumLexOrder's numbering) and O(d·n) radix and counting passes that
+// order the sweeps.
 // Sweeps run in parallel across row blocks: a short sequential
 // pre-pass snapshots the running bitset at block boundaries, then a
 // GOMAXPROCS-sized worker pool replays each block independently.
@@ -266,40 +268,57 @@ func parallelBlocks(numBlocks, workers int, fn func(blk int)) {
 // sweeps row p holds exactly the positions below p that p dominates.
 // Inside a duplicate run those are the run's lower positions, which
 // hold lower indices: DominanceEdge's tiebreak, with no fix-up pass.
+//
+// The sweep order comes from NewImplicit's dense ranks, which compare
+// as the coordinates do (−0 equal to +0) on the NaN-free points the
+// matrix is defined on: one radix build for all d dimensions, then a
+// counting sort by rank per dimension, with no comparator sort. The
+// count also gives each visit its end: how many visits have a rank at
+// most its own, which is how far the running bitset reaches.
 func (m *Matrix) fillTriangle(pts []geom.Point, workers int) {
 	n, words, d := m.n, (m.n+63)/64, len(pts[0])
 	numBlocks := (n + rowsPerBlock - 1) / rowsPerBlock
+	ranks := NewImplicit(pts)
 
-	// Contiguous (value, position) records: the sweep reads them in
-	// order without chasing pts.
-	type valPos struct {
-		v float64
-		p int32
-	}
-	sorted := make([]valPos, n)
+	sweep := make([]int32, n) // sweep[s]: the position visited s-th
+	ends := make([]int32, n)  // ends[s]: visits with a rank at most sweep[s]'s
+	count := make([]int32, n) // per rank: its first visit, then one past its last
 	run := make([]uint64, words)
 	seeds := make([]uint64, numBlocks*words)
-	ptrs := make([]int, numBlocks)
+	ptrs := make([]int32, numBlocks)
 
 	for k := 0; k < d; k++ {
-		for p, i := range m.order {
-			sorted[p] = valPos{pts[i][k], int32(p)}
+		rk := ranks.Rank(k)
+		clear(count)
+		for _, i := range m.order {
+			count[rk[i]]++
 		}
-		slices.SortFunc(sorted, func(a, b valPos) int { return cmp.Compare(a.v, b.v) })
+		var sum int32
+		for r, c := range count {
+			count[r], sum = sum, sum+c
+		}
+		for p, i := range m.order {
+			r := rk[i]
+			sweep[count[r]] = int32(p)
+			count[r]++
+		}
+		for s, p := range sweep {
+			ends[s] = count[rk[m.order[p]]]
+		}
 
 		// Sequential pre-pass: replay the sweep cheaply (bit sets only)
 		// to snapshot the running bitset and candidate pointer at each
 		// block boundary.
 		clear(run)
-		ptr := 0
+		var ptr int32
 		for s := 0; s < n; s++ {
 			if s%rowsPerBlock == 0 {
 				b := s / rowsPerBlock
 				copy(seeds[b*words:(b+1)*words], run)
 				ptrs[b] = ptr
 			}
-			for c := sorted[s].v; ptr < n && sorted[ptr].v <= c; ptr++ {
-				q := sorted[ptr].p
+			for ; ptr < ends[s]; ptr++ {
+				q := sweep[ptr]
 				run[q>>6] |= 1 << uint(q&63)
 			}
 		}
@@ -313,11 +332,11 @@ func (m *Matrix) fillTriangle(pts []geom.Point, workers int) {
 			copy(local, seeds[blk*words:(blk+1)*words])
 			ptr := ptrs[blk]
 			for s := blk * rowsPerBlock; s < min((blk+1)*rowsPerBlock, n); s++ {
-				for c := sorted[s].v; ptr < n && sorted[ptr].v <= c; ptr++ {
-					q := sorted[ptr].p
+				for ; ptr < ends[s]; ptr++ {
+					q := sweep[ptr]
 					local[q>>6] |= 1 << uint(q&63)
 				}
-				p := int(sorted[s].p)
+				p := int(sweep[s])
 				row := m.row(p)
 				if k == 0 {
 					copy(row, local)

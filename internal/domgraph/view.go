@@ -48,7 +48,8 @@ func scalarOnly(pts []geom.Point) bool {
 // containing NaN (or zero-dimensional points) drop to the scalar
 // fallback per query. The build also leaves the points in
 // lexicographic order behind (Order), which the d ≤ 2 chain
-// decompositions walk instead of sorting again.
+// decompositions walk instead of sorting again, and Build orders its
+// per-dimension sweeps by the ranks instead of sorting each dimension.
 type Implicit struct {
 	pts    []geom.Point
 	scalar bool

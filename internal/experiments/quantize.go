@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"monoclass/internal/chains"
 	"monoclass/internal/core"
 	"monoclass/internal/em"
 	"monoclass/internal/geom"
@@ -62,16 +63,13 @@ func QuantizationTradeoff(cfg Config) Table {
 			qlab[i] = geom.LabeledPoint{P: pts[i], Label: lab[i].Label}
 			ws[i] = geom.WeightedPoint{P: pts[i], Label: lab[i].Label, Weight: 1}
 		}
-		// One prepared problem per level: its generic (4-D)
-		// decomposition is shared by the width report, the k* solve,
-		// and the active run.
-		p, err := problem.Prepare(ws, problem.Options{})
-		if err != nil {
-			panic(err)
-		}
-		dec := p.Decomposition()
+		// The minimum (4-D) decomposition gives the width column and
+		// the chains the active run probes along, since Theorem 2's
+		// budget follows the width; the k* solve takes Prepare's own
+		// cover, which may be wider.
+		dec := chains.Decompose(pts)
 		width := dec.Width
-		sol, err := p.Solve()
+		sol, err := problem.Solve(ws)
 		if err != nil {
 			panic(err)
 		}

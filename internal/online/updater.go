@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"time"
 
 	"monoclass/internal/classifier"
 	"monoclass/internal/geom"
@@ -90,12 +91,17 @@ type Config struct {
 }
 
 // StatsSnapshot is a point-in-time copy of the updater counters,
-// serialized into the /stats endpoint.
+// serialized into the /stats endpoint. ResolveNS is the summed wall
+// time of the exact solves ExactSolves counts, Prepare plus Solve: only
+// the Solve for NewUpdaterFromProblem's first, whose Problem arrives
+// prepared, and nothing for an empty multiset's, which solves nothing.
+// ResolveNS / ExactSolves is then the mean exact re-solve.
 type StatsSnapshot struct {
 	Inserts          uint64  `json:"inserts"`
 	Deletes          uint64  `json:"deletes"`
 	DeleteMisses     uint64  `json:"delete_misses"`
 	ExactSolves      uint64  `json:"exact_solves"`
+	ResolveNS        int64   `json:"resolve_ns"`
 	InterimAdoptions uint64  `json:"interim_adoptions"`
 	PublishRejects   uint64  `json:"publish_rejects"`
 	ApplyErrors      uint64  `json:"apply_errors"`
@@ -135,6 +141,7 @@ type Updater struct {
 		inserts, deletes, deleteMisses       uint64
 		exactSolves, interims, publishRejcts uint64
 		applyErrors                          uint64
+		resolveNS                            int64
 	}
 }
 
@@ -161,7 +168,7 @@ func NewUpdaterFromProblem(p *problem.Problem, cfg Config) (*Updater, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := u.solveLocked(p, false); err != nil {
+	if err := u.solveLocked(p, false, time.Now()); err != nil {
 		return nil, err
 	}
 	return u, nil
@@ -394,6 +401,7 @@ func (u *Updater) resolveLocked(publish bool) error {
 		u.stats.exactSolves++
 		return nil
 	}
+	start := time.Now()
 	live := make(geom.WeightedSet, len(u.pts))
 	for i, p := range u.pts {
 		live[i] = geom.WeightedPoint{P: p, Label: u.labels[i], Weight: u.weights[i]}
@@ -403,13 +411,13 @@ func (u *Updater) resolveLocked(publish bool) error {
 		u.stats.applyErrors++
 		return fmt.Errorf("online: exact re-solve: %w", err)
 	}
-	return u.solveLocked(prob, publish)
+	return u.solveLocked(prob, publish, start)
 }
 
 // solveLocked solves prob, a Problem over the live multiset in slot
 // order, with the default flow solver a retrain uses, and installs the
-// exact model.
-func (u *Updater) solveLocked(prob *problem.Problem, publish bool) error {
+// exact model; the solve's time since start counts into ResolveNS.
+func (u *Updater) solveLocked(prob *problem.Problem, publish bool, start time.Time) error {
 	sol, err := prob.Solve()
 	if err != nil {
 		u.stats.applyErrors++
@@ -420,6 +428,7 @@ func (u *Updater) solveLocked(prob *problem.Problem, publish bool) error {
 	u.werr = sol.WErr
 	u.drift, u.since = 0, 0
 	u.stats.exactSolves++
+	u.stats.resolveNS += time.Since(start).Nanoseconds()
 	if publish {
 		u.publishLocked()
 	}
@@ -483,6 +492,7 @@ func (u *Updater) Stats() StatsSnapshot {
 		Deletes:          u.stats.deletes,
 		DeleteMisses:     u.stats.deleteMisses,
 		ExactSolves:      u.stats.exactSolves,
+		ResolveNS:        u.stats.resolveNS,
 		InterimAdoptions: u.stats.interims,
 		PublishRejects:   u.stats.publishRejcts,
 		ApplyErrors:      u.stats.applyErrors,

@@ -393,6 +393,42 @@ func TestEmptyAfterDeletes(t *testing.T) {
 	}
 }
 
+// TestResolveNS: the summed exact re-solve time reads 0 before the
+// first exact re-solve (an empty initial multiset solves nothing),
+// grows with each one, and stays put across the deltas in between.
+func TestResolveNS(t *testing.T) {
+	u, err := NewUpdater(3, nil, Config{RebuildEvery: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := u.Stats()
+	if last.ResolveNS != 0 {
+		t.Fatalf("resolve_ns %d before any exact re-solve", last.ResolveNS)
+	}
+	rng := rand.New(rand.NewSource(5))
+	resolves := 0
+	for step := 0; step < 30; step++ {
+		p := geom.Point{rng.Float64(), rng.Float64(), rng.Float64()}
+		if err := u.Apply(Delta{Op: OpInsert, Point: p, Label: geom.Label(rng.Intn(2)), Weight: 1}); err != nil {
+			t.Fatal(err)
+		}
+		s := u.Stats()
+		switch {
+		case s.ExactSolves > last.ExactSolves:
+			resolves++
+			if s.ResolveNS <= last.ResolveNS {
+				t.Fatalf("step %d: exact re-solve left resolve_ns at %d (was %d)", step, s.ResolveNS, last.ResolveNS)
+			}
+		case s.ResolveNS != last.ResolveNS:
+			t.Fatalf("step %d: resolve_ns moved %d → %d with no exact re-solve", step, last.ResolveNS, s.ResolveNS)
+		}
+		last = s
+	}
+	if resolves != 10 {
+		t.Fatalf("%d exact re-solves over 30 deltas at RebuildEvery 3", resolves)
+	}
+}
+
 // TestPublishGate wires a rejecting publisher and checks rejections
 // are counted while the internal model still advances.
 func TestPublishGate(t *testing.T) {

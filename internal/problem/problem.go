@@ -8,16 +8,21 @@
 // A Problem is immutable after Prepare: accessors never mutate it and
 // repeated Solve calls are deterministic (the one mutable piece, the
 // flow network's residual state, is reset under an internal mutex).
-// Prepare decomposes through chains.DecomposeRoute, the one Lemma 6
-// route, at Options.ExactDecomposeLimit. When the route built the
-// dense dominance matrix (d ≥ 3 within the limit and the footprint
+// Prepare covers the points through chains.CoverRoute at
+// Options.ExactDecomposeLimit: Theorem 4's network is exact over any
+// valid chain cover, so at d ≥ 3 it stops at the best-fit seed cover
+// and skips Lemma 6's matching, which only the readers of the width
+// itself need (they ask chains.DecomposeRoute). When the route built
+// the dense dominance matrix (d ≥ 3 within the limit and the footprint
 // guard), Prepare builds the network over it and drops it (ModeDense).
 // Everywhere else — d ≤ 2 and the greedy fallback — it answers the
 // network build's dominance lookups from per-dimension rank arrays
 // (ModeImplicit): at d ≤ 2 the very arrays the route's fast path
 // walked, built once. PrepareCover skips the route for a cover the caller
 // already holds, over rank arrays too. Either way the Problem keeps
-// nothing quadratic: the points, the cover and the network.
+// nothing quadratic: the points, the cover and the network. Its Width,
+// ExactWidth and Stats describe that cover: the dominance width only
+// when ExactWidth holds.
 package problem
 
 import (
@@ -39,8 +44,8 @@ type MatrixMode int
 
 const (
 	// ModeDense: the bit-packed matrix (domgraph.Build), which also
-	// feeds the exact warm-started decomposition at d ≥ 3. The Problem
-	// drops it once the network is built.
+	// gives the best-fit seed cover at d ≥ 3. The Problem drops it once
+	// the network is built.
 	ModeDense MatrixMode = iota
 	// ModeImplicit: per-dimension rank arrays (domgraph.Implicit), for
 	// d ≤ 2, the greedy fallback, and every Problem Read restores.
@@ -59,7 +64,7 @@ func (m MatrixMode) String() string {
 }
 
 // DefaultExactDecomposeLimit is the largest n at which Prepare builds
-// the dense matrix at d ≥ 3 for an exact minimum chain decomposition
+// the dense matrix at d ≥ 3 for the best-fit seed cover
 // (chains.DefaultExactDecomposeLimit); past it, GreedyDecompose
 // supplies a valid (possibly wider) cover and Stats records the
 // fallback.
@@ -67,8 +72,8 @@ const DefaultExactDecomposeLimit = chains.DefaultExactDecomposeLimit
 
 // Options configures Prepare.
 type Options struct {
-	// ExactDecomposeLimit overrides the largest n decomposed exactly at
-	// d ≥ 3; DefaultExactDecomposeLimit when zero.
+	// ExactDecomposeLimit overrides the largest n at which d ≥ 3 input
+	// takes the dense matrix; DefaultExactDecomposeLimit when zero.
 	ExactDecomposeLimit int
 }
 
@@ -89,20 +94,19 @@ type PrepareStats struct {
 	// Mode is the dominance representation the network was built over:
 	// dense or implicit.
 	Mode string `json:"mode"`
-	// Width is the decomposition's chain count; ExactWidth reports
-	// whether that is the true dominance width or a greedy upper bound.
+	// Width is the chain count of the cover the network was built on;
+	// ExactWidth reports whether an antichain of Width points certifies
+	// it as the dominance width, or it is only an upper bound.
 	Width      int  `json:"width"`
 	ExactWidth bool `json:"exact_width"`
-	// DecomposePath names which decomposition route ran
-	// (chains.Path*, or PathLoaded) — the greedy fallback is no longer
-	// silent.
+	// DecomposePath names which cover route ran (chains.Path*, or
+	// PathLoaded): PathSeedDense at d ≥ 3 within the limit.
 	DecomposePath string `json:"decompose_path"`
 	// SeedChains, Augmentations, Phases, and CertEarlyExit mirror
-	// chains.DecomposeStats for the exact matrix path: the warm-start
-	// seed's chain count, the augmenting paths needed on top of it
-	// (exactly SeedChains − Width), the BFS phases run, and whether the
-	// antichain certificate proved the seed optimal with no matching
-	// work at all.
+	// chains.DecomposeStats for the dense path: the best-fit seed's
+	// chain count, the augmenting paths and BFS phases run on top of it
+	// (0 on the seed route, which runs no matching), and whether the
+	// seed's antichain certificate proved it minimum.
 	SeedChains    int  `json:"seed_chains,omitempty"`
 	Augmentations int  `json:"augmentations,omitempty"`
 	Phases        int  `json:"phases,omitempty"`
@@ -113,9 +117,10 @@ type PrepareStats struct {
 	Contending int `json:"contending"`
 	Edges      int `json:"edges"`
 	// Per-stage wall times: dominance representation build, chain
-	// decomposition, flow-network construction, and the whole Prepare
-	// call end to end. At d ≤ 2 MatrixNS is the rank-array build and
-	// DecomposeNS the patience pass over its order.
+	// cover, flow-network construction, and the whole Prepare call end
+	// to end. At d ≤ 2 MatrixNS is the rank-array build and DecomposeNS
+	// the patience pass over its order; on the dense path DecomposeNS
+	// is the seed cover and its certificate.
 	MatrixNS    int64 `json:"matrix_ns"`
 	DecomposeNS int64 `json:"decompose_ns"`
 	NetworkNS   int64 `json:"network_ns"`
@@ -147,8 +152,9 @@ type Problem struct {
 }
 
 // Prepare validates ws, clones it, and builds the full prepared form
-// on the route the package comment describes: a chain decomposition
-// (exact unless d ≥ 3 past the limits) and the passive flow network.
+// on the route the package comment describes: a chain cover (minimum
+// at d ≤ 2, the certified or uncertified seed cover at d ≥ 3 within
+// the limits, greedy past them) and the passive flow network.
 // The input set must be non-empty, dimensionally consistent, and carry
 // positive finite weights.
 //
@@ -166,7 +172,7 @@ func Prepare(ws geom.WeightedSet, opts Options) (*Problem, error) {
 	pts := pointsOf(owned)
 
 	decStart := time.Now()
-	route := chains.DecomposeRoute(pts, opts.ExactDecomposeLimit)
+	route := chains.CoverRoute(pts, opts.ExactDecomposeLimit)
 	var st PrepareStats
 	st.MatrixNS = route.MatrixTime.Nanoseconds()
 	st.DecomposeNS = time.Since(decStart).Nanoseconds() - st.MatrixNS
@@ -320,17 +326,19 @@ func (p *Problem) Decomposition() chains.Decomposition {
 	return cp
 }
 
-// Width returns the decomposition's chain count; the dominance width
-// when ExactWidth reports true.
+// Width returns the cover's chain count; the dominance width when
+// ExactWidth reports true. chains.Width gives the width itself.
 func (p *Problem) Width() int { return p.dec.Width }
 
-// ExactWidth reports whether the decomposition is minimum (Dilworth
-// width) rather than a greedy valid cover.
+// ExactWidth reports whether the cover is certified minimum (its
+// antichain has Width points, the Dilworth width) rather than a valid
+// cover that may be wider: a seed cover without a certificate, or the
+// greedy fallback.
 func (p *Problem) ExactWidth() bool { return p.stats.ExactWidth }
 
 // Stats returns the prepare instrumentation: per-stage wall times,
-// the decomposition path taken (exact vs the greedy fallback), and the
-// warm-start work counters. Loaded Problems carry PathLoaded with zero
+// the cover path taken (the seed cover vs the greedy fallback), and
+// the seed's counters. Loaded Problems carry PathLoaded with zero
 // timings.
 func (p *Problem) Stats() PrepareStats { return p.stats }
 

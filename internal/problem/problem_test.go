@@ -81,12 +81,22 @@ func almostEq(a, b float64) bool {
 // whose network is rebuilt over rank arrays from the same cover, have
 // the same edges, solve bit-identically and count the same violations;
 // both match the literal construction's optimum and contending set.
+// The cover is a valid partition into chains no smaller than
+// chains.Decompose's, exact iff it carries an antichain of Width
+// points, and equal to chains.Decompose's whenever it is exact, which
+// it always is at d ≤ 2.
 func TestPrepareModesAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
+	var sets []geom.WeightedSet
 	for trial := 0; trial < 25; trial++ {
-		n := 1 + rng.Intn(120)
-		d := 1 + rng.Intn(4)
-		ws := randomSet(rng, n, d)
+		sets = append(sets, randomSet(rng, 1+rng.Intn(120), 1+rng.Intn(4)))
+	}
+	// The random d ≥ 3 sets leave their seed uncertified; a chain and
+	// an antichain at d = 3 certify theirs.
+	sets = append(sets, certifiedSet(rng, 40, true), certifiedSet(rng, 30, false))
+	certified := 0
+	for _, ws := range sets {
+		n, d := len(ws), ws.Dim()
 		literal, contending := literalSolve(t, ws)
 		pts := pointsOf(ws)
 		wantDec := chains.Decompose(pts)
@@ -135,16 +145,78 @@ func TestPrepareModesAgree(t *testing.T) {
 			if !reflect.DeepEqual(prob.Contending(), contending) {
 				t.Fatalf("%s: contending set diverges from the literal construction", tag)
 			}
-			if got := prob.Decomposition(); !reflect.DeepEqual(got, wantDec) {
-				t.Fatalf("%s: decomposition diverges from chains.Decompose", tag)
+			got := prob.Decomposition()
+			if !reflect.DeepEqual(got, p.Decomposition()) {
+				t.Fatalf("%s: decomposition diverges from the prepared cover", tag)
 			}
-			if !prob.ExactWidth() {
-				t.Fatalf("%s: width inexact at n=%d", tag, n)
+			checkCover(t, tag, pts, got, prob.ExactWidth(), wantDec)
+			if d <= 2 && !prob.ExactWidth() {
+				t.Fatalf("%s: width inexact at d=%d n=%d", tag, d, n)
 			}
 			if got := prob.Violations(); got != wantViol {
 				t.Fatalf("%s: Violations = %d, want %d", tag, got, wantViol)
 			}
 		}
+		if d >= 3 && p.ExactWidth() {
+			certified++
+		}
+	}
+	if certified < 2 {
+		t.Fatalf("%d certified d ≥ 3 covers; the certified case went unchecked", certified)
+	}
+}
+
+// uncertifiedSeedSet is the unit cube's eight corners at d = 3, with
+// labels against the order. Its width is 3 (a middle layer), but the
+// best-fit seed joins (0,1,1) above (0,1,0) and (1,0,1) above (1,0,0),
+// which leaves (1,1,0) no open chain top to join: the seed holds 4
+// chains, so no antichain can certify it.
+func uncertifiedSeedSet() geom.WeightedSet {
+	var ws geom.WeightedSet
+	for c := 0; c < 8; c++ {
+		p := geom.Point{float64(c >> 2), float64(c >> 1 & 1), float64(c & 1)}
+		ws = append(ws, geom.WeightedPoint{P: p, Label: geom.Label(c % 2), Weight: float64(1 + c%3)})
+	}
+	ws[0].Label, ws[7].Label = geom.Positive, geom.Negative
+	return ws
+}
+
+// certifiedSet is n labeled points at d = 3 whose best-fit seed cover
+// certifies itself: one chain (its bottom is an antichain of one), or
+// an antichain (n singleton chains).
+func certifiedSet(rng *rand.Rand, n int, chain bool) geom.WeightedSet {
+	ws := make(geom.WeightedSet, n)
+	for i := range ws {
+		x := float64(i)
+		p := geom.Point{x, x, x}
+		if !chain {
+			p = geom.Point{x, float64(n) - x, 0}
+		}
+		ws[i] = geom.WeightedPoint{P: p, Label: geom.Label(rng.Intn(2)), Weight: 0.25 + rng.Float64()}
+	}
+	return ws
+}
+
+// checkCover holds a Problem's cover to its contract: a valid
+// partition into ascending chains whose Width is the chain count and
+// at least the minimum cover's, exact iff it carries an antichain of
+// Width points, and then chains.Decompose's own cover.
+func checkCover(t *testing.T, tag string, pts []geom.Point, got chains.Decomposition, exact bool, minimum chains.Decomposition) {
+	t.Helper()
+	if err := chains.ValidateDecomposition(pts, got.Chains); err != nil {
+		t.Fatalf("%s: cover: %v", tag, err)
+	}
+	if got.Width != len(got.Chains) || got.Width < minimum.Width {
+		t.Fatalf("%s: width %d over %d chains, minimum %d", tag, got.Width, len(got.Chains), minimum.Width)
+	}
+	if exact != (len(got.Antichain) == got.Width) {
+		t.Fatalf("%s: exact %v with an antichain of %d points and width %d", tag, exact, len(got.Antichain), got.Width)
+	}
+	if err := chains.ValidateAntichain(pts, got.Antichain); err != nil {
+		t.Fatalf("%s: %v", tag, err)
+	}
+	if exact && !reflect.DeepEqual(got, minimum) {
+		t.Fatalf("%s: certified cover diverges from chains.Decompose", tag)
 	}
 }
 
@@ -183,8 +255,8 @@ func TestPrepareErrors(t *testing.T) {
 	}
 }
 
-// TestAutoModeSelection: Prepare takes the dense route at d ≥ 3 within
-// the exact limit and rank arrays everywhere else.
+// TestAutoModeSelection: Prepare takes the dense route's seed cover at
+// d ≥ 3 within the exact limit and rank arrays everywhere else.
 func TestAutoModeSelection(t *testing.T) {
 	ws := randomSet(rand.New(rand.NewSource(9)), 50, 3)
 	ws2 := randomSet(rand.New(rand.NewSource(10)), 50, 2)
@@ -195,7 +267,7 @@ func TestAutoModeSelection(t *testing.T) {
 		mode MatrixMode
 		path string
 	}{
-		{"d=3", ws, Options{}, ModeDense, chains.PathExactDense},
+		{"d=3", ws, Options{}, ModeDense, chains.PathSeedDense},
 		// Shrinking the exact limit below n forces the greedy fallback.
 		{"d=3 past the limit", ws, Options{ExactDecomposeLimit: 10}, ModeImplicit, chains.PathGreedyFallback},
 		{"d=2", ws2, Options{}, ModeImplicit, chains.PathFast2D},
@@ -497,6 +569,11 @@ func TestViolationsMethodByCost(t *testing.T) {
 	}
 }
 
+// FuzzProblemRoundTrip holds the problem-file ingress: arbitrary bytes
+// through Read must be rejected, or give a problem that solves and
+// survives a second round trip; one of at most 12 points must also
+// solve to a model monotone on its points at the exhaustive optimum,
+// as FuzzTrainCSV holds the CSV ingress.
 func FuzzProblemRoundTrip(f *testing.F) {
 	rng := rand.New(rand.NewSource(19))
 	for i := 0; i < 4; i++ {
@@ -514,6 +591,21 @@ func FuzzProblemRoundTrip(f *testing.F) {
 			f.Add(buf.Bytes())
 		}
 	}
+	// What Prepare writes at d = 3 for a set whose seed cover holds
+	// more chains than the width: the uncertified seed cover, with no
+	// antichain.
+	seedCover, err := Prepare(uncertifiedSeedSet(), Options{})
+	if err != nil {
+		f.Fatalf("seed Prepare: %v", err)
+	}
+	if st := seedCover.Stats(); st.DecomposePath != chains.PathSeedDense || st.ExactWidth || seedCover.Decomposition().Antichain != nil {
+		f.Fatalf("seed-cover seed: %+v", st)
+	}
+	var seedBuf bytes.Buffer
+	if err := Write(&seedBuf, seedCover); err != nil {
+		f.Fatalf("seed Write: %v", err)
+	}
+	f.Add(seedBuf.Bytes())
 	f.Add([]byte(`{"format":"monoclass-problem","version":1}`))
 	f.Add([]byte(`not json`))
 	// Trailing data after a valid file must be rejected.
@@ -534,6 +626,9 @@ func FuzzProblemRoundTrip(f *testing.F) {
 		want, err := p.Solve()
 		if err != nil {
 			t.Fatalf("accepted problem fails to solve: %v", err)
+		}
+		if p.N() <= 12 {
+			checkOptimal(t, p.WeightedSet(), want)
 		}
 		var buf bytes.Buffer
 		if err := Write(&buf, p); err != nil {

@@ -13,8 +13,8 @@ import (
 )
 
 // TestPrepareStatsPaths pins which DecomposePath each Prepare route
-// records, that exact paths carry warm-start counters consistent with
-// the width, and that stage timings are populated.
+// records, that the dense path's seed counters match its cover and
+// its certificate, and that stage timings are populated.
 func TestPrepareStatsPaths(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 
@@ -29,26 +29,32 @@ func TestPrepareStatsPaths(t *testing.T) {
 		}
 	})
 
-	t.Run("exact-dense", func(t *testing.T) {
-		p, err := Prepare(randomSet(rng, 60, 3), Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		st := p.Stats()
-		if st.DecomposePath != chains.PathExactDense || !st.ExactWidth {
-			t.Fatalf("stats %+v", st)
-		}
-		if st.Width != p.Width() || st.Mode != "dense" || st.N != 60 || st.Dim != 3 {
-			t.Fatalf("stats %+v disagree with problem (width %d)", st, p.Width())
-		}
-		if st.Contending != p.NumContending() || st.Edges != p.NumEdges() || st.Edges == 0 {
-			t.Fatalf("stats %+v disagree with the network (%d contending, %d edges)", st, p.NumContending(), p.NumEdges())
-		}
-		if !st.CertEarlyExit && st.Augmentations != st.SeedChains-st.Width {
-			t.Fatalf("augmentations %d != seed %d - width %d", st.Augmentations, st.SeedChains, st.Width)
-		}
-		if st.TotalNS <= 0 || st.TotalNS < st.NetworkNS {
-			t.Fatalf("timing stats %+v", st)
+	t.Run("seed-dense", func(t *testing.T) {
+		for _, ws := range []geom.WeightedSet{randomSet(rng, 60, 3), certifiedSet(rng, 60, true)} {
+			p, err := Prepare(ws, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := p.Stats()
+			if st.DecomposePath != chains.PathSeedDense || st.ExactWidth != st.CertEarlyExit || st.ExactWidth != p.ExactWidth() {
+				t.Fatalf("stats %+v", st)
+			}
+			if st.Width != p.Width() || st.Mode != "dense" || st.N != 60 || st.Dim != 3 {
+				t.Fatalf("stats %+v disagree with problem (width %d)", st, p.Width())
+			}
+			if st.Contending != p.NumContending() || st.Edges != p.NumEdges() || st.Edges == 0 {
+				t.Fatalf("stats %+v disagree with the network (%d contending, %d edges)", st, p.NumContending(), p.NumEdges())
+			}
+			// The seed route runs no matching: the cover is the seed.
+			if st.Width != st.SeedChains || st.Augmentations != 0 || st.Phases != 0 {
+				t.Fatalf("seed route reported matching work: %+v", st)
+			}
+			if w := chains.Width(p.Points()); st.Width < w || st.ExactWidth && st.Width != w {
+				t.Fatalf("seed cover of %d chains (exact %v), dominance width %d", st.Width, st.ExactWidth, w)
+			}
+			if st.TotalNS <= 0 || st.TotalNS < st.NetworkNS {
+				t.Fatalf("timing stats %+v", st)
+			}
 		}
 	})
 
@@ -95,9 +101,12 @@ func TestPrepareStatsPaths(t *testing.T) {
 	})
 }
 
-// TestPrepareWarmStartSmoke is the CI quick-smoke: one warm-started
-// exact prepare on a d=3 instance big enough to run real matching
-// phases, solved end to end. make ci-smoke runs it under -race.
+// TestPrepareWarmStartSmoke is the CI quick-smoke for both halves of
+// the dense route at n = 512, d = 3: Prepare's seed cover, solved end
+// to end against the literal construction, and the warm-started
+// matching chains.DecomposeRoute runs on top of the same seed, whose
+// minimum cover must solve to the same optimum. make ci-smoke runs it
+// under -race.
 func TestPrepareWarmStartSmoke(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	ws := randomSet(rng, 512, 3)
@@ -106,11 +115,8 @@ func TestPrepareWarmStartSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := p.Stats()
-	if st.DecomposePath != chains.PathExactDense || !st.ExactWidth {
-		t.Fatalf("smoke prepare took path %q (exact %v)", st.DecomposePath, st.ExactWidth)
-	}
-	if !st.CertEarlyExit && st.Augmentations != st.SeedChains-st.Width {
-		t.Fatalf("warm-start accounting broken: %+v", st)
+	if st.DecomposePath != chains.PathSeedDense || st.Augmentations != 0 || st.Phases != 0 || st.Width != st.SeedChains {
+		t.Fatalf("smoke prepare: %+v", st)
 	}
 	sol, err := p.Solve()
 	if err != nil {
@@ -122,6 +128,26 @@ func TestPrepareWarmStartSmoke(t *testing.T) {
 	}
 	if !reflect.DeepEqual(p.Contending(), contending) {
 		t.Fatal("prepared contending set diverges from the literal construction")
+	}
+
+	r := chains.DecomposeRoute(p.Points(), 0)
+	rs := r.Stats
+	if r.Path != chains.PathExactDense || !r.Exact() || rs.SeedChains != st.SeedChains || rs.Width != r.Width {
+		t.Fatalf("smoke decomposition took path %q (exact %v), stats %+v, seed route %+v", r.Path, r.Exact(), rs, st)
+	}
+	if rs.CertEarlyExit || rs.Augmentations == 0 || rs.Augmentations != rs.SeedChains-rs.Width {
+		t.Fatalf("warm-start accounting broken or no matching ran: %+v", rs)
+	}
+	minimum, err := PrepareCover(p.WeightedSet(), r.Decomposition, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	msol, err := minimum.Solve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !almostEq(msol.WErr, sol.WErr) {
+		t.Fatalf("minimum cover's WErr %v != seed cover's %v", msol.WErr, sol.WErr)
 	}
 }
 

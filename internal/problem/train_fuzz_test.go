@@ -58,22 +58,30 @@ func FuzzTrainCSV(f *testing.F) {
 		if err != nil {
 			t.Fatalf("accepted CSV fails to solve: %v", err)
 		}
-		pts := make([]geom.Point, len(ws))
-		for i, wp := range ws {
-			pts[i] = wp.P
-		}
-		if ok, hi, lo := classifier.IsMonotoneOn(pts, sol.Classifier); !ok {
-			t.Fatalf("model labels %v 0 and the point %v below it 1", hi, lo)
-		}
-		naive, err := passive.NaiveSolve(ws)
-		if err != nil {
-			t.Fatalf("naive solve: %v", err)
-		}
-		if diff := math.Abs(sol.WErr - naive.WErr); diff > 1e-9*math.Max(math.Abs(sol.WErr), math.Abs(naive.WErr)) {
-			t.Fatalf("solved weighted error %g, exhaustive optimum %g", sol.WErr, naive.WErr)
-		}
+		checkOptimal(t, ws, sol)
 		if got := geom.WErr(ws, classifier.Func(sol.Classifier)); got != sol.WErr {
 			t.Fatalf("model rescored to weighted error %g, Solve reported %g", got, sol.WErr)
 		}
 	})
+}
+
+// checkOptimal fails t unless sol's model is monotone on ws's points
+// and its weighted error is the exhaustive optimum (passive.NaiveSolve)
+// within 1e-9 relative. ws must be small enough for NaiveSolve.
+func checkOptimal(t *testing.T, ws geom.WeightedSet, sol passive.Solution) {
+	t.Helper()
+	pts := make([]geom.Point, len(ws))
+	for i, wp := range ws {
+		pts[i] = wp.P
+	}
+	if ok, hi, lo := classifier.IsMonotoneOn(pts, sol.Classifier); !ok {
+		t.Fatalf("model labels %v 0 and the point %v below it 1", hi, lo)
+	}
+	naive, err := passive.NaiveSolve(ws)
+	if err != nil {
+		t.Fatalf("naive solve: %v", err)
+	}
+	if diff := math.Abs(sol.WErr - naive.WErr); diff > 1e-9*math.Max(math.Abs(sol.WErr), math.Abs(naive.WErr)) {
+		t.Fatalf("solved weighted error %g, exhaustive optimum %g", sol.WErr, naive.WErr)
+	}
 }

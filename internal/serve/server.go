@@ -36,8 +36,9 @@ type Config struct {
 	// Prepare, when non-nil, records how the initial model's training
 	// instance was prepared (problem.PrepareStats): /stats serves it
 	// under "prepare" and GET /model answers X-Model-Width and
-	// X-Model-Exact-Width headers, so clients can tell an exact-width
-	// model from one trained on a greedy fallback cover.
+	// X-Model-Exact-Width headers: the chain count of the cover the
+	// model was trained over, and whether an antichain certifies it
+	// as the dominance width.
 	Prepare *problem.PrepareStats
 }
 

@@ -8,7 +8,7 @@ import (
 	"monoclass/internal/problem"
 )
 
-// Prepared problems: chain decomposition and flow network, built once
+// Prepared problems: chain cover and flow network, built once
 // by PrepareProblem and shared by training (TrainPrepared), auditing
 // (AuditPrepared), online learning (NewOnlineUpdaterFromProblem), and
 // serving gates. Callers that train and audit the same point set
@@ -17,31 +17,35 @@ import (
 type (
 	// Problem is an immutable prepared instance; see PrepareProblem.
 	Problem = problem.Problem
-	// ProblemOptions configures PrepareProblem (the exact-decomposition
+	// ProblemOptions configures PrepareProblem (the dense-matrix
 	// limit).
 	ProblemOptions = problem.Options
 	// MatrixMode names the dominance representation PrepareProblem built
 	// the network over: ModeDense or ModeImplicit.
 	MatrixMode = problem.MatrixMode
 	// PrepareStats reports how PrepareProblem built an instance:
-	// per-stage wall times, the decomposition path taken (exact
-	// warm-started matching vs the greedy fallback), and the
-	// warm-start work counters. Read it with (*Problem).Stats.
+	// per-stage wall times, the cover path taken (the dense matrix's
+	// best-fit seed cover vs the greedy fallback), the seed counters,
+	// and the cover's chain count, which is the dominance width only
+	// when ExactWidth holds. Read it with (*Problem).Stats.
 	PrepareStats = problem.PrepareStats
 )
 
 // Matrix modes, as (*Problem).Mode reports them.
 const (
 	// ModeDense: the bit-packed dominance matrix, built at d ≥ 3 for
-	// the exact decomposition and dropped after the network build.
+	// the seed cover and dropped after the network build.
 	ModeDense = problem.ModeDense
 	// ModeImplicit: per-dimension rank arrays, at d ≤ 2 and past the
 	// exact-decomposition limit.
 	ModeImplicit = problem.ModeImplicit
 )
 
-// PrepareProblem builds the prepared form of ws once: chain
-// decomposition and the Theorem 4 flow network.
+// PrepareProblem builds the prepared form of ws once: a chain cover
+// and the Theorem 4 flow network, which is exact over any valid
+// cover. At d ≥ 3 the cover is a best-fit greedy one that may hold
+// more chains than the dominance width (DominanceWidth gives the
+// width).
 // Every consumer below accepts the result, so nothing is re-derived.
 func PrepareProblem(ws WeightedSet, opts ProblemOptions) (*Problem, error) {
 	return problem.Prepare(ws, opts)
@@ -54,9 +58,10 @@ func TrainPrepared(p *Problem) (PassiveSolution, error) { return p.Solve() }
 
 // AuditPrepared computes the dataset report from the prepared
 // instance; combined with TrainPrepared it replaces the
-// OptimalPassive+AuditDataset pairing that decomposed the set twice.
-// Its violation count rebuilds a dense-route Problem's dominance
-// matrix once (see Problem.Violations).
+// OptimalPassive+AuditDataset pairing that built the structure twice.
+// Its violation count may rebuild the dominance matrix once (see
+// Problem.Violations), and its width decomposes the points unless the
+// Problem's cover is certified minimum.
 func AuditPrepared(p *Problem) (AuditReport, error) { return audit.AuditProblem(p) }
 
 // NewOnlineUpdaterFromProblem seeds an incremental learner from a
