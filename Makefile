@@ -15,6 +15,7 @@
 #   make profile-prepare   CPU+heap profile of the prepare-stage sweep (pprof files)
 #   make ci-smoke          one seed-cover prepare and one warm-started matching under the race detector
 #   make loc               count non-test Go lines (the size ROADMAP tracks)
+#   make deadcode          list the module's functions that no program links
 #   make fuzz-chains       short differential fuzz of the chain decomposition
 #   make fuzz-passive      short fuzz of the ∞-edge builder vs the literal network
 #   make fuzz-online       short fuzz pass over the online delta intake
@@ -33,7 +34,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: all build vet test race conformance conformance-long conformance-mutate bench-maxflow bench-classify bench-serve bench-shard bench-online bench-problem bench-active profile-prepare ci-smoke loc fuzz-chains fuzz-passive fuzz-online fuzz-problem fuzz-serve fuzz-learn fuzz-classify fuzz-csv fuzz-train fuzz-model fuzz-maxflow serve-stress verify verify-full clean
+.PHONY: all build vet test race conformance conformance-long conformance-mutate bench-maxflow bench-classify bench-serve bench-shard bench-online bench-problem bench-active profile-prepare ci-smoke loc deadcode fuzz-chains fuzz-passive fuzz-online fuzz-problem fuzz-serve fuzz-learn fuzz-classify fuzz-csv fuzz-train fuzz-model fuzz-maxflow serve-stress verify verify-full clean
 
 all: check
 
@@ -171,6 +172,32 @@ ci-smoke:
 loc:
 	@files="$$(find . -name '*.go' -not -name '*_test.go' -not -path './perfbench/*' -not -path './.bench_build/*')"; \
 	echo "$$(cat $$files | wc -l) non-test Go lines in $$(echo "$$files" | wc -l) files"
+
+# Functions declared in the module's non-main packages that no program
+# links: every main package and perfbench is built with inlining off
+# (so an inlined call still leaves its symbol), and a declared name
+# missing from every binary's symbol table (go tool nm) is printed.
+# Methods print as pkg.Type.Method; generic brackets, nested ones
+# included, are stripped on both sides. Names that only tests reach
+# show up here too.
+deadcode:
+	@tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; set -e; \
+	for p in $$($(GO) list -f '{{if eq .Name "main"}}{{.ImportPath}}{{end}}' ./...); do \
+		$(GO) build -gcflags=all=-l -o "$$tmp/bin/$$(basename $$p)" $$p; \
+	done; \
+	$(GO) -C perfbench build -gcflags=all=-l -o "$$tmp/bin/perfbench" .; \
+	mod="$$($(GO) list -m)"; \
+	for b in "$$tmp"/bin/*; do $(GO) tool nm "$$b"; done | \
+		awk '$$2 == "T" || $$2 == "t" { sub(/^ *[0-9a-f]+ [Tt] /, ""); print }' | grep "^$$mod[./]" | \
+		sed -E -e ':a' -e 's/\[[^][]*\]//; ta' -e 's/\(\*?([^)]*)\)/\1/' | sort -u > "$$tmp/linked"; \
+	$(GO) list -f '{{if ne .Name "main"}}{{range .GoFiles}}{{$$.ImportPath}} {{$$.Dir}}/{{.}}{{"\n"}}{{end}}{{end}}' ./... | \
+	while read -r pkg file; do \
+		grep '^func ' "$$file" | sed -E -e ':a' -e 's/\[[^][]*\]//; ta' | \
+			sed -E -e 's/^func \(([A-Za-z0-9_]+ )?\*?([A-Za-z0-9_]+)\) ([A-Za-z0-9_]+).*/\2.\3/; t' \
+				-e 's/^func ([A-Za-z0-9_]+).*/\1/' | \
+			grep -v '^init$$' | sed "s|^|$$pkg.|"; \
+	done | sort -u > "$$tmp/declared"; \
+	comm -23 "$$tmp/declared" "$$tmp/linked"
 
 # Differential fuzz of the bit-packed chain decomposition against its
 # scalar oracle, on up to 130 points so matrix rows span three words.

@@ -8,10 +8,6 @@ import "monoclass/internal/audit"
 // determines active labeling cost.
 type AuditReport = audit.Report
 
-// AuditDataset inspects a labeled weighted set before training. Cost:
-// one chain decomposition plus one exact passive solve.
-func AuditDataset(ws WeightedSet) (AuditReport, error) { return audit.Audit(ws) }
-
 // HasseDOT renders the Hasse diagram (dominance transitive reduction)
 // of a labeled set as Graphviz DOT — positive points filled black,
 // negative white, coordinate-equal points collapsed. Limited to 400

@@ -243,21 +243,6 @@ func BenchmarkClassifyBatch(b *testing.B) {
 	}
 }
 
-func BenchmarkIsotonicL2(b *testing.B) {
-	rng := rand.New(rand.NewSource(4))
-	pts := make([]monoclass.IsotonicPoint, 100000)
-	for i := range pts {
-		pts[i] = monoclass.IsotonicPoint{X: rng.Float64(), Y: rng.NormFloat64(), W: 1}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := monoclass.FitIsotonicL2(pts); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkBlocking(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))
 	recs := monoclass.GenerateCorpus(rng, monoclass.CorpusParams{

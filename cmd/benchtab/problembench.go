@@ -42,7 +42,6 @@ type problemRow struct {
 	NetworkNs     int64  `json:"network_ns"`
 	SeedChains    int    `json:"seed_chains,omitempty"`
 	Augmentations int    `json:"augmentations,omitempty"`
-	Phases        int    `json:"phases,omitempty"`
 	CertEarlyExit bool   `json:"cert_early_exit,omitempty"`
 }
 
@@ -249,7 +248,6 @@ func runProblemBench(path string, seed int64, quick bool) error {
 			NetworkNs:      pst.NetworkNS,
 			SeedChains:     pst.SeedChains,
 			Augmentations:  pst.Augmentations,
-			Phases:         pst.Phases,
 			CertEarlyExit:  pst.CertEarlyExit,
 		}
 		report.Rows = append(report.Rows, row)

@@ -445,11 +445,7 @@ func replayShardAddrs(opt options, pts []monoclass.Point) (*configRow, error) {
 			eps = append(eps, part)
 		}
 	}
-	strat, err := monoclass.NewRing(len(eps), 0)
-	if err != nil {
-		return nil, err
-	}
-	router, err := monoclass.NewShardRouter(eps, monoclass.ShardRouterConfig{Strategy: strat})
+	router, err := monoclass.NewShardRouter(eps, monoclass.ShardRouterConfig{})
 	if err != nil {
 		return nil, err
 	}

@@ -195,8 +195,7 @@ func runPrepare(args []string) error {
 	} else {
 		fmt.Printf("cover:       %d chains (at least the dominance width; 'monoclass width' computes it)\n", p.Width())
 	}
-	fmt.Printf("decompose:   %s (seed %d chains, %d augmentations, %d phases)\n",
-		st.DecomposePath, st.SeedChains, st.Augmentations, st.Phases)
+	fmt.Printf("decompose:   %s (seed %d chains)\n", st.DecomposePath, st.SeedChains)
 	fmt.Printf("network:     %d contending points, %d edges\n", st.Contending, st.Edges)
 	fmt.Printf("stages:      matrix %s, decompose %s, network %s\n",
 		time.Duration(st.MatrixNS).Round(time.Millisecond),

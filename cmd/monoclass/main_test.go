@@ -203,7 +203,7 @@ func TestCLIPrepareCover(t *testing.T) {
 	}
 	for _, want := range []string{
 		"cover:       4 chains (at least the dominance width; 'monoclass width' computes it)\n",
-		"decompose:   seed-dense (seed 4 chains, 0 augmentations, 0 phases)\n",
+		"decompose:   seed-dense (seed 4 chains)\n",
 	} {
 		if !strings.Contains(got, want) {
 			t.Errorf("prepare output lacks %q:\n%s", want, got)

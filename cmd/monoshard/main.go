@@ -70,11 +70,6 @@ func run(args []string) error {
 		return fmt.Errorf("-primary %d out of range for %d replicas", *primary, len(endpoints))
 	}
 
-	strat, err := monoclass.NewRing(len(endpoints), *vnodes)
-	if err != nil {
-		return err
-	}
-
 	var syncer *monoclass.ShardSyncer
 	if !*noSync {
 		others := make([]string, 0, len(endpoints)-1)
@@ -91,7 +86,7 @@ func run(args []string) error {
 		})
 	}
 	router, err := monoclass.NewShardRouter(endpoints, monoclass.ShardRouterConfig{
-		Strategy:       strat,
+		VNodes:         *vnodes,
 		Primary:        *primary,
 		HealthInterval: *healthInterval,
 		Syncer:         syncer,
@@ -110,7 +105,7 @@ func run(args []string) error {
 	if syncer != nil {
 		syncer.Start()
 	}
-	fmt.Printf("monoshard: routing %d replicas (%s) on %s\n", len(endpoints), strat.Name(), bound.String())
+	fmt.Printf("monoshard: routing %d replicas on %s\n", len(endpoints), bound.String())
 	<-sig
 
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)

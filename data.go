@@ -113,8 +113,3 @@ type BlockingQuality = em.BlockingQuality
 func EvaluateBlocking(recs []Record, pairs []RecordPair) BlockingQuality {
 	return em.EvaluateBlocking(recs, pairs)
 }
-
-// PairSimilaritiesExtended computes the 6-dimensional similarity
-// vector (the 4 PairSimilarities metrics plus Jaro–Winkler and
-// Monge–Elkan on titles).
-func PairSimilaritiesExtended(a, b Record) Point { return em.ExtendedSimilarities(a, b) }

@@ -79,3 +79,37 @@ func ExampleQuantizeTradeoff() {
 	// fine grid width > coarse grid width: true
 	// coarse grid k* >= fine grid k*: true
 }
+
+// Prepare Figure 1(b) once, train and audit from the same Problem,
+// then seed an online learner from it: its first model is the
+// Problem's own solve. With RebuildEvery 1 the insert is re-solved
+// exactly; a negative point above every input costs its own weight.
+func ExampleNewOnlineUpdaterFromProblem() {
+	p, err := monoclass.PrepareProblem(monoclass.Figure1Weighted(), monoclass.ProblemOptions{})
+	if err != nil {
+		panic(err)
+	}
+	sol, err := monoclass.TrainPrepared(p)
+	if err != nil {
+		panic(err)
+	}
+	rep, err := monoclass.AuditPrepared(p)
+	if err != nil {
+		panic(err)
+	}
+	fmt.Println("trained k*:", sol.WErr, "audited k*:", rep.KStar)
+
+	u, err := monoclass.NewOnlineUpdaterFromProblem(p, monoclass.OnlineConfig{RebuildEvery: 1})
+	if err != nil {
+		panic(err)
+	}
+	top := monoclass.Delta{Op: monoclass.OpInsert, Point: monoclass.Point{100, 100}, Label: monoclass.Negative, Weight: 1}
+	if err := u.Apply(top); err != nil {
+		panic(err)
+	}
+	st := u.Stats()
+	fmt.Println("live:", st.Live, "exact solves:", st.ExactSolves, "werr:", u.WErr())
+	// Output:
+	// trained k*: 104 audited k*: 104
+	// live: 17 exact solves: 2 werr: 105
+}

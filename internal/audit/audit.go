@@ -54,21 +54,6 @@ type Report struct {
 	Contending int
 }
 
-// Audit computes a full report, preparing a throwaway Problem
-// internally (default options). Callers who already hold a prepared
-// Problem — or will train on the same points next — use AuditProblem
-// and pay the decomposition once.
-func Audit(ws geom.WeightedSet) (Report, error) {
-	if len(ws) == 0 {
-		return Report{}, fmt.Errorf("audit: empty dataset")
-	}
-	p, err := problem.Prepare(ws, problem.Options{})
-	if err != nil {
-		return Report{}, err
-	}
-	return AuditProblem(p)
-}
-
 // AuditProblem computes the report from a prepared Problem: the
 // optimum comes out of the shared artifact, and the violation count is
 // Problem.Violations (cached; it may rebuild the matrix for it). Width

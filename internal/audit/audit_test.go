@@ -9,11 +9,21 @@ import (
 
 	"monoclass/internal/dataset"
 	"monoclass/internal/geom"
+	"monoclass/internal/problem"
 )
+
+// auditSet prepares ws under default options and audits the Problem.
+func auditSet(ws geom.WeightedSet) (Report, error) {
+	p, err := problem.Prepare(ws, problem.Options{})
+	if err != nil {
+		return Report{}, err
+	}
+	return AuditProblem(p)
+}
 
 func TestAuditFigure1(t *testing.T) {
 	ws := dataset.Figure1Weighted()
-	r, err := Audit(ws)
+	r, err := auditSet(ws)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +64,7 @@ func TestAuditCleanAndConflicted(t *testing.T) {
 		{P: geom.Point{0, 0}, Label: geom.Negative, Weight: 1},
 		{P: geom.Point{1, 1}, Label: geom.Positive, Weight: 2},
 	}
-	r, err := Audit(clean)
+	r, err := auditSet(clean)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +75,7 @@ func TestAuditCleanAndConflicted(t *testing.T) {
 		{P: geom.Point{1, 1}, Label: geom.Negative, Weight: 3},
 		{P: geom.Point{1, 1}, Label: geom.Positive, Weight: 5},
 	}
-	r, err = Audit(conflicted)
+	r, err = auditSet(conflicted)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,11 +88,11 @@ func TestAuditCleanAndConflicted(t *testing.T) {
 }
 
 func TestAuditErrors(t *testing.T) {
-	if _, err := Audit(nil); err == nil {
+	if _, err := auditSet(nil); err == nil {
 		t.Error("empty set accepted")
 	}
 	bad := geom.WeightedSet{{P: geom.Point{1}, Label: geom.Positive, Weight: -1}}
-	if _, err := Audit(bad); err == nil {
+	if _, err := auditSet(bad); err == nil {
 		t.Error("invalid weight accepted")
 	}
 }
@@ -213,7 +223,7 @@ func TestAuditDuplicateGroupsSignedZero(t *testing.T) {
 		{P: geom.Point{2, math.Inf(1)}, Label: geom.Negative, Weight: 1},
 		{P: geom.Point{2, math.Inf(1)}, Label: geom.Positive, Weight: 2},
 	}
-	r, err := Audit(ws)
+	r, err := auditSet(ws)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,8 +17,8 @@ import (
 )
 
 // shardMaxQueries bounds the per-instance HTTP round trips of the
-// routed-vs-direct check: each query costs two real requests per
-// strategy, so the check samples rather than sweeps large instances.
+// routed-vs-direct check: each query costs two real requests, so the
+// check samples rather than sweeps large instances.
 const shardMaxQueries = 32
 
 // shardMaxAnchors bounds the anchor pool handed to the fleet's model;
@@ -114,39 +114,35 @@ func CheckShardRouted(in Instance) error {
 	}
 	client := &http.Client{Timeout: 10 * time.Second}
 
-	ring, err := shard.NewRing(replicas, 0)
-	if err != nil {
-		return err
-	}
 	router, err := shard.NewRouter(urls, shard.RouterConfig{
-		Strategy:       ring,
+		VNodes:         shard.DefaultVNodes,
 		HealthInterval: -1,
 		Client:         client,
 	})
 	if err != nil {
-		return fmt.Errorf("%s: %w", ring.Name(), err)
+		return err
 	}
 	rhs := httptest.NewServer(router.Handler())
 	defer router.Close()
 	defer rhs.Close()
-	return shardCompare(client, ring.Name(), rhs.URL, urls[0], queries)
+	return shardCompare(client, rhs.URL, urls[0], queries)
 }
 
-// shardCompare runs the routed-vs-direct differential through one
-// strategy's router.
-func shardCompare(client *http.Client, strat, routed, direct string, queries []geom.Point) error {
+// shardCompare runs the routed-vs-direct differential through the
+// router at routed against the replica at direct.
+func shardCompare(client *http.Client, routed, direct string, queries []geom.Point) error {
 	for _, q := range queries {
 		viaRouter, err := postClassify(client, routed, q)
 		if err != nil {
-			return fmt.Errorf("%s: routed classify(%v): %w", strat, q, err)
+			return fmt.Errorf("routed classify(%v): %w", q, err)
 		}
 		viaPrimary, err := postClassify(client, direct, q)
 		if err != nil {
-			return fmt.Errorf("%s: direct classify(%v): %w", strat, q, err)
+			return fmt.Errorf("direct classify(%v): %w", q, err)
 		}
 		if viaRouter != viaPrimary {
-			return fmt.Errorf("%s: classify(%v) routed (label %v, version %d) != direct (label %v, version %d)",
-				strat, q, viaRouter.Label, viaRouter.Version, viaPrimary.Label, viaPrimary.Version)
+			return fmt.Errorf("classify(%v) routed (label %v, version %d) != direct (label %v, version %d)",
+				q, viaRouter.Label, viaRouter.Version, viaPrimary.Label, viaPrimary.Version)
 		}
 	}
 
@@ -154,19 +150,19 @@ func shardCompare(client *http.Client, strat, routed, direct string, queries []g
 	// a single replica and return one coherent (labels, version) pair.
 	routedLabels, routedVer, err := postBatch(client, routed, queries)
 	if err != nil {
-		return fmt.Errorf("%s: routed batch: %w", strat, err)
+		return fmt.Errorf("routed batch: %w", err)
 	}
 	directLabels, directVer, err := postBatch(client, direct, queries)
 	if err != nil {
-		return fmt.Errorf("%s: direct batch: %w", strat, err)
+		return fmt.Errorf("direct batch: %w", err)
 	}
 	if routedVer != directVer {
-		return fmt.Errorf("%s: batch version routed %d != direct %d", strat, routedVer, directVer)
+		return fmt.Errorf("batch version routed %d != direct %d", routedVer, directVer)
 	}
 	for i := range queries {
 		if routedLabels[i] != directLabels[i] {
-			return fmt.Errorf("%s: batch slot %d (%v) routed label %v != direct %v",
-				strat, i, queries[i], routedLabels[i], directLabels[i])
+			return fmt.Errorf("batch slot %d (%v) routed label %v != direct %v",
+				i, queries[i], routedLabels[i], directLabels[i])
 		}
 	}
 	return nil

@@ -47,7 +47,7 @@ func TestShardCompareDetectsDivergence(t *testing.T) {
 	low, high := mkServer(1), mkServer(10)
 	client := &http.Client{Timeout: 5 * time.Second}
 	// Point 5.5 is positive under tau=1 and negative under tau=10.
-	err := shardCompare(client, "negative-control", low, high, []geom.Point{{5.5}})
+	err := shardCompare(client, low, high, []geom.Point{{5.5}})
 	if err == nil {
 		t.Fatal("comparator accepted fleets serving different models")
 	}

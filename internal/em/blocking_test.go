@@ -1,7 +1,6 @@
 package em
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 )
@@ -125,96 +124,5 @@ func TestEvaluateBlockingDegenerate(t *testing.T) {
 	q := EvaluateBlocking(nil, nil)
 	if q.Recall != 1 || q.PairRatio != 0 {
 		t.Errorf("degenerate quality wrong: %+v", q)
-	}
-}
-
-func TestJaroSim(t *testing.T) {
-	cases := []struct {
-		a, b string
-		want float64
-	}{
-		{"", "", 1},
-		{"a", "", 0},
-		{"same", "same", 1},
-		{"martha", "marhta", 0.9444444444444445},
-		{"dixon", "dicksonx", 0.7666666666666666},
-		{"abc", "xyz", 0},
-	}
-	for _, c := range cases {
-		if got := JaroSim(c.a, c.b); math.Abs(got-c.want) > 1e-12 {
-			t.Errorf("JaroSim(%q, %q) = %v, want %v", c.a, c.b, got, c.want)
-		}
-	}
-}
-
-func TestJaroWinklerSim(t *testing.T) {
-	// The shared prefix "mar" boosts the score above plain Jaro.
-	j := JaroSim("martha", "marhta")
-	jw := JaroWinklerSim("martha", "marhta")
-	if jw <= j {
-		t.Errorf("Jaro-Winkler %v should exceed Jaro %v on shared prefixes", jw, j)
-	}
-	if math.Abs(jw-0.9611111111111111) > 1e-12 {
-		t.Errorf("JaroWinklerSim(martha, marhta) = %v", jw)
-	}
-	if JaroWinklerSim("same", "same") != 1 {
-		t.Error("identical should be 1")
-	}
-}
-
-func TestMongeElkanSim(t *testing.T) {
-	if MongeElkanSim("", "") != 1 {
-		t.Error("empty-empty should be 1")
-	}
-	if MongeElkanSim("a b", "") != 0 {
-		t.Error("empty-vs-nonempty should be 0")
-	}
-	if MongeElkanSim("red speaker", "speaker red") != 1 {
-		t.Error("token order must not matter for exact token sets")
-	}
-	partial := MongeElkanSim("ultra wireless speaker", "ultra wireles speaker")
-	if partial <= 0.9 || partial > 1 {
-		t.Errorf("near-duplicate Monge-Elkan = %v, want just below 1", partial)
-	}
-}
-
-// All new metrics stay within [0, 1] and are symmetric.
-func TestNewMetricsRangeAndSymmetry(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	words := []string{"", "a", "ab", "alpha beta", "gamma delta epsilon", "x"}
-	for trial := 0; trial < 2000; trial++ {
-		a := words[rng.Intn(len(words))]
-		b := words[rng.Intn(len(words))]
-		for name, f := range map[string]func(string, string) float64{
-			"jaro": JaroSim, "jw": JaroWinklerSim, "me": MongeElkanSim,
-		} {
-			s1, s2 := f(a, b), f(b, a)
-			if s1 < 0 || s1 > 1 || math.IsNaN(s1) {
-				t.Fatalf("%s(%q,%q) = %v out of range", name, a, b, s1)
-			}
-			if math.Abs(s1-s2) > 1e-12 {
-				t.Fatalf("%s not symmetric on (%q,%q): %v vs %v", name, a, b, s1, s2)
-			}
-		}
-	}
-}
-
-func TestExtendedSimilarities(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	recs := GenerateCorpus(rng, DefaultCorpusParams())
-	v := ExtendedSimilarities(recs[0], recs[1])
-	if len(v) != 6 {
-		t.Fatalf("dim = %d, want 6", len(v))
-	}
-	for i, s := range v {
-		if s < 0 || s > 1 {
-			t.Errorf("score %d = %v out of range", i, s)
-		}
-	}
-	self := ExtendedSimilarities(recs[0], recs[0])
-	for i, s := range self {
-		if s != 1 {
-			t.Errorf("self-similarity %d = %v, want 1", i, s)
-		}
 	}
 }

@@ -152,7 +152,7 @@ func MaxflowSolvers(cfg Config) Table {
 	}
 	t.Notes = append(t.Notes,
 		"Claim (§2): any max-flow algorithm serves Theorem 4; the paper cites Goldberg–Tarjan push-relabel at O(V³). All registered implementations must return identical optima.",
-		"Times are one solve of the same prepared network, including the cut decode. pushrelabelhl (highest-label + global relabeling on the CSR arc pool, DESIGN.md §8) is the engine, pushrelabelhl-pooled the same engine on a pooled workspace (the default), and dinic the independent reference.",
+		"Times are one solve of the same prepared network, including the cut decode. pushrelabelhl (highest-label + global relabeling on the CSR arc pool, DESIGN.md §8) is the engine and the default, on a pooled workspace; dinic is the independent reference.",
 	)
 	return t
 }

@@ -4,104 +4,12 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sort"
 )
-
-// Dataset is an immutable-by-convention collection of unlabeled points
-// sharing one dimensionality. It is the unlabeled input P of Problem 1
-// before any probing has happened.
-type Dataset struct {
-	pts []Point
-	dim int
-}
-
-// NewDataset builds a Dataset from pts. All points must share the same
-// dimensionality, which must be at least 1; otherwise an error is
-// returned. The slice is retained, not copied.
-func NewDataset(pts []Point) (*Dataset, error) {
-	if len(pts) == 0 {
-		return &Dataset{pts: nil, dim: 0}, nil
-	}
-	d := len(pts[0])
-	if d == 0 {
-		return nil, fmt.Errorf("geom: zero-dimensional point at index 0")
-	}
-	for i, p := range pts {
-		if len(p) != d {
-			return nil, fmt.Errorf("geom: point %d has dimension %d, want %d", i, len(p), d)
-		}
-	}
-	return &Dataset{pts: pts, dim: d}, nil
-}
-
-// MustDataset is NewDataset that panics on error; intended for tests
-// and fixtures with known-good data.
-func MustDataset(pts []Point) *Dataset {
-	ds, err := NewDataset(pts)
-	if err != nil {
-		panic(err)
-	}
-	return ds
-}
-
-// Len returns the number of points n = |P|.
-func (d *Dataset) Len() int { return len(d.pts) }
-
-// Dim returns the dimensionality of the points (0 for an empty set).
-func (d *Dataset) Dim() int { return d.dim }
-
-// Point returns the i-th point. The returned slice must not be
-// modified.
-func (d *Dataset) Point(i int) Point { return d.pts[i] }
-
-// Points returns the backing slice. The caller must not modify it.
-func (d *Dataset) Points() []Point { return d.pts }
 
 // LabeledDataset is a fully labeled point set: the input of Problem 2
 // with unit weights, or the ground truth behind an oracle in Problem 1.
 type LabeledDataset struct {
 	Points []LabeledPoint
-}
-
-// NewLabeledDataset validates dimensional consistency and label
-// validity of pts and wraps them.
-func NewLabeledDataset(pts []LabeledPoint) (*LabeledDataset, error) {
-	if len(pts) > 0 {
-		d := len(pts[0].P)
-		if d == 0 {
-			return nil, fmt.Errorf("geom: zero-dimensional point at index 0")
-		}
-		for i, p := range pts {
-			if len(p.P) != d {
-				return nil, fmt.Errorf("geom: point %d has dimension %d, want %d", i, len(p.P), d)
-			}
-			if !p.Label.Valid() {
-				return nil, fmt.Errorf("geom: point %d has invalid label %d", i, p.Label)
-			}
-		}
-	}
-	return &LabeledDataset{Points: pts}, nil
-}
-
-// Len returns the number of points.
-func (d *LabeledDataset) Len() int { return len(d.Points) }
-
-// Dim returns the dimensionality (0 for an empty set).
-func (d *LabeledDataset) Dim() int {
-	if len(d.Points) == 0 {
-		return 0
-	}
-	return len(d.Points[0].P)
-}
-
-// Unlabeled strips the labels, producing the Dataset visible to an
-// active-learning algorithm before probing.
-func (d *LabeledDataset) Unlabeled() *Dataset {
-	pts := make([]Point, len(d.Points))
-	for i, lp := range d.Points {
-		pts[i] = lp.P
-	}
-	return MustDataset(pts)
 }
 
 // Weighted converts the set to a WeightedSet with unit weights, under
@@ -185,18 +93,4 @@ func (ws WeightedSet) Coalesce() (out WeightedSet, entry []int) {
 		out = append(out, wp)
 	}
 	return out, entry
-}
-
-// SortLex sorts the set lexicographically by coordinates then label;
-// useful for deterministic output and testing.
-func (ws WeightedSet) SortLex() {
-	sort.Slice(ws, func(i, j int) bool {
-		a, b := ws[i], ws[j]
-		for k := range a.P {
-			if a.P[k] != b.P[k] {
-				return a.P[k] < b.P[k]
-			}
-		}
-		return a.Label < b.Label
-	})
 }

@@ -6,64 +6,19 @@ import (
 	"testing"
 )
 
-func TestNewDataset(t *testing.T) {
-	ds, err := NewDataset([]Point{{1, 2}, {3, 4}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ds.Len() != 2 || ds.Dim() != 2 {
-		t.Errorf("Len/Dim = %d/%d, want 2/2", ds.Len(), ds.Dim())
-	}
-	if !ds.Point(1).Equal(Point{3, 4}) {
-		t.Error("Point(1) wrong")
-	}
-	if _, err := NewDataset([]Point{{1, 2}, {3}}); err == nil {
-		t.Error("dimension mismatch accepted")
-	}
-	if _, err := NewDataset([]Point{{}}); err == nil {
-		t.Error("zero-dimensional point accepted")
-	}
-	empty, err := NewDataset(nil)
-	if err != nil || empty.Len() != 0 || empty.Dim() != 0 {
-		t.Error("empty dataset mishandled")
-	}
-}
-
-func TestMustDatasetPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	MustDataset([]Point{{1}, {1, 2}})
-}
-
 func TestLabeledDataset(t *testing.T) {
-	ld, err := NewLabeledDataset([]LabeledPoint{
+	ld := LabeledDataset{Points: []LabeledPoint{
 		{P: Point{1, 1}, Label: Positive},
 		{P: Point{0, 0}, Label: Negative},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ld.Len() != 2 || ld.Dim() != 2 {
-		t.Error("Len/Dim wrong")
-	}
-	un := ld.Unlabeled()
-	if un.Len() != 2 || !un.Point(0).Equal(Point{1, 1}) {
-		t.Error("Unlabeled wrong")
-	}
+	}}
 	ws := ld.Weighted()
+	if len(ws) != 2 {
+		t.Fatalf("Weighted has %d points, want 2", len(ws))
+	}
 	for _, wp := range ws {
 		if wp.Weight != 1 {
 			t.Error("Weighted should assign unit weights")
 		}
-	}
-	if _, err := NewLabeledDataset([]LabeledPoint{{P: Point{1}, Label: Label(9)}}); err == nil {
-		t.Error("invalid label accepted")
-	}
-	if _, err := NewLabeledDataset([]LabeledPoint{{P: Point{1}}, {P: Point{1, 2}}}); err == nil {
-		t.Error("dimension mismatch accepted")
 	}
 }
 
@@ -128,24 +83,5 @@ func TestCoalesce(t *testing.T) {
 	}
 	if math.Signbit(got[0].P[0]) || !math.Signbit(got[1].P[0]) {
 		t.Fatal("signed zeros: an entry lost its zero's sign")
-	}
-}
-
-func TestSortLex(t *testing.T) {
-	ws := WeightedSet{
-		{P: Point{2, 0}, Label: Positive, Weight: 1},
-		{P: Point{1, 5}, Label: Positive, Weight: 1},
-		{P: Point{1, 3}, Label: Negative, Weight: 1},
-		{P: Point{1, 3}, Label: Positive, Weight: 1},
-	}
-	ws.SortLex()
-	want := []Point{{1, 3}, {1, 3}, {1, 5}, {2, 0}}
-	for i := range want {
-		if !ws[i].P.Equal(want[i]) {
-			t.Fatalf("position %d: got %v, want %v", i, ws[i].P, want[i])
-		}
-	}
-	if ws[0].Label != Negative || ws[1].Label != Positive {
-		t.Error("ties must be broken by label")
 	}
 }

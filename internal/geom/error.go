@@ -29,18 +29,6 @@ func WErr(ws WeightedSet, h ClassifyFunc) float64 {
 	return sum
 }
 
-// Mislabeled returns the indices of points mis-classified by h, in
-// input order; useful for diagnostics and tests.
-func Mislabeled(pts []LabeledPoint, h ClassifyFunc) []int {
-	var out []int
-	for i, lp := range pts {
-		if h(lp.P) != lp.Label {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
 // MonotoneViolations counts ordered pairs (i, j) with point i
 // dominating point j while label(i) < label(j). A labeled set admits a
 // zero-error monotone classifier if and only if the count is zero.

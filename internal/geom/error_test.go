@@ -66,17 +66,6 @@ func TestWErrWeights(t *testing.T) {
 	}
 }
 
-func TestMislabeled(t *testing.T) {
-	pts := []LabeledPoint{
-		{P: Point{1}, Label: Positive},
-		{P: Point{2}, Label: Negative},
-	}
-	got := Mislabeled(pts, threshold1D(0)) // everything classified 1
-	if len(got) != 1 || got[0] != 1 {
-		t.Errorf("Mislabeled = %v, want [1]", got)
-	}
-}
-
 func TestMonotoneViolations(t *testing.T) {
 	clean := []LabeledPoint{
 		{P: Point{0, 0}, Label: Negative},

@@ -32,13 +32,16 @@ const (
 )
 
 // PushRelabelHL computes a maximum flow with highest-label
-// push-relabel and periodic global relabeling, allocating a fresh
-// Workspace. Batch callers should reuse one Workspace via SolveWith
-// (zero steady-state allocations) or use PushRelabelHLPooled. The
-// network is consumed; Clone first to keep the original, or Reset to
-// solve again.
+// push-relabel and periodic global relabeling, drawing its Workspace
+// from a process-wide sync.Pool, so steady-state solving allocates no
+// scratch. Callers that want the per-solve Stats hold their own
+// Workspace and call SolveWith. The network is consumed; Clone first
+// to keep the original, or Reset to solve again.
 func PushRelabelHL(g *Network) Result {
-	return SolveWith(NewWorkspace(), g)
+	ws := hlPool.Get().(*Workspace)
+	r := SolveWith(ws, g)
+	hlPool.Put(ws)
+	return r
 }
 
 // SolveWith computes a maximum flow of g with the highest-label

@@ -7,15 +7,13 @@ type Solver func(*Network) Result
 
 // SolverNames lists the implementations in a fixed, deterministic
 // order, so differential tests and reports enumerate them stably.
-// "pushrelabelhl" is the engine (highest-label + global relabeling);
-// "pushrelabelhl-pooled" is the same engine drawing its workspace from
-// a sync.Pool, the passive solver's default; "dinic" is the
-// independent reference it is checked against.
+// "pushrelabelhl" is the engine (highest-label + global relabeling)
+// and the passive solver's default; "dinic" is the independent
+// reference it is checked against.
 func SolverNames() []string {
 	return []string{
 		"dinic",
 		"pushrelabelhl",
-		"pushrelabelhl-pooled",
 	}
 }
 
@@ -25,8 +23,7 @@ func SolverNames() []string {
 // flow value and cut validity.
 func Solvers() map[string]Solver {
 	return map[string]Solver{
-		"dinic":                Dinic,
-		"pushrelabelhl":        PushRelabelHL,
-		"pushrelabelhl-pooled": PushRelabelHLPooled,
+		"dinic":         Dinic,
+		"pushrelabelhl": PushRelabelHL,
 	}
 }

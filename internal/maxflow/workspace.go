@@ -19,7 +19,7 @@ type WorkspaceStats struct {
 // across solves via SolveWith, so batch, streaming, and conformance
 // workloads re-solve with zero steady-state allocations. A Workspace
 // is not safe for concurrent use; use one per goroutine (or
-// PushRelabelHLPooled, which draws from a sync.Pool).
+// PushRelabelHL, which draws from a sync.Pool).
 type Workspace struct {
 	height []int32   // height label per vertex
 	excess []float64 // preflow excess per vertex
@@ -69,17 +69,6 @@ func (ws *Workspace) ensure(n int) {
 	ws.lhead = make([]int32, 2*n+2)
 }
 
-// hlPool backs PushRelabelHLPooled: workspaces are recycled across
-// calls so steady-state batch solving does not allocate scratch.
+// hlPool backs PushRelabelHL: workspaces are recycled across calls so
+// steady-state batch solving does not allocate scratch.
 var hlPool = sync.Pool{New: func() any { return NewWorkspace() }}
-
-// PushRelabelHLPooled is PushRelabelHL drawing its workspace from a
-// process-wide sync.Pool: the registry-facing, allocation-avoiding
-// variant used as the passive solver's default. Callers that want the
-// per-solve Stats should hold their own Workspace and use SolveWith.
-func PushRelabelHLPooled(g *Network) Result {
-	ws := hlPool.Get().(*Workspace)
-	r := SolveWith(ws, g)
-	hlPool.Put(ws)
-	return r
-}

@@ -35,7 +35,7 @@ type Stats struct {
 	Contending int     // |P^con|
 	GraphEdges int     // edges of the constructed network
 	FlowValue  float64 // max-flow value: the optimal weighted error, rounded in the solver's order
-	Solver     string  // flow solver used: "pushrelabelhl-pooled" (default) or "custom"
+	Solver     string  // flow solver used: "pushrelabelhl" (default) or "custom"
 }
 
 // Solution is the result of solving Problem 2.

@@ -125,12 +125,12 @@ func (pp *Prepared) Network() *maxflow.Network {
 // Resolve runs one max-flow computation over the prepared network
 // (resetting residual capacities first, so repeated calls are
 // idempotent) and decodes the min cut into a Solution. A nil solver
-// uses the default workspace-pooled push-relabel engine.
+// uses the default push-relabel engine, maxflow.PushRelabelHL.
 func (pp *Prepared) Resolve(solver maxflow.Solver) (Solution, error) {
 	solverName := "custom"
 	if solver == nil {
-		solver = maxflow.PushRelabelHLPooled
-		solverName = "pushrelabelhl-pooled"
+		solver = maxflow.PushRelabelHL
+		solverName = "pushrelabelhl"
 	}
 
 	n := len(pp.ws)

@@ -102,14 +102,13 @@ type PrepareStats struct {
 	// DecomposePath names which cover route ran (chains.Path*, or
 	// PathLoaded): PathSeedDense at d ≥ 3 within the limit.
 	DecomposePath string `json:"decompose_path"`
-	// SeedChains, Augmentations, Phases, and CertEarlyExit mirror
+	// SeedChains, Augmentations, and CertEarlyExit mirror
 	// chains.DecomposeStats for the dense path: the best-fit seed's
-	// chain count, the augmenting paths and BFS phases run on top of it
-	// (0 on the seed route, which runs no matching), and whether the
-	// seed's antichain certificate proved it minimum.
+	// chain count, the augmenting paths run on top of it (0 on the seed
+	// route, which runs no matching), and whether the seed's antichain
+	// certificate proved it minimum.
 	SeedChains    int  `json:"seed_chains,omitempty"`
 	Augmentations int  `json:"augmentations,omitempty"`
-	Phases        int  `json:"phases,omitempty"`
 	CertEarlyExit bool `json:"cert_early_exit,omitempty"`
 	// Contending and Edges give the flow network's size: |P^con|
 	// (its vertices minus source and sink) and its edge count, finite
@@ -129,8 +128,8 @@ type PrepareStats struct {
 
 // SolveOptions configures one Solve call over a prepared Problem.
 type SolveOptions struct {
-	// Solver is the max-flow algorithm; the default workspace-pooled
-	// push-relabel engine when nil.
+	// Solver is the max-flow algorithm; the default push-relabel
+	// engine, maxflow.PushRelabelHL, when nil.
 	Solver maxflow.Solver
 }
 
@@ -178,7 +177,7 @@ func Prepare(ws geom.WeightedSet, opts Options) (*Problem, error) {
 	st.DecomposeNS = time.Since(decStart).Nanoseconds() - st.MatrixNS
 	st.DecomposePath = route.Path
 	st.SeedChains, st.Augmentations = route.Stats.SeedChains, route.Stats.Augmentations
-	st.Phases, st.CertEarlyExit = route.Stats.Phases, route.Stats.CertEarlyExit
+	st.CertEarlyExit = route.Stats.CertEarlyExit
 
 	var view domgraph.View
 	mode := ModeImplicit

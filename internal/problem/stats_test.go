@@ -46,7 +46,7 @@ func TestPrepareStatsPaths(t *testing.T) {
 				t.Fatalf("stats %+v disagree with the network (%d contending, %d edges)", st, p.NumContending(), p.NumEdges())
 			}
 			// The seed route runs no matching: the cover is the seed.
-			if st.Width != st.SeedChains || st.Augmentations != 0 || st.Phases != 0 {
+			if st.Width != st.SeedChains || st.Augmentations != 0 {
 				t.Fatalf("seed route reported matching work: %+v", st)
 			}
 			if w := chains.Width(p.Points()); st.Width < w || st.ExactWidth && st.Width != w {
@@ -115,7 +115,7 @@ func TestPrepareWarmStartSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := p.Stats()
-	if st.DecomposePath != chains.PathSeedDense || st.Augmentations != 0 || st.Phases != 0 || st.Width != st.SeedChains {
+	if st.DecomposePath != chains.PathSeedDense || st.Augmentations != 0 || st.Width != st.SeedChains {
 		t.Fatalf("smoke prepare: %+v", st)
 	}
 	sol, err := p.Solve()

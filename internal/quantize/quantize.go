@@ -17,7 +17,6 @@ package quantize
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"monoclass/internal/chains"
 	"monoclass/internal/classifier"
@@ -68,53 +67,10 @@ func Uniform(pts []geom.Point, levels int) []geom.Point {
 	return out
 }
 
-// ByQuantiles snaps every coordinate to one of `levels` empirical
-// quantile buckets (each bucket is represented by its lower quantile
-// value), which adapts the grid to the data distribution: dense score
-// regions receive finer resolution than Uniform gives them.
-func ByQuantiles(pts []geom.Point, levels int) []geom.Point {
-	if levels < 1 {
-		panic(fmt.Sprintf("quantize: levels %d must be at least 1", levels))
-	}
-	if len(pts) == 0 {
-		return nil
-	}
-	d := len(pts[0])
-	// Per dimension: sorted values -> bucket boundaries.
-	boundaries := make([][]float64, d)
-	vals := make([]float64, len(pts))
-	for k := 0; k < d; k++ {
-		for i, p := range pts {
-			vals[i] = p[k]
-		}
-		sort.Float64s(vals)
-		bs := make([]float64, 0, levels)
-		for b := 0; b < levels; b++ {
-			bs = append(bs, vals[b*len(vals)/levels])
-		}
-		boundaries[k] = bs
-	}
-	out := make([]geom.Point, len(pts))
-	for i, p := range pts {
-		q := make(geom.Point, d)
-		for k, v := range p {
-			bs := boundaries[k]
-			// Largest boundary <= v (first boundary is the minimum).
-			lo := sort.SearchFloat64s(bs, v)
-			if lo == len(bs) || bs[lo] > v {
-				lo--
-			}
-			q[k] = bs[lo]
-		}
-		out[i] = q
-	}
-	return out
-}
-
 // Composed wraps a classifier trained on quantized points so it
 // accepts raw points: prediction quantizes first. The wrapper is
-// monotone whenever the inner classifier is, because both quantizers
-// are coordinate-wise monotone maps.
+// monotone whenever the inner classifier is, because the quantizer is
+// a coordinate-wise monotone map.
 type Composed struct {
 	Inner classifier.Classifier
 	Quant func(geom.Point) geom.Point

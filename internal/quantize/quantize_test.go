@@ -28,12 +28,11 @@ func TestQuantizersPreserveDominance(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	f := func() bool {
 		pts := randPts(rng, 2+rng.Intn(20), 2)
-		for _, q := range [][]geom.Point{Uniform(pts, 1+rng.Intn(6)), ByQuantiles(pts, 1+rng.Intn(6))} {
-			for i := range pts {
-				for j := range pts {
-					if i != j && geom.Dominates(pts[i], pts[j]) && !geom.Dominates(q[i], q[j]) {
-						return false
-					}
+		q := Uniform(pts, 1+rng.Intn(6))
+		for i := range pts {
+			for j := range pts {
+				if i != j && geom.Dominates(pts[i], pts[j]) && !geom.Dominates(q[i], q[j]) {
+					return false
 				}
 			}
 		}
@@ -69,35 +68,13 @@ func TestUniformBasics(t *testing.T) {
 	}
 }
 
-func TestByQuantilesBasics(t *testing.T) {
-	pts := []geom.Point{{1}, {2}, {3}, {4}, {100}}
-	q := ByQuantiles(pts, 2)
-	// Buckets: [1, 3) -> 1, [3, ∞) -> 3.
-	want := []float64{1, 1, 3, 3, 3}
-	for i := range want {
-		if q[i][0] != want[i] {
-			t.Errorf("point %d: %g, want %g", i, q[i][0], want[i])
-		}
-	}
-	if ByQuantiles(nil, 2) != nil {
-		t.Error("empty input should give nil")
-	}
-}
-
 func TestQuantizePanics(t *testing.T) {
-	for i, f := range []func(){
-		func() { Uniform([]geom.Point{{1}}, 0) },
-		func() { ByQuantiles([]geom.Point{{1}}, 0) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("case %d: expected panic", i)
-				}
-			}()
-			f()
-		}()
-	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Uniform with 0 levels: expected panic")
+		}
+	}()
+	Uniform([]geom.Point{{1}}, 0)
 }
 
 // Quantization must not increase the dominance width.

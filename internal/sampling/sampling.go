@@ -87,29 +87,6 @@ func WithReplacement(rng *rand.Rand, n, t int) []int {
 	return out
 }
 
-// WithoutReplacement draws min(t, n) distinct indices uniformly at
-// random from [0, n) via a partial Fisher–Yates shuffle.
-func WithoutReplacement(rng *rand.Rand, n, t int) []int {
-	if n <= 0 {
-		panic(fmt.Sprintf("sampling: population size %d", n))
-	}
-	if t < 0 {
-		panic(fmt.Sprintf("sampling: negative sample size %d", t))
-	}
-	if t > n {
-		t = n
-	}
-	perm := make([]int, n)
-	for i := range perm {
-		perm[i] = i
-	}
-	for i := 0; i < t; i++ {
-		j := i + rng.Intn(n-i)
-		perm[i], perm[j] = perm[j], perm[i]
-	}
-	return perm[:t]
-}
-
 // EstimateCount scales an observed sample hit count x out of t draws to
 // the population size n, yielding the estimate (x/t)·n of the number of
 // population members satisfying the predicate (Section 2's corollary of

@@ -45,8 +45,6 @@ func TestSampleSizePanics(t *testing.T) {
 		func() { SampleSize(0.5, 0.5, 1, 0) },
 		func() { WithReplacement(rand.New(rand.NewSource(1)), 0, 1) },
 		func() { WithReplacement(rand.New(rand.NewSource(1)), 5, -1) },
-		func() { WithoutReplacement(rand.New(rand.NewSource(1)), 0, 1) },
-		func() { WithoutReplacement(rand.New(rand.NewSource(1)), 3, -1) },
 		func() { EstimateCount(1, 0, 10) },
 	}
 	for i, f := range cases {
@@ -91,28 +89,6 @@ func TestWithReplacementIsUniformish(t *testing.T) {
 		if math.Abs(float64(c)-want) > 5*math.Sqrt(want) {
 			t.Errorf("bucket %d count %d deviates from %g", i, c, want)
 		}
-	}
-}
-
-func TestWithoutReplacementDistinct(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	got := WithoutReplacement(rng, 20, 12)
-	seen := map[int]bool{}
-	for _, i := range got {
-		if i < 0 || i >= 20 {
-			t.Fatalf("index %d out of range", i)
-		}
-		if seen[i] {
-			t.Fatalf("duplicate index %d", i)
-		}
-		seen[i] = true
-	}
-	if len(got) != 12 {
-		t.Fatalf("len = %d, want 12", len(got))
-	}
-	all := WithoutReplacement(rng, 5, 50)
-	if len(all) != 5 {
-		t.Error("t > n should clamp to n")
 	}
 }
 

@@ -24,7 +24,6 @@ import (
 
 	"monoclass/internal/classifier"
 	"monoclass/internal/geom"
-	"monoclass/internal/problem"
 )
 
 // Snapshot is one immutable registry entry: a trained model and the
@@ -152,36 +151,6 @@ func HoldoutAudit(holdout geom.WeightedSet, maxWErr float64) AuditFunc {
 		werr := geom.WErr(holdout, next.Classify)
 		if werr > maxWErr {
 			return fmt.Errorf("holdout weighted error %g exceeds budget %g", werr, maxWErr)
-		}
-		return nil
-	}
-}
-
-// ProblemSpotAudit is SpotAudit probing the points of a prepared
-// Problem — the training (or holdout) instance the candidate was
-// solved against, already resident in memory, with no re-derivation
-// of anything.
-func ProblemSpotAudit(p *problem.Problem) AuditFunc {
-	return SpotAudit(p.Points())
-}
-
-// ProblemHoldoutAudit is HoldoutAudit over a prepared Problem's
-// weighted set, with one extra lever the raw-set gate cannot offer:
-// a negative maxWErr budget means "no worse than the instance's own
-// optimum" — the prepared network re-solves (cheaply, it is already
-// built) and the candidate must match k* on the instance.
-func ProblemHoldoutAudit(p *problem.Problem, maxWErr float64) AuditFunc {
-	if maxWErr >= 0 {
-		return HoldoutAudit(p.WeightedSet(), maxWErr)
-	}
-	return func(_, next *classifier.AnchorSet) error {
-		sol, err := p.Solve()
-		if err != nil {
-			return fmt.Errorf("re-solving prepared problem: %w", err)
-		}
-		werr := geom.WErr(p.WeightedSet(), next.Classify)
-		if werr > sol.WErr {
-			return fmt.Errorf("candidate weighted error %g exceeds the instance optimum %g", werr, sol.WErr)
 		}
 		return nil
 	}

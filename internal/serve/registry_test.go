@@ -9,7 +9,6 @@ import (
 
 	"monoclass/internal/classifier"
 	"monoclass/internal/geom"
-	"monoclass/internal/problem"
 )
 
 // thresholdModel returns the 1-D anchor model h(x)=1 iff x >= tau.
@@ -149,40 +148,6 @@ func TestHoldoutAudit(t *testing.T) {
 	bad := thresholdModel(t, 100) // misses the weight-3 positive
 	if err := audit(nil, bad); err == nil {
 		t.Error("over-budget model accepted")
-	}
-}
-
-func TestProblemAudits(t *testing.T) {
-	ws := geom.WeightedSet{
-		{P: geom.Point{0}, Label: geom.Negative, Weight: 1},
-		{P: geom.Point{10}, Label: geom.Positive, Weight: 3},
-	}
-	p, err := problem.Prepare(ws, problem.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	spot := ProblemSpotAudit(p)
-	old := thresholdModel(t, 5)
-	if err := spot(old, thresholdModel(t, 3)); err != nil {
-		t.Errorf("ProblemSpotAudit rejected a valid model: %v", err)
-	}
-
-	budget := ProblemHoldoutAudit(p, 0.5)
-	if err := budget(nil, thresholdModel(t, 5)); err != nil {
-		t.Errorf("in-budget model rejected: %v", err)
-	}
-	if err := budget(nil, thresholdModel(t, 100)); err == nil {
-		t.Error("over-budget model accepted")
-	}
-
-	// Negative budget: "no worse than the instance optimum" — here the
-	// instance is separable, so k* = 0 and any miss must be vetoed.
-	opt := ProblemHoldoutAudit(p, -1)
-	if err := opt(nil, thresholdModel(t, 5)); err != nil {
-		t.Errorf("optimal model rejected against k*: %v", err)
-	}
-	if err := opt(nil, thresholdModel(t, 100)); err == nil {
-		t.Error("suboptimal model accepted against k*")
 	}
 }
 

@@ -21,7 +21,7 @@ type ClusterConfig struct {
 	// vector), and learning feeds the primary registry whose swaps the
 	// syncer fans out.
 	Serve serve.Config
-	// Router tunes the fronting router (Strategy, health cadence).
+	// Router tunes the fronting router (ring vnodes, health cadence).
 	// Primary and Syncer are set by the cluster.
 	Router RouterConfig
 	// SyncInterval is the replication poll cadence (default 100ms);

@@ -8,7 +8,7 @@
 // bounds reproduced in the Figure-1 golden test), which makes
 // whole-model replication the natural distribution unit: every replica
 // holds the complete model, so any replica can answer any request and
-// the router's placement strategy is purely a load-spreading and
+// the router's placement is purely a load-spreading and
 // cache-affinity decision, never a correctness one. Correctness lives
 // in the replication protocol instead — a replica is never observed
 // serving a version older than one it has already acknowledged, and
@@ -23,23 +23,6 @@ import (
 
 	"monoclass/internal/geom"
 )
-
-// Strategy maps a classify request to replicas. Order fills dst with
-// replica indices in preference order — every replica exactly once —
-// and returns the filled slice. The router tries them in order,
-// preferring healthy replicas, so a strategy never needs to know about
-// health; it only decides affinity. Implementations must be safe for
-// concurrent use and deterministic (same point, same order), so tests
-// and the conformance check can predict placement.
-type Strategy interface {
-	// Name identifies the strategy in stats and CLI flags.
-	Name() string
-	// Replicas returns the replica count the strategy was built for.
-	Replicas() int
-	// Order writes the preference order for pt into dst (which must
-	// have length ≥ Replicas()) and returns dst[:Replicas()].
-	Order(dst []int, pt geom.Point) []int
-}
 
 // pointKey hashes a point's coordinates with FNV-1a over the float64
 // bit patterns. NaN payload bits are canonicalized so every NaN keys
@@ -88,11 +71,16 @@ func stringKey(s string) uint64 {
 // trivial.
 const DefaultVNodes = 64
 
-// Ring is the consistent-hash strategy: each replica owns VNodes
+// Ring is the router's placement: each replica owns VNodes
 // pseudo-random positions on a uint64 ring; a request's point hashes
 // to a position and walks clockwise, yielding replicas in first-
 // encounter order. Adding or removing a replica moves only ~1/N of
-// the key space, so cache affinity survives fleet changes.
+// the key space, so cache affinity survives fleet changes. The router
+// tries replicas in that order, preferring healthy ones, so the ring
+// only decides affinity, never health. A Ring is immutable once
+// built, so it is safe for concurrent use, and deterministic (same
+// point, same order), so tests and the conformance check can predict
+// placement.
 type Ring struct {
 	n     int
 	nodes []ringNode // sorted by pos
@@ -130,14 +118,10 @@ func NewRing(n, vnodes int) (*Ring, error) {
 	return r, nil
 }
 
-// Name implements Strategy.
-func (r *Ring) Name() string { return "ring" }
-
-// Replicas implements Strategy.
-func (r *Ring) Replicas() int { return r.n }
-
-// Order implements Strategy: clockwise walk from the point's hash
-// position, collecting each replica on first encounter.
+// Order writes pt's preference order into dst (capacity ≥ the replica
+// count avoids a reallocation) and returns it: every replica exactly
+// once, in a clockwise walk from the point's hash position that
+// collects each replica on first encounter.
 func (r *Ring) Order(dst []int, pt geom.Point) []int {
 	dst = dst[:0]
 	key := pointKey(pt)

@@ -18,11 +18,12 @@ import (
 )
 
 // RouterConfig tunes a Router. The zero value uses a consistent-hash
-// ring, 250ms health polls, and a 10s per-attempt HTTP timeout.
+// ring with DefaultVNodes, 250ms health polls, and a 10s per-attempt
+// HTTP timeout.
 type RouterConfig struct {
-	// Strategy places requests on replicas (default: NewRing over the
-	// endpoint count with DefaultVNodes).
-	Strategy Strategy
+	// VNodes is the ring's virtual-node count per replica (0:
+	// DefaultVNodes).
+	VNodes int
 	// Primary indexes the endpoint that owns promotions: POST /model,
 	// POST /learn, and GET /model all go there (default 0).
 	Primary int
@@ -43,12 +44,12 @@ type RouterConfig struct {
 
 // Router fronts a fleet of replica endpoints serving the same model
 // family: classify traffic spreads over healthy replicas by the
-// placement strategy with transparent failover, control traffic
+// consistent-hash ring with transparent failover, control traffic
 // (promotion, learning, model fetch) pins to the primary, and /stats
 // aggregates exact totals across the fleet.
 //
-//	POST /classify        → strategy-placed replica (failover on 5xx/transport error)
-//	POST /classify/batch  → strategy-placed replica (whole batch, one replica, one version)
+//	POST /classify        → ring-placed replica (failover on 5xx/transport error)
+//	POST /classify/batch  → ring-placed replica (whole batch, one replica, one version)
 //	POST /model           → primary, then Syncer.Kick
 //	GET  /model           → primary
 //	POST /learn           → primary
@@ -60,7 +61,7 @@ type RouterConfig struct {
 type Router struct {
 	endpoints []string
 	primary   int
-	strategy  Strategy
+	ring      *Ring
 	client    *http.Client
 	syncer    *Syncer
 	maxBody   int64
@@ -97,16 +98,9 @@ func NewRouter(endpoints []string, cfg RouterConfig) (*Router, error) {
 	if cfg.Primary < 0 || cfg.Primary >= len(endpoints) {
 		return nil, fmt.Errorf("shard: primary index %d out of range for %d endpoints", cfg.Primary, len(endpoints))
 	}
-	if cfg.Strategy == nil {
-		ring, err := NewRing(len(endpoints), 0)
-		if err != nil {
-			return nil, err
-		}
-		cfg.Strategy = ring
-	}
-	if cfg.Strategy.Replicas() != len(endpoints) {
-		return nil, fmt.Errorf("shard: strategy built for %d replicas, router has %d endpoints",
-			cfg.Strategy.Replicas(), len(endpoints))
+	ring, err := NewRing(len(endpoints), cfg.VNodes)
+	if err != nil {
+		return nil, err
 	}
 	if cfg.Client == nil {
 		// Dedicated transport: Shutdown closes its idle connections,
@@ -125,7 +119,7 @@ func NewRouter(endpoints []string, cfg RouterConfig) (*Router, error) {
 	r := &Router{
 		endpoints: append([]string(nil), endpoints...),
 		primary:   cfg.Primary,
-		strategy:  cfg.Strategy,
+		ring:      ring,
 		client:    cfg.Client,
 		syncer:    cfg.Syncer,
 		maxBody:   cfg.MaxBodyBytes,
@@ -161,11 +155,11 @@ func (r *Router) Endpoints() []string { return append([]string(nil), r.endpoints
 func (r *Router) Primary() string { return r.endpoints[r.primary] }
 
 // Endpoint predicts which replica a point routes to right now — the
-// first healthy replica in strategy order (falling back to the
-// strategy's first choice when the whole fleet looks down). Tests use
+// first healthy replica in ring order (falling back to the ring's
+// first choice when the whole fleet looks down). Tests use
 // it to read per-replica state before submitting a request.
 func (r *Router) Endpoint(pt geom.Point) string {
-	order := r.strategy.Order(make([]int, 0, len(r.endpoints)), pt)
+	order := r.ring.Order(make([]int, 0, len(r.endpoints)), pt)
 	for _, idx := range order {
 		if r.healthy[idx].Load() {
 			return r.endpoints[idx]
@@ -304,7 +298,7 @@ func (r *Router) probe(i int) (bool, int64) {
 // carries one coherent (labels, version) pair exactly as direct
 // serving does; the key parse reads no further than that point. A body
 // the router cannot key gets a nil key and is still forwarded (to the
-// strategy's order for the empty point), so the error a client sees is
+// ring's order for the empty point), so the error a client sees is
 // the replica's, identical to serving without a router.
 func (r *Router) handleData(w http.ResponseWriter, req *http.Request) {
 	body, err := serve.ReadBody(http.MaxBytesReader(w, req.Body, r.maxBody), req.ContentLength, r.maxBody)
@@ -319,7 +313,7 @@ func (r *Router) handleData(w http.ResponseWriter, req *http.Request) {
 // then (as a last resort) unhealthy ones — a wrongly-flagged replica
 // is still better than a 502.
 func (r *Router) proxyOrdered(w http.ResponseWriter, req *http.Request, key geom.Point, body []byte) {
-	order := r.strategy.Order(make([]int, 0, len(r.endpoints)), key)
+	order := r.ring.Order(make([]int, 0, len(r.endpoints)), key)
 	attempts := make([]int, 0, len(order))
 	for _, idx := range order {
 		if r.healthy[idx].Load() {
@@ -504,7 +498,6 @@ type Totals struct {
 
 // RouterStats reports the router's own counters.
 type RouterStats struct {
-	Strategy  string  `json:"strategy"`
 	Retries   int64   `json:"retries"`
 	Failed    int64   `json:"failed"`
 	HealthUps int64   `json:"health_ups"`
@@ -582,7 +575,6 @@ func (r *Router) AggregateStats(ctx context.Context) AggregateStats {
 		agg.Totals.MeanBatch = float64(agg.Totals.BatchPoints) / float64(agg.Totals.Batches)
 	}
 	agg.Router = RouterStats{
-		Strategy:  r.strategy.Name(),
 		Retries:   r.retries.Load(),
 		Failed:    r.failed.Load(),
 		HealthUps: r.healthUp.Load(),

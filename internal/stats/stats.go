@@ -1,13 +1,11 @@
 // Package stats supplies the small statistical toolkit used by the
-// experiment harness: summary statistics, quantiles, bootstrap
-// confidence intervals, and log-log slope fitting for verifying
-// asymptotic growth rates.
+// experiment harness: summary statistics, quantiles, and log-log
+// slope fitting for verifying asymptotic growth rates.
 package stats
 
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
 )
 
@@ -130,29 +128,6 @@ func Summarize(xs []float64) Summary {
 func (s Summary) String() string {
 	return fmt.Sprintf("n=%d mean=%.4g sd=%.3g min=%.4g med=%.4g p95=%.4g max=%.4g",
 		s.N, s.Mean, s.StdDev, s.Min, s.Median, s.P95, s.Max)
-}
-
-// BootstrapCI estimates a two-sided confidence interval for the mean of
-// xs at the given level (e.g. 0.95) using the percentile bootstrap with
-// rounds resamples drawn via rng. It returns (lo, hi). For fewer than
-// two observations it returns the single value (or NaNs) as both ends.
-func BootstrapCI(xs []float64, level float64, rounds int, rng *rand.Rand) (lo, hi float64) {
-	if len(xs) == 0 {
-		return math.NaN(), math.NaN()
-	}
-	if len(xs) == 1 {
-		return xs[0], xs[0]
-	}
-	means := make([]float64, rounds)
-	buf := make([]float64, len(xs))
-	for r := 0; r < rounds; r++ {
-		for i := range buf {
-			buf[i] = xs[rng.Intn(len(xs))]
-		}
-		means[r] = Mean(buf)
-	}
-	alpha := (1 - level) / 2
-	return Quantile(means, alpha), Quantile(means, 1-alpha)
 }
 
 // LogLogSlope fits err = a * x^b by least squares on (log x, log y) and

@@ -101,29 +101,6 @@ func TestSummarize(t *testing.T) {
 	}
 }
 
-func TestBootstrapCI(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	xs := make([]float64, 200)
-	for i := range xs {
-		xs[i] = 10 + rng.NormFloat64()
-	}
-	lo, hi := BootstrapCI(xs, 0.95, 500, rng)
-	if !(lo < 10 && 10 < hi) {
-		t.Errorf("CI [%g, %g] should contain the true mean 10", lo, hi)
-	}
-	if hi-lo > 1 {
-		t.Errorf("CI [%g, %g] suspiciously wide", lo, hi)
-	}
-	l1, h1 := BootstrapCI([]float64{5}, 0.95, 10, rng)
-	if l1 != 5 || h1 != 5 {
-		t.Error("single-observation CI should collapse to the value")
-	}
-	l0, h0 := BootstrapCI(nil, 0.95, 10, rng)
-	if !math.IsNaN(l0) || !math.IsNaN(h0) {
-		t.Error("empty CI should be NaN")
-	}
-}
-
 func TestLogLogSlope(t *testing.T) {
 	// y = 3 x^2 exactly -> slope 2.
 	xs := []float64{1, 2, 4, 8, 16}

@@ -21,9 +21,6 @@ const (
 	HardKind11 = lowerbound.Kind11 // pair labeled (1, 1)
 )
 
-// HardFamily enumerates the full family of n instances (n even, ≥ 4).
-func HardFamily(n int) []HardInstance { return lowerbound.Family(n) }
-
 // HardFamilyPoints returns the shared point set {1, ..., n}.
 func HardFamilyPoints(n int) []Point { return lowerbound.Points(n) }
 

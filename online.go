@@ -22,10 +22,9 @@ type (
 	// OnlineConfig tunes the rebuild policy and publication hook.
 	OnlineConfig = online.Config
 	// OnlinePipeline is the asynchronous bounded-queue front of an
-	// updater, with batcher-style backpressure and lossless drain.
+	// updater, with batcher-style backpressure and lossless drain;
+	// Server.Learner returns the one behind POST /learn.
 	OnlinePipeline = online.Pipeline
-	// OnlinePipelineConfig tunes the delta intake queue.
-	OnlinePipelineConfig = online.PipelineConfig
 	// OnlineStats is the updater's counter snapshot (also embedded in
 	// the /stats "online" section).
 	OnlineStats = online.StatsSnapshot
@@ -57,10 +56,4 @@ var (
 // arrive via Apply/ApplyBatch.
 func NewOnlineUpdater(dim int, initial WeightedSet, cfg OnlineConfig) (*OnlineUpdater, error) {
 	return online.NewUpdater(dim, initial, cfg)
-}
-
-// NewOnlinePipeline wraps an updater in the bounded-queue asynchronous
-// intake; close it to drain.
-func NewOnlinePipeline(u *OnlineUpdater, cfg OnlinePipelineConfig) *OnlinePipeline {
-	return online.NewPipeline(u, cfg)
 }

@@ -30,12 +30,8 @@ type InstrumentedOracle struct {
 	inner *oracle.Instrumented
 }
 
-// NewInstrumentedOracle wraps ground-truth labels with probe metering.
-func NewInstrumentedOracle(labels []Label) *InstrumentedOracle {
-	return &InstrumentedOracle{inner: oracle.Instrument(labels)}
-}
-
-// InstrumentLabeled is NewInstrumentedOracle for a labeled point set.
+// InstrumentLabeled wraps the labels of a labeled point set with
+// probe metering.
 func InstrumentLabeled(pts []LabeledPoint) *InstrumentedOracle {
 	return &InstrumentedOracle{inner: oracle.InstrumentLabeled(pts)}
 }

@@ -57,8 +57,7 @@ func PrepareProblem(ws WeightedSet, opts ProblemOptions) (*Problem, error) {
 func TrainPrepared(p *Problem) (PassiveSolution, error) { return p.Solve() }
 
 // AuditPrepared computes the dataset report from the prepared
-// instance; combined with TrainPrepared it replaces the
-// OptimalPassive+AuditDataset pairing that built the structure twice.
+// instance, whose network and optimum it shares with TrainPrepared.
 // Its violation count may rebuild the dominance matrix once (see
 // Problem.Violations), and its width decomposes the points unless the
 // Problem's cover is certified minimum.

@@ -7,19 +7,13 @@ import "monoclass/internal/quantize"
 // large. Snapping scores to a small grid collapses w (cheaper
 // labeling) at a usually-small cost in the best achievable error;
 // QuantizeTradeoff measures the exchange so the level can be chosen
-// deliberately. Both quantizers are coordinate-wise monotone, so
+// deliberately. The quantizer is coordinate-wise monotone, so
 // dominance — and with it classifier monotonicity — is preserved.
 
 // QuantizeUniform snaps every coordinate to `levels` evenly spaced
 // values across that coordinate's observed range.
 func QuantizeUniform(pts []Point, levels int) []Point {
 	return quantize.Uniform(pts, levels)
-}
-
-// QuantizeByQuantiles snaps every coordinate to `levels` empirical
-// quantile buckets, adapting resolution to the data distribution.
-func QuantizeByQuantiles(pts []Point, levels int) []Point {
-	return quantize.ByQuantiles(pts, levels)
 }
 
 // QuantizeLevelStats summarizes one quantization level: the dominance

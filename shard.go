@@ -15,10 +15,7 @@ import (
 // engine types so applications can embed the router without importing
 // internal packages.
 type (
-	// ShardStrategy places classify requests on replicas (see
-	// NewRing).
-	ShardStrategy = shard.Strategy
-	// ShardRouter fronts a replica fleet: strategy-placed data plane
+	// ShardRouter fronts a replica fleet: consistent-hash data plane
 	// with failover, primary-pinned control plane, aggregate /stats.
 	ShardRouter = shard.Router
 	// ShardRouterConfig tunes the router.
@@ -34,10 +31,6 @@ type (
 	// ShardClusterConfig tunes NewShardCluster.
 	ShardClusterConfig = shard.ClusterConfig
 )
-
-// NewRing builds the consistent-hash placement strategy over n
-// replicas (vnodes ≤ 0 selects the default virtual-node count).
-func NewRing(n, vnodes int) (ShardStrategy, error) { return shard.NewRing(n, vnodes) }
 
 // NewShardRouter builds a router over replica base URLs.
 func NewShardRouter(endpoints []string, cfg ShardRouterConfig) (*ShardRouter, error) {
